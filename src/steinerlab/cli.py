@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from math import comb, exp
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .limitlaw import (
 )
 from .sampling import SamplerExhausted, SeededRng, steiner_complex
 from .spectra import spectral_summary
-from .trees import tree_count_exact, tree_growth_rate, weighted_tree_count
+from .trees import tree_count_exact, weighted_tree_count
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -106,9 +107,11 @@ def _cmd_sst(args: argparse.Namespace) -> int:
     result = weighted_tree_count(X, oracle=args.oracle)
     payload = {
         "log_kappa": None if result.zero_flag else result.log_count,
-        "kappa_root": tree_growth_rate(X),
+        "kappa_root": exp(result.log_count / comb(X.n, X.d)),
         "trivial_zeros": result.trivial_zeros,
         "flag": result.zero_flag,
+        "floor": result.floor,
+        "zero_threshold": result.zero_threshold,
     }
     if result.exact_count is not None:
         payload["exact"] = result.exact_count

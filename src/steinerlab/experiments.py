@@ -4,7 +4,9 @@ Each trial samples one complex from a seed stream derived from
 (master seed, n, trial index), so enlarging the n-grid or adding trials
 never perturbs existing rows, and computes the per-complex convergence
 statistics: normalized spanning-tree count, Laplacian spectral moments,
-arboreal-neighborhood fractions, minimum degree and spectral floor.
+arboreal-neighborhood fractions, minimum degree and spectral floor.  A row
+takes no full spectrum: the count and floor come from the Cholesky and
+Lanczos route in `trees`, the moments from exact sparse traces of L.
 Rows come back in deterministic (n, trial) order regardless of how the
 trials were scheduled.
 """
@@ -17,7 +19,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from math import sqrt
+from math import comb, exp, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +27,8 @@ import numpy as np
 from .arboreal import arboreal_fraction
 from .complexes import PureComplex, write_complex
 from .sampling import SamplerExhausted, SeededRng, is_admissible, steiner_complex
-from .spectra import adjacency_matrix, eigenvalues, laplacian_matrix, trivial_zero_count
-from .trees import growth_rate_from_eigenvalues
+from .spectra import adjacency_matrix, eigenvalues, moments, sparse_laplacian, trivial_zero_count
+from .trees import tree_count_from_laplacian
 
 __all__ = [
     "ExperimentConfig",
@@ -116,20 +118,16 @@ class ConvergenceResult:
 
 
 def _converge_row(config: ExperimentConfig, X: PureComplex, n: int, trial: int) -> ConvergenceRow:
-    eigs = eigenvalues(laplacian_matrix(X))
-    tzc = trivial_zero_count(X)
-    rate = growth_rate_from_eigenvalues(eigs, tzc, X.n, X.d)
-    moments = tuple(float(np.mean(eigs**ell)) for ell in range(config.lmax + 1))
-    fractions = {r: arboreal_fraction(X, config.k, r) for r in config.radii}
-    floor = float(eigs[tzc]) if tzc < len(eigs) else float("nan")
+    L = sparse_laplacian(X)
+    count = tree_count_from_laplacian(X, L)
     return ConvergenceRow(
         n=n,
         trial=trial,
-        growth_rate=rate,
+        growth_rate=exp(count.log_count / comb(X.n, X.d)),
         min_degree=X.min_degree(),
-        spectral_floor=floor,
-        fractions=fractions,
-        moments=moments,
+        spectral_floor=count.floor,
+        fractions={r: arboreal_fraction(X, config.k, r) for r in config.radii},
+        moments=tuple(moments(L, config.lmax)),
     )
 
 

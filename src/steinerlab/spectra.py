@@ -1,28 +1,39 @@
-"""Signed adjacency and upper Laplacian operators on (d-1)-forms.
+"""Signed boundary, upper Laplacian and adjacency operators on (d-1)-forms.
 
 Skew-symmetric forms on oriented (d-1)-faces have an orthonormal basis
-indexed by one chosen orientation per face (sorted representative, sign +1).
-In that basis the adjacency operator picks up a sign per orientation-
-compatible adjacency, and the upper Laplacian is degree-diagonal minus
-adjacency.  The trivial kernel of the Laplacian is the coboundary image
-from (d-2)-forms, whose dimension is computed as an exact integer rank.
+indexed by one chosen orientation per face (sorted representative, sign +1),
+ordered lexicographically.  In that basis the signed boundary B of the
+d-faces (one column per d-face, entry (-1)**i on the facet omitting vertex i)
+is a sparse integer matrix, the upper Laplacian is L = B B^T and the signed
+adjacency is diag(L) - L.
+
+The trivial kernel of L is the image of the coboundary delta from the
+(d-2)-forms of the complete skeleton; its dimension is C(n-1, d-1).  On the
+complete skeleton delta delta^T has the single non-zero eigenvalue n on that
+image and L delta = 0, so for c > 0 the spectrum of L + c delta delta^T is
+the non-trivial spectrum of L together with c n repeated C(n-1, d-1) times.
+That identity lets tree counts and spectral floors skip the full spectrum;
+dense eigenvalues are computed only where a spectrum is the output.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import numpy as np
+import scipy.sparse as sp
 
 from .complexes import Face, PureComplex, all_faces, facets_of
 
 __all__ = [
     "FormBasis",
     "SpectralSummary",
+    "boundary_matrix",
+    "sparse_laplacian",
+    "coboundary_matrix",
     "adjacency_matrix",
     "laplacian_matrix",
     "eigenvalues",
@@ -35,9 +46,9 @@ __all__ = [
 ]
 
 SYMMETRY_RTOL = 1e-12
+SYMMETRY_BLOCK_ROWS = 256
 ZERO_RTOL = 1e-8
 AMBIGUOUS_FACTOR = 1e3
-EXACT_RANK_MAX_COLS = 5000
 SIGNED_TRACE_MAX_LENGTH = 10
 
 
@@ -51,51 +62,104 @@ class FormBasis:
     def from_complex(cls, X: PureComplex) -> "FormBasis":
         return cls(tuple(X.facet_iter()))
 
-    def index(self) -> dict[Face, int]:
-        return {face: i for i, face in enumerate(self.faces)}
-
     def __len__(self) -> int:
         return len(self.faces)
 
 
+def _binom(x: np.ndarray, k: int) -> np.ndarray:
+    """Elementwise C(x, k) for non-negative integer arrays (0 where x < k)."""
+    out = np.ones_like(x)
+    for j in range(k):
+        out = out * (x - j)
+    return out // factorial(k)
+
+
+def _lex_ranks(faces: np.ndarray, n: int) -> np.ndarray:
+    """Positions of sorted faces (rows of vertex ids in [1, n]) in all_faces order.
+
+    With a_i = n - v_i the lexicographic rank is C(n, r) - 1 - sum_i C(a_i, r - i).
+    """
+    r = faces.shape[1]
+    rank = np.full(len(faces), comb(n, r) - 1, dtype=np.int64)
+    for i in range(r):
+        rank -= _binom(n - faces[:, i], r - i)
+    return rank
+
+
+def _signed_incidence(faces: np.ndarray, n: int) -> sp.csr_matrix:
+    """Signed incidence of faces (rows of w sorted vertex ids) to their facets.
+
+    The C(n, w-1) x len(faces) matrix whose column j holds (-1)**i in the
+    row of the facet that omits faces[j][i].
+    """
+    width = faces.shape[1]
+    facet_rows = np.concatenate([_lex_ranks(np.delete(faces, i, axis=1), n) for i in range(width)])
+    cols = np.tile(np.arange(len(faces)), width)
+    signs = np.repeat([(-1.0) ** i for i in range(width)], len(faces))
+    return sp.csr_matrix((signs, (facet_rows, cols)), shape=(comb(n, width - 1), len(faces)))
+
+
+def boundary_matrix(X: PureComplex) -> sp.csr_matrix:
+    """Signed boundary B of the d-faces: C(n, d) rows in form-basis order, d-faces sorted."""
+    taus = np.array(sorted(X.d_faces), dtype=np.int64).reshape(-1, X.d + 1)
+    return _signed_incidence(taus, X.n)
+
+
+def sparse_laplacian(X: PureComplex) -> sp.csr_matrix:
+    """Upper Laplacian L = B B^T: deg(sigma) on the diagonal, (-1)**(i+j) per shared d-face."""
+    B = boundary_matrix(X)
+    return (B @ B.T).tocsr()
+
+
+def coboundary_matrix(n: int, d: int) -> sp.csr_matrix:
+    """Coboundary delta from (d-2)-forms of the complete skeleton, C(n, d) x C(n, d-1).
+
+    Row sigma holds (-1)**i in the column of the (d-2)-face omitting sigma's
+    i-th vertex; for d = 1 the single column is the empty face and every
+    entry is +1.
+    """
+    sigmas = np.array(list(all_faces(n, d - 1)), dtype=np.int64).reshape(-1, d)
+    return _signed_incidence(sigmas, n).T.tocsr()
+
+
+def _dense(M: sp.spmatrix, basis: FormBasis | None, n: int) -> np.ndarray:
+    if basis is not None:
+        p = _lex_ranks(np.array(basis.faces, dtype=np.int64), n)
+        M = M.tocsr()[p][:, p]
+    return M.toarray()
+
+
+def laplacian_matrix(X: PureComplex, basis: FormBasis | None = None) -> np.ndarray:
+    """Dense upper Laplacian, rows and columns in `basis` order (default lexicographic)."""
+    return _dense(sparse_laplacian(X), basis, X.n)
+
+
 def adjacency_matrix(X: PureComplex, basis: FormBasis | None = None) -> np.ndarray:
-    """Matrix of the signed adjacency operator on the chosen form basis.
+    """Dense signed adjacency diag(L) - L on the chosen form basis.
 
     Each d-face tau and facet pair (i, j) contributes (-1)**(i+j+1) to the
     entry of the two facets: the sign is +1 exactly when the orientation of
     facet j induced alongside +facet i is the negative representative.  For
     d = 1 this is the ordinary graph adjacency matrix.
     """
-    basis = basis or FormBasis.from_complex(X)
-    index = basis.index()
-    m = len(basis)
-    A = np.zeros((m, m))
-    for tau in X.d_faces:
-        facets = facets_of(tau)
-        for i in range(len(facets)):
-            for j in range(i + 1, len(facets)):
-                val = 1.0 if (i + j) % 2 == 1 else -1.0
-                a, b = index[facets[i]], index[facets[j]]
-                A[a, b] += val
-                A[b, a] += val
-    return A
-
-
-def laplacian_matrix(X: PureComplex, basis: FormBasis | None = None) -> np.ndarray:
-    """Upper Laplacian deg(sigma) f(sigma) - sum of adjacent values; PSD."""
-    basis = basis or FormBasis.from_complex(X)
-    A = adjacency_matrix(X, basis)
-    D = np.diag([float(X.degree(face)) for face in basis.faces])
-    return D - A
+    L = sparse_laplacian(X)
+    return _dense(sp.diags(L.diagonal()) - L, basis, X.n)
 
 
 def eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Full ascending spectrum of a symmetric matrix (dense LAPACK solve)."""
+    """Full ascending spectrum of a symmetric matrix (dense LAPACK solve).
+
+    Symmetry is checked a block of rows at a time, so the check allocates
+    no second m x m array.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    scale = max(1.0, float(np.abs(M).max()) if M.size else 0.0)
-    asymmetry = float(np.abs(M - M.T).max()) if M.size else 0.0
+    scale, asymmetry = 1.0, 0.0
+    for lo in range(0, len(M), SYMMETRY_BLOCK_ROWS):
+        rows = M[lo : lo + SYMMETRY_BLOCK_ROWS]
+        scale = max(scale, float(np.abs(rows).max()))
+        asymmetry = max(asymmetry, float(np.abs(rows - M[:, lo : lo + SYMMETRY_BLOCK_ROWS].T).max()))
     if asymmetry > SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return np.linalg.eigvalsh(M)
@@ -147,23 +211,13 @@ def _coboundary_rows(n: int, d: int):
         yield row
 
 
-@lru_cache(maxsize=None)
-def _skeleton_coboundary_rank(n: int, d: int) -> int:
-    n_cols = comb(n, d - 1)
-    if n_cols <= EXACT_RANK_MAX_COLS:
-        return exact_rank(list(_coboundary_rows(n, d)))
-    M = np.array(list(_coboundary_rows(n, d)), dtype=float)
-    svals = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(svals > ZERO_RTOL * svals[0]))
-
-
 def trivial_zero_count(X: PureComplex) -> int:
-    """Dimension of the trivial Laplacian kernel (coboundary image from below).
+    """Dimension C(n-1, d-1) of the trivial Laplacian kernel (coboundary image from below).
 
-    For the complete (d-1)-skeleton this equals C(n-1, d-1); it is computed
-    as an exact rank because it gates the spanning-tree product.
+    The coboundary from (d-2)-forms of the complete skeleton has this rank;
+    tests confirm the closed form against the exact rank of `_coboundary_rows`.
     """
-    return _skeleton_coboundary_rank(X.n, X.d)
+    return comb(X.n - 1, X.d - 1)
 
 
 @dataclass(frozen=True)
@@ -177,10 +231,23 @@ class SpectralSummary:
     trivial_zero_count: int | None = None
 
 
-def moments(M: np.ndarray, lmax: int) -> list[float]:
-    """Spectral moments (1/m) tr(M^l) for l = 0..lmax, from the eigenvalues."""
-    eigs = eigenvalues(M)
-    return [float(np.mean(eigs**ell)) for ell in range(lmax + 1)]
+def moments(M: np.ndarray | sp.spmatrix, lmax: int) -> list[float]:
+    """Spectral moments (1/m) tr(M^l) for l = 0..lmax, as exact traces of sparse powers.
+
+    tr(M^l) = sum(M^a * (M^b)^T) with a = ceil(l/2), b = l - a, so only
+    powers up to ceil(lmax/2) are formed.  For an integer matrix every trace
+    is exact while m * (max row sum of |M|)^l stays below 2^53.
+    """
+    M = sp.csr_matrix(M, dtype=float)
+    m = M.shape[0]
+    powers = [sp.identity(m, format="csr"), M]
+    while len(powers) <= (lmax + 1) // 2:
+        powers.append(powers[-1] @ M)
+    out = []
+    for ell in range(lmax + 1):
+        a = (ell + 1) // 2
+        out.append(float(powers[a].multiply(powers[ell - a].T).sum()) / m)
+    return out
 
 
 def _summary_from_eigs(
@@ -218,15 +285,18 @@ def spectral_summary(
     return _summary_from_eigs(eigenvalues(M), bins, lmax, trivial_zero_count(X))
 
 
-def zero_threshold(eigs: np.ndarray) -> float:
-    """Classification threshold for numerical zeros, scaled to the top eigenvalue."""
-    top = float(eigs[-1]) if len(eigs) else 0.0
+def zero_threshold(eigs: np.ndarray | float) -> float:
+    """Classification threshold for numerical zeros, scaled to the top eigenvalue.
+
+    Takes a spectrum or just its top eigenvalue.
+    """
+    top = float(np.max(eigs)) if np.size(eigs) else 0.0
     return ZERO_RTOL * max(1.0, top)
 
 
-def warn_ambiguous_zeros(eigs: np.ndarray) -> None:
-    """Warn when eigenvalues land in the gray zone just above the zero cutoff."""
-    eps = zero_threshold(eigs)
+def warn_ambiguous_zeros(eigs: np.ndarray, eps: float) -> None:
+    """Warn when eigenvalues land in the gray zone (eps, AMBIGUOUS_FACTOR * eps)."""
+    eigs = np.atleast_1d(eigs)
     gray = np.sum((eigs > eps) & (eigs < AMBIGUOUS_FACTOR * eps))
     if gray:
         warnings.warn(

@@ -3,28 +3,38 @@
 A d-dimensional spanning tree of a complex with complete (d-1)-skeleton is a
 set of C(n-1, d) top faces whose boundary columns are linearly independent
 over the rationals; its weight is the squared order of the codimension-one
-torsion group.  The weighted total is obtained two ways: spectrally, from the
-product of non-trivial upper-Laplacian eigenvalues divided by the closed-form
-count n^C(n-2, d-1) for the complete skeleton one level down; and exactly, by
-enumerating candidate trees and accumulating squared Smith-normal-form
-torsion.  All spectral-route arithmetic stays in the log domain because the
-counts grow like exp(Theta(n^d)).
+torsion group.  By the simplicial matrix-tree theorem the weighted total is
+the product of the non-trivial upper-Laplacian eigenvalues divided by the
+closed-form count n^C(n-2, d-1) of the complete skeleton one level down.
+
+That product needs no spectrum.  L delta = 0 is checked exactly, and for a
+power of two c with c n above the Gershgorin bound of L the spectrum of
+M = L + c delta delta^T is the non-trivial spectrum of L plus c n repeated
+C(n-1, d-1) times (see `spectra`).  So the smallest eigenvalue of M, found
+by Lanczos, is the spectral floor that decides an extra kernel (count 0),
+and a dense Cholesky factor R of M gives the product as
+2 sum log diag R - C(n-1, d-1) log(c n).  The enumeration oracle instead
+sums squared Smith-normal-form torsion over candidate trees.  Spectral
+arithmetic stays in the log domain because counts grow like exp(Theta(n^d)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
-from math import comb, exp, log
+from math import comb, exp, frexp, log
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import cholesky
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .complexes import Face, PureComplex, all_faces, facets_of
 from .spectra import (
-    eigenvalues,
+    coboundary_matrix,
     exact_rank,
-    laplacian_matrix,
+    sparse_laplacian,
     trivial_zero_count,
     warn_ambiguous_zeros,
     zero_threshold,
@@ -38,13 +48,15 @@ __all__ = [
     "laplacian_pseudodet",
     "pseudodet_from_eigenvalues",
     "growth_rate_from_eigenvalues",
+    "tree_count_from_laplacian",
     "weighted_tree_count",
     "tree_growth_rate",
     "tree_count_exact",
 ]
 
 ORACLE_MAX_SUBSETS = 10**6
-GROWTH_RATE_CONSISTENCY = 1e-10
+# fixed Lanczos start vector: reproducible, and never in ker L (ones is, at d = 1)
+LANCZOS_SEED = 20090601
 ORACLE_LOG_RTOL = 1e-6
 
 
@@ -143,7 +155,7 @@ def boundary_columns(n: int, d: int, dfaces: Sequence[Face]) -> list[list[int]]:
 
 
 def pseudodet_from_eigenvalues(eigs: np.ndarray, trivial_zeros: int) -> tuple[float, bool]:
-    """Log-product of the non-trivial Laplacian eigenvalues.
+    """Log-product of the non-trivial Laplacian eigenvalues (test oracle for the Cholesky route).
 
     The lowest `trivial_zeros` eigenvalues must be numerical zeros (hard
     failure otherwise); any further zero among the rest is a genuine extra
@@ -151,7 +163,7 @@ def pseudodet_from_eigenvalues(eigs: np.ndarray, trivial_zeros: int) -> tuple[fl
     """
     eigs = np.sort(np.asarray(eigs, dtype=float))
     eps = zero_threshold(eigs)
-    warn_ambiguous_zeros(eigs)
+    warn_ambiguous_zeros(eigs, eps)
     if trivial_zeros and float(eigs[trivial_zeros - 1]) > eps:
         raise RuntimeError(
             f"expected {trivial_zeros} trivial zeros but eigenvalue "
@@ -163,18 +175,14 @@ def pseudodet_from_eigenvalues(eigs: np.ndarray, trivial_zeros: int) -> tuple[fl
     return float(np.sum(np.log(rest))) if len(rest) else 0.0, False
 
 
-def laplacian_pseudodet(X: PureComplex) -> tuple[float, bool]:
-    """(log value, zero flag) of the product of non-trivial Laplacian eigenvalues."""
-    eigs = eigenvalues(laplacian_matrix(X))
-    return pseudodet_from_eigenvalues(eigs, trivial_zero_count(X))
-
-
 @dataclass(frozen=True)
 class TreeCount:
     """Weighted spanning-tree count of a complex, in the log domain.
 
     zero_flag means the complex has a non-trivial Laplacian kernel and the
-    count is exactly 0; log_count is then meaningless and set to -inf.
+    count is exactly 0; log_count is then -inf and pseudodet_log is 0.
+    floor is the smallest non-trivial Laplacian eigenvalue; the flag is set
+    exactly when it is below zero_threshold, so the two give the margin.
     exact_count is filled only when the enumeration oracle was run.
     """
 
@@ -182,6 +190,8 @@ class TreeCount:
     pseudodet_log: float
     trivial_zeros: int
     zero_flag: bool
+    floor: float
+    zero_threshold: float
     exact_count: int | None = None
 
     @property
@@ -189,40 +199,84 @@ class TreeCount:
         return 0.0 if self.zero_flag else exp(self.log_count)
 
 
-def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
-    """Weighted number of d-dimensional spanning trees.
+def _lanczos_extreme(op, which: str) -> float:
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(op.shape[0])
+    return float(eigsh(op, k=1, which=which, v0=v0, return_eigenvectors=False)[0])
 
-    Spectral route: the non-trivial Laplacian eigenvalue product equals the
-    tree count times n^C(n-2, d-1) (the closed-form count of the complete
-    skeleton one level down, whose codimension-two torsion is trivial).
-    With oracle=True the enumeration result is attached and cross-checked.
+
+def tree_count_from_laplacian(X: PureComplex, L: sp.csr_matrix) -> TreeCount:
+    """Tree count of X from its sparse Laplacian L (as from `sparse_laplacian`), without a full spectrum.
+
+    Takes L so a caller that also needs L, such as a converge row's moments,
+    builds it once.
     """
-    pseudodet_log, flag = laplacian_pseudodet(X)
-    correction = comb(X.n - 2, X.d - 1) * log(X.n)
-    log_count = float("-inf") if flag else pseudodet_log - correction
-    exact = None
-    if oracle:
-        exact = tree_count_exact(X)
-        if flag != (exact == 0):
-            raise RuntimeError(
-                f"oracle disagreement: zero_flag={flag} but exact count {exact}"
-            )
-        if not flag:
-            if abs(log(exact) - log_count) > ORACLE_LOG_RTOL * max(1.0, abs(log_count)):
-                raise RuntimeError(
-                    f"oracle disagreement: log exact {log(exact):.12f} vs spectral {log_count:.12f}"
-                )
+    n, d = X.n, X.d
+    delta = coboundary_matrix(n, d)
+    if (L @ delta).count_nonzero():
+        raise RuntimeError("coboundary image is not in the Laplacian kernel: L delta != 0")
+    trivial = trivial_zero_count(X)
+    # power of two (so M is exact) with c n above the Gershgorin bound (d+1) max deg of L
+    gershgorin = (d + 1) * float(L.diagonal().max(initial=0.0))
+    c = 2.0 ** frexp((gershgorin + 1) / n)[1]
+    delta_t = delta.T.tocsr()
+    shifted = LinearOperator(L.shape, matvec=lambda x: L @ x + c * (delta @ (delta_t @ x)), dtype=float)
+    floor = _lanczos_extreme(shifted, "SA")
+    eps = zero_threshold(_lanczos_extreme(L, "LA"))
+    warn_ambiguous_zeros(floor, eps)
+    flag = floor < eps
+    pseudodet_log = 0.0
+    if not flag:
+        M = L.toarray()
+        if d == 1:
+            M += c
+        else:  # one +-1 block of delta delta^T per (d-2)-face
+            cols = delta.tocsc()
+            for lo, hi in zip(cols.indptr[:-1], cols.indptr[1:]):
+                rows = cols.indices[lo:hi]
+                M[np.ix_(rows, rows)] += c * np.outer(cols.data[lo:hi], cols.data[lo:hi])
+        R = cholesky(M.T, lower=True, overwrite_a=True, check_finite=False)
+        pseudodet_log = 2.0 * float(np.log(np.diagonal(R)).sum()) - trivial * log(c * n)
     return TreeCount(
-        log_count=log_count,
+        log_count=float("-inf") if flag else pseudodet_log - comb(n - 2, d - 1) * log(n),
         pseudodet_log=pseudodet_log,
-        trivial_zeros=trivial_zero_count(X),
+        trivial_zeros=trivial,
         zero_flag=flag,
-        exact_count=exact,
+        floor=floor,
+        zero_threshold=eps,
     )
 
 
+def laplacian_pseudodet(X: PureComplex) -> tuple[float, bool]:
+    """(log value, zero flag) of the product of non-trivial Laplacian eigenvalues."""
+    result = tree_count_from_laplacian(X, sparse_laplacian(X))
+    return result.pseudodet_log, result.zero_flag
+
+
+def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
+    """Weighted number of d-dimensional spanning trees.
+
+    Matrix-tree route: the non-trivial Laplacian eigenvalue product equals
+    the tree count times n^C(n-2, d-1) (the closed-form count of the
+    complete skeleton one level down, whose codimension-two torsion is
+    trivial).  With oracle=True the enumeration result is attached and
+    cross-checked.
+    """
+    result = tree_count_from_laplacian(X, sparse_laplacian(X))
+    if not oracle:
+        return result
+    exact = tree_count_exact(X)
+    flag, log_count = result.zero_flag, result.log_count
+    if flag != (exact == 0):
+        raise RuntimeError(f"oracle disagreement: zero_flag={flag} but exact count {exact}")
+    if not flag and abs(log(exact) - log_count) > ORACLE_LOG_RTOL * max(1.0, abs(log_count)):
+        raise RuntimeError(
+            f"oracle disagreement: log exact {log(exact):.12f} vs spectral {log_count:.12f}"
+        )
+    return replace(result, exact_count=exact)
+
+
 def growth_rate_from_eigenvalues(eigs: np.ndarray, trivial_zeros: int, n: int, d: int) -> float:
-    """Per-face normalized tree count from a precomputed Laplacian spectrum."""
+    """Per-face normalized tree count from a precomputed Laplacian spectrum (test oracle)."""
     pseudodet_log, flag = pseudodet_from_eigenvalues(eigs, trivial_zeros)
     if flag:
         return 0.0
@@ -231,25 +285,8 @@ def growth_rate_from_eigenvalues(eigs: np.ndarray, trivial_zeros: int, n: int, d
 
 
 def tree_growth_rate(X: PureComplex) -> float:
-    """Per-face normalized count: (weighted tree count)^(1/C(n, d)); 0 if flagged.
-
-    Also evaluated through the equivalent spectral-mean form (mean log of the
-    non-trivial eigenvalues minus d(n-d) log(n) / (n(n-1))) as an internal
-    consistency check; the two are the same identity rearranged.
-    """
-    result = weighted_tree_count(X)
-    if result.zero_flag:
-        return 0.0
-    faces = comb(X.n, X.d)
-    direct = result.log_count / faces
-    spectral_mean = result.pseudodet_log / faces - (
-        X.d * (X.n - X.d) * log(X.n) / (X.n * (X.n - 1))
-    )
-    if abs(direct - spectral_mean) > GROWTH_RATE_CONSISTENCY * max(1.0, abs(direct)):
-        raise RuntimeError(
-            f"growth-rate routes disagree: {direct!r} vs {spectral_mean!r}"
-        )
-    return exp(direct)
+    """Per-face normalized count: (weighted tree count)^(1/C(n, d)); 0 if flagged."""
+    return exp(weighted_tree_count(X).log_count / comb(X.n, X.d))
 
 
 def tree_count_exact(X: PureComplex) -> int:

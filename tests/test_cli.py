@@ -76,6 +76,8 @@ class TestSst:
         assert payload["exact"] == 3
         assert payload["flag"] is False
         assert payload["kappa_root"] == pytest.approx(3 ** (1 / 3))
+        assert payload["floor"] == pytest.approx(3.0)
+        assert payload["zero_threshold"] == pytest.approx(3e-8)
 
     def test_zero_flag_serializes_null(self, tmp_path, capsys):
         cx = tmp_path / "cx.txt"
@@ -84,6 +86,8 @@ class TestSst:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["flag"] is True and payload["log_kappa"] is None
+        assert payload["kappa_root"] == 0.0
+        assert payload["floor"] < payload["zero_threshold"]
 
 
 class TestLimit:

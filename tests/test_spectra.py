@@ -83,6 +83,52 @@ class TestLaplacian:
             assert eigs[-1] <= bound + eps
 
 
+def tuple_laplacian(X):
+    """Reference Laplacian from the face tuples: degree diagonal, (-1)**(i+j) per shared d-face."""
+    index = {face: i for i, face in enumerate(X.facet_iter())}
+    L = np.zeros((len(index), len(index)))
+    for tau in X.d_faces:
+        facets = [tau[:i] + tau[i + 1 :] for i in range(len(tau))]
+        for i, fi in enumerate(facets):
+            for j, fj in enumerate(facets):
+                L[index[fi], index[fj]] += 1.0 if i == j else (-1.0) ** (i + j)
+    return L
+
+
+class TestSparseOperators:
+    def test_laplacian_matches_tuple_construction(self, gen):
+        for _ in range(12):
+            d = int(gen.integers(1, 4))
+            n = int(gen.integers(d + 2, 10 - d))
+            X = random_complex(n, d, gen)
+            assert np.array_equal(laplacian_matrix(X), tuple_laplacian(X))
+            L = spectra.sparse_laplacian(X)
+            B = spectra.boundary_matrix(X)
+            assert B.shape == (comb(n, d), X.num_dfaces)
+            assert np.array_equal(L.toarray(), tuple_laplacian(X))
+
+    @pytest.mark.parametrize("n,d", [(4, 1), (5, 2), (7, 2), (6, 3)])
+    def test_coboundary_matches_tuple_rows(self, n, d):
+        delta = spectra.coboundary_matrix(n, d)
+        assert np.array_equal(delta.toarray(), np.array(list(spectra._coboundary_rows(n, d))))
+
+    def test_coboundary_image_in_kernel(self, gen):
+        for d in (1, 2, 3):
+            X = random_complex(d + 4, d, gen)
+            product = spectra.sparse_laplacian(X) @ spectra.coboundary_matrix(X.n, d)
+            assert product.count_nonzero() == 0
+
+    def test_basis_permutes_rows_and_columns(self, gen):
+        X = random_complex(6, 2, gen)
+        faces = list(X.facet_iter())
+        perm = gen.permutation(len(faces))
+        basis = FormBasis(tuple(faces[i] for i in perm))
+        L = laplacian_matrix(X)
+        assert np.array_equal(laplacian_matrix(X, basis), L[np.ix_(perm, perm)])
+        A = adjacency_matrix(X)
+        assert np.array_equal(adjacency_matrix(X, basis), A[np.ix_(perm, perm)])
+
+
 class TestEigenvalues:
     def test_diagonal(self):
         assert np.allclose(eigenvalues(np.diag([3.0, 1.0, 2.0])), [1, 2, 3])
@@ -97,6 +143,22 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="symmetric"):
             eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    def test_rejects_asymmetry_beyond_first_block(self):
+        m = spectra.SYMMETRY_BLOCK_ROWS + 5
+        M = np.eye(m)
+        M[m - 1, 1] = 1e-6
+        with pytest.raises(ValueError, match="symmetric"):
+            eigenvalues(M)
+        M[1, m - 1] = 1e-6
+        assert np.allclose(eigenvalues(M)[[0, -1]], [1 - 1e-6, 1 + 1e-6])
+
+    def test_tolerance_scales_with_largest_entry(self):
+        M = np.array([[1e6, 1.0], [1.0 + 1e-7, 0.0]])
+        eigenvalues(M)  # asymmetry 1e-7 is within 1e-12 * 1e6
+        M[1, 0] = 1.0 + 1e-5
+        with pytest.raises(ValueError, match="symmetric"):
+            eigenvalues(M)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             eigenvalues(np.zeros((2, 3)))
@@ -108,16 +170,15 @@ class TestTrivialZeros:
         [(4, 1, 1), (8, 1, 1), (5, 2, 4), (7, 2, 6), (6, 3, 10)],
     )
     def test_equals_closed_form(self, n, d, expected):
-        spectra._skeleton_coboundary_rank.cache_clear()
         X = complex_from_dfaces(n, d, [tuple(range(1, d + 2))])
         assert trivial_zero_count(X) == expected == comb(n - 1, d - 1)
 
-    def test_svd_fallback_agrees(self, monkeypatch):
-        spectra._skeleton_coboundary_rank.cache_clear()
-        monkeypatch.setattr(spectra, "EXACT_RANK_MAX_COLS", 0)
-        X = complex_from_dfaces(6, 2, [(1, 2, 3)])
-        assert trivial_zero_count(X) == 5
-        spectra._skeleton_coboundary_rank.cache_clear()
+    @pytest.mark.parametrize("n,d", [(4, 1), (8, 1), (5, 2), (7, 2), (6, 3), (6, 2)])
+    def test_exact_rank_agrees_with_closed_form(self, n, d):
+        # the closed form against the exact rank of the complete skeleton's coboundary
+        rows = list(spectra._coboundary_rows(n, d))
+        X = complex_from_dfaces(n, d, [tuple(range(1, d + 2))])
+        assert spectra.exact_rank(rows) == trivial_zero_count(X)
 
     def test_zero_count_lower_bounds_kernel(self, gen):
         for _ in range(5):
@@ -147,6 +208,21 @@ class TestEsdMoments:
                 assert m[2] == pytest.approx(2.0)
                 return
         pytest.fail("no regular sample found")
+
+    def test_exact_traces_match_eigenvalues(self, gen):
+        for d in (1, 2, 3):
+            for _ in range(3):
+                X = random_complex(int(gen.integers(d + 3, 10 - d)), d, gen)
+                L = spectra.sparse_laplacian(X)
+                dense = L.toarray().astype(np.int64)
+                eigs = eigenvalues(L.toarray())
+                m = len(eigs)
+                got = moments(L, 7)
+                power = np.eye(m, dtype=np.int64)
+                for ell in range(8):
+                    assert got[ell] == int(np.trace(power)) / m  # exact integer trace over m
+                    assert got[ell] == pytest.approx(np.mean(eigs**ell), rel=1e-12)
+                    power = power @ dense
 
     def test_histogram_masses_sum_to_one(self, gen):
         X = random_complex(7, 2, gen)

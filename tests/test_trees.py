@@ -5,15 +5,18 @@ import pytest
 
 from steinerlab import (
     FormBasis,
+    SeededRng,
     complete_complex,
     complex_from_dfaces,
     laplacian_pseudodet,
     smith_normal_form,
+    steiner_complex,
     tree_count_exact,
     tree_growth_rate,
     weighted_tree_count,
 )
-from steinerlab.trees import boundary_columns, pseudodet_from_eigenvalues
+from steinerlab.spectra import eigenvalues, laplacian_matrix, trivial_zero_count
+from steinerlab.trees import boundary_columns, growth_rate_from_eigenvalues, pseudodet_from_eigenvalues
 from conftest import random_complex
 
 
@@ -154,8 +157,6 @@ class TestExactOracle:
         canonical = FormBasis.from_complex(X)
         perm = gen.permutation(len(canonical.faces))
         shuffled = FormBasis(tuple(canonical.faces[i] for i in perm))
-        from steinerlab.spectra import eigenvalues, laplacian_matrix, trivial_zero_count
-
         e1 = eigenvalues(laplacian_matrix(X, canonical))
         e2 = eigenvalues(laplacian_matrix(X, shuffled))
         assert np.allclose(e1, e2, atol=1e-9)
@@ -164,3 +165,89 @@ class TestExactOracle:
         assert f1 == f2
         if not f1:
             assert p1 == pytest.approx(p2, abs=1e-8)
+
+
+def eigenvalue_oracle(X):
+    """Full spectrum, trivial-zero count and (pseudodet log, flag) by the eigenvalue route."""
+    eigs = eigenvalues(laplacian_matrix(X))
+    tz = trivial_zero_count(X)
+    return eigs, tz, *pseudodet_from_eigenvalues(eigs, tz)
+
+
+def cycle_graph(n):
+    return complex_from_dfaces(n, 1, [(i, i + 1) for i in range(1, n)] + [(1, n)])
+
+
+class TestMatrixTreeRoute:
+    """The Cholesky / Lanczos route against the full-spectrum oracle."""
+
+    def assert_agrees(self, X):
+        eigs, tz, pseudodet, flag = eigenvalue_oracle(X)
+        r = weighted_tree_count(X)
+        assert r.zero_flag == flag
+        assert r.trivial_zeros == tz
+        assert r.zero_threshold == pytest.approx(1e-8 * max(1.0, eigs[-1]), rel=1e-10)
+        assert r.floor == pytest.approx(eigs[tz], abs=1e-10 * max(1.0, eigs[-1]))
+        if flag:
+            assert r.count == 0.0 and r.log_count == float("-inf")
+            assert tree_growth_rate(X) == 0.0
+        else:
+            assert r.pseudodet_log == pytest.approx(pseudodet, rel=1e-10, abs=1e-12)
+            expected = growth_rate_from_eigenvalues(eigs, tz, X.n, X.d)
+            assert tree_growth_rate(X) == pytest.approx(expected, rel=1e-10)
+        return r
+
+    def test_random_grid_d123(self, gen):
+        flags = set()
+        for d in (1, 2, 3):
+            for _ in range(6):
+                n = int(gen.integers(d + 2, 11 - d))
+                X = random_complex(n, d, gen, min_faces=comb(n - 1, d) - 1)
+                flags.add(self.assert_agrees(X).zero_flag)
+        assert flags == {True, False}
+
+    @pytest.mark.parametrize("n,d,k,seed", [(20, 1, 3, 1), (16, 1, 8, 2), (15, 2, 5, 3), (19, 2, 3, 4), (8, 3, 4, 5)])
+    def test_steiner_complexes(self, n, d, k, seed):
+        self.assert_agrees(steiner_complex(n, d, k, SeededRng(seed)))
+
+    def test_hole_complex_zero_flag(self):
+        r = self.assert_agrees(complex_from_dfaces(4, 2, [(1, 2, 3), (1, 2, 4)]))
+        assert r.zero_flag and r.count == 0.0
+        assert r.floor < r.zero_threshold
+
+    def test_projective_plane_torsion(self):
+        r = weighted_tree_count(complex_from_dfaces(6, 2, RP2), oracle=True)
+        assert r.exact_count == 4  # one tree, the whole complex, with H_1 = Z/2
+        assert r.count == pytest.approx(4.0, rel=1e-10)
+        self.assert_agrees(complex_from_dfaces(6, 2, RP2))
+
+    @pytest.mark.parametrize("n,d", [(4, 1), (7, 1), (4, 2), (6, 2), (8, 2), (5, 3), (7, 3)])
+    def test_kalai_complete_complexes(self, n, d):
+        r = self.assert_agrees(complete_complex(n, d))
+        expected = comb(n - 2, d) * log(n)
+        assert r.log_count == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        assert r.floor == pytest.approx(n, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "X",
+        [complex_from_dfaces(2, 1, [(1, 2)]), triangle(), complex_from_dfaces(3, 2, [(1, 2, 3)])],
+        ids=["edge", "triangle", "single-2-face"],
+    )
+    def test_tiny_form_spaces(self, X):
+        assert comb(X.n, X.d) <= 3
+        self.assert_agrees(X)
+
+    @pytest.mark.parametrize("n", [5, 9, 16])
+    def test_d1_floor_with_ones_in_kernel(self, n):
+        # ones spans ker L at d = 1; a start vector there would stall Lanczos at c n
+        r = self.assert_agrees(cycle_graph(n))
+        assert r.floor == pytest.approx(2 - 2 * np.cos(2 * np.pi / n), rel=1e-10)
+
+    def test_ambiguous_floor_warns(self, monkeypatch):
+        from steinerlab import spectra
+
+        # triangle: floor = top = 3, so eps = 0.3 puts the floor inside (eps, 1e3 eps)
+        monkeypatch.setattr(spectra, "ZERO_RTOL", 0.1)
+        with pytest.warns(RuntimeWarning, match="ambiguous"):
+            r = weighted_tree_count(triangle())
+        assert not r.zero_flag and r.zero_threshold == pytest.approx(0.3)
