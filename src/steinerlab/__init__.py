@@ -34,6 +34,7 @@ from .arboreal import (
     LayerProfile,
     arboreal_ball,
     arboreal_fraction,
+    arboreal_fractions,
     is_arboreal_ball,
     layer_sizes,
     signed_walk_count,

@@ -12,8 +12,12 @@ oriented line-graph that are the moments of the limiting adjacency law.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
+
+import numpy as np
+import scipy.sparse as sp
 
 from .complexes import (
     Face,
@@ -23,6 +27,7 @@ from .complexes import (
     facets_of,
     oriented_neighbors,
 )
+from .spectra import boundary_matrix
 
 __all__ = [
     "LayerProfile",
@@ -31,6 +36,7 @@ __all__ = [
     "arboreal_ball",
     "is_arboreal_ball",
     "arboreal_fraction",
+    "arboreal_fractions",
     "signed_walk_count",
 ]
 
@@ -193,8 +199,60 @@ def is_arboreal_ball(X: PureComplex, sigma0: Face, k: int, r: int) -> bool:
 
 def arboreal_fraction(X: PureComplex, k: int, r: int) -> float:
     """Fraction of all C(n, d) faces of dimension d-1 whose r-ball is arboreal."""
-    hits = sum(1 for face in X.facet_iter() if is_arboreal_ball(X, face, k, r))
-    return hits / comb(X.n, X.d)
+    return arboreal_fractions(X, k, (r,))[0]
+
+
+def arboreal_fractions(X: PureComplex, k: int, radii: Sequence[int]) -> tuple[float, ...]:
+    """`arboreal_fraction` for every radius in `radii`, from one expansion.
+
+    The census of `is_arboreal_ball` for every centre at once.  Row c of the
+    0/1 matrix reach_rho marks the (d-1)-faces within line-graph distance rho
+    of face c: reach_0 = I and reach_rho = pattern(reach_{rho-1} G), with G
+    the pattern of I + P P^T and P = |B| the facet x d-face incidence.  The
+    row nnz of reach_rho V (V the facet x vertex incidence) is the cumulative
+    vertex count, the entries d+1 of reach_rho P are the d-faces whose whole
+    boundary lies within rho, and reach_rho [deg != k] = 0 is the degree
+    check below the largest radius.  The fraction at radius rho is the share of rows
+    left after the vertex and d-face checks at rho, before its degree check.
+    A centre's row is dropped once it fails, so reach holds at most one
+    closed-form ball per surviving centre.
+    """
+    d, n = X.d, X.n
+    lowest = min(radii, default=0)
+    if lowest < 0:
+        layer_sizes(d, k, lowest)  # raises the ValueError is_arboreal_ball raises
+    top = max(radii, default=0)
+    if top == 0:
+        return tuple(1.0 for _ in radii)
+    profile = layer_sizes(d, k, top)
+    dfaces_within = np.cumsum(profile.new_dfaces)
+    P = abs(boundary_matrix(X))
+    m = P.shape[0]
+    G = _pattern(sp.identity(m, format="csr") + P @ P.T)
+    faces = np.array(list(X.facet_iter()), dtype=np.int64).reshape(m, d)
+    V = sp.csr_matrix((np.ones(m * d), faces.ravel() - 1, np.arange(0, m * d + 1, d)), shape=(m, n))
+    off_degree = (np.diff(P.indptr) != k).astype(float)
+    survivors = [0] * (top + 1)
+    reach = sp.identity(m, format="csr")
+    for rho in range(top + 1):
+        if rho:
+            reach = _pattern(reach @ G)
+        ok = np.diff((reach @ V).indptr) == profile.total_vertices[rho]
+        ok &= np.asarray((reach @ P == d + 1).sum(axis=1)).ravel() == dfaces_within[rho]
+        survivors[rho] = int(ok.sum())
+        if rho < top:
+            ok &= reach @ off_degree == 0
+        reach = reach[ok]
+        if not reach.shape[0]:
+            break
+    return tuple(survivors[r] / comb(n, d) for r in radii)
+
+
+def _pattern(M: sp.spmatrix) -> sp.csr_matrix:
+    """0/1 sparsity pattern of a matrix with non-negative entries."""
+    M = M.tocsr()
+    M.data[:] = 1.0
+    return M
 
 
 def _signed_closed_walks(

@@ -140,7 +140,7 @@ def _cmd_limit(args: argparse.Namespace) -> int:
 
 
 def _cmd_local(args: argparse.Namespace) -> int:
-    from .arboreal import arboreal_fraction
+    from .arboreal import arboreal_fractions
 
     radii = args.r or [1]
     buf = io.StringIO()
@@ -149,19 +149,19 @@ def _cmd_local(args: argparse.Namespace) -> int:
     for trial in range(args.trials):
         rng = SeededRng(args.seed).substream(args.n, trial)
         X = steiner_complex(args.n, args.d, args.k, rng)
-        for r in radii:
-            writer.writerow([trial, args.n, r, repr(arboreal_fraction(X, args.k, r))])
+        for r, fraction in zip(radii, arboreal_fractions(X, args.k, radii)):
+            writer.writerow([trial, args.n, r, repr(fraction)])
     _write_text(args.out, buf.getvalue())
     return EXIT_OK
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+def _config_from_args(args: argparse.Namespace, default_radii: tuple[int, ...]) -> ExperimentConfig:
     return ExperimentConfig(
         d=args.d,
         k=args.k,
         n_values=tuple(args.n),
         trials=args.trials,
-        radii=tuple(args.r or [1]),
+        radii=tuple(args.r or default_radii),
         seed=args.seed,
         lmax=args.lmax,
         deterministic=args.deterministic,
@@ -170,7 +170,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config = _config_from_args(args, default_radii=(1,))
     result = run_converge(config)
     text = converge_json(result, config) if args.format == "json" else converge_csv(result, config)
     _write_text(args.out, text)
@@ -180,7 +180,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config = _config_from_args(args, default_radii=())  # the gap statistic takes no radius
     report = run_gap_report(config, epsilon=args.eps)
     _write_text(args.out, gap_csv(report, config))
     print(f"pass fraction: {report.pass_fraction:.3f} "

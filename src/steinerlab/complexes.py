@@ -29,7 +29,6 @@ __all__ = [
     "all_faces",
     "facets_of",
     "flip",
-    "oriented_boundary",
     "oriented_neighbors",
     "line_graph",
     "oriented_line_graph",
@@ -161,15 +160,6 @@ def complex_from_dfaces(n: int, d: int, faces: Iterable[Sequence[int]]) -> PureC
 def complete_complex(n: int, d: int) -> PureComplex:
     """The complete d-complex on n vertices."""
     return complex_from_dfaces(n, d, all_faces(n, d))
-
-
-def oriented_boundary(face: Face, sign: int = 1) -> list[OrientedFace]:
-    """Facets of an oriented face with their induced orientations."""
-    out = []
-    for i, facet in enumerate(facets_of(face)):
-        s = sign if i % 2 == 0 else -sign
-        out.append((facet, s) if len(facet) > 1 else (facet, 1))
-    return out
 
 
 def oriented_neighbors(X: PureComplex, oriented: OrientedFace) -> list[OrientedFace]:

@@ -24,10 +24,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .arboreal import arboreal_fraction
+from .arboreal import arboreal_fractions
 from .complexes import PureComplex, write_complex
 from .sampling import SamplerExhausted, SeededRng, is_admissible, steiner_complex
-from .spectra import adjacency_matrix, eigenvalues, moments, sparse_laplacian, trivial_zero_count
+from .spectra import (
+    adjacency_matrix,
+    eigenvalues,
+    moments,
+    require_dense_fits,
+    sparse_laplacian,
+    trivial_zero_count,
+)
 from .trees import tree_count_from_laplacian
 
 __all__ = [
@@ -54,7 +61,12 @@ def regularity_threshold(d: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared knobs for ensemble runs; every n must be d-admissible."""
+    """Shared knobs for ensemble runs.
+
+    Every n must be d-admissible with its m = C(n, d) x m dense operator
+    within usable memory, and arboreal radii >= 1 need k >= 2; all are
+    checked here, before anything is sampled.
+    """
 
     d: int
     k: int
@@ -73,9 +85,12 @@ class ExperimentConfig:
             raise ValueError("lmax must be >= 0")
         if any(r < 0 for r in self.radii):
             raise ValueError("radii must be >= 0")
+        if self.k < 2 and any(r >= 1 for r in self.radii):
+            raise ValueError("arboreal radii >= 1 need k >= 2")
         for n in self.n_values:
             if not is_admissible(n, self.d):
                 raise ValueError(f"n={n} is not {self.d}-admissible")
+            require_dense_fits(comb(n, self.d))
 
     def stream(self, n: int, trial: int) -> SeededRng:
         return SeededRng(self.seed).substream(n, trial)
@@ -126,7 +141,7 @@ def _converge_row(config: ExperimentConfig, X: PureComplex, n: int, trial: int) 
         growth_rate=exp(count.log_count / comb(X.n, X.d)),
         min_degree=X.min_degree(),
         spectral_floor=count.floor,
-        fractions={r: arboreal_fraction(X, config.k, r) for r in config.radii},
+        fractions=dict(zip(config.radii, arboreal_fractions(X, config.k, config.radii))),
         moments=tuple(moments(L, config.lmax)),
     )
 

@@ -18,6 +18,8 @@ dense eigenvalues are computed only where a spectrum is the output.
 
 from __future__ import annotations
 
+import os
+import resource
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -122,7 +124,43 @@ def coboundary_matrix(n: int, d: int) -> sp.csr_matrix:
     return _signed_incidence(sigmas, n).T.tocsr()
 
 
+# memory limits of this process's cgroup (v2, then v1); "max" or a missing
+# file means no limit there
+CGROUP_MEMORY_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
+def usable_memory() -> int:
+    """Bytes one array may take: physical memory, capped by cgroup and address-space limits."""
+    limits = [os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")]
+    for path in CGROUP_MEMORY_LIMITS:
+        try:
+            with open(path) as fh:
+                text = fh.read().strip()
+        except OSError:
+            continue
+        if text.isdigit():
+            limits.append(int(text))
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limits.append(soft)
+    return min(limits)
+
+
+def require_dense_fits(m: int) -> None:
+    """Refuse, with ValueError, an m x m float64 array larger than `usable_memory`."""
+    need = 8 * m * m
+    have = usable_memory()
+    if need > have:
+        raise ValueError(
+            f"a dense {m} x {m} matrix needs {need / 2**30:.1f} GiB, more than the "
+            f"{have / 2**30:.1f} GiB this process may use (physical memory, cgroup "
+            "and address-space limits); only the sparse routes (arboreal census, "
+            "trace moments) run at this size"
+        )
+
+
 def _dense(M: sp.spmatrix, basis: FormBasis | None, n: int) -> np.ndarray:
+    require_dense_fits(M.shape[0])
     if basis is not None:
         p = _lex_ranks(np.array(basis.faces, dtype=np.int64), n)
         M = M.tocsr()[p][:, p]

@@ -34,6 +34,7 @@ from .complexes import Face, PureComplex, all_faces, facets_of
 from .spectra import (
     coboundary_matrix,
     exact_rank,
+    require_dense_fits,
     sparse_laplacian,
     trivial_zero_count,
     warn_ambiguous_zeros,
@@ -208,8 +209,10 @@ def tree_count_from_laplacian(X: PureComplex, L: sp.csr_matrix) -> TreeCount:
     """Tree count of X from its sparse Laplacian L (as from `sparse_laplacian`), without a full spectrum.
 
     Takes L so a caller that also needs L, such as a converge row's moments,
-    builds it once.
+    builds it once.  Refuses (ValueError) before any work when the dense
+    factor would not fit in memory (`spectra.require_dense_fits`).
     """
+    require_dense_fits(L.shape[0])
     n, d = X.n, X.d
     delta = coboundary_matrix(n, d)
     if (L @ delta).count_nonzero():

@@ -1,12 +1,19 @@
 from itertools import permutations
+from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_complex
 
 from steinerlab import (
     LimitLaw,
     SeededRng,
     arboreal_ball,
     arboreal_fraction,
+    arboreal_fractions,
     ball,
     complete_complex,
     complex_from_dfaces,
@@ -171,6 +178,88 @@ class TestArborealFraction:
         at_500 = mean_fraction(500, 10)
         assert at_500 >= 0.9
         assert at_500 > at_100
+
+
+def census_oracle(X, k, r):
+    """Per-face census: the share of centres whose ball passes is_arboreal_ball."""
+    return sum(is_arboreal_ball(X, face, k, r) for face in X.facet_iter()) / comb(X.n, X.d)
+
+
+MAX_N = {1: 10, 2: 8, 3: 7}
+
+
+class TestBatchedCensus:
+    """arboreal_fractions (one sparse expansion over all centres) against the per-face oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        extra=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 6),
+        radii=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    )
+    def test_random_subcomplexes(self, d, extra, seed, k, radii):
+        n = min(d + 1 + extra, MAX_N[d])
+        X = random_complex(n, d, np.random.default_rng(seed))
+        expected = tuple(census_oracle(X, k, r) for r in radii)
+        assert arboreal_fractions(X, k, radii) == expected
+        assert arboreal_fraction(X, k, radii[0]) == expected[0]
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    def test_cycles(self, n):
+        X = cycle_graph(n)
+        for k in (2, 3):
+            for r in range(7):
+                assert arboreal_fraction(X, k, r) == census_oracle(X, k, r)
+
+    @pytest.mark.parametrize("n,d", [(3, 1), (6, 1), (4, 2), (6, 2), (5, 3), (6, 3)])
+    def test_complete_complexes(self, n, d):
+        X = complete_complex(n, d)
+        for k in (2, n - d, n - d + 1):
+            for r in range(4):
+                assert arboreal_fraction(X, k, r) == census_oracle(X, k, r)
+
+    def test_triangle(self):
+        X = complete_complex(3, 1)
+        assert arboreal_fraction(X, 2, 1) == 0.0
+        assert arboreal_fraction(X, 2, 1) == census_oracle(X, 2, 1)
+
+    @pytest.mark.parametrize("d,k,r", [(1, 2, 3), (1, 3, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2)])
+    def test_arboreal_truncations(self, d, k, r):
+        X = arboreal_ball(d, k, r).complex
+        for kk in (k, k + 1):
+            for rr in range(r + 2):
+                assert arboreal_fraction(X, kk, rr) == census_oracle(X, kk, rr)
+
+    @pytest.mark.parametrize("n,d,k", [(40, 1, 3), (60, 1, 4), (15, 2, 3), (19, 2, 5), (8, 3, 2)])
+    def test_steiner_complexes(self, n, d, k):
+        X = steiner_complex(n, d, k, SeededRng(11))
+        for r in range(4):
+            assert arboreal_fraction(X, k, r) == census_oracle(X, k, r)
+
+    def test_one_expansion_for_all_radii(self):
+        X = steiner_complex(40, 1, 3, SeededRng(11))
+        radii = (3, 1, 1, 0, 2, 5)
+        assert arboreal_fractions(X, 3, radii) == tuple(arboreal_fraction(X, 3, r) for r in radii)
+        assert arboreal_fractions(X, 3, ()) == ()
+
+    def test_radius_zero_is_one_for_any_k(self):
+        X = cycle_graph(6)
+        assert arboreal_fraction(X, 1, 0) == 1.0
+        assert arboreal_fraction(X, 0, 0) == 1.0
+        assert arboreal_fractions(X, 1, (0, 0)) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("k,r", [(3, -1), (1, -1), (1, 1), (0, 2)])
+    def test_same_errors_as_oracle(self, k, r):
+        X = cycle_graph(6)
+        with pytest.raises(ValueError) as batched:
+            arboreal_fraction(X, k, r)
+        with pytest.raises(ValueError) as oracle:
+            census_oracle(X, k, r)
+        with pytest.raises(ValueError) as several:
+            arboreal_fractions(X, k, (0, r, 0))
+        assert str(batched.value) == str(oracle.value) == str(several.value)
 
 
 class TestSignedWalkCount:

@@ -129,6 +129,24 @@ class TestConverge:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_k_below_two_exits_2_before_sampling(self, tmp_path, capsys):
+        keep = tmp_path / "cx"
+        code = main(["converge", "--d", "1", "--k", "1", "--n", "10", "--keep-complexes", str(keep)])
+        assert code == 2
+        assert "k >= 2" in capsys.readouterr().err
+        assert not keep.exists()
+
+    def test_oversized_n_exits_2_before_sampling(self, monkeypatch, capsys):
+        import steinerlab.experiments as experiments
+
+        def never(*args, **kwargs):
+            raise AssertionError("sampled an oversized complex")
+
+        monkeypatch.setattr(experiments, "steiner_complex", never)
+        assert main(["converge", "--d", "2", "--k", "5", "--n", "997"]) == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert main(["gap", "--d", "2", "--k", "5", "--n", "997"]) == 2
+
     def test_json_format(self, capsys):
         code = main(["converge", "--d", "1", "--k", "3", "--n", "20",
                      "--trials", "1", "--format", "json", "--deterministic"])
@@ -145,6 +163,11 @@ class TestGapOracle:
         assert code == 0
         text = out.read_text()
         assert "n,trial,top_nontrivial,passed" in text
+
+    def test_gap_takes_no_radius(self, capsys):
+        # k = 1 is refused only where an arboreal radius is asked for
+        with pytest.warns(RuntimeWarning, match="threshold"):
+            assert main(["gap", "--d", "1", "--k", "1", "--n", "10"]) == 0
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         cx = tmp_path / "cx.txt"

@@ -32,6 +32,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(trials=-1)
 
+    def test_k_below_two_rejected_with_a_radius(self):
+        with pytest.raises(ValueError, match="k >= 2"):
+            small_config(k=1, radii=(0, 1))
+        small_config(k=1, radii=(0,))
+        small_config(k=1, radii=())
+
+    def test_oversized_n_rejected(self):
+        # m = C(997, 2) = 496,506: the dense factor would need about 2 TB
+        with pytest.raises(ValueError, match="physical memory"):
+            small_config(d=2, k=5, n_values=(7, 997))
+
     def test_zero_trials_gives_empty_table(self):
         res = run_converge(small_config(trials=0))
         assert res.rows == () and res.failures == ()
@@ -107,6 +118,47 @@ class TestRunConverge:
         assert gaps[100] <= 0.05
         assert gaps[200] <= 0.03
         assert gaps[200] < gaps[100]
+
+
+# pinned --deterministic converge output, produced with the per-face census
+# (is_arboreal_ball on every centre); the fractions, degrees and moments are
+# exact rationals, growth_rate and spectral_floor come from the Cholesky and
+# Lanczos routes, whose last digits depend on the BLAS build and CPU
+GOLDEN_CSV = {
+    (2, 5, 31, (1, 2), 3): """\
+# schema=1
+n,trial,growth_rate,min_degree,spectral_floor,frac_r1,frac_r2,moment_0,moment_1,moment_2,moment_3,moment_4
+31,0,2.9493128854799773,3,0.45922715890526206,0.7440860215053764,0.0,1.0,4.7290322580645165,32.049462365591395,250.04516129032257,2108.3849462365592
+31,1,2.8694854797744607,2,0.39678695656086616,0.6817204301075269,0.0,1.0,4.638709677419355,31.116129032258065,241.1290322580645,2024.7075268817205
+31,2,2.839403114716221,3,0.38928436107261516,0.632258064516129,0.0,1.0,4.606451612903226,30.72258064516129,236.18064516129033,1963.1354838709678
+""",
+    (1, 3, 100, (1, 2, 3), 2): """\
+# schema=1
+n,trial,growth_rate,min_degree,spectral_floor,frac_r1,frac_r2,frac_r3,moment_0,moment_1,moment_2,moment_3,moment_4
+100,0,2.207309860415598,2,0.22961328983370724,0.92,0.59,0.18,1.0,2.98,11.88,53.2,253.0
+100,1,2.1531950535469773,2,0.16809858577118472,0.88,0.56,0.08,1.0,2.94,11.64,51.84,245.32
+""",
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_CSV))
+def test_converge_csv_matches_golden(key):
+    d, k, n, radii, trials = key
+    cfg = ExperimentConfig(
+        d=d, k=k, n_values=(n,), trials=trials, radii=radii, seed=7, lmax=4, deterministic=True
+    )
+    got = [line.split(",") for line in converge_csv(run_converge(cfg), cfg).splitlines()]
+    want = [line.split(",") for line in GOLDEN_CSV[key].splitlines()]
+    assert got[:2] == want[:2]  # schema line and header
+    header = want[1]
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got[2:], want[2:]):
+        assert len(got_row) == len(header)
+        for col, g, w in zip(header, got_row, want_row):
+            if col in ("growth_rate", "spectral_floor"):
+                assert float(g) == pytest.approx(float(w), rel=1e-12), col
+            else:
+                assert g == w, col
 
 
 class TestGapReport:

@@ -260,3 +260,55 @@ class TestSignedTrace:
             for ell in range(7):
                 assert signed_trace(X, ell) == pytest.approx(np.trace(P), abs=1e-6)
                 P = P @ A
+
+
+class TestDenseGuard:
+    """m x m dense arrays are refused, before allocation, when 8 m^2 exceeds usable memory."""
+
+    @pytest.fixture
+    def tiny_memory(self, monkeypatch):
+        # 1000 bytes of "physical memory": m = 11 fits (968 B), m = 12 does not
+        sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1000}
+        monkeypatch.setattr(spectra.os, "sysconf", lambda name: sizes[name])
+
+    def test_threshold(self, tiny_memory):
+        spectra.require_dense_fits(11)
+        with pytest.raises(ValueError, match="physical memory"):
+            spectra.require_dense_fits(12)
+
+    def test_dense_operators_refuse(self, tiny_memory):
+        laplacian_matrix(complete_complex(5, 2))  # m = 10
+        X = complete_complex(6, 2)  # m = 15
+        for build in (laplacian_matrix, adjacency_matrix):
+            with pytest.raises(ValueError, match="physical memory"):
+                build(X)
+        with pytest.raises(ValueError, match="physical memory"):
+            spectral_summary(X)
+
+    def test_tree_count_refuses(self, tiny_memory):
+        from steinerlab import weighted_tree_count
+
+        with pytest.raises(ValueError, match="physical memory"):
+            weighted_tree_count(complete_complex(6, 2))
+
+    def test_cgroup_limit_caps_physical_memory(self, tmp_path, monkeypatch):
+        v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
+        monkeypatch.setattr(spectra, "CGROUP_MEMORY_LIMITS", (str(v2), str(v1)))
+        physical = spectra.usable_memory()
+        v2.write_text("max\n")
+        v1.write_text("500\n")
+        assert spectra.usable_memory() == 500
+        spectra.require_dense_fits(7)  # 392 B
+        with pytest.raises(ValueError, match="cgroup"):
+            spectra.require_dense_fits(8)  # 512 B
+        v1.unlink()
+        assert spectra.usable_memory() == physical
+
+    def test_address_space_limit_caps_physical_memory(self, monkeypatch):
+        monkeypatch.setattr(spectra.resource, "getrlimit", lambda _: (4096, spectra.resource.RLIM_INFINITY))
+        assert spectra.usable_memory() == 4096
+
+    def test_real_memory_admits_bench_sizes(self):
+        spectra.require_dense_fits(comb(111, 2))
+        with pytest.raises(ValueError, match="physical memory"):
+            spectra.require_dense_fits(comb(997, 2))
