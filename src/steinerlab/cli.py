@@ -33,7 +33,7 @@ from .limitlaw import (
     growth_constant_quadrature,
 )
 from .sampling import SamplerExhausted, SeededRng, steiner_complex
-from .spectra import spectral_summary
+from .spectra import require_dense_fits, spectral_summary
 from .trees import tree_count_exact, weighted_tree_count
 
 EXIT_OK = 0
@@ -56,6 +56,7 @@ def _resolve_complex(args: argparse.Namespace) -> PureComplex:
         return read_complex(args.infile)
     if args.d is None or args.k is None or args.n is None:
         raise ValueError("either --in or all of --d/--k/--n are required")
+    require_dense_fits(comb(args.n, args.d))  # the size the solve would refuse, before sampling
     rng = SeededRng(args.seed).substream(args.n, args.trial)
     return steiner_complex(args.n, args.d, args.k, rng)
 

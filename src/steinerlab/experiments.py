@@ -31,11 +31,10 @@ from .spectra import (
     adjacency_matrix,
     eigenvalues,
     moments,
-    require_dense_fits,
     sparse_laplacian,
     trivial_zero_count,
 )
-from .trees import tree_count_from_laplacian
+from .trees import require_tree_count_fits, tree_count_from_laplacian
 
 __all__ = [
     "ExperimentConfig",
@@ -90,7 +89,7 @@ class ExperimentConfig:
         for n in self.n_values:
             if not is_admissible(n, self.d):
                 raise ValueError(f"n={n} is not {self.d}-admissible")
-            require_dense_fits(comb(n, self.d))
+            require_tree_count_fits(n, self.d)
 
     def stream(self, n: int, trial: int) -> SeededRng:
         return SeededRng(self.seed).substream(n, trial)

@@ -12,7 +12,8 @@ The trivial kernel of L is the image of the coboundary delta from the
 complete skeleton delta delta^T has the single non-zero eigenvalue n on that
 image and L delta = 0, so for c > 0 the spectrum of L + c delta delta^T is
 the non-trivial spectrum of L together with c n repeated C(n-1, d-1) times.
-That identity lets tree counts and spectral floors skip the full spectrum;
+That identity lets the spectral floor skip the full spectrum, and tree
+counts take the determinant of a reduced Laplacian instead (see `trees`);
 dense eigenvalues are computed only where a spectrum is the output.
 """
 

@@ -3,19 +3,25 @@
 A d-dimensional spanning tree of a complex with complete (d-1)-skeleton is a
 set of C(n-1, d) top faces whose boundary columns are linearly independent
 over the rationals; its weight is the squared order of the codimension-one
-torsion group.  By the simplicial matrix-tree theorem the weighted total is
-the product of the non-trivial upper-Laplacian eigenvalues divided by the
-closed-form count n^C(n-2, d-1) of the complete skeleton one level down.
+torsion group.  By the simplicial matrix-tree theorem (Kalai 1983;
+Duval-Klivans-Martin 2009) the weighted total is the determinant of the
+reduced Laplacian: L with the rows and columns of the C(n-1, d-1)
+(d-1)-faces through vertex 1 deleted.  Those faces form a torsion-free
+(d-1)-tree of the complete skeleton, and in lexicographic order they are
+the first rows of L.  The same total is the product of the non-trivial
+eigenvalues of L divided by n^C(n-2, d-1).
 
-That product needs no spectrum.  L delta = 0 is checked exactly, and for a
+The count needs no spectrum.  L delta = 0 is checked exactly, and for a
 power of two c with c n above the Gershgorin bound of L the spectrum of
 M = L + c delta delta^T is the non-trivial spectrum of L plus c n repeated
 C(n-1, d-1) times (see `spectra`).  So the smallest eigenvalue of M, found
-by Lanczos, is the spectral floor that decides an extra kernel (count 0),
-and a dense Cholesky factor R of M gives the product as
-2 sum log diag R - C(n-1, d-1) log(c n).  The enumeration oracle instead
-sums squared Smith-normal-form torsion over candidate trees.  Spectral
-arithmetic stays in the log domain because counts grow like exp(Theta(n^d)).
+by Lanczos, is the spectral floor that decides an extra kernel (count 0).
+Otherwise the reduced Laplacian is positive definite: its lower triangle is
+scattered from sparse L into LAPACK rectangular full packed storage, half a
+dense matrix, and factored in place by Cholesky (`dpftrf`); the log-count is
+2 sum log diag of the factor.  The enumeration oracle instead sums squared
+Smith-normal-form torsion over candidate trees.  Spectral arithmetic stays
+in the log domain because counts grow like exp(Theta(n^d)).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cholesky
+from scipy.linalg.lapack import dpftrf
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .complexes import Face, PureComplex, all_faces, facets_of
@@ -59,6 +65,8 @@ ORACLE_MAX_SUBSETS = 10**6
 # fixed Lanczos start vector: reproducible, and never in ker L (ones is, at d = 1)
 LANCZOS_SEED = 20090601
 ORACLE_LOG_RTOL = 1e-6
+# largest N with N(N+1) below 2**31, the packed length check in scipy's dpftrf wrapper
+MAX_PACKED_ORDER = 46340
 
 
 @dataclass(frozen=True)
@@ -180,11 +188,14 @@ def pseudodet_from_eigenvalues(eigs: np.ndarray, trivial_zeros: int) -> tuple[fl
 class TreeCount:
     """Weighted spanning-tree count of a complex, in the log domain.
 
-    zero_flag means the complex has a non-trivial Laplacian kernel and the
-    count is exactly 0; log_count is then -inf and pseudodet_log is 0.
-    floor is the smallest non-trivial Laplacian eigenvalue; the flag is set
-    exactly when it is below zero_threshold, so the two give the margin.
-    exact_count is filled only when the enumeration oracle was run.
+    log_count is the log-determinant of the reduced Laplacian; pseudodet_log
+    is the log-product of the non-trivial Laplacian eigenvalues, which is
+    log_count + C(n-2, d-1) log n.  zero_flag means the complex has a
+    non-trivial Laplacian kernel and the count is exactly 0; log_count is
+    then -inf and pseudodet_log is 0.  floor is the smallest non-trivial
+    Laplacian eigenvalue; the flag is set exactly when it is below
+    zero_threshold, so the two give the margin.  exact_count is filled only
+    when the enumeration oracle was run.
     """
 
     log_count: float
@@ -205,20 +216,60 @@ def _lanczos_extreme(op, which: str) -> float:
     return float(eigsh(op, k=1, which=which, v0=v0, return_eigenvectors=False)[0])
 
 
+def _rfp_offsets(i: np.ndarray, j: np.ndarray, N: int) -> np.ndarray:
+    """Positions of lower-triangle entries (i >= j) of an N x N matrix in LAPACK
+    rectangular full packed storage with TRANSR='N', UPLO='L'.
+
+    The N(N+1)/2 array is column-major with leading dimension lda (N+1 for
+    even N, N for odd N).  Columns j < h = ceil(N/2) are kept in place, one
+    row lower for even N; the trailing triangle (i >= j >= h) is stored
+    transposed in the rows above them.
+    """
+    # int64: sparse indices may be int32, and j * lda comes within 0.01% of 2**31 at MAX_PACKED_ORDER
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    h = (N + 1) // 2
+    lda = N + 1 - N % 2
+    shift = lda - N
+    return np.where(j < h, i + shift + j * lda, (j - h) + (i - h + 1 - shift) * lda)
+
+
+def require_tree_count_fits(n: int, d: int) -> None:
+    """Refuse, with ValueError, a tree count of a d-complex on [n] that cannot run here.
+
+    The memory guard counts a dense C(n, d) x C(n, d) matrix, about twice the
+    packed factor (`spectra.require_dense_fits`).  The packed order
+    C(n-1, d) is capped at MAX_PACKED_ORDER because scipy's `dpftrf` wrapper
+    checks the packed length as N(N+1)/2 in a C int.
+    """
+    require_dense_fits(comb(n, d))
+    N = comb(n - 1, d)
+    if N > MAX_PACKED_ORDER:
+        raise ValueError(
+            f"the reduced Laplacian of order {N} is above {MAX_PACKED_ORDER}, the largest "
+            "packed order scipy's dpftrf accepts (it checks N(N+1)/2 in a 32-bit int)"
+        )
+
+
 def tree_count_from_laplacian(X: PureComplex, L: sp.csr_matrix) -> TreeCount:
     """Tree count of X from its sparse Laplacian L (as from `sparse_laplacian`), without a full spectrum.
 
     Takes L so a caller that also needs L, such as a converge row's moments,
-    builds it once.  Refuses (ValueError) before any work when the dense
-    factor would not fit in memory (`spectra.require_dense_fits`).
+    builds it once.  Refuses (ValueError) before any work when a dense m x m
+    matrix would not fit in memory or the packed order is too large for
+    `dpftrf` (`require_tree_count_fits`); the packed factor itself holds
+    C(n-1, d)(C(n-1, d)+1)/2 doubles, about half of a dense m x m matrix.
+    A factorization that fails after the floor cleared the zero threshold
+    raises RuntimeError.
     """
-    require_dense_fits(L.shape[0])
+    require_tree_count_fits(X.n, X.d)
     n, d = X.n, X.d
     delta = coboundary_matrix(n, d)
     if (L @ delta).count_nonzero():
         raise RuntimeError("coboundary image is not in the Laplacian kernel: L delta != 0")
     trivial = trivial_zero_count(X)
-    # power of two (so M is exact) with c n above the Gershgorin bound (d+1) max deg of L
+    # c n above the Gershgorin bound (d+1) max deg of L puts the shifted trivial
+    # eigenvalues above the rest; a power of two keeps c * (delta delta^T x) exact
     gershgorin = (d + 1) * float(L.diagonal().max(initial=0.0))
     c = 2.0 ** frexp((gershgorin + 1) / n)[1]
     delta_t = delta.T.tocsr()
@@ -227,21 +278,24 @@ def tree_count_from_laplacian(X: PureComplex, L: sp.csr_matrix) -> TreeCount:
     eps = zero_threshold(_lanczos_extreme(L, "LA"))
     warn_ambiguous_zeros(floor, eps)
     flag = floor < eps
-    pseudodet_log = 0.0
+    log_count = float("-inf")
     if not flag:
-        M = L.toarray()
-        if d == 1:
-            M += c
-        else:  # one +-1 block of delta delta^T per (d-2)-face
-            cols = delta.tocsc()
-            for lo, hi in zip(cols.indptr[:-1], cols.indptr[1:]):
-                rows = cols.indices[lo:hi]
-                M[np.ix_(rows, rows)] += c * np.outer(cols.data[lo:hi], cols.data[lo:hi])
-        R = cholesky(M.T, lower=True, overwrite_a=True, check_finite=False)
-        pseudodet_log = 2.0 * float(np.log(np.diagonal(R)).sum()) - trivial * log(c * n)
+        # the first `trivial` rows are the faces through vertex 1
+        lower = sp.tril(L[trivial:, trivial:], format="coo")
+        N = lower.shape[0]
+        packed = np.zeros(N * (N + 1) // 2)
+        packed[_rfp_offsets(lower.row, lower.col, N)] = lower.data
+        packed, info = dpftrf(N, packed, transr="N", uplo="L", overwrite_a=1)
+        if info > 0:
+            raise RuntimeError(
+                f"spectral floor {floor:.3e} is above the zero threshold {eps:.3e}, but the "
+                f"Cholesky factor of the reduced Laplacian fails at pivot {info} of {N}"
+            )
+        diag = np.arange(N)
+        log_count = 2.0 * float(np.log(packed[_rfp_offsets(diag, diag, N)]).sum())
     return TreeCount(
-        log_count=float("-inf") if flag else pseudodet_log - comb(n - 2, d - 1) * log(n),
-        pseudodet_log=pseudodet_log,
+        log_count=log_count,
+        pseudodet_log=0.0 if flag else log_count + comb(n - 2, d - 1) * log(n),
         trivial_zeros=trivial,
         zero_flag=flag,
         floor=floor,

@@ -89,6 +89,17 @@ class TestSst:
         assert payload["kappa_root"] == 0.0
         assert payload["floor"] < payload["zero_threshold"]
 
+    @pytest.mark.parametrize("command", ["spectrum", "sst"])
+    def test_oversized_n_exits_2_before_sampling(self, command, monkeypatch, capsys):
+        import steinerlab.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("sampled an oversized complex")
+
+        monkeypatch.setattr(cli, "steiner_complex", never)
+        assert main([command, "--d", "2", "--k", "5", "--n", "997"]) == 2
+        assert "physical memory" in capsys.readouterr().err
+
 
 class TestLimit:
     def test_prints_three_routes(self, capsys):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from steinerlab import read_complex, steiner_complex
+from steinerlab import read_complex, spectra, steiner_complex
 from steinerlab.experiments import (
     ExperimentConfig,
     converge_csv,
@@ -42,6 +42,13 @@ class TestConfig:
         # m = C(997, 2) = 496,506: the dense factor would need about 2 TB
         with pytest.raises(ValueError, match="physical memory"):
             small_config(d=2, k=5, n_values=(7, 997))
+
+    def test_packed_order_cap_rejected(self, monkeypatch):
+        # n = 307 passes a 1 TB memory guard, but its reduced Laplacian order
+        # C(306, 2) = 46665 is above what dpftrf accepts
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 2**40)
+        with pytest.raises(ValueError, match="order 46665"):
+            small_config(d=2, k=5, n_values=(7, 307))
 
     def test_zero_trials_gives_empty_table(self):
         res = run_converge(small_config(trials=0))

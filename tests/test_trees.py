@@ -1,7 +1,9 @@
+import tracemalloc
 from math import comb, exp, log
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from steinerlab import (
     FormBasis,
@@ -10,12 +12,14 @@ from steinerlab import (
     complex_from_dfaces,
     laplacian_pseudodet,
     smith_normal_form,
+    spectra,
     steiner_complex,
     tree_count_exact,
     tree_growth_rate,
+    trees,
     weighted_tree_count,
 )
-from steinerlab.spectra import eigenvalues, laplacian_matrix, trivial_zero_count
+from steinerlab.spectra import eigenvalues, laplacian_matrix, sparse_laplacian, trivial_zero_count
 from steinerlab.trees import boundary_columns, growth_rate_from_eigenvalues, pseudodet_from_eigenvalues
 from conftest import random_complex
 
@@ -251,3 +255,51 @@ class TestMatrixTreeRoute:
         with pytest.warns(RuntimeWarning, match="ambiguous"):
             r = weighted_tree_count(triangle())
         assert not r.zero_flag and r.zero_threshold == pytest.approx(0.3)
+
+
+class TestPackedFactor:
+    """The reduced Laplacian is factored in rectangular full packed storage."""
+
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_rfp_offsets_match_lapack(self, N):
+        from scipy.linalg.lapack import dtrttf
+
+        A = np.tril(np.arange(1.0, N * N + 1).reshape(N, N))
+        want, info = dtrttf(np.asfortranarray(A), transr="N", uplo="L")
+        assert info == 0
+        i, j = np.tril_indices(N)
+        got = np.zeros(N * (N + 1) // 2)
+        got[trees._rfp_offsets(i, j, N)] = A[i, j]
+        assert np.array_equal(got, want)
+
+    def test_factor_failure_above_threshold_raises(self, monkeypatch):
+        # hole complex: edge (3, 4) lies in no 2-face, so the reduced Laplacian
+        # diag(1, 1, 0) fails at its last pivot; a floor reported above the
+        # threshold must not let that pass as a count
+        monkeypatch.setattr(trees, "_lanczos_extreme", lambda op, which: 1.0)
+        with pytest.raises(RuntimeError, match=r"floor 1\.000e\+00.*threshold 1\.000e-08.*pivot 3 of 3"):
+            weighted_tree_count(complex_from_dfaces(4, 2, [(1, 2, 3), (1, 2, 4)]))
+
+    def test_peak_memory_below_dense_matrix(self):
+        X = steiner_complex(63, 2, 5, SeededRng(1))
+        L = sparse_laplacian(X)
+        m = L.shape[0]
+        assert m == 1953
+        tracemalloc.start()
+        try:
+            r = trees.tree_count_from_laplacian(X, L)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not r.zero_flag
+        # the packed factor of the C(62, 2)-row reduced Laplacian is 0.47 of 8 m^2
+        assert peak < 0.6 * 8 * m * m
+
+    def test_packed_order_cap_refused_before_work(self, monkeypatch):
+        # admit the 17 GB dense guard at n = 306 so only the dpftrf order cap can refuse;
+        # nothing of that size is allocated
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 2**40)
+        trees.require_tree_count_fits(305, 2)  # order C(304, 2) = 46056
+        m = comb(306, 2)
+        with pytest.raises(ValueError, match="order 46360 is above 46340"):
+            trees.tree_count_from_laplacian(complex_from_dfaces(306, 2, []), sp.csr_matrix((m, m)))
