@@ -3,17 +3,12 @@
 from .complexes import (
     Face,
     NeighborhoodComplex,
-    OrientedFace,
     PureComplex,
     all_faces,
     ball,
     complete_complex,
     complex_from_dfaces,
     facets_of,
-    flip,
-    line_graph,
-    oriented_line_graph,
-    oriented_neighbors,
     read_complex,
     write_complex,
 )
@@ -40,7 +35,6 @@ from .arboreal import (
     signed_walk_count,
 )
 from .spectra import (
-    FormBasis,
     SpectralSummary,
     adjacency_matrix,
     eigenvalues,

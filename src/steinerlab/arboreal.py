@@ -5,13 +5,13 @@ The arboreal complex generalizes the k-regular tree: start from one
 attaching k-1 fresh-vertex d-faces to every boundary (d-1)-face, layer by
 layer.  This module builds explicit radius-r truncations, gives the closed
 form layer counts, tests whether a neighborhood in an arbitrary complex is
-isomorphic to such a truncation, and counts the signed closed walks on the
-oriented line-graph that are the moments of the limiting adjacency law.
+isomorphic to such a truncation, and counts the signed closed walks at the
+root, the moments of the limiting adjacency law, as diagonal entries of
+powers of the truncation's signed adjacency (see `spectra`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
@@ -19,15 +19,8 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import (
-    Face,
-    PureComplex,
-    ball,
-    complex_from_dfaces,
-    facets_of,
-    oriented_neighbors,
-)
-from .spectra import boundary_matrix
+from .complexes import Face, PureComplex, ball, complex_from_dfaces, facets_of
+from .spectra import boundary_matrix, require_int64_powers, signed_adjacency
 
 __all__ = [
     "LayerProfile",
@@ -107,9 +100,6 @@ class ArborealBall:
     facet_layers: tuple[tuple[Face, ...], ...]
     dface_layers: tuple[tuple[Face, ...], ...]
 
-    def facet_depth(self) -> dict[Face, int]:
-        return {f: rho for rho, layer in enumerate(self.facet_layers) for f in layer}
-
 
 def arboreal_ball(d: int, k: int, r: int, max_radius: int = DEFAULT_MAX_RADIUS) -> ArborealBall:
     """Construct the radius-r truncation explicitly, fresh vertex per d-face.
@@ -119,7 +109,7 @@ def arboreal_ball(d: int, k: int, r: int, max_radius: int = DEFAULT_MAX_RADIUS) 
     """
     if r > max_radius:
         raise ValueError(f"radius {r} exceeds guard {max_radius}; growth is (d(k-1))^r")
-    profile = layer_sizes(d, k, r)
+    layer_sizes(d, k, r)  # raises on k < 2, d < 1 or r < 0
 
     root: Face = tuple(range(1, d + 1))
     next_vertex = d + 1
@@ -152,7 +142,7 @@ def arboreal_ball(d: int, k: int, r: int, max_radius: int = DEFAULT_MAX_RADIUS) 
 
     n = next_vertex - 1 if r > 0 else d
     cx = complex_from_dfaces(max(n, d + 1), d, dfaces) if dfaces else complex_from_dfaces(d + 1, d, [])
-    ball_obj = ArborealBall(
+    return ArborealBall(
         d=d,
         k=k,
         r=r,
@@ -162,12 +152,6 @@ def arboreal_ball(d: int, k: int, r: int, max_radius: int = DEFAULT_MAX_RADIUS) 
         facet_layers=tuple(facet_layers),
         dface_layers=tuple(dface_layers),
     )
-    # construction must reproduce the closed-form census exactly
-    for rho in range(r + 1):
-        assert len(ball_obj.vertex_layers[rho]) == profile.new_vertices[rho]
-        assert len(ball_obj.facet_layers[rho]) == profile.new_facets[rho]
-        assert len(ball_obj.dface_layers[rho]) == profile.new_dfaces[rho]
-    return ball_obj
 
 
 def is_arboreal_ball(X: PureComplex, sigma0: Face, k: int, r: int) -> bool:
@@ -255,49 +239,30 @@ def _pattern(M: sp.spmatrix) -> sp.csr_matrix:
     return M
 
 
-def _signed_closed_walks(
-    X: PureComplex,
-    root: Face,
-    length: int,
-    depth: dict[Face, int] | None = None,
-) -> int:
-    """phi(root+, root+) - phi(root+, root-) over walks of the given length.
-
-    Dynamic programming over the oriented line-graph; when a depth map is
-    supplied, states that are provably too far from the root to return in
-    the remaining steps are pruned (exact, since line-graph distance lower
-    bounds oriented distance).
-    """
-    plus = (root, 1)
-    minus = (root, -1) if len(root) > 1 else None
-    state: dict[tuple[Face, int], int] = {plus: 1}
-    for step in range(length):
-        remaining = length - step - 1
-        nxt: dict[tuple[Face, int], int] = defaultdict(int)
-        for (face, sign), count in state.items():
-            for nb in oriented_neighbors(X, (face, sign)):
-                if depth is not None and depth[nb[0]] > remaining:
-                    continue
-                nxt[nb] += count
-        state = dict(nxt)
-    return state.get(plus, 0) - (state.get(minus, 0) if minus is not None else 0)
-
-
-def signed_walk_count(
-    d: int, k: int, length: int, max_radius: int = DEFAULT_MAX_RADIUS
-) -> int:
+def signed_walk_count(d: int, k: int, length: int) -> int:
     """Signed count of closed length-l walks at a (d-1)-face of the arboreal complex.
 
     This integer is the l-th moment of the limiting adjacency spectral law;
     walks returning with flipped orientation count negatively.  l = 1 gives 0
-    (neighbors have distinct underlying faces) and l = 2 gives d*k.
+    (neighbors have distinct underlying faces) and l = 2 gives d*k.  It is
+    the root's diagonal entry of A^l, from l sparse products on the
+    radius-floor(l/2) truncation, which holds every closed l-walk; B is
+    indexed by the truncation's own facets, in layer order, so the root is
+    row 0.
     """
     if length < 0:
         raise ValueError("walk length must be >= 0")
-    if length == 0:
-        return 1
-    radius = (length + 1) // 2 + 1
-    tree = arboreal_ball(d, k, radius, max_radius=max_radius)
-    return _signed_closed_walks(
-        tree.complex, tree.root, length, depth=tree.facet_depth()
-    )
+    tree = arboreal_ball(d, k, length // 2)
+    index = {face: i for i, face in enumerate(f for layer in tree.facet_layers for f in layer)}
+    taus = [tau for layer in tree.dface_layers for tau in layer]
+    rows = [index[facet] for tau in taus for facet in facets_of(tau)]
+    cols = np.repeat(np.arange(len(taus)), d + 1)
+    signs = np.tile([(-1) ** i for i in range(d + 1)], len(taus))
+    B = sp.csr_matrix((signs, (rows, cols)), shape=(len(index), len(taus)), dtype=np.int64)
+    A = signed_adjacency(B)
+    require_int64_powers(A, length)
+    walks = np.zeros(len(index), dtype=np.int64)
+    walks[0] = 1
+    for _ in range(length):
+        walks = A @ walks
+    return int(walks[0])

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Callable
 from math import comb, exp
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .limitlaw import (
 )
 from .sampling import SamplerExhausted, SeededRng, steiner_complex
 from .spectra import require_dense_fits, spectral_summary
-from .trees import tree_count_exact, weighted_tree_count
+from .trees import require_tree_count_fits, tree_count_exact, weighted_tree_count
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -51,12 +52,13 @@ def _add_sample_source(parser: argparse.ArgumentParser, with_input: bool = True)
     parser.add_argument("--trial", type=int, default=0, help="stream index when sampling")
 
 
-def _resolve_complex(args: argparse.Namespace) -> PureComplex:
+def _resolve_complex(args: argparse.Namespace, require_fits: Callable[[int, int], None]) -> PureComplex:
+    """Load --in, or sample from --d/--k/--n once `require_fits(n, d)` admits the size."""
     if getattr(args, "infile", None) is not None:
         return read_complex(args.infile)
     if args.d is None or args.k is None or args.n is None:
         raise ValueError("either --in or all of --d/--k/--n are required")
-    require_dense_fits(comb(args.n, args.d))  # the size the solve would refuse, before sampling
+    require_fits(args.n, args.d)
     rng = SeededRng(args.seed).substream(args.n, args.trial)
     return steiner_complex(args.n, args.d, args.k, rng)
 
@@ -81,7 +83,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    X = _resolve_complex(args)
+    X = _resolve_complex(args, lambda n, d: require_dense_fits(comb(n, d)))
     summary = spectral_summary(X, operator=args.op, bins=args.bins, lmax=args.lmax)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -104,7 +106,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_sst(args: argparse.Namespace) -> int:
-    X = _resolve_complex(args)
+    X = _resolve_complex(args, require_tree_count_fits)
     result = weighted_tree_count(X, oracle=args.oracle)
     payload = {
         "log_kappa": None if result.zero_flag else result.log_count,
@@ -156,22 +158,22 @@ def _cmd_local(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _config_from_args(args: argparse.Namespace, default_radii: tuple[int, ...]) -> ExperimentConfig:
+def _config_from_args(args: argparse.Namespace, **fields) -> ExperimentConfig:
     return ExperimentConfig(
         d=args.d,
         k=args.k,
         n_values=tuple(args.n),
         trials=args.trials,
-        radii=tuple(args.r or default_radii),
         seed=args.seed,
-        lmax=args.lmax,
         deterministic=args.deterministic,
-        complex_dir=args.keep_complexes,
+        **fields,
     )
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    config = _config_from_args(args, default_radii=(1,))
+    config = _config_from_args(
+        args, radii=tuple(args.r or (1,)), lmax=args.lmax, complex_dir=args.keep_complexes
+    )
     result = run_converge(config)
     text = converge_json(result, config) if args.format == "json" else converge_csv(result, config)
     _write_text(args.out, text)
@@ -181,7 +183,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
-    config = _config_from_args(args, default_radii=())  # the gap statistic takes no radius
+    config = _config_from_args(args, radii=())  # the gap statistic takes no radius
     report = run_gap_report(config, epsilon=args.eps)
     _write_text(args.out, gap_csv(report, config))
     print(f"pass fraction: {report.pass_fraction:.3f} "
@@ -248,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, action="append", help="radius (repeatable)")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_local)
 
@@ -273,12 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--r", type=int, action="append")
-    p.add_argument("--lmax", type=int, default=0)
     p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.add_argument("--deterministic", action="store_true")
-    p.add_argument("--keep-complexes", type=Path, default=None)
     p.set_defaults(func=_cmd_gap)
 
     p = sub.add_parser("oracle", help="exact enumeration count for a complex file")

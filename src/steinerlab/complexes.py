@@ -2,10 +2,9 @@
 
 A complex is stored as its set of top-dimensional faces over the vertex set
 {1, ..., n}; all lower faces are implicit.  Faces are canonically represented
-as strictly increasing tuples of vertex ids.  An oriented face is a pair
-(face, sign) where the sign records the permutation parity relative to the
-sorted order; 0-dimensional faces carry a fixed +1 sign and are their own
-orientation flip.
+as strictly increasing tuples of vertex ids.  Orientations, signs and
+everything derived from them live in `spectra`, which builds the signed
+boundary matrix from these tuples.
 """
 
 from __future__ import annotations
@@ -17,21 +16,15 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 Face = tuple[int, ...]
-OrientedFace = tuple[Face, int]
 
 __all__ = [
     "Face",
-    "OrientedFace",
     "PureComplex",
     "NeighborhoodComplex",
     "complex_from_dfaces",
     "complete_complex",
     "all_faces",
     "facets_of",
-    "flip",
-    "oriented_neighbors",
-    "line_graph",
-    "oriented_line_graph",
     "ball",
     "write_complex",
     "read_complex",
@@ -50,14 +43,6 @@ def facets_of(face: Face) -> list[Face]:
     induced-orientation sign (-1)**i.
     """
     return [face[:i] + face[i + 1 :] for i in range(len(face))]
-
-
-def flip(oriented: OrientedFace) -> OrientedFace:
-    """Reverse orientation.  Identity on vertices (0-faces have one orientation)."""
-    face, sign = oriented
-    if len(face) == 1:
-        return oriented
-    return (face, -sign)
 
 
 def _normalize_face(raw: Sequence[int], n: int, dim: int) -> Face:
@@ -95,11 +80,6 @@ class PureComplex:
     def num_facets(self) -> int:
         """Number of (d-1)-faces, always C(n, d) by the complete skeleton."""
         return comb(self.n, self.d)
-
-    @property
-    def degree_index(self) -> dict[Face, int]:
-        """Degrees of the (d-1)-faces that lie in at least one d-face."""
-        return {face: len(cofs) for face, cofs in self._cofacets.items()}
 
     def degree(self, face: Face) -> int:
         return len(self._cofacets.get(face, ()))
@@ -160,54 +140,6 @@ def complex_from_dfaces(n: int, d: int, faces: Iterable[Sequence[int]]) -> PureC
 def complete_complex(n: int, d: int) -> PureComplex:
     """The complete d-complex on n vertices."""
     return complex_from_dfaces(n, d, all_faces(n, d))
-
-
-def oriented_neighbors(X: PureComplex, oriented: OrientedFace) -> list[OrientedFace]:
-    """Neighbors of an oriented (d-1)-face in the oriented line-graph.
-
-    (sigma, s) and (sigma', s') are neighbors when some d-face tau contains
-    both underlying faces and one orientation of tau induces s on sigma and
-    -s' on sigma'.  With facets indexed by omitted position i and j, this
-    works out to s * s' = -(-1)**(i+j).  Underlying faces are always
-    distinct; for d = 1 the rule degenerates to plain graph adjacency.
-    """
-    face, sign = oriented
-    vertex_like = len(face) == 1
-    out: list[OrientedFace] = []
-    for tau in X.cofacets(face):
-        facets = facets_of(tau)
-        i = facets.index(face)
-        for j, other in enumerate(facets):
-            if j == i:
-                continue
-            s = -sign if (i + j) % 2 == 0 else sign
-            out.append((other, 1) if vertex_like else (other, s))
-    return out
-
-
-def line_graph(X: PureComplex) -> dict[Face, set[Face]]:
-    """Graph on all C(n, d) faces of dimension d-1; edges pair facets of a common d-face."""
-    adj: dict[Face, set[Face]] = {face: set() for face in X.facet_iter()}
-    for tau in X.d_faces:
-        facets = facets_of(tau)
-        for a, b in combinations(facets, 2):
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
-
-
-def oriented_line_graph(X: PureComplex) -> dict[OrientedFace, list[OrientedFace]]:
-    """Adjacency lists over the oriented (d-1)-faces.
-
-    For d >= 2 each face appears with both signs; for d = 1 vertices appear
-    once with sign +1.
-    """
-    signs = (1,) if X.d == 1 else (1, -1)
-    adj: dict[OrientedFace, list[OrientedFace]] = {}
-    for face in X.facet_iter():
-        for s in signs:
-            adj[(face, s)] = oriented_neighbors(X, (face, s))
-    return adj
 
 
 @dataclass(frozen=True)

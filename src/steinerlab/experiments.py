@@ -31,6 +31,7 @@ from .spectra import (
     adjacency_matrix,
     eigenvalues,
     moments,
+    require_dense_fits,
     sparse_laplacian,
     trivial_zero_count,
 )
@@ -62,9 +63,11 @@ def regularity_threshold(d: int) -> int:
 class ExperimentConfig:
     """Shared knobs for ensemble runs.
 
-    Every n must be d-admissible with its m = C(n, d) x m dense operator
-    within usable memory, and arboreal radii >= 1 need k >= 2; all are
-    checked here, before anything is sampled.
+    Every n must be d-admissible with its tree count's packed factor within
+    usable memory, arboreal radii >= 1 need k >= 2, and the exact int64
+    moment traces need ((d+1) k)^lmax below 2^63 ((d+1) k bounds the
+    absolute row sums of L); all are checked here, before anything is
+    sampled.
     """
 
     d: int
@@ -82,6 +85,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 0")
         if self.lmax < 0:
             raise ValueError("lmax must be >= 0")
+        if ((self.d + 1) * self.k) ** self.lmax >= 2**63:
+            raise ValueError(
+                f"lmax={self.lmax} is too large for exact int64 moments at d={self.d}, k={self.k}"
+            )
         if any(r < 0 for r in self.radii):
             raise ValueError("radii must be >= 0")
         if self.k < 2 and any(r >= 1 for r in self.radii):
@@ -194,6 +201,8 @@ def run_gap_report(config: ExperimentConfig, epsilon: float = 0.5) -> GapReport:
     the trivial-zero dimension; for k-regular complexes the top t eigenvalues
     are exactly the trivial ones.  Probabilistic, so reported, not asserted.
     """
+    for n in config.n_values:
+        require_dense_fits(comb(n, config.d))  # the dense eigensolve, before sampling
     if config.k <= regularity_threshold(config.d):
         warnings.warn(
             f"k={config.k} is at or below the proven regime threshold "

@@ -5,7 +5,13 @@ indexed by one chosen orientation per face (sorted representative, sign +1),
 ordered lexicographically.  In that basis the signed boundary B of the
 d-faces (one column per d-face, entry (-1)**i on the facet omitting vertex i)
 is a sparse integer matrix, the upper Laplacian is L = B B^T and the signed
-adjacency is diag(L) - L.
+adjacency is A = diag(L) - L.
+
+Reversing a face's orientation is -1 on forms, so the signed count of
+closed l-walks at a face on the oriented line-graph, phi_l(s+, s+) -
+phi_l(s+, s-), is the diagonal entry (A^l)_ss; walk counts are exact
+integer powers of A (`signed_trace` here, `arboreal.signed_walk_count` on
+the arboreal complex).
 
 The trivial kernel of L is the image of the coboundary delta from the
 (d-2)-forms of the complete skeleton; its dimension is C(n-1, d-1).  On the
@@ -29,13 +35,13 @@ from math import comb, factorial, gcd
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import Face, PureComplex, all_faces, facets_of
+from .complexes import PureComplex, all_faces, facets_of
 
 __all__ = [
-    "FormBasis",
     "SpectralSummary",
     "boundary_matrix",
     "sparse_laplacian",
+    "signed_adjacency",
     "coboundary_matrix",
     "adjacency_matrix",
     "laplacian_matrix",
@@ -53,20 +59,6 @@ SYMMETRY_BLOCK_ROWS = 256
 ZERO_RTOL = 1e-8
 AMBIGUOUS_FACTOR = 1e3
 SIGNED_TRACE_MAX_LENGTH = 10
-
-
-@dataclass(frozen=True)
-class FormBasis:
-    """Ordered positively oriented (d-1)-faces indexing the form space."""
-
-    faces: tuple[Face, ...]
-
-    @classmethod
-    def from_complex(cls, X: PureComplex) -> "FormBasis":
-        return cls(tuple(X.facet_iter()))
-
-    def __len__(self) -> int:
-        return len(self.faces)
 
 
 def _binom(x: np.ndarray, k: int) -> np.ndarray:
@@ -114,6 +106,18 @@ def sparse_laplacian(X: PureComplex) -> sp.csr_matrix:
     return (B @ B.T).tocsr()
 
 
+def signed_adjacency(B: sp.spmatrix) -> sp.csr_matrix:
+    """Signed adjacency diag(L) - L of L = B B^T, in the dtype of B.
+
+    Each d-face and facet pair (i, j) contributes (-1)**(i+j+1) to the entry
+    of the two facets: the sign is +1 exactly when the orientation of facet
+    j induced alongside +facet i is the negative representative.  For d = 1
+    this is the ordinary graph adjacency matrix.
+    """
+    L = (B @ B.T).tocsr()
+    return (sp.diags(L.diagonal(), dtype=L.dtype) - L).tocsr()
+
+
 def coboundary_matrix(n: int, d: int) -> sp.csr_matrix:
     """Coboundary delta from (d-2)-forms of the complete skeleton, C(n, d) x C(n, d-1).
 
@@ -147,42 +151,34 @@ def usable_memory() -> int:
     return min(limits)
 
 
-def require_dense_fits(m: int) -> None:
-    """Refuse, with ValueError, an m x m float64 array larger than `usable_memory`."""
-    need = 8 * m * m
+def require_memory(need: int, what: str) -> None:
+    """Refuse, with ValueError, `what` when its `need` bytes exceed `usable_memory`."""
     have = usable_memory()
     if need > have:
         raise ValueError(
-            f"a dense {m} x {m} matrix needs {need / 2**30:.1f} GiB, more than the "
-            f"{have / 2**30:.1f} GiB this process may use (physical memory, cgroup "
-            "and address-space limits); only the sparse routes (arboreal census, "
-            "trace moments) run at this size"
+            f"{what} needs {need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
+            "this process may use (physical memory, cgroup and address-space limits)"
         )
 
 
-def _dense(M: sp.spmatrix, basis: FormBasis | None, n: int) -> np.ndarray:
+def require_dense_fits(m: int) -> None:
+    """Refuse, with ValueError, an m x m float64 array larger than `usable_memory`."""
+    require_memory(8 * m * m, f"a dense {m} x {m} matrix")
+
+
+def _dense(M: sp.spmatrix) -> np.ndarray:
     require_dense_fits(M.shape[0])
-    if basis is not None:
-        p = _lex_ranks(np.array(basis.faces, dtype=np.int64), n)
-        M = M.tocsr()[p][:, p]
     return M.toarray()
 
 
-def laplacian_matrix(X: PureComplex, basis: FormBasis | None = None) -> np.ndarray:
-    """Dense upper Laplacian, rows and columns in `basis` order (default lexicographic)."""
-    return _dense(sparse_laplacian(X), basis, X.n)
+def laplacian_matrix(X: PureComplex) -> np.ndarray:
+    """Dense upper Laplacian, rows and columns in lexicographic face order."""
+    return _dense(sparse_laplacian(X))
 
 
-def adjacency_matrix(X: PureComplex, basis: FormBasis | None = None) -> np.ndarray:
-    """Dense signed adjacency diag(L) - L on the chosen form basis.
-
-    Each d-face tau and facet pair (i, j) contributes (-1)**(i+j+1) to the
-    entry of the two facets: the sign is +1 exactly when the orientation of
-    facet j induced alongside +facet i is the negative representative.  For
-    d = 1 this is the ordinary graph adjacency matrix.
-    """
-    L = sparse_laplacian(X)
-    return _dense(sp.diags(L.diagonal()) - L, basis, X.n)
+def adjacency_matrix(X: PureComplex) -> np.ndarray:
+    """Dense signed adjacency diag(L) - L, rows and columns in lexicographic face order."""
+    return _dense(signed_adjacency(boundary_matrix(X)))
 
 
 def eigenvalues(M: np.ndarray) -> np.ndarray:
@@ -270,23 +266,49 @@ class SpectralSummary:
     trivial_zero_count: int | None = None
 
 
-def moments(M: np.ndarray | sp.spmatrix, lmax: int) -> list[float]:
-    """Spectral moments (1/m) tr(M^l) for l = 0..lmax, as exact traces of sparse powers.
+def require_int64_powers(M: sp.spmatrix, lmax: int) -> None:
+    """Refuse, with ValueError, powers up to M^lmax whose entries could leave int64.
+
+    With R the largest absolute row sum of M, every entry of M^l, every
+    partial sum forming it, and every row sum of the elementwise product
+    M^a * (M^b)^T with a + b = l is at most R^l in absolute value.
+    """
+    R = int(abs(M).sum(axis=1).max())
+    if R**lmax >= 2**63:
+        raise ValueError(
+            f"power {lmax} of a matrix with absolute row sum {R} can leave int64 "
+            f"({R}^{lmax} >= 2^63)"
+        )
+
+
+def _power_traces(M: np.ndarray | sp.spmatrix, lmax: int) -> list[int]:
+    """Exact traces tr(M^l), l = 0..lmax, of an integer matrix, as Python ints.
 
     tr(M^l) = sum(M^a * (M^b)^T) with a = ceil(l/2), b = l - a, so only
-    powers up to ceil(lmax/2) are formed.  For an integer matrix every trace
-    is exact while m * (max row sum of |M|)^l stays below 2^53.
+    int64 powers up to ceil(lmax/2) are formed; each row of that product
+    sums within int64 (`require_int64_powers`) and the rows are summed as
+    Python ints.
     """
-    M = sp.csr_matrix(M, dtype=float)
-    m = M.shape[0]
-    powers = [sp.identity(m, format="csr"), M]
+    M = sp.csr_matrix(M)
+    ints = M.astype(np.int64)
+    if (ints != M).nnz:
+        raise ValueError("exact traces need an integer matrix")
+    require_int64_powers(ints, lmax)
+    powers = [sp.identity(M.shape[0], dtype=np.int64, format="csr"), ints]
     while len(powers) <= (lmax + 1) // 2:
-        powers.append(powers[-1] @ M)
-    out = []
+        powers.append(powers[-1] @ ints)
+    traces = []
     for ell in range(lmax + 1):
         a = (ell + 1) // 2
-        out.append(float(powers[a].multiply(powers[ell - a].T).sum()) / m)
-    return out
+        rows = powers[a].multiply(powers[ell - a].T).sum(axis=1)
+        traces.append(sum(np.asarray(rows).ravel().tolist()))
+    return traces
+
+
+def moments(M: np.ndarray | sp.spmatrix, lmax: int) -> list[float]:
+    """Spectral moments (1/m) tr(M^l) for l = 0..lmax of an integer matrix, from exact traces."""
+    m = M.shape[0]
+    return [trace / m for trace in _power_traces(M, lmax)]
 
 
 def _summary_from_eigs(
@@ -346,40 +368,11 @@ def warn_ambiguous_zeros(eigs: np.ndarray, eps: float) -> None:
         )
 
 
-def _oriented_adjacency_ids(X: PureComplex) -> tuple[list[Face], list[list[int]]]:
-    """Integer-id adjacency lists of the oriented line-graph.
-
-    Faces with positive degree get ids 2*i (sign +1) and 2*i + 1 (sign -1);
-    for d = 1 only the even ids are populated.
-    """
-    faces = sorted(X.degree_index)
-    index = {face: i for i, face in enumerate(faces)}
-    nbrs: list[list[int]] = [[] for _ in range(2 * len(faces))]
-    for tau in X.d_faces:
-        facets = facets_of(tau)
-        for i, fi in enumerate(facets):
-            a = 2 * index[fi]
-            for j, fj in enumerate(facets):
-                if i == j:
-                    continue
-                b = 2 * index[fj]
-                if X.d == 1:
-                    nbrs[a].append(b)
-                elif (i + j) % 2 == 1:
-                    nbrs[a].append(b)  # +1 neighbor of +1
-                    nbrs[a + 1].append(b + 1)
-                else:
-                    nbrs[a].append(b + 1)
-                    nbrs[a + 1].append(b)
-    return faces, nbrs
-
-
 def signed_trace(X: PureComplex, length: int) -> int:
-    """Exact integer tr(A^l) via signed closed-walk counts on the oriented line-graph.
+    """Exact integer tr(A^l) of the signed adjacency A: signed closed l-walks summed over faces.
 
-    Sums phi_l(sigma+, sigma+) - phi_l(sigma+, sigma-) over one orientation
-    per face; walk counting is combinatorial, so the result carries no
-    floating error.
+    Raises ValueError for l > SIGNED_TRACE_MAX_LENGTH (walk counts grow
+    like (dk)^l) and before any product whose entries could leave int64.
     """
     if length < 0:
         raise ValueError("walk length must be >= 0")
@@ -387,18 +380,4 @@ def signed_trace(X: PureComplex, length: int) -> int:
         raise ValueError(
             f"length {length} exceeds guard {SIGNED_TRACE_MAX_LENGTH} (growth is (dk)^l)"
         )
-    if length == 0:
-        return comb(X.n, X.d)
-    faces, nbrs = _oriented_adjacency_ids(X)
-    total = 0
-    for i in range(len(faces)):
-        start = 2 * i
-        state: dict[int, int] = {start: 1}
-        for _ in range(length):
-            nxt: dict[int, int] = {}
-            for node, count in state.items():
-                for nb in nbrs[node]:
-                    nxt[nb] = nxt.get(nb, 0) + count
-            state = nxt
-        total += state.get(start, 0) - (state.get(start + 1, 0) if X.d > 1 else 0)
-    return total
+    return _power_traces(signed_adjacency(boundary_matrix(X)), length)[length]

@@ -36,11 +36,12 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpftrf
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .complexes import Face, PureComplex, all_faces, facets_of
+from .complexes import PureComplex
 from .spectra import (
+    boundary_matrix,
     coboundary_matrix,
     exact_rank,
-    require_dense_fits,
+    require_memory,
     sparse_laplacian,
     trivial_zero_count,
     warn_ambiguous_zeros,
@@ -51,7 +52,6 @@ __all__ = [
     "SnfDiagonal",
     "TreeCount",
     "smith_normal_form",
-    "boundary_columns",
     "laplacian_pseudodet",
     "pseudodet_from_eigenvalues",
     "growth_rate_from_eigenvalues",
@@ -153,16 +153,6 @@ def smith_normal_form(M: Sequence[Sequence[int]] | np.ndarray) -> SnfDiagonal:
     return SnfDiagonal(tuple(factors))
 
 
-def boundary_columns(n: int, d: int, dfaces: Sequence[Face]) -> list[list[int]]:
-    """Integer boundary matrix of the given d-faces over all C(n, d) facet rows."""
-    row_index = {face: i for i, face in enumerate(all_faces(n, d - 1))}
-    M = [[0] * len(dfaces) for _ in range(len(row_index))]
-    for col, tau in enumerate(dfaces):
-        for i, facet in enumerate(facets_of(tau)):
-            M[row_index[facet]][col] = 1 if i % 2 == 0 else -1
-    return M
-
-
 def pseudodet_from_eigenvalues(eigs: np.ndarray, trivial_zeros: int) -> tuple[float, bool]:
     """Log-product of the non-trivial Laplacian eigenvalues (test oracle for the Cholesky route).
 
@@ -194,8 +184,10 @@ class TreeCount:
     non-trivial Laplacian kernel and the count is exactly 0; log_count is
     then -inf and pseudodet_log is 0.  floor is the smallest non-trivial
     Laplacian eigenvalue; the flag is set exactly when it is below
-    zero_threshold, so the two give the margin.  exact_count is filled only
-    when the enumeration oracle was run.
+    zero_threshold, so the two give the margin.  A flagged floor is recorded
+    as 0.0: it is a Lanczos estimate of a true zero, and its digits are
+    round-off that differs between identical runs.  exact_count is filled
+    only when the enumeration oracle was run.
     """
 
     log_count: float
@@ -237,13 +229,13 @@ def _rfp_offsets(i: np.ndarray, j: np.ndarray, N: int) -> np.ndarray:
 def require_tree_count_fits(n: int, d: int) -> None:
     """Refuse, with ValueError, a tree count of a d-complex on [n] that cannot run here.
 
-    The memory guard counts a dense C(n, d) x C(n, d) matrix, about twice the
-    packed factor (`spectra.require_dense_fits`).  The packed order
-    C(n-1, d) is capped at MAX_PACKED_ORDER because scipy's `dpftrf` wrapper
-    checks the packed length as N(N+1)/2 in a C int.
+    The memory guard counts the packed factor of the reduced Laplacian,
+    N(N+1)/2 doubles with N = C(n-1, d) (`spectra.require_memory`).  The
+    packed order is capped at MAX_PACKED_ORDER because scipy's `dpftrf`
+    wrapper checks the packed length as N(N+1)/2 in a C int.
     """
-    require_dense_fits(comb(n, d))
     N = comb(n - 1, d)
+    require_memory(8 * (N * (N + 1) // 2), f"the packed Cholesky factor of the order-{N} reduced Laplacian")
     if N > MAX_PACKED_ORDER:
         raise ValueError(
             f"the reduced Laplacian of order {N} is above {MAX_PACKED_ORDER}, the largest "
@@ -255,10 +247,9 @@ def tree_count_from_laplacian(X: PureComplex, L: sp.csr_matrix) -> TreeCount:
     """Tree count of X from its sparse Laplacian L (as from `sparse_laplacian`), without a full spectrum.
 
     Takes L so a caller that also needs L, such as a converge row's moments,
-    builds it once.  Refuses (ValueError) before any work when a dense m x m
-    matrix would not fit in memory or the packed order is too large for
-    `dpftrf` (`require_tree_count_fits`); the packed factor itself holds
-    C(n-1, d)(C(n-1, d)+1)/2 doubles, about half of a dense m x m matrix.
+    builds it once.  Refuses (ValueError) before any work when the packed
+    factor, C(n-1, d)(C(n-1, d)+1)/2 doubles, would not fit in memory or its
+    order is too large for `dpftrf` (`require_tree_count_fits`).
     A factorization that fails after the floor cleared the zero threshold
     raises RuntimeError.
     """
@@ -279,7 +270,9 @@ def tree_count_from_laplacian(X: PureComplex, L: sp.csr_matrix) -> TreeCount:
     warn_ambiguous_zeros(floor, eps)
     flag = floor < eps
     log_count = float("-inf")
-    if not flag:
+    if flag:
+        floor = 0.0
+    else:
         # the first `trivial` rows are the faces through vertex 1
         lower = sp.tril(L[trivial:, trivial:], format="coo")
         N = lower.shape[0]
@@ -362,11 +355,10 @@ def tree_count_exact(X: PureComplex) -> int:
             f"C({m}, {tree_size}) = {comb(m, tree_size)} subsets exceeds the "
             f"enumeration guard {ORACLE_MAX_SUBSETS}"
         )
-    dfaces = sorted(X.d_faces)
-    full = boundary_columns(X.n, X.d, dfaces)
+    full = boundary_matrix(X).toarray().astype(np.int64)
     total = 0
     for subset in combinations(range(m), tree_size):
-        cols = [[row[c] for c in subset] for row in full]
+        cols = full[:, subset].tolist()
         if exact_rank(cols) != tree_size:
             continue
         torsion = smith_normal_form(cols).torsion()

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -100,6 +101,32 @@ class TestSst:
         assert main([command, "--d", "2", "--k", "5", "--n", "997"]) == 2
         assert "physical memory" in capsys.readouterr().err
 
+    def test_guards_size_each_route(self, monkeypatch, capsys):
+        # d = 2, n = 15: the order-91 packed factor takes 33,488 B, a dense m = 105 matrix 88,200 B
+        import steinerlab.cli as cli
+        import steinerlab.experiments as experiments
+        from steinerlab import spectra
+
+        sst = ["sst", "--d", "2", "--k", "5", "--n", "15", "--seed", "3"]
+        assert main(sst) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 50_000)
+        assert main(sst) == 0
+        assert capsys.readouterr().out == want
+
+        def never(*args, **kwargs):
+            raise AssertionError("sampled a complex the guard should refuse")
+
+        monkeypatch.setattr(cli, "steiner_complex", never)
+        monkeypatch.setattr(experiments, "steiner_complex", never)
+        assert main(["spectrum", "--d", "2", "--k", "5", "--n", "15"]) == 2
+        assert "dense 105 x 105" in capsys.readouterr().err
+        assert main(["gap", "--d", "2", "--k", "5", "--n", "15"]) == 2
+        assert "dense 105 x 105" in capsys.readouterr().err
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 30_000)
+        assert main(sst) == 2
+        assert "packed Cholesky factor" in capsys.readouterr().err
+
 
 class TestLimit:
     def test_prints_three_routes(self, capsys):
@@ -158,6 +185,15 @@ class TestConverge:
         assert "physical memory" in capsys.readouterr().err
         assert main(["gap", "--d", "2", "--k", "5", "--n", "997"]) == 2
 
+    def test_flagged_floors_are_zero(self, tmp_path):
+        # every row here is flagged; the Lanczos round-off of a true zero used to vary between runs
+        out = tmp_path / "flagged.csv"
+        assert main(["converge", "--deterministic", "--d", "3", "--k", "2", "--n", "8", "--trials", "4",
+                     "--seed", "3", "--r", "1", "--lmax", "4", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
+        assert len(rows) == 4
+        assert [row["spectral_floor"] for row in rows] == ["0.0"] * 4
+
     def test_json_format(self, capsys):
         code = main(["converge", "--d", "1", "--k", "3", "--n", "20",
                      "--trials", "1", "--format", "json", "--deterministic"])
@@ -174,6 +210,13 @@ class TestGapOracle:
         assert code == 0
         text = out.read_text()
         assert "n,trial,top_nontrivial,passed" in text
+
+    def test_gap_rejects_keep_complexes(self, tmp_path):
+        keep = tmp_path / "cx"
+        with pytest.raises(SystemExit) as exc:
+            main(["gap", "--d", "1", "--k", "8", "--n", "20", "--keep-complexes", str(keep)])
+        assert exc.value.code == 2
+        assert not keep.exists()
 
     def test_gap_takes_no_radius(self, capsys):
         # k = 1 is refused only where an arboreal radius is asked for

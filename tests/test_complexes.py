@@ -1,19 +1,30 @@
 from math import comb
 
+import numpy as np
 import pytest
 
 from steinerlab import (
     ball,
     complete_complex,
     complex_from_dfaces,
-    flip,
-    line_graph,
-    oriented_line_graph,
-    oriented_neighbors,
     read_complex,
+    spectra,
     write_complex,
 )
 from conftest import random_complex
+
+
+def adjacency(X):
+    """Sparse signed adjacency A, rows and columns in facet_iter order."""
+    return spectra.signed_adjacency(spectra.boundary_matrix(X))
+
+
+def row(X, face):
+    """Entries of A in the row of `face`, keyed by the neighbouring face."""
+    faces = list(X.facet_iter())
+    A = adjacency(X).tocsr()
+    i = faces.index(face)
+    return {faces[j]: A[i, j] for j in A[i].indices}
 
 
 class TestConstruction:
@@ -24,7 +35,7 @@ class TestConstruction:
 
     def test_triangle_graph_degrees(self):
         X = complex_from_dfaces(3, 1, [(1, 2), (2, 3), (1, 3)])
-        assert X.degree_index == {(1,): 2, (2,): 2, (3,): 2}
+        assert {f: X.degree(f) for f in X.facet_iter()} == {(1,): 2, (2,): 2, (3,): 2}
 
     def test_duplicate_face_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -51,67 +62,60 @@ class TestConstruction:
 
 
 class TestLineGraph:
+    """The line graph is the sparsity pattern of the signed adjacency A."""
+
     def test_complete_k4_edge_count(self):
         # each of the 4 triangles contributes C(3,2)=3 line-graph edges
-        adj = line_graph(complete_complex(4, 2))
-        assert len(adj) == comb(4, 2)
-        assert sum(len(v) for v in adj.values()) // 2 == 12
+        A = adjacency(complete_complex(4, 2))
+        assert A.shape == (comb(4, 2), comb(4, 2))
+        assert A.count_nonzero() // 2 == 12
 
     def test_no_dfaces_gives_edgeless_graph(self):
-        adj = line_graph(complex_from_dfaces(5, 2, []))
-        assert len(adj) == comb(5, 2)
-        assert all(not nbrs for nbrs in adj.values())
+        A = adjacency(complex_from_dfaces(5, 2, []))
+        assert A.shape == (comb(5, 2), comb(5, 2))
+        assert A.count_nonzero() == 0
 
     def test_d1_triangle_reduction(self):
-        adj = line_graph(complex_from_dfaces(3, 1, [(1, 2), (2, 3), (1, 3)]))
-        assert adj == {(1,): {(2,), (3,)}, (2,): {(1,), (3,)}, (3,): {(1,), (2,)}}
+        X = complex_from_dfaces(3, 1, [(1, 2), (2, 3), (1, 3)])
+        assert {f: set(row(X, f)) for f in X.facet_iter()} == {
+            (1,): {(2,), (3,)}, (2,): {(1,), (3,)}, (3,): {(1,), (2,)}
+        }
 
     def test_edge_count_identity(self, gen):
+        # two facets share at most one d-face, so no entry of A cancels
         for _ in range(20):
             d = int(gen.integers(1, 4))
             n = int(gen.integers(d + 2, 9))
             X = random_complex(n, d, gen)
-            adj = line_graph(X)
-            assert sum(len(v) for v in adj.values()) // 2 == comb(d + 1, 2) * X.num_dfaces
+            assert adjacency(X).count_nonzero() // 2 == comb(d + 1, 2) * X.num_dfaces
 
 
 class TestOrientedLineGraph:
+    """Reversing an orientation negates a form, so A's signs are the oriented line-graph's."""
+
     def test_d1_path_graph(self):
         X = complex_from_dfaces(3, 1, [(1, 2), (2, 3)])
-        nbs = oriented_neighbors(X, ((2,), 1))
-        assert sorted(nbs) == [((1,), 1), ((3,), 1)]
+        assert row(X, (2,)) == {(1,): 1, (3,): 1}
 
     def test_single_2face_pattern(self):
         X = complex_from_dfaces(3, 2, [(1, 2, 3)])
-        nbs = oriented_neighbors(X, ((1, 2), 1))
-        assert sorted(nbs) == [((1, 3), 1), ((2, 3), -1)]
-        olg = oriented_line_graph(X)
-        assert all(len(v) == 2 * X.degree(of[0]) for of, v in olg.items())
+        assert row(X, (1, 2)) == {(1, 3): 1, (2, 3): -1}
+        assert all(len(row(X, f)) == 2 * X.degree(f) for f in X.facet_iter())
 
     def test_degree_identity_random(self, gen):
         for _ in range(10):
             d = int(gen.integers(1, 4))
             n = int(gen.integers(d + 2, 9))
             X = random_complex(n, d, gen)
-            olg = oriented_line_graph(X)
-            for (face, sign), nbrs in olg.items():
-                assert len(nbrs) == d * X.degree(face)
+            nnz = np.diff(adjacency(X).tocsr().indptr)
+            assert nnz.tolist() == [d * X.degree(f) for f in X.facet_iter()]
 
     def test_sign_symmetry(self, gen):
         for _ in range(10):
             d = int(gen.integers(2, 4))
             n = int(gen.integers(d + 2, 8))
-            X = random_complex(n, d, gen)
-            olg = oriented_line_graph(X)
-            edges = {(a, b) for a, nbrs in olg.items() for b in nbrs}
-            for a, b in edges:
-                assert (b, a) in edges
-                assert (flip(a), flip(b)) in edges
-
-    def test_flip_involution(self):
-        assert flip(flip(((1, 2), 1))) == ((1, 2), 1)
-        assert flip(((1, 2), 1)) == ((1, 2), -1)
-        assert flip(((3,), 1)) == ((3,), 1)  # identity on vertices
+            A = adjacency(random_complex(n, d, gen))
+            assert (A != A.T).nnz == 0
 
 
 class TestBall:

@@ -50,6 +50,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="order 46665"):
             small_config(d=2, k=5, n_values=(7, 307))
 
+    def test_lmax_bounded_by_int64_traces(self):
+        # d = 1, k = 3: |L| has row sums at most 6, and 6^24 < 2^63 <= 6^25
+        small_config(lmax=24)
+        with pytest.raises(ValueError, match="lmax=25"):
+            small_config(lmax=25)
+
     def test_zero_trials_gives_empty_table(self):
         res = run_converge(small_config(trials=0))
         assert res.rows == () and res.failures == ()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from steinerlab import (
-    FormBasis,
     SeededRng,
     adjacency_matrix,
     complete_complex,
@@ -43,9 +42,8 @@ class TestAdjacency:
             d = int(gen.integers(1, 3))
             n = int(gen.integers(d + 2, 9))
             X = random_complex(n, d, gen)
-            basis = FormBasis.from_complex(X)
-            A = adjacency_matrix(X, basis)
-            for i, face in enumerate(basis.faces):
+            A = adjacency_matrix(X)
+            for i, face in enumerate(X.facet_iter()):
                 assert abs(A[i].sum()) <= d * X.degree(face) + 1e-12
 
     def test_zero_diagonal_symmetric(self, gen):
@@ -67,9 +65,8 @@ class TestLaplacian:
 
     def test_plus_adjacency_is_degree_diagonal(self, gen):
         X = random_complex(8, 2, gen)
-        basis = FormBasis.from_complex(X)
-        D = laplacian_matrix(X, basis) + adjacency_matrix(X, basis)
-        expected = np.diag([X.degree(f) for f in basis.faces])
+        D = laplacian_matrix(X) + adjacency_matrix(X)
+        expected = np.diag([X.degree(f) for f in X.facet_iter()])
         assert np.array_equal(D, expected)
 
     def test_psd_and_support_bound(self, gen):
@@ -95,6 +92,16 @@ def tuple_laplacian(X):
     return L
 
 
+def tuple_boundary(X):
+    """Reference signed boundary from the face tuples: (-1)**i where a sorted d-face omits vertex i."""
+    index = {face: i for i, face in enumerate(X.facet_iter())}
+    B = np.zeros((len(index), X.num_dfaces), dtype=np.int64)
+    for col, tau in enumerate(sorted(X.d_faces)):
+        for i in range(len(tau)):
+            B[index[tau[:i] + tau[i + 1 :]], col] = 1 if i % 2 == 0 else -1
+    return B
+
+
 class TestSparseOperators:
     def test_laplacian_matches_tuple_construction(self, gen):
         for _ in range(12):
@@ -105,6 +112,7 @@ class TestSparseOperators:
             L = spectra.sparse_laplacian(X)
             B = spectra.boundary_matrix(X)
             assert B.shape == (comb(n, d), X.num_dfaces)
+            assert np.array_equal(B.toarray(), tuple_boundary(X))
             assert np.array_equal(L.toarray(), tuple_laplacian(X))
 
     @pytest.mark.parametrize("n,d", [(4, 1), (5, 2), (7, 2), (6, 3)])
@@ -117,16 +125,6 @@ class TestSparseOperators:
             X = random_complex(d + 4, d, gen)
             product = spectra.sparse_laplacian(X) @ spectra.coboundary_matrix(X.n, d)
             assert product.count_nonzero() == 0
-
-    def test_basis_permutes_rows_and_columns(self, gen):
-        X = random_complex(6, 2, gen)
-        faces = list(X.facet_iter())
-        perm = gen.permutation(len(faces))
-        basis = FormBasis(tuple(faces[i] for i in perm))
-        L = laplacian_matrix(X)
-        assert np.array_equal(laplacian_matrix(X, basis), L[np.ix_(perm, perm)])
-        A = adjacency_matrix(X)
-        assert np.array_equal(adjacency_matrix(X, basis), A[np.ix_(perm, perm)])
 
 
 class TestEigenvalues:
@@ -224,6 +222,10 @@ class TestEsdMoments:
                     assert got[ell] == pytest.approx(np.mean(eigs**ell), rel=1e-12)
                     power = power @ dense
 
+    def test_moments_need_an_integer_matrix(self):
+        with pytest.raises(ValueError, match="integer"):
+            moments(np.array([[0.5, 0.0], [0.0, 1.0]]), 2)
+
     def test_histogram_masses_sum_to_one(self, gen):
         X = random_complex(7, 2, gen)
         s = esd(laplacian_matrix(X), bins=7, lmax=2)
@@ -261,6 +263,19 @@ class TestSignedTrace:
                 assert signed_trace(X, ell) == pytest.approx(np.trace(P), abs=1e-6)
                 P = P @ A
 
+    @pytest.mark.parametrize("n,d,ell", [(8, 2, 6), (12, 3, 10), (40, 1, 10), (41, 2, 10)])
+    def test_complete_complex_closed_form(self, n, d, ell):
+        # L has eigenvalue n on C(n-1, d) forms and 0 on C(n-1, d-1), and A = (n-d) I - L;
+        # (41, 2) is just inside int64: the absolute row sum of A is 78 and 78^10 < 2^63
+        expected = comb(n - 1, d - 1) * (n - d) ** ell + comb(n - 1, d) * (-d) ** ell
+        value = signed_trace(complete_complex(n, d), ell)
+        assert type(value) is int and value == expected
+
+    def test_int64_guard(self):
+        # absolute row sum 80 and 80^10 > 2^63: refused before any product
+        with pytest.raises(ValueError, match="int64"):
+            signed_trace(complete_complex(42, 2), 10)
+
 
 class TestDenseGuard:
     """m x m dense arrays are refused, before allocation, when 8 m^2 exceeds usable memory."""
@@ -288,8 +303,9 @@ class TestDenseGuard:
     def test_tree_count_refuses(self, tiny_memory):
         from steinerlab import weighted_tree_count
 
+        # the packed factor of the order-C(7, 2) reduced Laplacian takes 8 * 231 = 1848 B
         with pytest.raises(ValueError, match="physical memory"):
-            weighted_tree_count(complete_complex(6, 2))
+            weighted_tree_count(complete_complex(8, 2))
 
     def test_cgroup_limit_caps_physical_memory(self, tmp_path, monkeypatch):
         v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
