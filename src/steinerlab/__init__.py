@@ -48,7 +48,6 @@ from .spectra import (
 from .trees import (
     SnfDiagonal,
     TreeCount,
-    laplacian_pseudodet,
     smith_normal_form,
     tree_count_exact,
     tree_growth_rate,

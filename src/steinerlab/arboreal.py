@@ -186,8 +186,14 @@ def arboreal_fraction(X: PureComplex, k: int, r: int) -> float:
     return arboreal_fractions(X, k, (r,))[0]
 
 
-def arboreal_fractions(X: PureComplex, k: int, radii: Sequence[int]) -> tuple[float, ...]:
+def arboreal_fractions(
+    X: PureComplex, k: int, radii: Sequence[int], B: sp.csr_matrix | None = None
+) -> tuple[float, ...]:
     """`arboreal_fraction` for every radius in `radii`, from one expansion.
+
+    B is X's signed boundary (`boundary_matrix`) when the caller already
+    built it, as a converge row does for its Laplacian; it is built here
+    otherwise.
 
     The census of `is_arboreal_ball` for every centre at once.  Row c of the
     0/1 matrix reach_rho marks the (d-1)-faces within line-graph distance rho
@@ -210,7 +216,7 @@ def arboreal_fractions(X: PureComplex, k: int, radii: Sequence[int]) -> tuple[fl
         return tuple(1.0 for _ in radii)
     profile = layer_sizes(d, k, top)
     dfaces_within = np.cumsum(profile.new_dfaces)
-    P = abs(boundary_matrix(X))
+    P = abs(boundary_matrix(X) if B is None else B)
     m = P.shape[0]
     G = _pattern(sp.identity(m, format="csr") + P @ P.T)
     faces = np.array(list(X.facet_iter()), dtype=np.int64).reshape(m, d)

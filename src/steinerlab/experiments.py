@@ -29,10 +29,10 @@ from .complexes import PureComplex, write_complex
 from .sampling import SamplerExhausted, SeededRng, is_admissible, steiner_complex
 from .spectra import (
     adjacency_matrix,
+    boundary_matrix,
     eigenvalues,
     moments,
     require_dense_fits,
-    sparse_laplacian,
     trivial_zero_count,
 )
 from .trees import require_tree_count_fits, tree_count_from_laplacian
@@ -139,7 +139,8 @@ class ConvergenceResult:
 
 
 def _converge_row(config: ExperimentConfig, X: PureComplex, n: int, trial: int) -> ConvergenceRow:
-    L = sparse_laplacian(X)
+    B = boundary_matrix(X)
+    L = (B @ B.T).tocsr()
     count = tree_count_from_laplacian(X, L)
     return ConvergenceRow(
         n=n,
@@ -147,7 +148,7 @@ def _converge_row(config: ExperimentConfig, X: PureComplex, n: int, trial: int) 
         growth_rate=exp(count.log_count / comb(X.n, X.d)),
         min_degree=X.min_degree(),
         spectral_floor=count.floor,
-        fractions=dict(zip(config.radii, arboreal_fractions(X, config.k, config.radii))),
+        fractions=dict(zip(config.radii, arboreal_fractions(X, config.k, config.radii, B))),
         moments=tuple(moments(L, config.lmax)),
     )
 

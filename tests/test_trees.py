@@ -9,7 +9,6 @@ from steinerlab import (
     SeededRng,
     complete_complex,
     complex_from_dfaces,
-    laplacian_pseudodet,
     smith_normal_form,
     spectra,
     steiner_complex,
@@ -34,19 +33,18 @@ RP2 = [(1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6), (1, 5, 6),
 
 class TestPseudodet:
     def test_triangle_log_nine(self):
-        value, flag = laplacian_pseudodet(triangle())
-        assert not flag
-        assert value == pytest.approx(log(9), abs=1e-9)
+        r = weighted_tree_count(triangle())
+        assert not r.zero_flag
+        assert r.pseudodet_log == pytest.approx(log(9), abs=1e-9)
 
     def test_k4_2_is_64(self):
-        value, flag = laplacian_pseudodet(complete_complex(4, 2))
-        assert not flag
-        assert exp(value) == pytest.approx(64.0, rel=1e-9)
+        r = weighted_tree_count(complete_complex(4, 2))
+        assert not r.zero_flag
+        assert exp(r.pseudodet_log) == pytest.approx(64.0, rel=1e-9)
 
     def test_hole_sets_flag(self):
         X = complex_from_dfaces(4, 2, [(1, 2, 3), (1, 2, 4)])
-        _, flag = laplacian_pseudodet(X)
-        assert flag
+        assert weighted_tree_count(X).zero_flag
 
     def test_missing_trivial_zero_is_hard_failure(self):
         with pytest.raises(RuntimeError, match="trivial"):
@@ -290,8 +288,9 @@ class TestPackedFactor:
         finally:
             tracemalloc.stop()
         assert not r.zero_flag
-        # the packed factor of the C(62, 2)-row reduced Laplacian is 0.47 of 8 m^2
-        assert peak < 0.6 * 8 * m * m
+        # phase 1 leaves an order-1402 remainder of the C(62, 2)-row reduced Laplacian;
+        # its packed factor is 0.26 of 8 m^2 and the whole count peaks near 0.36
+        assert peak < 0.4 * 8 * m * m
 
     def test_packed_order_cap_refused_before_work(self, monkeypatch):
         # admit the 17 GB dense guard at n = 306 so only the dpftrf order cap can refuse;
@@ -301,3 +300,58 @@ class TestPackedFactor:
         m = comb(306, 2)
         with pytest.raises(ValueError, match="order 46360 is above 46340"):
             trees.tree_count_from_laplacian(complex_from_dfaces(306, 2, []), sp.csr_matrix((m, m)))
+
+
+def dense_reduced_log_det(X):
+    """log det of the reduced Laplacian by a dense LU (numpy slogdet)."""
+    t = trivial_zero_count(X)
+    sign, value = np.linalg.slogdet(laplacian_matrix(X)[t:, t:])
+    assert sign == 1
+    return value
+
+
+class TestTwoPhaseCount:
+    """Sparse elimination of low-degree rows, then the packed factor of the rest."""
+
+    def test_random_grid_d123_matches_slogdet(self, gen):
+        counted = 0
+        for d in (1, 2, 3):
+            for _ in range(6):
+                n = int(gen.integers(d + 2, 11 - d))
+                X = random_complex(n, d, gen, min_faces=comb(n - 1, d) - 1)
+                r = weighted_tree_count(X)
+                if not r.zero_flag:
+                    counted += 1
+                    assert r.log_count == pytest.approx(dense_reduced_log_det(X), rel=1e-12, abs=1e-12)
+        assert counted >= 6
+
+    # phase 1 starts only below 2% density: at d = 1, k = 8 that needs order above ~450
+    @pytest.mark.parametrize("n,d,k,order", [(1000, 1, 8, 999), (63, 2, 5, 1891)])
+    def test_steiner_complexes_shrink_and_match_slogdet(self, n, d, k, order):
+        X = steiner_complex(n, d, k, SeededRng(1))
+        L = sparse_laplacian(X)
+        t = trivial_zero_count(X)
+        R = L[t:, t:]
+        assert R.shape[0] == order
+        log_det, dense_order = trees._reduced_log_det(R)
+        assert dense_order < 0.9 * order
+        assert trees._reduced_log_det(R) == (log_det, dense_order)  # bit-equal on a second call
+        r = trees.tree_count_from_laplacian(X, L)
+        assert r.log_count == log_det
+        assert log_det == pytest.approx(dense_reduced_log_det(X), rel=1e-12)
+
+    def test_small_and_dense_orders_skip_phase_one(self):
+        # densities above SPARSE_FILL_LIMIT go straight to the packed factor
+        for X in (complete_complex(7, 2), steiner_complex(31, 2, 5, SeededRng(1))):
+            t = trivial_zero_count(X)
+            R = sparse_laplacian(X)[t:, t:]
+            assert trees._reduced_log_det(R)[1] == R.shape[0]
+
+    def test_bad_sparse_pivot_raises(self, monkeypatch):
+        # vertex 1000 lies in no edge, so its row of the order-999 reduced Laplacian has
+        # no stored entry; phase 1 ranks it first and must refuse its zero pivot
+        X = steiner_complex(1000, 1, 8, SeededRng(1))
+        X = complex_from_dfaces(1000, 1, [e for e in X.d_faces if 1000 not in e])
+        monkeypatch.setattr(trees, "_lanczos_extreme", lambda op, which: 1.0)
+        with pytest.raises(RuntimeError, match=r"floor 1\.000e\+00.*threshold 1\.000e-08.*pivot 999 of 999"):
+            weighted_tree_count(X)
