@@ -25,15 +25,18 @@ Phase 2 scatters the lower triangle of the denser remainder into LAPACK
 rectangular full packed storage, half a dense matrix, and factors it in
 place (`dpftrf`), adding 2 sum log diag of the factor.  At d = 2, k = 5,
 n = 111 phase 1 cuts the dense order from 5995 to about 3930, which leaves
-under a third of the dense flops.  The enumeration oracle instead sums squared
-Smith-normal-form torsion over candidate trees.  Spectral arithmetic stays
-in the log domain because counts grow like exp(Theta(n^d)).
+under a third of the dense flops.  The enumeration oracle instead sums the
+squared torsion over candidate trees: one batched fraction-free (Bareiss)
+elimination per chunk of candidate subsets finds the trees, a unit maximal
+minor gives torsion 1, and any other tree gets its torsion from a Smith
+normal form.  Spectral arithmetic stays in the log domain because counts
+grow like exp(Theta(n^d)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, exp, frexp, log
 from typing import Sequence
 
@@ -46,7 +49,6 @@ from .complexes import PureComplex
 from .spectra import (
     boundary_matrix,
     coboundary_matrix,
-    exact_rank,
     require_memory,
     sparse_laplacian,
     trivial_zero_count,
@@ -67,6 +69,10 @@ __all__ = [
 ]
 
 ORACLE_MAX_SUBSETS = 10**6
+# the oracle eliminates its candidate subsets in chunks of about this many bytes of int64 columns
+ORACLE_CHUNK_BYTES = 2**20
+# int64 elimination while (d + 1)^r, the Hadamard bound on its products, is below this
+INT64_MINOR_LIMIT = 2**62
 # fixed Lanczos start vector: reproducible, and never in ker L (ones is, at d = 1)
 LANCZOS_SEED = 20090601
 ORACLE_LOG_RTOL = 1e-6
@@ -102,8 +108,10 @@ class SnfDiagonal:
 def smith_normal_form(M: Sequence[Sequence[int]] | np.ndarray) -> SnfDiagonal:
     """Diagonalize an integer matrix over Z by row/column operations.
 
-    Pivots on the smallest nonzero entry and re-reduces until the pivot
-    divides its row and column, which keeps coefficient growth in check.
+    Pivots on the smallest nonzero entry (the first in row-major order; the
+    scan stops at the first unit) and re-reduces until the pivot divides its
+    row and column, which keeps coefficient growth in check.  A unit pivot
+    divides the rest of the block, so only a larger one is checked for it.
     Entries are Python ints, so there is no overflow.
     """
     A = [[int(v) for v in row] for row in M]
@@ -119,6 +127,10 @@ def smith_normal_form(M: Sequence[Sequence[int]] | np.ndarray) -> SnfDiagonal:
                 v = abs(A[i][j])
                 if v and (best is None or v < best[0]):
                     best = (v, i, j)
+                    if v == 1:
+                        break  # no later entry is strictly smaller
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
         _, pi, pj = best
@@ -145,15 +157,12 @@ def smith_normal_form(M: Sequence[Sequence[int]] | np.ndarray) -> SnfDiagonal:
         if dirty:
             continue  # remainders became new, smaller candidates
 
-        # pivot must divide the rest of the block for the divisibility chain
+        # pivot must divide the rest of the block for the divisibility chain; a unit divides all
         offender = None
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if A[i][j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        if abs(pivot) > 1:
+            offender = next(
+                (i for i in range(top + 1, rows) if any(A[i][j] % pivot for j in range(top + 1, cols))), None
+            )
         if offender is not None:
             for j in range(top, cols):
                 A[top][j] += A[offender][j]
@@ -365,8 +374,11 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
     the tree count times n^C(n-2, d-1) (the closed-form count of the
     complete skeleton one level down, whose codimension-two torsion is
     trivial).  With oracle=True the enumeration result is attached and
-    cross-checked.
+    cross-checked; an enumeration above the oracle's guard is refused
+    before the spectral count starts.
     """
+    if oracle:
+        require_oracle_fits(X)
     result = tree_count_from_laplacian(X, sparse_laplacian(X))
     if not oracle:
         return result
@@ -395,28 +407,83 @@ def tree_growth_rate(X: PureComplex) -> float:
     return exp(weighted_tree_count(X).log_count / comb(X.n, X.d))
 
 
+def require_oracle_fits(X: PureComplex) -> None:
+    """Refuse, with ValueError, an enumeration of more than ORACLE_MAX_SUBSETS candidate trees."""
+    r = comb(X.n - 1, X.d)
+    subsets = comb(X.num_dfaces, r)
+    if subsets > ORACLE_MAX_SUBSETS:
+        raise ValueError(
+            f"C({X.num_dfaces}, {r}) = {subsets} subsets exceeds the "
+            f"enumeration guard {ORACLE_MAX_SUBSETS}"
+        )
+
+
+def _bareiss_trees(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bareiss elimination of a (c, R, r) stack of integer matrices, in place.
+
+    Column k pivots on the first nonzero entry in rows k.. of that column,
+    swapped into row k and made positive by negating that row, and then
+    A <- (A p - a b) // p_prev on the trailing block, an exact division
+    (Bareiss 1968).  A matrix with no pivot in some column has rank below r
+    and leaves the stack.  Returns the positions in the stack of the
+    matrices of rank r and their last pivots, each the absolute value of an
+    r x r minor.
+    """
+    kept = np.arange(len(A))
+    prev = np.ones(len(A), dtype=A.dtype)
+    r = A.shape[2]
+    for k in range(r):
+        nonzero = A[:, k:, k] != 0
+        found = nonzero.any(axis=1)
+        if not found.all():
+            A, kept, prev, nonzero = A[found], kept[found], prev[found], nonzero[found]
+        at = np.arange(len(A))
+        first = k + nonzero.argmax(axis=1)
+        pivot_rows = A[at, first, k:].copy()
+        A[at, first, k:] = A[:, k, k:]
+        # a negated row only flips the sign of the minors; a positive pivot makes units 1
+        A[:, k, k:] = np.where(pivot_rows[:, :1] < 0, -pivot_rows, pivot_rows)
+        pivot = A[:, k, k]
+        if k + 1 < r:
+            rest = A[:, k + 1:, k + 1:]
+            if (pivot != 1).any():  # most pivots of +-1 columns are 1: skip the no-op
+                rest *= pivot[:, None, None]
+            rest -= A[:, k + 1:, k:k + 1] * A[:, k:k + 1, k + 1:]
+            if (prev != 1).any():
+                rest //= prev[:, None, None]
+        prev = pivot
+    return kept, prev
+
+
 def tree_count_exact(X: PureComplex) -> int:
     """Enumeration oracle: sum of squared torsion orders over all spanning trees.
 
     A candidate is any C(n-1, d)-subset of the d-faces; it is a tree exactly
     when its boundary columns are independent over the rationals, and its
-    weight is the squared product of the Smith invariant factors.
+    weight is the squared torsion of the cokernel of those columns, the gcd
+    of their r x r minors, r = C(n-1, d).  The candidates are taken in chunks
+    of about ORACLE_CHUNK_BYTES, and each chunk's (C(n, d), r) column blocks
+    go through one batched Bareiss elimination (`_bareiss_trees`).  A tree
+    whose last pivot, a maximal minor, is 1 has torsion 1; any other tree
+    gets its torsion from `smith_normal_form`.  Every Bareiss entry is a
+    minor of columns with d + 1 entries of +-1, so by Hadamard's inequality
+    no product exceeds (d + 1)^r; below INT64_MINOR_LIMIT the elimination
+    runs in int64, above it the same code runs on Python ints.  Refuses
+    (ValueError) more than ORACLE_MAX_SUBSETS candidates before any work.
     """
-    tree_size = comb(X.n - 1, X.d)
-    m = X.num_dfaces
-    if m < tree_size:
-        return 0
-    if comb(m, tree_size) > ORACLE_MAX_SUBSETS:
-        raise ValueError(
-            f"C({m}, {tree_size}) = {comb(m, tree_size)} subsets exceeds the "
-            f"enumeration guard {ORACLE_MAX_SUBSETS}"
-        )
-    full = boundary_matrix(X).toarray().astype(np.int64)
+    require_oracle_fits(X)
+    r = comb(X.n - 1, X.d)
+    dtype = np.int64 if (X.d + 1) ** r < INT64_MINOR_LIMIT else object
+    columns = boundary_matrix(X).toarray().T.astype(dtype)  # row i: the column of d-face i
+    chunk = max(1, ORACLE_CHUNK_BYTES // (8 * columns.shape[1] * r))
+    candidates = combinations(range(X.num_dfaces), r)
     total = 0
-    for subset in combinations(range(m), tree_size):
-        cols = full[:, subset].tolist()
-        if exact_rank(cols) != tree_size:
-            continue
-        torsion = smith_normal_form(cols).torsion()
-        total += torsion * torsion
+    while batch := list(islice(candidates, chunk)):
+        batch = np.array(batch, dtype=np.intp)
+        kept, last = _bareiss_trees(columns[batch].transpose(0, 2, 1))
+        unit = last == 1
+        total += int(unit.sum())
+        for subset in batch[kept[~unit]]:
+            torsion = smith_normal_form(columns[subset].T).torsion()
+            total += torsion * torsion
     return total

@@ -1,9 +1,12 @@
 import tracemalloc
+from itertools import combinations
 from math import comb, exp, log
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from steinerlab import (
     SeededRng,
@@ -17,7 +20,7 @@ from steinerlab import (
     trees,
     weighted_tree_count,
 )
-from steinerlab.spectra import eigenvalues, laplacian_matrix, sparse_laplacian, trivial_zero_count
+from steinerlab.spectra import eigenvalues, exact_rank, laplacian_matrix, sparse_laplacian, trivial_zero_count
 from steinerlab.trees import growth_rate_from_eigenvalues, pseudodet_from_eigenvalues
 from conftest import random_complex
 
@@ -117,6 +120,90 @@ class TestSmithNormalForm:
                 assert b % a == 0
             assert smith_normal_form(M.T).factors == factors
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([1, 2, 6]),
+    )
+    def test_random_factors_rank_and_det(self, rows, cols, seed, spread):
+        M = np.random.default_rng(seed).integers(-spread, spread + 1, size=(rows, cols)).tolist()
+        factors = smith_normal_form(M).factors
+        assert all(a > 0 and b % a == 0 for a, b in zip(factors, factors[1:]))
+        assert len(factors) == exact_rank(M)
+        if rows == cols and len(factors) == rows:
+            product = 1
+            for s in factors:
+                product *= s
+            assert product == abs(exact_det(M))
+
+
+def exact_det(M):
+    """Integer determinant by cofactor expansion along the first row (small matrices only)."""
+    if len(M) == 1:
+        return M[0][0]
+    return sum(
+        (-1) ** j * M[0][j] * exact_det([row[:j] + row[j + 1:] for row in M[1:]])
+        for j in range(len(M)) if M[0][j]
+    )
+
+
+class TestBareiss:
+    """The batched elimination behind the oracle, on random stacks of +-1 columns."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        size=st.integers(1, 7),
+        extra_rows=st.integers(0, 3),
+        nonzeros=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        python_ints=st.booleans(),
+    )
+    def test_rank_and_last_pivot(self, size, extra_rows, nonzeros, seed, python_ints):
+        rng = np.random.default_rng(seed)
+        rows = size + extra_rows
+        A = np.zeros((40, rows, size), dtype=np.int64)
+        for M in A:
+            for j in range(size):
+                at = rng.choice(rows, size=min(nonzeros, rows), replace=False)
+                M[at, j] = rng.choice([-1, 1], size=len(at))
+        mats = [M.tolist() for M in A]
+        kept, last = trees._bareiss_trees(A.astype(object) if python_ints else A)
+        trees_at = set(kept.tolist())
+        assert [exact_rank(M) == size for M in mats] == [i in trees_at for i in range(len(mats))]
+        if not extra_rows:
+            assert [abs(exact_det(mats[i])) for i in kept] == last.tolist()
+
+
+def per_subset_tree_count(X):
+    """The enumeration one subset at a time: exact rank, then a Smith form for every tree."""
+    tree_size = comb(X.n - 1, X.d)
+    full = spectra.boundary_matrix(X).toarray().astype(np.int64)
+    total = 0
+    for subset in combinations(range(X.num_dfaces), tree_size):
+        cols = full[:, subset].tolist()
+        if exact_rank(cols) != tree_size:
+            continue
+        torsion = smith_normal_form(cols).torsion()
+        total += torsion * torsion
+    return total
+
+
+def object_path_only(mp):
+    """Send every chunk of the oracle through the Python-int elimination, and check that it does."""
+    eliminate = trees._bareiss_trees
+
+    def spy(A):
+        assert A.dtype == object
+        return eliminate(A)
+
+    mp.setattr(trees, "INT64_MINOR_LIMIT", 0)
+    mp.setattr(trees, "_bareiss_trees", spy)
+
+
+ORACLE_MAX_N = {1: 8, 2: 7, 3: 6}
+
 
 class TestExactOracle:
     def test_triangle_three_trees(self):
@@ -137,6 +224,76 @@ class TestExactOracle:
     def test_guard(self):
         with pytest.raises(ValueError, match="guard"):
             tree_count_exact(complete_complex(9, 1))
+
+    def test_guard_before_spectral_count(self, monkeypatch):
+        def no_spectral_count(X, L):
+            raise AssertionError("the spectral count ran before the oracle guard")
+
+        monkeypatch.setattr(trees, "tree_count_from_laplacian", no_spectral_count)
+        with pytest.raises(ValueError, match="guard"):
+            weighted_tree_count(complete_complex(9, 1), oracle=True)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        data=st.data(),
+        extra=st.integers(-1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_matches_per_subset(self, d, data, extra, seed):
+        n = data.draw(st.integers(d + 1, ORACLE_MAX_N[d]))
+        r = comb(n - 1, d)
+        faces = max(1, min(r + extra, comb(n, d + 1)))
+        assume(comb(faces, r) <= 1000)
+        X = random_complex(n, d, np.random.default_rng(seed), min_faces=faces, max_faces=faces)
+        expected = per_subset_tree_count(X)
+        assert tree_count_exact(X) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            object_path_only(mp)
+            assert tree_count_exact(X) == expected
+
+    @pytest.mark.parametrize("python_ints", [False, True], ids=["int64", "object"])
+    def test_projective_plane_weight_four(self, python_ints, monkeypatch):
+        X = complex_from_dfaces(6, 2, RP2)
+        if python_ints:
+            object_path_only(monkeypatch)
+        assert tree_count_exact(X) == per_subset_tree_count(X) == 4
+
+    def test_zero_counts_match_per_subset(self, gen):
+        zeros = 0
+        for _ in range(10):
+            X = random_complex(6, 2, gen, min_faces=10, max_faces=11)
+            exact = tree_count_exact(X)
+            assert exact == per_subset_tree_count(X)
+            zeros += exact == 0
+        assert 0 < zeros < 10
+
+    def test_several_chunks_with_a_partial_last(self, monkeypatch):
+        X = complete_complex(5, 2)  # C(10, 6) = 210 candidate subsets of 10 x 6 columns
+        monkeypatch.setattr(trees, "ORACLE_CHUNK_BYTES", 16 * 8 * 10 * 6)
+        sizes = []
+        eliminate = trees._bareiss_trees
+
+        def spy(A):
+            sizes.append(len(A))
+            return eliminate(A)
+
+        monkeypatch.setattr(trees, "_bareiss_trees", spy)
+        assert tree_count_exact(X) == per_subset_tree_count(X) == 125
+        assert sizes == [16] * 13 + [2]
+
+    def test_chunked_peak_memory(self, gen):
+        # the verify-exact workload's d = 1 complex: 16 edges on 10 vertices, C(16, 9) = 11440
+        # subsets; in 1 MiB chunks the count peaks near 2.6 MiB, in one chunk near 19 MiB
+        X = random_complex(10, 1, gen, min_faces=16, max_faces=16)
+        tracemalloc.start()
+        try:
+            exact = tree_count_exact(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exact == round(weighted_tree_count(X).count)
+        assert peak < 6 * 2**20
 
     def test_matches_spectral_on_random_complexes(self, gen):
         positive_seen = 0
