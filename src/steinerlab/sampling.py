@@ -8,15 +8,19 @@ top of the complete (d-1)-skeleton.
 Matchings are sampled exactly uniformly.  Triple systems come from Stinson-
 style hill-climbing followed by a uniform vertex relabeling, which makes the
 output law invariant under permutations of the vertex set; d >= 3 falls back
-to a restarting random greedy and is best effort only.
+to a restarting random greedy and is best effort only.  Both draw their
+bounded integers from blocks of raw Philox words by numpy's own rule and
+replay the words they used (`_bounded_draws`), so their systems and the
+generator they leave are those of one `Generator.integers` call per draw.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb, sqrt
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -36,6 +40,12 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_WORD = 1 << 32
+_WORD_MASK = _WORD - 1
+# raw 32-bit words per refill in _bounded_draws.  An STS(111) run uses 30 to
+# 60 blocks; a much larger block made short runs (STS(7) uses about 30 words)
+# slower, as each run draws a whole block before it replays what it used
+_DRAW_BLOCK = 1024
 
 
 class SamplerExhausted(RuntimeError):
@@ -124,6 +134,53 @@ def _require_admissible(n: int, d: int) -> None:
         raise ValueError(f"n={n} is not {d}-admissible")
 
 
+@contextmanager
+def _bounded_draws(gen: np.random.Generator) -> Iterator[Callable[[int], int]]:
+    """Yield `below(b)`, equal draw for draw to `int(gen.integers(0, b))`.
+
+    For 1 < b <= 2**32 numpy turns 32-bit words of the bit generator into an
+    integer below b by Lemire's rule (ACM TOMACS 2019): m = word * b, drawn
+    again while the low 32 bits of m fall below (2**32 - b) % b, then m >> 32;
+    b = 1 gives 0 without a draw.  `below` applies the same rule to a list of
+    raw words taken in blocks, which costs a fraction of a scalar `integers`
+    call.  On exit, an exception included, the generator goes back to its
+    entry state and draws exactly the words `below` used, so the stream after
+    the block reads on as scalar calls would have left it.
+    """
+    entry = gen.bit_generator.state
+    words: list[int] = []
+    fetched = 0
+
+    def refill() -> None:
+        nonlocal words, fetched
+        words = gen.integers(0, _WORD, size=_DRAW_BLOCK, dtype=np.uint32).tolist()
+        words.reverse()  # pop() then serves the block in stream order
+        fetched += _DRAW_BLOCK
+
+    def below(b: int) -> int:
+        if not 1 < b <= _WORD:
+            if b == 1:
+                return 0
+            raise ValueError(f"bounded draw needs 1 <= b <= 2**32, got {b}")
+        if not words:
+            refill()
+        m = words.pop() * b
+        if m & _WORD_MASK >= b:  # the threshold is below b: most words skip the modulo
+            return m >> 32
+        threshold = (_WORD - b) % b
+        while m & _WORD_MASK < threshold:
+            if not words:
+                refill()
+            m = words.pop() * b
+        return m >> 32
+
+    try:
+        yield below
+    finally:
+        gen.bit_generator.state = entry
+        gen.integers(0, _WORD, size=fetched - len(words), dtype=np.uint32)
+
+
 def _uniform_relabel(system: SteinerSystem, rng: np.random.Generator) -> SteinerSystem:
     perm_arr = rng.permutation(system.n)
     perm = {i + 1: int(perm_arr[i]) + 1 for i in range(system.n)}
@@ -141,45 +198,49 @@ def sample_matching(n: int, rng: SeededRng | np.random.Generator) -> SteinerSyst
 
 
 def _hill_climb_triples(n: int, gen: np.random.Generator, max_iterations: int) -> list[Face] | None:
-    """One Stinson hill-climbing run; returns block list or None on cap."""
+    """One Stinson hill-climbing run; returns block list or None on cap.
+
+    Its bounded integers come from `_bounded_draws`, so the run and the
+    generator it leaves equal those of one `gen.integers(0, b)` per draw.
+    """
     pair_block: dict[Face, Face] = {}
     live: list[set[int]] = [set() for _ in range(n + 1)]
     for x in range(1, n + 1):
         live[x] = set(range(1, n + 1)) - {x}
-    points = list(range(1, n + 1))
     num_covered = 0
     target = comb(n, 2)
 
-    for _ in range(max_iterations):
-        if num_covered == target:
-            return sorted(pair_block.values())
-        # pick a point with uncovered pairs, then two distinct live partners
-        while True:
-            x = points[int(gen.integers(0, n))]
-            if live[x]:
-                break
-        partners = sorted(live[x])
-        i = int(gen.integers(0, len(partners)))
-        j = int(gen.integers(0, len(partners) - 1))
-        if j >= i:
-            j += 1
-        y, z = partners[i], partners[j]
+    with _bounded_draws(gen) as below:
+        for _ in range(max_iterations):
+            if num_covered == target:
+                return sorted(pair_block.values())
+            # pick a point with uncovered pairs, then two distinct live partners
+            while True:
+                x = below(n) + 1
+                if live[x]:
+                    break
+            partners = sorted(live[x])
+            i = below(len(partners))
+            j = below(len(partners) - 1)
+            if j >= i:
+                j += 1
+            y, z = partners[i], partners[j]
 
-        new_block = tuple(sorted((x, y, z)))
-        yz = (y, z) if y < z else (z, y)
-        old = pair_block.get(yz)
-        if old is not None:
-            # evict the block covering {y, z}; its other two pairs go live again
-            for pair in combinations(old, 2):
-                del pair_block[pair]
-                live[pair[0]].add(pair[1])
-                live[pair[1]].add(pair[0])
-            num_covered -= 3
-        for pair in combinations(new_block, 2):
-            pair_block[pair] = new_block
-            live[pair[0]].discard(pair[1])
-            live[pair[1]].discard(pair[0])
-        num_covered += 3
+            new_block = tuple(sorted((x, y, z)))
+            yz = (y, z) if y < z else (z, y)
+            old = pair_block.get(yz)
+            if old is not None:
+                # evict the block covering {y, z}; its other two pairs go live again
+                for pair in combinations(old, 2):
+                    del pair_block[pair]
+                    live[pair[0]].add(pair[1])
+                    live[pair[1]].add(pair[0])
+                num_covered -= 3
+            for pair in combinations(new_block, 2):
+                pair_block[pair] = new_block
+                live[pair[0]].discard(pair[1])
+                live[pair[1]].discard(pair[0])
+            num_covered += 3
 
     return None
 
@@ -211,26 +272,27 @@ def _greedy_once(n: int, d: int, gen: np.random.Generator) -> list[Face] | None:
     uncovered = set(combinations(range(1, n + 1), d))
     blocks: list[Face] = []
     pool = sorted(uncovered)
-    while uncovered:
-        # draw a random still-uncovered d-subset
-        while True:
-            sigma = pool[int(gen.integers(0, len(pool)))]
-            if sigma in uncovered:
-                break
-        candidates = []
-        for v in range(1, n + 1):
-            if v in sigma:
-                continue
+    with _bounded_draws(gen) as below:
+        while uncovered:
+            # draw a random still-uncovered d-subset
+            while True:
+                sigma = pool[below(len(pool))]
+                if sigma in uncovered:
+                    break
+            candidates = []
+            for v in range(1, n + 1):
+                if v in sigma:
+                    continue
+                block = tuple(sorted(sigma + (v,)))
+                if all(sub in uncovered for sub in combinations(block, d)):
+                    candidates.append(v)
+            if not candidates:
+                return None
+            v = candidates[below(len(candidates))]
             block = tuple(sorted(sigma + (v,)))
-            if all(sub in uncovered for sub in combinations(block, d)):
-                candidates.append(v)
-        if not candidates:
-            return None
-        v = candidates[int(gen.integers(0, len(candidates)))]
-        block = tuple(sorted(sigma + (v,)))
-        blocks.append(block)
-        for sub in combinations(block, d):
-            uncovered.discard(sub)
+            blocks.append(block)
+            for sub in combinations(block, d):
+                uncovered.discard(sub)
     return blocks
 
 

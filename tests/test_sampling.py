@@ -1,12 +1,18 @@
 from collections import Counter
+from itertools import combinations
 from math import comb, sqrt
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinerlab import (
     SamplerExhausted,
     SeededRng,
     SteinerSystem,
+    complex_from_dfaces,
     inclusion_frequency_test,
     is_admissible,
     sample_greedy,
@@ -14,6 +20,101 @@ from steinerlab import (
     sample_sts,
     steiner_complex,
 )
+from steinerlab import sampling
+from steinerlab.sampling import _bounded_draws
+
+# bounds on numpy's 32-bit path: no rejection (1, 2**32), rare rejection,
+# and rejection of about a quarter (3 * 2**30 + 7) and a half (2**31 + 1)
+BOUNDS = [1, 2, 3, 7, 110, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 1, 2**32]
+
+
+def philox(key, buffered_half_word):
+    gen = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    if buffered_half_word:
+        gen.integers(0, 3)  # one 32-bit word from a 64-bit output: the other half waits
+    return gen
+
+
+def reference_hill_climb(n, gen, max_iterations):
+    """The hill-climb with one scalar `gen.integers` call per draw."""
+    pair_block = {}
+    live = [set() for _ in range(n + 1)]
+    for x in range(1, n + 1):
+        live[x] = set(range(1, n + 1)) - {x}
+    points = list(range(1, n + 1))
+    num_covered = 0
+    target = comb(n, 2)
+
+    for _ in range(max_iterations):
+        if num_covered == target:
+            return sorted(pair_block.values())
+        while True:
+            x = points[int(gen.integers(0, n))]
+            if live[x]:
+                break
+        partners = sorted(live[x])
+        i = int(gen.integers(0, len(partners)))
+        j = int(gen.integers(0, len(partners) - 1))
+        if j >= i:
+            j += 1
+        y, z = partners[i], partners[j]
+
+        new_block = tuple(sorted((x, y, z)))
+        yz = (y, z) if y < z else (z, y)
+        old = pair_block.get(yz)
+        if old is not None:
+            for pair in combinations(old, 2):
+                del pair_block[pair]
+                live[pair[0]].add(pair[1])
+                live[pair[1]].add(pair[0])
+            num_covered -= 3
+        for pair in combinations(new_block, 2):
+            pair_block[pair] = new_block
+            live[pair[0]].discard(pair[1])
+            live[pair[1]].discard(pair[0])
+        num_covered += 3
+
+    return None
+
+
+def reference_greedy_once(n, d, gen):
+    """One random greedy attempt with one scalar `gen.integers` call per draw."""
+    uncovered = set(combinations(range(1, n + 1), d))
+    blocks = []
+    pool = sorted(uncovered)
+    while uncovered:
+        while True:
+            sigma = pool[int(gen.integers(0, len(pool)))]
+            if sigma in uncovered:
+                break
+        candidates = []
+        for v in range(1, n + 1):
+            if v in sigma:
+                continue
+            block = tuple(sorted(sigma + (v,)))
+            if all(sub in uncovered for sub in combinations(block, d)):
+                candidates.append(v)
+        if not candidates:
+            return None
+        v = candidates[int(gen.integers(0, len(candidates)))]
+        block = tuple(sorted(sigma + (v,)))
+        blocks.append(block)
+        for sub in combinations(block, d):
+            uncovered.discard(sub)
+    return blocks
+
+
+def reference_system(n, d, gen, attempt, cap, max_restarts=100):
+    """`sample_sts` / `sample_greedy` around a reference attempt."""
+    for _ in range(max_restarts):
+        blocks = attempt(gen, cap)
+        if blocks is not None:
+            return sampling._uniform_relabel(SteinerSystem.checked(n, d, blocks), gen)
+    raise SamplerExhausted
+
+
+def state(gen):
+    return repr(gen.bit_generator.state)
 
 
 class TestAdmissibility:
@@ -107,6 +208,106 @@ class TestTripleSystems:
         assert abs(hits[probes[0]] - hits[probes[1]]) <= 4 * sqrt(2) * sigma
 
 
+class TestBoundedDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        key=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+        buffered_half_word=st.booleans(),
+        bounds=st.lists(st.one_of(st.sampled_from(BOUNDS), st.integers(1, 200)), max_size=60),
+        block=st.sampled_from([1, 3, 1024]),
+    )
+    def test_equals_scalar_integers(self, key, buffered_half_word, bounds, block):
+        gen, ref = philox(key, buffered_half_word), philox(key, buffered_half_word)
+        with mock.patch.object(sampling, "_DRAW_BLOCK", block):
+            with _bounded_draws(gen) as below:
+                drawn = [below(b) for b in bounds]
+        assert drawn == [int(ref.integers(0, b)) for b in bounds]
+        assert state(gen) == state(ref)
+
+    @pytest.mark.parametrize("buffered_half_word", [False, True])
+    def test_bound_one_draws_nothing(self, buffered_half_word):
+        gen, ref = philox((5, 6), buffered_half_word), philox((5, 6), buffered_half_word)
+        with _bounded_draws(gen) as below:
+            assert [below(1) for _ in range(10)] == [0] * 10
+        assert state(gen) == state(ref)
+
+    @pytest.mark.parametrize("bad", [2**32 + 1, 2**40, 0, -3])
+    def test_bound_outside_32_bit_path_refused(self, bad):
+        gen, ref = philox((7, 8), True), philox((7, 8), True)
+        with pytest.raises(ValueError, match="bounded draw"):
+            with _bounded_draws(gen) as below:
+                first = below(110)
+                below(bad)
+        # the exception still replays what was used, so the stream reads on
+        assert first == int(ref.integers(0, 110))
+        assert state(gen) == state(ref)
+
+
+class TestHillClimbReference:
+    @pytest.mark.parametrize("n", [7, 9, 13, 15, 31, 63])
+    def test_blocks_and_stream_equal_reference(self, n):
+        for seed in range(4):
+            gen, ref = SeededRng(seed, n).generator(), SeededRng(seed, n).generator()
+            if seed % 2:
+                gen.integers(0, 3), ref.integers(0, 3)
+            blocks = sampling._hill_climb_triples(n, gen, 50 * n * n)
+            assert blocks is not None
+            assert blocks == reference_hill_climb(n, ref, 50 * n * n)
+            assert state(gen) == state(ref)
+
+    @pytest.mark.parametrize("n", [7, 9, 13, 15])
+    def test_cap_returns_none_and_same_stream(self, n):
+        for seed in range(5):
+            gen, ref = SeededRng(seed, 1).generator(), SeededRng(seed, 1).generator()
+            assert sampling._hill_climb_triples(n, gen, n) is None
+            assert reference_hill_climb(n, ref, n) is None
+            assert state(gen) == state(ref)
+
+    @pytest.mark.parametrize("n,cap", [(9, 27), (13, 78), (15, 90)])
+    def test_failed_and_found_runs_on_one_stream(self, n, cap):
+        # caps near the iterations a run needs: some runs hit the cap, some finish
+        gen, ref = SeededRng(1, 2).generator(), SeededRng(1, 2).generator()
+        results = [sampling._hill_climb_triples(n, gen, cap) for _ in range(20)]
+        assert results == [reference_hill_climb(n, ref, cap) for _ in range(20)]
+        assert None in results and any(results)
+        assert state(gen) == state(ref)
+
+    @pytest.mark.parametrize("n,cap", [(9, 27), (13, 78), (15, 90)])
+    def test_restarts_equal_reference(self, n, cap):
+        climb, runs = sampling._hill_climb_triples, []
+
+        def short(n_, g, _):
+            runs.append(climb(n_, g, cap))
+            return runs[-1]
+
+        for seed in range(3):
+            gen, ref = SeededRng(seed, 2).generator(), SeededRng(seed, 2).generator()
+            with mock.patch.object(sampling, "_hill_climb_triples", short):
+                system = sample_sts(n, gen)
+            assert system == reference_system(n, 2, ref, lambda g, _: reference_hill_climb(n, g, cap), None)
+            assert state(gen) == state(ref)
+        assert None in runs  # sample_sts restarted
+
+    def test_exhausted_leaves_same_stream(self):
+        gen, ref = SeededRng(3, 3).generator(), SeededRng(3, 3).generator()
+        with pytest.raises(SamplerExhausted, match="exceeded 4 restarts"):
+            sample_sts(31, gen, max_restarts=4, iteration_factor=0)
+        for _ in range(4):
+            assert reference_hill_climb(31, ref, 0) is None
+        assert state(gen) == state(ref)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_steiner_complex_n111(self, seed):
+        gen, ref = SeededRng(seed).generator(), SeededRng(seed).generator()
+        X = steiner_complex(111, 2, 5, gen)
+        climb = lambda g, cap: reference_hill_climb(111, g, cap)
+        faces = set()
+        for _ in range(5):
+            faces |= reference_system(111, 2, ref, climb, 50 * 111 * 111).blocks
+        assert X.d_faces == complex_from_dfaces(111, 2, faces).d_faces
+        assert state(gen) == state(ref)
+
+
 class TestGreedy:
     def test_d1_delegates_to_matching(self):
         s = sample_greedy(8, 1, SeededRng(4))
@@ -119,6 +320,14 @@ class TestGreedy:
     def test_quadruple_system(self):
         s = sample_greedy(8, 3, SeededRng(7))
         assert len(s.blocks) == comb(8, 3) // 4
+
+    @pytest.mark.parametrize("n,d", [(8, 3), (7, 2), (9, 2)])
+    def test_systems_and_stream_equal_reference(self, n, d):
+        for seed in range(20 if d == 3 else 5):
+            gen, ref = SeededRng(seed, 3).generator(), SeededRng(seed, 3).generator()
+            once = lambda g, _: reference_greedy_once(n, d, g)
+            assert sample_greedy(n, d, gen) == reference_system(n, d, ref, once, None)
+            assert state(gen) == state(ref)
 
     def test_restart_cap_surfaces_typed_failure(self):
         with pytest.raises(SamplerExhausted):
