@@ -54,7 +54,6 @@ from .trees import (
     weighted_tree_count,
 )
 from .limitlaw import (
-    ChebyshevPlan,
     LimitLaw,
     chebyshev_t,
     growth_constant_chebyshev,

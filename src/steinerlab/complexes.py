@@ -1,10 +1,11 @@
 """Pure d-dimensional complexes with a complete (d-1)-skeleton.
 
-A complex is stored as its set of top-dimensional faces over the vertex set
-{1, ..., n}; all lower faces are implicit.  Faces are canonically represented
-as strictly increasing tuples of vertex ids.  Orientations, signs and
-everything derived from them live in `spectra`, which builds the signed
-boundary matrix from these tuples.
+A complex is stored as its top-dimensional faces over the vertex set
+{1, ..., n}; all lower faces are implicit.  The d-faces are one read-only
+int64 array of strictly increasing vertex ids, a row per face, the rows
+distinct and in lexicographic order; `spectra` builds the signed boundary
+from it.  Vertex tuples appear only in the text format and in the per-face
+neighbourhoods (`ball`) that are the oracle of the census in `arboreal`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from itertools import combinations
 from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 Face = tuple[int, ...]
 
@@ -45,96 +48,104 @@ def facets_of(face: Face) -> list[Face]:
     return [face[:i] + face[i + 1 :] for i in range(len(face))]
 
 
-def _normalize_face(raw: Sequence[int], n: int, dim: int) -> Face:
-    face = tuple(raw)
-    if len(face) != dim + 1:
-        raise ValueError(f"face {face} has dimension {len(face) - 1}, expected {dim}")
-    if any(face[i] >= face[i + 1] for i in range(len(face) - 1)):
-        raise ValueError(f"face {face} is not strictly increasing")
-    if face[0] < 1 or face[-1] > n:
-        raise ValueError(f"face {face} has vertices outside [1, {n}]")
-    return face
-
-
 class PureComplex:
     """A finite pure d-complex on [n] with complete (d-1)-skeleton.
 
-    Only the d-faces are materialized; every subset of [n] of size <= d is
-    implicitly a face.  Instances are immutable after construction and safe
-    to share across threads.
+    Only the d-faces are materialized, as the array `faces`.  `cofacets`,
+    `degree`, `min_degree` and `max_degree` answer from a tuple index built
+    on first use.  Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("n", "d", "d_faces", "_cofacets")
+    __slots__ = ("n", "d", "faces", "_index")
 
-    def __init__(self, n: int, d: int, d_faces: frozenset[Face], cofacets: dict[Face, tuple[Face, ...]]):
-        self.n = n
-        self.d = d
-        self.d_faces = d_faces
-        self._cofacets = cofacets
+    def __init__(self, n: int, d: int, faces: np.ndarray):
+        self.n, self.d, self.faces, self._index = n, d, faces, None
+        faces.flags.writeable = False
 
     @property
     def num_dfaces(self) -> int:
-        return len(self.d_faces)
+        return len(self.faces)
 
     @property
-    def num_facets(self) -> int:
-        """Number of (d-1)-faces, always C(n, d) by the complete skeleton."""
-        return comb(self.n, self.d)
+    def d_faces(self) -> frozenset[Face]:
+        return frozenset(map(tuple, self.faces.tolist()))
+
+    def _cofacet_index(self) -> dict[Face, tuple[Face, ...]]:
+        if self._index is None:
+            index: dict[Face, list[Face]] = {}
+            for face in map(tuple, self.faces.tolist()):
+                for facet in facets_of(face):
+                    index.setdefault(facet, []).append(face)
+            self._index = {facet: tuple(cofs) for facet, cofs in index.items()}
+        return self._index
 
     def degree(self, face: Face) -> int:
-        return len(self._cofacets.get(face, ()))
+        return len(self.cofacets(face))
 
     def cofacets(self, face: Face) -> tuple[Face, ...]:
-        """The d-faces containing a given (d-1)-face."""
-        return self._cofacets.get(face, ())
+        """The d-faces containing a given (d-1)-face, lexicographically."""
+        return self._cofacet_index().get(face, ())
 
     def facet_iter(self) -> Iterator[Face]:
         """All C(n, d) faces of dimension d-1, lexicographically."""
         return all_faces(self.n, self.d - 1)
 
     def min_degree(self) -> int:
-        if len(self._cofacets) < self.num_facets:
-            return 0
-        return min(len(c) for c in self._cofacets.values())
+        index = self._cofacet_index()
+        return min(map(len, index.values())) if len(index) == comb(self.n, self.d) else 0
 
     def max_degree(self) -> int:
-        if not self._cofacets:
-            return 0
-        return max(len(c) for c in self._cofacets.values())
+        return max(map(len, self._cofacet_index().values()), default=0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PureComplex):
             return NotImplemented
-        return (self.n, self.d, self.d_faces) == (other.n, other.d, other.d_faces)
+        return (self.n, self.d) == (other.n, other.d) and np.array_equal(self.faces, other.faces)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.d, self.d_faces))
+        return hash((self.n, self.d, self.faces.tobytes()))
 
     def __repr__(self) -> str:
-        return f"PureComplex(n={self.n}, d={self.d}, dfaces={len(self.d_faces)})"
+        return f"PureComplex(n={self.n}, d={self.d}, dfaces={self.num_dfaces})"
 
 
 def complex_from_dfaces(n: int, d: int, faces: Iterable[Sequence[int]]) -> PureComplex:
-    """Build a PureComplex from its top faces, rejecting malformed input.
+    """Build a PureComplex from its top faces, sorted, rejecting malformed input.
 
-    Raises ValueError on dimension mismatch, out-of-range vertices, or a
-    repeated face in the input.
+    Raises ValueError naming the first face, in input order, that has the
+    wrong dimension, is not strictly increasing, has a vertex outside [1, n]
+    or repeats an earlier face, checked in that order, as whole-array steps.
     """
     if d < 1:
         raise ValueError("dimension d must be >= 1")
     if n < d + 1:
         raise ValueError(f"need n >= d+1 = {d + 1} vertices, got {n}")
-    seen: set[Face] = set()
-    cofacets: dict[Face, list[Face]] = {}
-    for raw in faces:
-        face = _normalize_face(raw, n, d)
-        if face in seen:
-            raise ValueError(f"duplicate d-face {face}")
-        seen.add(face)
-        for facet in facets_of(face):
-            cofacets.setdefault(facet, []).append(face)
-    frozen = {facet: tuple(cofs) for facet, cofs in cofacets.items()}
-    return PureComplex(n, d, frozenset(seen), frozen)
+    faces = list(faces)
+    widths = np.fromiter(map(len, faces), np.int64, len(faces))
+    end = int(np.append(widths != d + 1, True).argmax())  # the first face of the wrong width
+    try:
+        rows = np.array(faces[:end], dtype=np.int64).reshape(end, d + 1)
+    except OverflowError:  # an id beyond int64 is out of range; compare Python ints
+        rows = np.array(faces[:end], dtype=object).reshape(end, d + 1)
+    keys = np.clip(rows, 0, n + 1).astype(np.int64)  # alters only rows with an id outside [1, n]
+    order = np.lexsort(keys.T[::-1])  # stable: a repeat sorts right after an earlier copy
+    repeats = np.zeros(end, dtype=bool)
+    repeats[order[1:]] = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
+    offences = np.array(
+        [(rows[:, 1:] <= rows[:, :-1]).any(axis=1), (rows[:, 0] < 1) | (rows[:, -1] > n), repeats],
+        dtype=bool,
+    )
+    bad = np.flatnonzero(offences.any(axis=0))
+    if len(bad) or end < len(faces):
+        at, kind = (bad[0], 1 + offences[:, bad[0]].argmax()) if len(bad) else (end, 0)
+        face = tuple(faces[at])
+        raise ValueError((
+            f"face {face} has dimension {len(face) - 1}, expected {d}",
+            f"face {face} is not strictly increasing",
+            f"face {face} has vertices outside [1, {n}]",
+            f"duplicate d-face {face}",
+        )[kind])
+    return PureComplex(n, d, keys[order])
 
 
 def complete_complex(n: int, d: int) -> PureComplex:
@@ -223,10 +234,8 @@ def ball(X: PureComplex, sigma0: Face, r: int) -> NeighborhoodComplex:
 
 def write_complex(X: PureComplex, path: str | Path) -> None:
     """Write the canonical text format: header "n d", then one d-face per line."""
-    lines = [f"{X.n} {X.d}"]
-    for face in sorted(X.d_faces):
-        lines.append(" ".join(str(v) for v in face))
-    Path(path).write_text("\n".join(lines) + "\n")
+    row = " ".join(["%d"] * (X.d + 1)) + "\n"
+    Path(path).write_text(f"{X.n} {X.d}\n" + (row * X.num_dfaces) % tuple(X.faces.ravel().tolist()))
 
 
 def read_complex(path: str | Path) -> PureComplex:

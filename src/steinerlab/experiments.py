@@ -146,7 +146,7 @@ def _converge_row(config: ExperimentConfig, X: PureComplex, n: int, trial: int) 
         n=n,
         trial=trial,
         growth_rate=exp(count.log_count / comb(X.n, X.d)),
-        min_degree=X.min_degree(),
+        min_degree=int(np.diff(B.indptr).min()),  # row nnz of B: the degrees
         spectral_floor=count.floor,
         fractions=dict(zip(config.radii, arboreal_fractions(X, config.k, config.radii, B))),
         moments=tuple(moments(L, config.lmax)),

@@ -28,7 +28,6 @@ from scipy.integrate import quad
 
 __all__ = [
     "LimitLaw",
-    "ChebyshevPlan",
     "chebyshev_t",
     "series_coefficient",
     "series_coefficient_projection",
@@ -188,25 +187,6 @@ def series_coefficient_projection(law: LimitLaw, n: int, epsabs: float = QUAD_EP
     return 2.0 / pi * value
 
 
-@dataclass(frozen=True)
-class ChebyshevPlan:
-    """Coefficient rule plus a truncation deep enough for a 1e-15 geometric tail."""
-
-    law: LimitLaw
-    truncation: int
-
-    @classmethod
-    def for_law(cls, law: LimitLaw) -> "ChebyshevPlan":
-        ratio = max(law.ratio_zero, law.ratio_upper)
-        if not 0.0 < ratio < 1.0:
-            raise ValueError("series requires decay ratio in (0, 1), i.e. k >= d+2")
-        truncation = ceil(15.0 / -log10(ratio)) + 5
-        return cls(law=law, truncation=truncation)
-
-    def coefficient(self, n: int) -> float:
-        return series_coefficient(self.law, n)
-
-
 def growth_constant_closed(d: int, k: int) -> float:
     """Closed-form limit of the normalized weighted spanning-tree count.
 
@@ -231,6 +211,11 @@ def growth_constant_quadrature(d: int, k: int, epsabs: float = 1e-10) -> float:
     return exp(law.expectation(log, epsabs=epsabs))
 
 
+def _chebyshev_truncation(law: LimitLaw) -> int:
+    """Terms of the log series whose geometric tail, ratio max(ratio_zero, ratio_upper), is below 1e-15."""
+    return ceil(15.0 / -log10(max(law.ratio_zero, law.ratio_upper))) + 5
+
+
 def growth_constant_chebyshev(d: int, k: int) -> float:
     """Growth constant through the Chebyshev log-series machinery.
 
@@ -247,7 +232,6 @@ def growth_constant_chebyshev(d: int, k: int) -> float:
     if k < d + 2:
         raise ValueError(f"growth constant needs k >= d+2, got d={d}, k={k}")
     law = LimitLaw(d, k)
-    plan = ChebyshevPlan.for_law(law)
     t = law.series_t
     head = log(law.center) - log(1.0 + t * t)
     closed = (
@@ -257,9 +241,9 @@ def growth_constant_chebyshev(d: int, k: int) -> float:
     )
     tail = 0.0
     t_pow = 1.0
-    for n in range(1, plan.truncation + 1):
+    for n in range(1, _chebyshev_truncation(law) + 1):
         t_pow *= t
-        tail += plan.coefficient(n) * t_pow / n
+        tail += series_coefficient(law, n) * t_pow / n
     series = head - pi * tail
     if abs(closed - series) > SERIES_MATCH_ATOL:
         raise RuntimeError(

@@ -29,13 +29,12 @@ import os
 import resource
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, factorial, gcd
 
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import PureComplex, all_faces, facets_of
+from .complexes import PureComplex, all_faces
 
 __all__ = [
     "SpectralSummary",
@@ -95,9 +94,8 @@ def _signed_incidence(faces: np.ndarray, n: int) -> sp.csr_matrix:
 
 
 def boundary_matrix(X: PureComplex) -> sp.csr_matrix:
-    """Signed boundary B of the d-faces: C(n, d) rows in form-basis order, d-faces sorted."""
-    taus = np.array(sorted(X.d_faces), dtype=np.int64).reshape(-1, X.d + 1)
-    return _signed_incidence(taus, X.n)
+    """Signed boundary B of the d-faces: C(n, d) rows in form-basis order, columns in X.faces order."""
+    return _signed_incidence(X.faces, X.n)
 
 
 def sparse_laplacian(X: PureComplex) -> sp.csr_matrix:
@@ -166,19 +164,16 @@ def require_dense_fits(m: int) -> None:
     require_memory(8 * m * m, f"a dense {m} x {m} matrix")
 
 
-def _dense(M: sp.spmatrix) -> np.ndarray:
-    require_dense_fits(M.shape[0])
-    return M.toarray()
-
-
 def laplacian_matrix(X: PureComplex) -> np.ndarray:
-    """Dense upper Laplacian, rows and columns in lexicographic face order."""
-    return _dense(sparse_laplacian(X))
+    """Dense upper Laplacian, rows and columns in lexicographic face order; size-checked first."""
+    require_dense_fits(comb(X.n, X.d))
+    return sparse_laplacian(X).toarray()
 
 
 def adjacency_matrix(X: PureComplex) -> np.ndarray:
-    """Dense signed adjacency diag(L) - L, rows and columns in lexicographic face order."""
-    return _dense(signed_adjacency(boundary_matrix(X)))
+    """Dense signed adjacency diag(L) - L, in lexicographic face order; size-checked first."""
+    require_dense_fits(comb(X.n, X.d))
+    return signed_adjacency(boundary_matrix(X)).toarray()
 
 
 def eigenvalues(M: np.ndarray) -> np.ndarray:
@@ -230,27 +225,11 @@ def exact_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _coboundary_rows(n: int, d: int):
-    """Rows of the coboundary matrix from (d-2)-forms of the complete skeleton.
-
-    One row per (d-1)-face sigma; the column of the (d-2)-face omitting
-    sigma's i-th vertex holds (-1)**i.  For d = 1 the single column is the
-    empty face and every row is (1,).
-    """
-    cols = {face: idx for idx, face in enumerate(combinations(range(1, n + 1), d - 1))}
-    width = len(cols)
-    for sigma in all_faces(n, d - 1):
-        row = [0] * width
-        for i, sub in enumerate(facets_of(sigma)):
-            row[cols[sub]] = 1 if i % 2 == 0 else -1
-        yield row
-
-
 def trivial_zero_count(X: PureComplex) -> int:
     """Dimension C(n-1, d-1) of the trivial Laplacian kernel (coboundary image from below).
 
     The coboundary from (d-2)-forms of the complete skeleton has this rank;
-    tests confirm the closed form against the exact rank of `_coboundary_rows`.
+    tests confirm the closed form against the exact rank of its tuple-built rows.
     """
     return comb(X.n - 1, X.d - 1)
 

@@ -374,11 +374,12 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
     the tree count times n^C(n-2, d-1) (the closed-form count of the
     complete skeleton one level down, whose codimension-two torsion is
     trivial).  With oracle=True the enumeration result is attached and
-    cross-checked; an enumeration above the oracle's guard is refused
-    before the spectral count starts.
+    cross-checked.  The oracle's guard, then the count's, refuse before
+    any operator is built.
     """
     if oracle:
         require_oracle_fits(X)
+    require_tree_count_fits(X.n, X.d)
     result = tree_count_from_laplacian(X, sparse_laplacian(X))
     if not oracle:
         return result
@@ -408,7 +409,8 @@ def tree_growth_rate(X: PureComplex) -> float:
 
 
 def require_oracle_fits(X: PureComplex) -> None:
-    """Refuse, with ValueError, an enumeration of more than ORACLE_MAX_SUBSETS candidate trees."""
+    """Refuse, with ValueError, an enumeration of more than ORACLE_MAX_SUBSETS candidate
+    trees, or whose dense C(n, d) x #d-faces int64 boundary block exceeds `usable_memory`."""
     r = comb(X.n - 1, X.d)
     subsets = comb(X.num_dfaces, r)
     if subsets > ORACLE_MAX_SUBSETS:
@@ -416,6 +418,8 @@ def require_oracle_fits(X: PureComplex) -> None:
             f"C({X.num_dfaces}, {r}) = {subsets} subsets exceeds the "
             f"enumeration guard {ORACLE_MAX_SUBSETS}"
         )
+    m = comb(X.n, X.d)
+    require_memory(8 * m * X.num_dfaces, f"the oracle's dense {m} x {X.num_dfaces} boundary block")
 
 
 def _bareiss_trees(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -468,12 +472,17 @@ def tree_count_exact(X: PureComplex) -> int:
     gets its torsion from `smith_normal_form`.  Every Bareiss entry is a
     minor of columns with d + 1 entries of +-1, so by Hadamard's inequality
     no product exceeds (d + 1)^r; below INT64_MINOR_LIMIT the elimination
-    runs in int64, above it the same code runs on Python ints.  Refuses
-    (ValueError) more than ORACLE_MAX_SUBSETS candidates before any work.
+    runs in int64, above it the same code runs on Python ints.  Fewer
+    d-faces than r give 0 at once; otherwise more than ORACLE_MAX_SUBSETS
+    candidates, or a boundary block above usable memory, are refused
+    (ValueError) before any work (`require_oracle_fits`).
     """
-    require_oracle_fits(X)
     r = comb(X.n - 1, X.d)
-    dtype = np.int64 if (X.d + 1) ** r < INT64_MINOR_LIMIT else object
+    if X.num_dfaces < r:
+        return 0
+    require_oracle_fits(X)
+    # (d + 1)^62 >= 2^62, so the exponent never needs to exceed 62
+    dtype = np.int64 if (X.d + 1) ** min(r, 62) < INT64_MINOR_LIMIT else object
     columns = boundary_matrix(X).toarray().T.astype(dtype)  # row i: the column of d-face i
     chunk = max(1, ORACLE_CHUNK_BYTES // (8 * columns.shape[1] * r))
     candidates = combinations(range(X.num_dfaces), r)

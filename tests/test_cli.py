@@ -8,6 +8,26 @@ from steinerlab.cli import main
 from steinerlab.sampling import SamplerExhausted
 
 
+def never(*args, **kwargs):
+    raise AssertionError("built an operator the guard should refuse")
+
+
+@pytest.fixture
+def one_triangle_on_many_vertices(tmp_path):
+    """One d-face on 100,000 vertices: C(100000, 2) rows would take a 37 GiB CSR indptr."""
+    path = tmp_path / "wide.txt"
+    path.write_text("100000 2\n1 2 3\n")
+    return path
+
+
+@pytest.fixture
+def long_path(tmp_path):
+    """A 99,999-edge path on 100,000 vertices: one candidate tree, an 80 GB dense boundary."""
+    path = tmp_path / "path.txt"
+    path.write_text("100000 1\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 100000)))
+    return path
+
+
 class TestSample:
     def test_writes_one_file_per_trial(self, tmp_path):
         out = tmp_path / "cx"
@@ -100,6 +120,20 @@ class TestSst:
         monkeypatch.setattr(cli, "steiner_complex", never)
         assert main([command, "--d", "2", "--k", "5", "--n", "997"]) == 2
         assert "physical memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["spectrum"], ["spectrum", "--op", "adjacency"], ["sst"]])
+    def test_oversized_file_exits_2_before_any_operator(
+        self, command, one_triangle_on_many_vertices, monkeypatch, capsys
+    ):
+        import steinerlab.trees as trees
+        from steinerlab import spectra
+
+        for module in (spectra, trees):
+            monkeypatch.setattr(module, "boundary_matrix", never)
+            monkeypatch.setattr(module, "sparse_laplacian", never)
+        assert main([*command, "--in", str(one_triangle_on_many_vertices)]) == 2
+        err = capsys.readouterr().err
+        assert "physical memory" in err and "Traceback" not in err
 
     def test_guards_size_each_route(self, monkeypatch, capsys):
         # d = 2, n = 15: the order-91 packed factor takes 33,488 B, a dense m = 105 matrix 88,200 B
@@ -230,6 +264,29 @@ class TestGapOracle:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["exact_kappa"] == 16
+
+    def test_oracle_fewer_faces_than_a_tree_is_zero_at_once(
+        self, one_triangle_on_many_vertices, monkeypatch, capsys
+    ):
+        # r = C(99999, 2) d-faces make a tree; with one there is none, and nothing is built
+        import steinerlab.trees as trees
+
+        monkeypatch.setattr(trees, "boundary_matrix", never)
+        assert main(["oracle", "--in", str(one_triangle_on_many_vertices)]) == 0
+        assert json.loads(capsys.readouterr().out)["exact_kappa"] == 0
+
+    @pytest.mark.parametrize("command", [["oracle"], ["sst", "--oracle"]])
+    def test_oracle_dense_block_refused_before_work(self, command, long_path, monkeypatch, capsys):
+        # one candidate subset passes the subset guard; its 100000 x 99999 block does not fit
+        import steinerlab.trees as trees
+        from steinerlab import spectra
+
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 2**33)
+        monkeypatch.setattr(trees, "boundary_matrix", never)
+        monkeypatch.setattr(trees, "sparse_laplacian", never)
+        assert main([*command, "--in", str(long_path)]) == 2
+        err = capsys.readouterr().err
+        assert "dense 100000 x 99999 boundary block" in err and "Traceback" not in err
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["oracle", "--in", "/nonexistent/cx.txt"]) == 2

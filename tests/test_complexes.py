@@ -2,16 +2,91 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinerlab import (
     ball,
     complete_complex,
     complex_from_dfaces,
+    facets_of,
     read_complex,
     spectra,
     write_complex,
 )
 from conftest import random_complex
+
+
+# The tuple representation the integer-array complex replaced, kept as the
+# reference: a frozenset of d-face tuples, a cofacet dict built face by face,
+# and the text format written from the sorted tuples.
+def reference_normalize_face(raw, n, dim):
+    face = tuple(raw)
+    if len(face) != dim + 1:
+        raise ValueError(f"face {face} has dimension {len(face) - 1}, expected {dim}")
+    if any(face[i] >= face[i + 1] for i in range(len(face) - 1)):
+        raise ValueError(f"face {face} is not strictly increasing")
+    if face[0] < 1 or face[-1] > n:
+        raise ValueError(f"face {face} has vertices outside [1, {n}]")
+    return face
+
+
+class ReferenceComplex:
+    def __init__(self, n, d, d_faces, cofacets):
+        self.n, self.d, self.d_faces, self._cofacets = n, d, d_faces, cofacets
+
+    def degree(self, face):
+        return len(self._cofacets.get(face, ()))
+
+    def cofacets(self, face):
+        return self._cofacets.get(face, ())
+
+    def min_degree(self):
+        if len(self._cofacets) < comb(self.n, self.d):
+            return 0
+        return min(len(c) for c in self._cofacets.values())
+
+    def max_degree(self):
+        if not self._cofacets:
+            return 0
+        return max(len(c) for c in self._cofacets.values())
+
+
+def reference_complex_from_dfaces(n, d, faces):
+    seen = set()
+    cofacets = {}
+    for raw in faces:
+        face = reference_normalize_face(raw, n, d)
+        if face in seen:
+            raise ValueError(f"duplicate d-face {face}")
+        seen.add(face)
+        for facet in facets_of(face):
+            cofacets.setdefault(facet, []).append(face)
+    frozen = {facet: tuple(cofs) for facet, cofs in cofacets.items()}
+    return ReferenceComplex(n, d, frozenset(seen), frozen)
+
+
+def reference_complex_text(X):
+    lines = [f"{X.n} {X.d}"]
+    for face in sorted(X.d_faces):
+        lines.append(" ".join(str(v) for v in face))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def face_lists(draw):
+    """(n, d, faces): distinct valid faces, and sometimes repeats and malformed rows, shuffled."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, 8))
+    valid = st.lists(st.integers(1, n), min_size=d + 1, max_size=d + 1, unique=True).map(
+        lambda face: tuple(sorted(face))
+    )
+    faces = draw(st.lists(valid, max_size=20, unique=True))
+    if draw(st.booleans()):
+        vertex = st.integers(1, n) | st.sampled_from([0, -1, n + 1, 10**20, -(10**20)])
+        malformed = st.lists(vertex, min_size=d, max_size=d + 2).map(tuple)
+        faces += draw(st.lists(malformed | st.sampled_from(faces) if faces else malformed, max_size=3))
+    return n, d, draw(st.permutations(faces))
 
 
 def adjacency(X):
@@ -198,3 +273,55 @@ class TestTextFormat:
         path = tmp_path / "cx.txt"
         write_complex(X, path)
         assert path.read_text() == "4 2\n1 2 4\n"
+
+
+class TestTupleReference:
+    """The integer-array complex against the tuple representation it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=face_lists())
+    def test_matches_tuple_reference(self, case, tmp_path_factory):
+        n, d, faces = case
+        try:
+            ref = reference_complex_from_dfaces(n, d, faces)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                complex_from_dfaces(n, d, faces)
+            assert str(got.value) == str(exc)
+            return
+        X = complex_from_dfaces(n, d, faces)
+        assert X.d_faces == ref.d_faces
+        assert X.faces.dtype == np.int64 and not X.faces.flags.writeable
+        for facet in X.facet_iter():
+            assert X.degree(facet) == ref.degree(facet)
+            assert sorted(X.cofacets(facet)) == sorted(ref.cofacets(facet))
+        assert (X.min_degree(), X.max_degree()) == (ref.min_degree(), ref.max_degree())
+        path = tmp_path_factory.mktemp("cx") / "cx.txt"
+        write_complex(X, path)
+        assert path.read_text() == reference_complex_text(ref)
+        assert read_complex(path) == X
+        B = spectra.boundary_matrix(X)
+        taus = np.array(sorted(ref.d_faces), dtype=np.int64).reshape(-1, d + 1)
+        want = spectra._signed_incidence(taus, n)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(B, attr), getattr(want, attr)), attr
+
+    def test_vertex_beyond_int64_is_out_of_range(self):
+        with pytest.raises(ValueError, match=r"face \(1, 2, 100000000000000000000\) has vertices outside"):
+            complex_from_dfaces(4, 2, [(1, 2, 10**20)])
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            complex_from_dfaces(4, 2, [(1, 2, 3), (1, 10**20, 2)])
+
+    def test_first_offending_face_wins(self):
+        # a malformed face after a duplicate: the duplicate is reported, as face by face
+        with pytest.raises(ValueError, match=r"duplicate d-face \(1, 2, 3\)"):
+            complex_from_dfaces(5, 2, [(1, 2, 3), (1, 2, 3), (1, 2)])
+        with pytest.raises(ValueError, match="dimension 1"):
+            complex_from_dfaces(5, 2, [(1, 2, 3), (1, 2), (1, 2, 3)])
+
+    def test_cofacet_index_built_on_first_use(self):
+        X = complex_from_dfaces(5, 2, [(1, 2, 3), (2, 3, 4)])
+        spectra.boundary_matrix(X)
+        assert X._index is None
+        assert X.cofacets((2, 3)) == ((1, 2, 3), (2, 3, 4))
+        assert X._index is not None

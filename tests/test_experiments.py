@@ -72,6 +72,13 @@ class TestRunConverge:
             assert 1 <= row.min_degree <= 3
             assert row.growth_rate >= 0.0
 
+    def test_min_degree_matches_tuple_index(self):
+        # the row reads degrees from B's row counts; the tuple cofacet index is the reference
+        for cfg in (small_config(trials=4), small_config(d=2, k=2, n_values=(9, 13), trials=3)):
+            for row in run_converge(cfg).rows:
+                X = steiner_complex(row.n, cfg.d, cfg.k, cfg.stream(row.n, row.trial))
+                assert row.min_degree == X.min_degree() and type(row.min_degree) is int
+
     def test_deterministic_bytes(self):
         cfg = small_config()
         a = converge_csv(run_converge(cfg), cfg)
