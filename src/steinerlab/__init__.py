@@ -13,11 +13,9 @@ from .complexes import (
     write_complex,
 )
 from .sampling import (
-    InclusionReport,
     SamplerExhausted,
     SeededRng,
     SteinerSystem,
-    inclusion_frequency_test,
     is_admissible,
     sample_greedy,
     sample_matching,
@@ -28,7 +26,6 @@ from .arboreal import (
     ArborealBall,
     LayerProfile,
     arboreal_ball,
-    arboreal_fraction,
     arboreal_fractions,
     is_arboreal_ball,
     layer_sizes,
@@ -38,7 +35,6 @@ from .spectra import (
     SpectralSummary,
     adjacency_matrix,
     eigenvalues,
-    esd,
     laplacian_matrix,
     moments,
     signed_trace,
@@ -50,17 +46,14 @@ from .trees import (
     TreeCount,
     smith_normal_form,
     tree_count_exact,
-    tree_growth_rate,
     weighted_tree_count,
 )
 from .limitlaw import (
     LimitLaw,
-    chebyshev_t,
     growth_constant_chebyshev,
     growth_constant_closed,
     growth_constant_quadrature,
     series_coefficient,
-    series_coefficient_projection,
 )
 
 __version__ = "0.1.0"

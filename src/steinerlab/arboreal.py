@@ -28,12 +28,12 @@ __all__ = [
     "layer_sizes",
     "arboreal_ball",
     "is_arboreal_ball",
-    "arboreal_fraction",
     "arboreal_fractions",
     "signed_walk_count",
 ]
 
-DEFAULT_MAX_RADIUS = 12
+# arboreal_ball refuses radii above this: the truncation grows like (d(k-1))^r
+MAX_RADIUS = 12
 
 
 @dataclass(frozen=True)
@@ -101,14 +101,14 @@ class ArborealBall:
     dface_layers: tuple[tuple[Face, ...], ...]
 
 
-def arboreal_ball(d: int, k: int, r: int, max_radius: int = DEFAULT_MAX_RADIUS) -> ArborealBall:
+def arboreal_ball(d: int, k: int, r: int) -> ArborealBall:
     """Construct the radius-r truncation explicitly, fresh vertex per d-face.
 
     Layer 1 attaches k d-faces to the root; deeper layers attach k-1 to each
-    boundary (d-1)-face.  Growth is (d(k-1))^r, hence the radius guard.
+    boundary (d-1)-face.  Growth is (d(k-1))^r, hence the radius guard MAX_RADIUS.
     """
-    if r > max_radius:
-        raise ValueError(f"radius {r} exceeds guard {max_radius}; growth is (d(k-1))^r")
+    if r > MAX_RADIUS:
+        raise ValueError(f"radius {r} exceeds guard {MAX_RADIUS}; growth is (d(k-1))^r")
     layer_sizes(d, k, r)  # raises on k < 2, d < 1 or r < 0
 
     root: Face = tuple(range(1, d + 1))
@@ -181,15 +181,10 @@ def is_arboreal_ball(X: PureComplex, sigma0: Face, k: int, r: int) -> bool:
     return True
 
 
-def arboreal_fraction(X: PureComplex, k: int, r: int) -> float:
-    """Fraction of all C(n, d) faces of dimension d-1 whose r-ball is arboreal."""
-    return arboreal_fractions(X, k, (r,))[0]
-
-
 def arboreal_fractions(
     X: PureComplex, k: int, radii: Sequence[int], B: sp.csr_matrix | None = None
 ) -> tuple[float, ...]:
-    """`arboreal_fraction` for every radius in `radii`, from one expansion.
+    """Fraction of all C(n, d) faces of dimension d-1 whose r-ball is arboreal, per r in `radii`.
 
     B is X's signed boundary (`boundary_matrix`) when the caller already
     built it, as a converge row does for its Laplacian; it is built here

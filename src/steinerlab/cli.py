@@ -42,9 +42,9 @@ EXIT_VALIDATION = 2
 EXIT_SAMPLER = 3
 
 
-def _add_sample_source(parser: argparse.ArgumentParser, with_input: bool = True) -> None:
-    if with_input:
-        parser.add_argument("--in", dest="infile", type=Path, help="complex file to load")
+def _add_sample_source(parser: argparse.ArgumentParser) -> None:
+    """One complex: the file --in, or trial --trial of the ensemble --d/--k/--n/--seed."""
+    parser.add_argument("--in", dest="infile", type=Path, help="complex file to load")
     parser.add_argument("--d", type=int, help="complex dimension")
     parser.add_argument("--k", type=int, help="number of Steiner systems in the union")
     parser.add_argument("--n", type=int, help="vertex count")
@@ -52,15 +52,35 @@ def _add_sample_source(parser: argparse.ArgumentParser, with_input: bool = True)
     parser.add_argument("--trial", type=int, default=0, help="stream index when sampling")
 
 
+def _add_ensemble(parser: argparse.ArgumentParser, repeat_n: bool) -> None:
+    """--d/--k/--n/--seed/--trials of a sampled ensemble; repeat_n makes --n repeatable."""
+    parser.add_argument("--d", type=int, required=True, help="complex dimension")
+    parser.add_argument("--k", type=int, required=True, help="number of Steiner systems in the union")
+    parser.add_argument("--n", type=int, required=True, action="append" if repeat_n else "store",
+                        help="vertex count (repeatable)" if repeat_n else "vertex count")
+    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument("--trials", type=int, default=1, help="trials per vertex count")
+
+
+def _trials(args: argparse.Namespace) -> range:
+    if args.trials < 0:
+        raise ValueError("trials must be >= 0")
+    return range(args.trials)
+
+
+def _sampled(args: argparse.Namespace, trial: int) -> PureComplex:
+    """Trial `trial` of the --d/--k/--n/--seed ensemble, from the stream `converge` gives (n, trial)."""
+    return steiner_complex(args.n, args.d, args.k, SeededRng(args.seed).substream(args.n, trial))
+
+
 def _resolve_complex(args: argparse.Namespace, require_fits: Callable[[int, int], None]) -> PureComplex:
     """Load --in, or sample from --d/--k/--n once `require_fits(n, d)` admits the size."""
-    if getattr(args, "infile", None) is not None:
+    if args.infile is not None:
         return read_complex(args.infile)
     if args.d is None or args.k is None or args.n is None:
         raise ValueError("either --in or all of --d/--k/--n are required")
     require_fits(args.n, args.d)
-    rng = SeededRng(args.seed).substream(args.n, args.trial)
-    return steiner_complex(args.n, args.d, args.k, rng)
+    return _sampled(args, args.trial)
 
 
 def _write_text(path: Path | None, text: str) -> None:
@@ -72,13 +92,11 @@ def _write_text(path: Path | None, text: str) -> None:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for trial in range(args.trials):
-        rng = SeededRng(args.seed).substream(args.n, trial)
-        X = steiner_complex(args.n, args.d, args.k, rng)
-        write_complex(X, out / f"complex_n{args.n}_t{trial}.txt")
-    print(f"wrote {args.trials} complex(es) to {out}")
+    trials = _trials(args)
+    args.out.mkdir(parents=True, exist_ok=True)
+    for trial in trials:
+        write_complex(_sampled(args, trial), args.out / f"complex_n{args.n}_t{trial}.txt")
+    print(f"wrote {args.trials} complex(es) to {args.out}")
     return EXIT_OK
 
 
@@ -146,12 +164,12 @@ def _cmd_local(args: argparse.Namespace) -> int:
     from .arboreal import arboreal_fractions
 
     radii = args.r or [1]
+    trials = _trials(args)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["trial", "n", "r", "fraction"])
-    for trial in range(args.trials):
-        rng = SeededRng(args.seed).substream(args.n, trial)
-        X = steiner_complex(args.n, args.d, args.k, rng)
+    for trial in trials:
+        X = _sampled(args, trial)
         for r, fraction in zip(radii, arboreal_fractions(X, args.k, radii)):
             writer.writerow([trial, args.n, r, repr(fraction)])
     _write_text(args.out, buf.getvalue())
@@ -214,11 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample complexes to text files, one per trial")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
+    _add_ensemble(p, repeat_n=False)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=_cmd_sample)
 
@@ -244,21 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("local", help="arboreal-neighborhood fractions per trial")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    _add_ensemble(p, repeat_n=False)
     p.add_argument("--r", type=int, action="append", help="radius (repeatable)")
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_local)
 
     p = sub.add_parser("converge", help="full convergence ensemble over an n-grid")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, action="append", required=True, help="vertex count (repeatable)")
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_ensemble(p, repeat_n=True)
     p.add_argument("--r", type=int, action="append", help="arboreal radius (repeatable)")
     p.add_argument("--lmax", type=int, default=4)
     p.add_argument("--out", type=Path, default=None)
@@ -268,11 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("gap", help="adjacency spectral-gap statistic per trial")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, action="append", required=True)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_ensemble(p, repeat_n=True)
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--deterministic", action="store_true")

@@ -168,21 +168,6 @@ class NeighborhoodComplex:
     facet_layers: tuple[frozenset[Face], ...]
     dface_layers: tuple[frozenset[Face], ...]
 
-    def total_vertices(self, rho: int | None = None) -> int:
-        rho = self.radius if rho is None else rho
-        return sum(len(layer) for layer in self.vertex_layers[: rho + 1])
-
-    def total_facets(self, rho: int | None = None) -> int:
-        rho = self.radius if rho is None else rho
-        return sum(len(layer) for layer in self.facet_layers[: rho + 1])
-
-    def total_dfaces(self, rho: int | None = None) -> int:
-        rho = self.radius if rho is None else rho
-        return sum(len(layer) for layer in self.dface_layers[: rho + 1])
-
-    def facet_distances(self) -> dict[Face, int]:
-        return {f: rho for rho, layer in enumerate(self.facet_layers) for f in layer}
-
 
 def ball(X: PureComplex, sigma0: Face, r: int) -> NeighborhoodComplex:
     """Breadth-first neighborhood of sigma0 in the line-graph, out to radius r."""

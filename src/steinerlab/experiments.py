@@ -125,18 +125,6 @@ class ConvergenceResult:
     rows: tuple[ConvergenceRow, ...]
     failures: tuple[RowFailure, ...] = ()
 
-    def mean_growth_rate(self, n: int) -> float:
-        values = [row.growth_rate for row in self.rows if row.n == n]
-        return float(np.mean(values)) if values else float("nan")
-
-    def mean_fraction(self, n: int, r: int) -> float:
-        values = [row.fractions[r] for row in self.rows if row.n == n]
-        return float(np.mean(values)) if values else float("nan")
-
-    def mean_moment(self, n: int, ell: int) -> float:
-        values = [row.moments[ell] for row in self.rows if row.n == n]
-        return float(np.mean(values)) if values else float("nan")
-
 
 def _converge_row(config: ExperimentConfig, X: PureComplex, n: int, trial: int) -> ConvergenceRow:
     B = boundary_matrix(X)

@@ -23,20 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import ceil, cos, exp, log, log10, pi, sin, sqrt
 
-import numpy as np
 from scipy.integrate import quad
 
 __all__ = [
     "LimitLaw",
-    "chebyshev_t",
     "series_coefficient",
-    "series_coefficient_projection",
     "growth_constant_closed",
     "growth_constant_quadrature",
     "growth_constant_chebyshev",
 ]
 
 QUAD_EPSABS = 1e-12
+# absolute quadrature tolerances of the law's moments and of the growth constant's log-moment
+MOMENT_EPSABS = 1e-11
+GROWTH_EPSABS = 1e-10
 SERIES_MATCH_ATOL = 1e-10
 MOMENT_MAX = 12
 
@@ -118,36 +118,22 @@ class LimitLaw:
         value, _ = quad(integrand, 0.0, pi, epsabs=epsabs, limit=400)
         return value
 
-    def laplacian_moment(self, ell: int, epsabs: float = 1e-11) -> float:
+    def laplacian_moment(self, ell: int) -> float:
         """Moment of the Laplacian law by adaptive quadrature."""
         if not 0 <= ell <= MOMENT_MAX:
             raise ValueError(f"moment order must be in [0, {MOMENT_MAX}]")
-        return self.expectation(lambda x: x**ell, epsabs=epsabs)
+        return self.expectation(lambda x: x**ell, epsabs=MOMENT_EPSABS)
 
-    def adjacency_moment(self, ell: int, epsabs: float = 1e-11) -> float:
+    def adjacency_moment(self, ell: int) -> float:
         """Moment of the adjacency law, pushed through x -> k - x."""
         if not 0 <= ell <= MOMENT_MAX:
             raise ValueError(f"moment order must be in [0, {MOMENT_MAX}]")
         k = self.k
-        return self.expectation(lambda x: (k - x) ** ell, epsabs=epsabs)
+        return self.expectation(lambda x: (k - x) ** ell, epsabs=MOMENT_EPSABS)
 
     def normalization(self) -> float:
         """Total mass of the Laplacian law; 1 up to quadrature error."""
         return self.expectation(lambda x: 1.0)
-
-
-def chebyshev_t(m: int, x):
-    """Chebyshev polynomial of the first kind by the three-term recurrence."""
-    if m < 0:
-        raise ValueError("order must be >= 0")
-    x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
-    prev = np.ones_like(x) if not np.isscalar(x) else 1.0
-    if m == 0:
-        return prev
-    cur = x
-    for _ in range(m - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
 
 
 def series_coefficient(law: LimitLaw, n: int) -> float:
@@ -167,26 +153,6 @@ def series_coefficient(law: LimitLaw, n: int) -> float:
     return (-a + b) / scale if n % 2 == 1 else -(a + b) / scale
 
 
-def series_coefficient_projection(law: LimitLaw, n: int, epsabs: float = QUAD_EPSABS) -> float:
-    """Chebyshev coefficient by its defining projection integral (2/pi) int T_n g.
-
-    Independent of the closed form; used to cross-check it.
-    """
-    if n < 1:
-        raise ValueError("coefficients are defined for n >= 1")
-    d, k = law.d, law.k
-    w, center, upper = law.half_width, law.center, law.upper_gap
-
-    def integrand(theta: float) -> float:
-        c = cos(theta)
-        s = sin(theta)
-        g_times_sin = k * w * w * s * s / (2.0 * pi * (center - w * c) * (upper + w * c))
-        return cos(n * theta) * g_times_sin
-
-    value, _ = quad(integrand, 0.0, pi, epsabs=epsabs, limit=400)
-    return 2.0 / pi * value
-
-
 def growth_constant_closed(d: int, k: int) -> float:
     """Closed-form limit of the normalized weighted spanning-tree count.
 
@@ -203,12 +169,12 @@ def growth_constant_closed(d: int, k: int) -> float:
     return exp(value)
 
 
-def growth_constant_quadrature(d: int, k: int, epsabs: float = 1e-10) -> float:
+def growth_constant_quadrature(d: int, k: int) -> float:
     """exp of the log-moment of the Laplacian law, by adaptive quadrature."""
     if k < d + 2:
         raise ValueError(f"growth constant needs k >= d+2, got d={d}, k={k}")
     law = LimitLaw(d, k)
-    return exp(law.expectation(log, epsabs=epsabs))
+    return exp(law.expectation(log, epsabs=GROWTH_EPSABS))
 
 
 def _chebyshev_truncation(law: LimitLaw) -> int:

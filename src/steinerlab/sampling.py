@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import comb
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
@@ -30,13 +30,11 @@ __all__ = [
     "SeededRng",
     "SteinerSystem",
     "SamplerExhausted",
-    "InclusionReport",
     "is_admissible",
     "sample_matching",
     "sample_sts",
     "sample_greedy",
     "steiner_complex",
-    "inclusion_frequency_test",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -46,6 +44,10 @@ _WORD_MASK = _WORD - 1
 # 60 blocks; a much larger block made short runs (STS(7) uses about 30 words)
 # slower, as each run draws a whole block before it replays what it used
 _DRAW_BLOCK = 1024
+# attempts of the triple-system and greedy samplers before SamplerExhausted
+MAX_RESTARTS = 100
+# a hill-climbing attempt on [n] gives up after ITERATION_FACTOR * n^2 steps
+ITERATION_FACTOR = 50
 
 
 class SamplerExhausted(RuntimeError):
@@ -69,9 +71,6 @@ class SeededRng:
             [self.master_seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
         )
         return np.random.Generator(np.random.Philox(key=key))
-
-    def stream(self, stream_id: int) -> "SeededRng":
-        return SeededRng(self.master_seed, stream_id)
 
     def substream(self, *parts: int) -> "SeededRng":
         """Derive a stream id by mixing integer coordinates (order-sensitive)."""
@@ -106,10 +105,6 @@ class SteinerSystem:
         if len(covered) != comb(n, d):
             raise ValueError("not all d-subsets covered")
         return cls(n, d, block_set)
-
-    def relabeled(self, perm: dict[int, int]) -> "SteinerSystem":
-        blocks = frozenset(tuple(sorted(perm[v] for v in b)) for b in self.blocks)
-        return SteinerSystem(self.n, self.d, blocks)
 
 
 def is_admissible(n: int, d: int) -> bool:
@@ -182,9 +177,9 @@ def _bounded_draws(gen: np.random.Generator) -> Iterator[Callable[[int], int]]:
 
 
 def _uniform_relabel(system: SteinerSystem, rng: np.random.Generator) -> SteinerSystem:
-    perm_arr = rng.permutation(system.n)
-    perm = {i + 1: int(perm_arr[i]) + 1 for i in range(system.n)}
-    return system.relabeled(perm)
+    perm = [0, *(rng.permutation(system.n) + 1).tolist()]  # perm[v]: the new label of vertex v
+    blocks = frozenset(tuple(sorted(perm[v] for v in b)) for b in system.blocks)
+    return SteinerSystem(system.n, system.d, blocks)
 
 
 def sample_matching(n: int, rng: SeededRng | np.random.Generator) -> SteinerSystem:
@@ -245,12 +240,7 @@ def _hill_climb_triples(n: int, gen: np.random.Generator, max_iterations: int) -
     return None
 
 
-def sample_sts(
-    n: int,
-    rng: SeededRng | np.random.Generator,
-    max_restarts: int = 100,
-    iteration_factor: int = 50,
-) -> SteinerSystem:
+def sample_sts(n: int, rng: SeededRng | np.random.Generator) -> SteinerSystem:
     """Random Steiner triple system on [n] (n = 1 or 3 mod 6).
 
     Hill-climbing resolves one uncovered pair per step, evicting any
@@ -259,13 +249,13 @@ def sample_sts(
     """
     _require_admissible(n, 2)
     gen = rng.generator() if isinstance(rng, SeededRng) else rng
-    cap = iteration_factor * n * n
-    for _ in range(max_restarts):
+    cap = ITERATION_FACTOR * n * n
+    for _ in range(MAX_RESTARTS):
         blocks = _hill_climb_triples(n, gen, cap)
         if blocks is not None:
             system = SteinerSystem.checked(n, 2, blocks)
             return _uniform_relabel(system, gen)
-    raise SamplerExhausted(f"sample_sts(n={n}) exceeded {max_restarts} restarts")
+    raise SamplerExhausted(f"sample_sts(n={n}) exceeded {MAX_RESTARTS} restarts")
 
 
 def _greedy_once(n: int, d: int, gen: np.random.Generator) -> list[Face] | None:
@@ -296,12 +286,7 @@ def _greedy_once(n: int, d: int, gen: np.random.Generator) -> list[Face] | None:
     return blocks
 
 
-def sample_greedy(
-    n: int,
-    d: int,
-    rng: SeededRng | np.random.Generator,
-    max_restarts: int = 100,
-) -> SteinerSystem:
+def sample_greedy(n: int, d: int, rng: SeededRng | np.random.Generator) -> SteinerSystem:
     """Best-effort random greedy Steiner system, restarting on dead ends.
 
     Delegates to the exact matching sampler for d = 1.  For d >= 3 success
@@ -312,12 +297,12 @@ def sample_greedy(
     gen = rng.generator() if isinstance(rng, SeededRng) else rng
     if d == 1:
         return sample_matching(n, gen)
-    for _ in range(max_restarts):
+    for _ in range(MAX_RESTARTS):
         blocks = _greedy_once(n, d, gen)
         if blocks is not None:
             system = SteinerSystem.checked(n, d, blocks)
             return _uniform_relabel(system, gen)
-    raise SamplerExhausted(f"sample_greedy(n={n}, d={d}) exceeded {max_restarts} restarts")
+    raise SamplerExhausted(f"sample_greedy(n={n}, d={d}) exceeded {MAX_RESTARTS} restarts")
 
 
 def sample_system(n: int, d: int, rng: SeededRng | np.random.Generator) -> SteinerSystem:
@@ -343,77 +328,3 @@ def steiner_complex(n: int, d: int, k: int, rng: SeededRng | np.random.Generator
     for _ in range(k):
         faces |= sample_system(n, d, gen).blocks
     return complex_from_dfaces(n, d, faces)
-
-
-@dataclass(frozen=True)
-class InclusionReport:
-    """Empirical block-inclusion frequency over repeated system draws."""
-
-    n: int
-    d: int
-    trials: int
-    block: Face
-    hits: int
-    empirical: float
-    stderr: float
-    expected: float | None
-    deviation_sigmas: float | None
-    passed: bool | None
-
-    def __str__(self) -> str:
-        base = (
-            f"P({set(self.block)} in S) ~ {self.empirical:.6f} "
-            f"(+- {self.stderr:.6f}, {self.trials} trials)"
-        )
-        if self.expected is not None:
-            base += f", expected {self.expected:.6f}, |dev| = {self.deviation_sigmas:.2f} sigma"
-        return base
-
-
-def inclusion_frequency_test(
-    n: int,
-    d: int,
-    trials: int,
-    rng: SeededRng | np.random.Generator,
-    block: Face | None = None,
-) -> InclusionReport:
-    """Monte Carlo estimate of P(block in S) for a fixed block.
-
-    For d = 1 the matching sampler is exactly uniform, so the report carries
-    the target 1/(n-d) and a pass flag at the 4-sigma binomial level; other
-    dimensions are report-only (the hill-climbing law has no closed form).
-    """
-    if trials < 1000:
-        raise ValueError("need at least 1000 trials for a stable frequency")
-    gen = rng.generator() if isinstance(rng, SeededRng) else rng
-    target_block = block if block is not None else tuple(range(1, d + 2))
-    hits = 0
-    for _ in range(trials):
-        system = sample_system(n, d, gen)
-        if target_block in system.blocks:
-            hits += 1
-    empirical = hits / trials
-    if d == 1 and n > 2:
-        expected = 1.0 / (n - d)
-        sigma = sqrt(expected * (1.0 - expected) / trials)
-        deviation = abs(empirical - expected) / sigma
-        passed = deviation <= 4.0
-    elif d == 1:
-        expected, sigma, deviation, passed = 1.0, 0.0, 0.0, hits == trials
-    else:
-        expected = None
-        sigma = sqrt(max(empirical * (1.0 - empirical), 1e-12) / trials)
-        deviation = None
-        passed = None
-    return InclusionReport(
-        n=n,
-        d=d,
-        trials=trials,
-        block=target_block,
-        hits=hits,
-        empirical=empirical,
-        stderr=sigma,
-        expected=expected,
-        deviation_sigmas=deviation,
-        passed=passed,
-    )

@@ -29,7 +29,7 @@ import os
 import resource
 import warnings
 from dataclasses import dataclass
-from math import comb, factorial, gcd
+from math import comb, factorial
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,11 +46,9 @@ __all__ = [
     "laplacian_matrix",
     "eigenvalues",
     "trivial_zero_count",
-    "esd",
     "moments",
     "spectral_summary",
     "signed_trace",
-    "exact_rank",
 ]
 
 SYMMETRY_RTOL = 1e-12
@@ -195,36 +193,6 @@ def eigenvalues(M: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(M)
 
 
-def exact_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals of an integer matrix, by fraction-free elimination.
-
-    Incremental row reduction with cross-multiplication and gcd normalization;
-    no floating point is involved, so the result is exact.
-    """
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, normalized row)
-    rank = 0
-    for row in rows:
-        row = list(row)
-        for pivot_col, pivot_row in basis:
-            coeff = row[pivot_col]
-            if coeff:
-                lead = pivot_row[pivot_col]
-                for c in range(len(row)):
-                    row[c] = row[c] * lead - coeff * pivot_row[c]
-        lead_col = next((c for c, v in enumerate(row) if v), None)
-        if lead_col is None:
-            continue
-        g = 0
-        for v in row:
-            g = gcd(g, abs(v))
-        if g > 1:
-            row = [v // g for v in row]
-        basis.append((lead_col, row))
-        basis.sort(key=lambda item: item[0])
-        rank += 1
-    return rank
-
-
 def trivial_zero_count(X: PureComplex) -> int:
     """Dimension C(n-1, d-1) of the trivial Laplacian kernel (coboundary image from below).
 
@@ -307,11 +275,6 @@ def _summary_from_eigs(
     )
 
 
-def esd(M: np.ndarray, bins: int = 40, lmax: int = 8) -> SpectralSummary:
-    """Empirical spectral distribution of a symmetric matrix."""
-    return _summary_from_eigs(eigenvalues(M), bins, lmax, None)
-
-
 def spectral_summary(
     X: PureComplex, operator: str = "laplacian", bins: int = 40, lmax: int = 8
 ) -> SpectralSummary:
@@ -325,22 +288,16 @@ def spectral_summary(
     return _summary_from_eigs(eigenvalues(M), bins, lmax, trivial_zero_count(X))
 
 
-def zero_threshold(eigs: np.ndarray | float) -> float:
-    """Classification threshold for numerical zeros, scaled to the top eigenvalue.
-
-    Takes a spectrum or just its top eigenvalue.
-    """
-    top = float(np.max(eigs)) if np.size(eigs) else 0.0
+def zero_threshold(top: float) -> float:
+    """Classification threshold for numerical zeros, scaled to the top eigenvalue."""
     return ZERO_RTOL * max(1.0, top)
 
 
-def warn_ambiguous_zeros(eigs: np.ndarray, eps: float) -> None:
-    """Warn when eigenvalues land in the gray zone (eps, AMBIGUOUS_FACTOR * eps)."""
-    eigs = np.atleast_1d(eigs)
-    gray = np.sum((eigs > eps) & (eigs < AMBIGUOUS_FACTOR * eps))
-    if gray:
+def warn_ambiguous_zeros(value: float, eps: float) -> None:
+    """Warn when an eigenvalue lands in the gray zone (eps, AMBIGUOUS_FACTOR * eps)."""
+    if eps < value < AMBIGUOUS_FACTOR * eps:
         warnings.warn(
-            f"{gray} eigenvalue(s) in the ambiguous zone ({eps:.3e}, {AMBIGUOUS_FACTOR * eps:.3e}); "
+            f"eigenvalue {value:.3e} is in the ambiguous zone ({eps:.3e}, {AMBIGUOUS_FACTOR * eps:.3e}); "
             "zero classification may be unreliable",
             RuntimeWarning,
             stacklevel=3,

@@ -60,11 +60,8 @@ __all__ = [
     "SnfDiagonal",
     "TreeCount",
     "smith_normal_form",
-    "pseudodet_from_eigenvalues",
-    "growth_rate_from_eigenvalues",
     "tree_count_from_laplacian",
     "weighted_tree_count",
-    "tree_growth_rate",
     "tree_count_exact",
 ]
 
@@ -172,27 +169,6 @@ def smith_normal_form(M: Sequence[Sequence[int]] | np.ndarray) -> SnfDiagonal:
         top += 1
 
     return SnfDiagonal(tuple(factors))
-
-
-def pseudodet_from_eigenvalues(eigs: np.ndarray, trivial_zeros: int) -> tuple[float, bool]:
-    """Log-product of the non-trivial Laplacian eigenvalues (test oracle for the Cholesky route).
-
-    The lowest `trivial_zeros` eigenvalues must be numerical zeros (hard
-    failure otherwise); any further zero among the rest is a genuine extra
-    kernel vector and flags the product as 0.
-    """
-    eigs = np.sort(np.asarray(eigs, dtype=float))
-    eps = zero_threshold(eigs)
-    warn_ambiguous_zeros(eigs, eps)
-    if trivial_zeros and float(eigs[trivial_zeros - 1]) > eps:
-        raise RuntimeError(
-            f"expected {trivial_zeros} trivial zeros but eigenvalue "
-            f"{float(eigs[trivial_zeros - 1]):.3e} exceeds {eps:.3e}"
-        )
-    rest = eigs[trivial_zeros:]
-    if len(rest) and float(rest[0]) < eps:
-        return 0.0, True
-    return float(np.sum(np.log(rest))) if len(rest) else 0.0, False
 
 
 @dataclass(frozen=True)
@@ -394,23 +370,20 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
     return replace(result, exact_count=exact)
 
 
-def growth_rate_from_eigenvalues(eigs: np.ndarray, trivial_zeros: int, n: int, d: int) -> float:
-    """Per-face normalized tree count from a precomputed Laplacian spectrum (test oracle)."""
-    pseudodet_log, flag = pseudodet_from_eigenvalues(eigs, trivial_zeros)
-    if flag:
-        return 0.0
-    log_count = pseudodet_log - comb(n - 2, d - 1) * log(n)
-    return exp(log_count / comb(n, d))
-
-
-def tree_growth_rate(X: PureComplex) -> float:
-    """Per-face normalized count: (weighted tree count)^(1/C(n, d)); 0 if flagged."""
-    return exp(weighted_tree_count(X).log_count / comb(X.n, X.d))
+def _oracle_chunk(m: int, r: int) -> int:
+    """Candidate subsets per chunk: about ORACLE_CHUNK_BYTES of (m, r) int64 blocks, at least one."""
+    return max(1, ORACLE_CHUNK_BYTES // (8 * m * r))
 
 
 def require_oracle_fits(X: PureComplex) -> None:
     """Refuse, with ValueError, an enumeration of more than ORACLE_MAX_SUBSETS candidate
-    trees, or whose dense C(n, d) x #d-faces int64 boundary block exceeds `usable_memory`."""
+    trees, or one whose arrays exceed `usable_memory`.
+
+    The oracle holds the dense C(n, d) x #d-faces boundary block and, per
+    chunk, a stack of C(n, d) x r column blocks, its copy once a subset drops
+    out of the elimination, and a product temporary as large as the stack:
+    8 bytes an entry (a pointer on the Python-int path).
+    """
     r = comb(X.n - 1, X.d)
     subsets = comb(X.num_dfaces, r)
     if subsets > ORACLE_MAX_SUBSETS:
@@ -419,7 +392,11 @@ def require_oracle_fits(X: PureComplex) -> None:
             f"enumeration guard {ORACLE_MAX_SUBSETS}"
         )
     m = comb(X.n, X.d)
-    require_memory(8 * m * X.num_dfaces, f"the oracle's dense {m} x {X.num_dfaces} boundary block")
+    stack = min(subsets, _oracle_chunk(m, r)) * m * r
+    require_memory(
+        8 * (m * X.num_dfaces + 3 * stack),
+        f"the oracle's dense {m} x {X.num_dfaces} boundary block and its elimination stack",
+    )
 
 
 def _bareiss_trees(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -472,19 +449,23 @@ def tree_count_exact(X: PureComplex) -> int:
     gets its torsion from `smith_normal_form`.  Every Bareiss entry is a
     minor of columns with d + 1 entries of +-1, so by Hadamard's inequality
     no product exceeds (d + 1)^r; below INT64_MINOR_LIMIT the elimination
-    runs in int64, above it the same code runs on Python ints.  Fewer
+    runs in int64, above it the same code runs on Python ints.  At d = 1 the
+    boundary is an oriented incidence matrix, totally unimodular, so every
+    entry is 0 or +-1, no product exceeds 2 and every r runs in int64.  Fewer
     d-faces than r give 0 at once; otherwise more than ORACLE_MAX_SUBSETS
-    candidates, or a boundary block above usable memory, are refused
-    (ValueError) before any work (`require_oracle_fits`).
+    candidates, or arrays above usable memory, are refused (ValueError)
+    before any work (`require_oracle_fits`).
     """
     r = comb(X.n - 1, X.d)
     if X.num_dfaces < r:
         return 0
     require_oracle_fits(X)
-    # (d + 1)^62 >= 2^62, so the exponent never needs to exceed 62
-    dtype = np.int64 if (X.d + 1) ** min(r, 62) < INT64_MINOR_LIMIT else object
-    columns = boundary_matrix(X).toarray().T.astype(dtype)  # row i: the column of d-face i
-    chunk = max(1, ORACLE_CHUNK_BYTES // (8 * columns.shape[1] * r))
+    # the largest product: 2 at d = 1, else (d + 1)^r, whose exponent need not exceed 62
+    largest = 2 if X.d == 1 else (X.d + 1) ** min(r, 62)
+    columns = boundary_matrix(X).T.astype(np.int64).toarray(order="C")  # row i: the column of d-face i
+    if largest >= INT64_MINOR_LIMIT:
+        columns = columns.astype(object)
+    chunk = _oracle_chunk(columns.shape[1], r)
     candidates = combinations(range(X.num_dfaces), r)
     total = 0
     while batch := list(islice(candidates, chunk)):

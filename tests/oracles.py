@@ -1,0 +1,216 @@
+"""Reference routines the tests check the package against; the package never calls them.
+
+Each is an independent or slower route to a value the pipeline computes:
+the eigenvalue pseudodeterminant of the tree count, the exact rank of an
+integer matrix, Chebyshev coefficients by their projection integral, the
+block-inclusion frequency of a sampler, layer totals of a neighbourhood
+census, and per-n means of converge rows.  Tests import this module the way
+they import `conftest`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import comb, cos, exp, gcd, log, pi, sin, sqrt
+
+import numpy as np
+from scipy.integrate import quad
+
+from steinerlab.complexes import Face, NeighborhoodComplex
+from steinerlab.experiments import ConvergenceResult
+from steinerlab.limitlaw import QUAD_EPSABS, LimitLaw
+from steinerlab.sampling import SeededRng, sample_system
+from steinerlab.spectra import (
+    SpectralSummary,
+    _summary_from_eigs,
+    eigenvalues,
+    warn_ambiguous_zeros,
+    zero_threshold,
+)
+
+
+# -- spectra -------------------------------------------------------------------
+def exact_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals of an integer matrix, by fraction-free elimination.
+
+    Incremental row reduction with cross-multiplication and gcd normalization;
+    no floating point is involved, so the result is exact.
+    """
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, normalized row)
+    rank = 0
+    for row in rows:
+        row = list(row)
+        for pivot_col, pivot_row in basis:
+            coeff = row[pivot_col]
+            if coeff:
+                lead = pivot_row[pivot_col]
+                for c in range(len(row)):
+                    row[c] = row[c] * lead - coeff * pivot_row[c]
+        lead_col = next((c for c, v in enumerate(row) if v), None)
+        if lead_col is None:
+            continue
+        g = 0
+        for v in row:
+            g = gcd(g, abs(v))
+        if g > 1:
+            row = [v // g for v in row]
+        basis.append((lead_col, row))
+        basis.sort(key=lambda item: item[0])
+        rank += 1
+    return rank
+
+
+def esd(M: np.ndarray, bins: int = 40, lmax: int = 8) -> SpectralSummary:
+    """Empirical spectral distribution of a symmetric matrix."""
+    return _summary_from_eigs(eigenvalues(M), bins, lmax, None)
+
+
+# -- trees ---------------------------------------------------------------------
+def pseudodet_from_eigenvalues(eigs: np.ndarray, trivial_zeros: int) -> tuple[float, bool]:
+    """Log-product of the non-trivial Laplacian eigenvalues, the oracle of the Cholesky route.
+
+    The lowest `trivial_zeros` eigenvalues must be numerical zeros (hard
+    failure otherwise); any further zero among the rest is a genuine extra
+    kernel vector and flags the product as 0.  Like the Cholesky route it
+    warns when the smallest non-trivial eigenvalue is in the ambiguous zone.
+    """
+    eigs = np.sort(np.asarray(eigs, dtype=float))
+    eps = zero_threshold(float(eigs[-1]) if len(eigs) else 0.0)
+    if trivial_zeros and float(eigs[trivial_zeros - 1]) > eps:
+        raise RuntimeError(
+            f"expected {trivial_zeros} trivial zeros but eigenvalue "
+            f"{float(eigs[trivial_zeros - 1]):.3e} exceeds {eps:.3e}"
+        )
+    rest = eigs[trivial_zeros:]
+    if not len(rest):
+        return 0.0, False
+    warn_ambiguous_zeros(float(rest[0]), eps)
+    if float(rest[0]) < eps:
+        return 0.0, True
+    return float(np.sum(np.log(rest))), False
+
+
+def growth_rate_from_eigenvalues(eigs: np.ndarray, trivial_zeros: int, n: int, d: int) -> float:
+    """Per-face normalized tree count (tree count)^(1/C(n, d)) from a full Laplacian spectrum."""
+    pseudodet_log, flag = pseudodet_from_eigenvalues(eigs, trivial_zeros)
+    if flag:
+        return 0.0
+    log_count = pseudodet_log - comb(n - 2, d - 1) * log(n)
+    return exp(log_count / comb(n, d))
+
+
+# -- limitlaw ------------------------------------------------------------------
+def chebyshev_t(m: int, x):
+    """Chebyshev polynomial of the first kind by the three-term recurrence."""
+    if m < 0:
+        raise ValueError("order must be >= 0")
+    x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
+    prev = np.ones_like(x) if not np.isscalar(x) else 1.0
+    if m == 0:
+        return prev
+    cur = x
+    for _ in range(m - 1):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur
+
+
+def series_coefficient_projection(law: LimitLaw, n: int) -> float:
+    """Chebyshev coefficient by its defining projection integral (2/pi) int T_n g.
+
+    Independent of the closed form `limitlaw.series_coefficient`.
+    """
+    if n < 1:
+        raise ValueError("coefficients are defined for n >= 1")
+    k, w, center, upper = law.k, law.half_width, law.center, law.upper_gap
+
+    def integrand(theta: float) -> float:
+        c = cos(theta)
+        s = sin(theta)
+        g_times_sin = k * w * w * s * s / (2.0 * pi * (center - w * c) * (upper + w * c))
+        return cos(n * theta) * g_times_sin
+
+    value, _ = quad(integrand, 0.0, pi, epsabs=QUAD_EPSABS, limit=400)
+    return 2.0 / pi * value
+
+
+# -- sampling ------------------------------------------------------------------
+@dataclass(frozen=True)
+class InclusionReport:
+    """Empirical block-inclusion frequency over repeated system draws."""
+
+    n: int
+    d: int
+    trials: int
+    block: Face
+    hits: int
+    empirical: float
+    stderr: float
+    expected: float | None
+    deviation_sigmas: float | None
+    passed: bool | None
+
+
+def inclusion_frequency_test(n: int, d: int, trials: int, rng: SeededRng) -> InclusionReport:
+    """Monte Carlo estimate of P(block in S) for the block (1, ..., d+1).
+
+    For d = 1 the matching sampler is exactly uniform, so the report carries
+    the target 1/(n-d) and a pass flag at the 4-sigma binomial level; other
+    dimensions are report-only (the hill-climbing law has no closed form).
+    """
+    if trials < 1000:
+        raise ValueError("need at least 1000 trials for a stable frequency")
+    gen = rng.generator()
+    block = tuple(range(1, d + 2))
+    hits = sum(block in sample_system(n, d, gen).blocks for _ in range(trials))
+    empirical = hits / trials
+    if d == 1 and n > 2:
+        expected = 1.0 / (n - d)
+        sigma = sqrt(expected * (1.0 - expected) / trials)
+        deviation = abs(empirical - expected) / sigma
+        passed = deviation <= 4.0
+    elif d == 1:
+        expected, sigma, deviation, passed = 1.0, 0.0, 0.0, hits == trials
+    else:
+        expected = None
+        sigma = sqrt(max(empirical * (1.0 - empirical), 1e-12) / trials)
+        deviation = None
+        passed = None
+    return InclusionReport(n, d, trials, block, hits, empirical, sigma, expected, deviation, passed)
+
+
+# -- complexes -----------------------------------------------------------------
+def total_vertices(b: NeighborhoodComplex) -> int:
+    """Vertices of the ball: within its radius of the centre."""
+    return sum(map(len, b.vertex_layers))
+
+
+def total_facets(b: NeighborhoodComplex) -> int:
+    """(d-1)-faces within the ball's radius of the centre."""
+    return sum(map(len, b.facet_layers))
+
+
+def total_dfaces(b: NeighborhoodComplex) -> int:
+    """d-faces whose whole boundary lies within the ball's radius."""
+    return sum(map(len, b.dface_layers))
+
+
+def facet_distances(b: NeighborhoodComplex) -> dict[Face, int]:
+    """Line-graph distance from the centre of every (d-1)-face in the ball."""
+    return {f: rho for rho, layer in enumerate(b.facet_layers) for f in layer}
+
+
+# -- experiments ---------------------------------------------------------------
+def mean_growth_rate(result: ConvergenceResult, n: int) -> float:
+    return _row_mean([row.growth_rate for row in result.rows if row.n == n])
+
+
+def mean_fraction(result: ConvergenceResult, n: int, r: int) -> float:
+    return _row_mean([row.fractions[r] for row in result.rows if row.n == n])
+
+
+def mean_moment(result: ConvergenceResult, n: int, ell: int) -> float:
+    return _row_mean([row.moments[ell] for row in result.rows if row.n == n])
+
+
+def _row_mean(values: list[float]) -> float:
+    return float(np.mean(values)) if values else float("nan")

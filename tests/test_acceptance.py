@@ -18,7 +18,6 @@ from steinerlab import (
     growth_constant_chebyshev,
     growth_constant_closed,
     growth_constant_quadrature,
-    inclusion_frequency_test,
     layer_sizes,
     sample_greedy,
     sample_matching,
@@ -31,6 +30,7 @@ from steinerlab import (
 )
 from steinerlab.experiments import ExperimentConfig, run_converge
 from conftest import random_complex
+from oracles import inclusion_frequency_test, mean_fraction, mean_moment
 
 
 def verdict(num, name, ok, detail):
@@ -153,7 +153,7 @@ def test_criterion_06_spectral_convergence():
     cfg = ExperimentConfig(d=2, k=5, n_values=(31, 63), trials=5, radii=(), seed=99, lmax=4)
     res = run_converge(cfg)
     errors = {
-        n: [abs(res.mean_moment(n, ell) - targets[ell]) / abs(targets[ell]) for ell in range(1, 5)]
+        n: [abs(mean_moment(res, n, ell) - targets[ell]) / abs(targets[ell]) for ell in range(1, 5)]
         for n in (31, 63)
     }
     within = all(err <= 0.10 for err in errors[63])
@@ -172,7 +172,7 @@ def test_criterion_07_local_convergence():
     t0 = time.time()
     cfg = ExperimentConfig(d=2, k=5, n_values=(31, 45, 63), trials=5, radii=(1, 2), seed=4, lmax=0)
     res = run_converge(cfg)
-    means = {r: [res.mean_fraction(n, r) for n in (31, 45, 63)] for r in (1, 2)}
+    means = {r: [mean_fraction(res, n, r) for n in (31, 45, 63)] for r in (1, 2)}
     threshold = means[1][2] >= 0.8
     monotone = all(m[0] <= m[1] <= m[2] for m in means.values())
     elapsed = time.time() - t0

@@ -11,8 +11,8 @@ from conftest import random_complex
 from steinerlab import (
     LimitLaw,
     SeededRng,
+    arboreal,
     arboreal_ball,
-    arboreal_fraction,
     arboreal_fractions,
     ball,
     complete_complex,
@@ -92,10 +92,11 @@ class TestArborealBall:
         assert b.complex.n == 10
         assert b.complex.degree(b.root) == 3
 
-    def test_radius_guard(self):
+    def test_radius_guard(self, monkeypatch):
         with pytest.raises(ValueError, match="guard"):
             arboreal_ball(2, 3, 13)
-        arboreal_ball(1, 2, 13, max_radius=13)
+        monkeypatch.setattr(arboreal, "MAX_RADIUS", 13)
+        arboreal_ball(1, 2, 13)
 
     def test_interior_degrees_are_k(self):
         b = arboreal_ball(2, 3, 3)
@@ -156,11 +157,11 @@ class TestArborealFraction:
 
     def test_cycle_fraction_one(self):
         X = cycle_graph(10)
-        assert arboreal_fraction(X, 2, 2) == 1.0
+        assert arboreal_fractions(X, 2, (2,))[0] == 1.0
 
     def test_radius_zero_fraction_one(self, gen):
         X = steiner_complex(9, 2, 2, SeededRng(3))
-        assert arboreal_fraction(X, 2, 0) == 1.0
+        assert arboreal_fractions(X, 2, (0,))[0] == 1.0
 
     def test_matching_ensemble_mean(self):
         # d=1, k=3, r=2: local convergence at rate 1 - C/n with C ~ 30
@@ -169,7 +170,7 @@ class TestArborealFraction:
             total = 0.0
             for t in range(trials):
                 X = steiner_complex(n, 1, 3, SeededRng(55, t))
-                total += arboreal_fraction(X, 3, 2)
+                total += arboreal_fractions(X, 3, (2,))[0]
             return total / trials
 
         at_100 = mean_fraction(100, 20)
@@ -203,57 +204,57 @@ class TestBatchedCensus:
         X = random_complex(n, d, np.random.default_rng(seed))
         expected = tuple(census_oracle(X, k, r) for r in radii)
         assert arboreal_fractions(X, k, radii) == expected
-        assert arboreal_fraction(X, k, radii[0]) == expected[0]
+        assert arboreal_fractions(X, k, (radii[0],))[0] == expected[0]
 
     @pytest.mark.parametrize("n", [3, 5, 8, 12])
     def test_cycles(self, n):
         X = cycle_graph(n)
         for k in (2, 3):
             for r in range(7):
-                assert arboreal_fraction(X, k, r) == census_oracle(X, k, r)
+                assert arboreal_fractions(X, k, (r,))[0] == census_oracle(X, k, r)
 
     @pytest.mark.parametrize("n,d", [(3, 1), (6, 1), (4, 2), (6, 2), (5, 3), (6, 3)])
     def test_complete_complexes(self, n, d):
         X = complete_complex(n, d)
         for k in (2, n - d, n - d + 1):
             for r in range(4):
-                assert arboreal_fraction(X, k, r) == census_oracle(X, k, r)
+                assert arboreal_fractions(X, k, (r,))[0] == census_oracle(X, k, r)
 
     def test_triangle(self):
         X = complete_complex(3, 1)
-        assert arboreal_fraction(X, 2, 1) == 0.0
-        assert arboreal_fraction(X, 2, 1) == census_oracle(X, 2, 1)
+        assert arboreal_fractions(X, 2, (1,))[0] == 0.0
+        assert arboreal_fractions(X, 2, (1,))[0] == census_oracle(X, 2, 1)
 
     @pytest.mark.parametrize("d,k,r", [(1, 2, 3), (1, 3, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2)])
     def test_arboreal_truncations(self, d, k, r):
         X = arboreal_ball(d, k, r).complex
         for kk in (k, k + 1):
             for rr in range(r + 2):
-                assert arboreal_fraction(X, kk, rr) == census_oracle(X, kk, rr)
+                assert arboreal_fractions(X, kk, (rr,))[0] == census_oracle(X, kk, rr)
 
     @pytest.mark.parametrize("n,d,k", [(40, 1, 3), (60, 1, 4), (15, 2, 3), (19, 2, 5), (8, 3, 2)])
     def test_steiner_complexes(self, n, d, k):
         X = steiner_complex(n, d, k, SeededRng(11))
         for r in range(4):
-            assert arboreal_fraction(X, k, r) == census_oracle(X, k, r)
+            assert arboreal_fractions(X, k, (r,))[0] == census_oracle(X, k, r)
 
     def test_one_expansion_for_all_radii(self):
         X = steiner_complex(40, 1, 3, SeededRng(11))
         radii = (3, 1, 1, 0, 2, 5)
-        assert arboreal_fractions(X, 3, radii) == tuple(arboreal_fraction(X, 3, r) for r in radii)
+        assert arboreal_fractions(X, 3, radii) == tuple(arboreal_fractions(X, 3, (r,))[0] for r in radii)
         assert arboreal_fractions(X, 3, ()) == ()
 
     def test_radius_zero_is_one_for_any_k(self):
         X = cycle_graph(6)
-        assert arboreal_fraction(X, 1, 0) == 1.0
-        assert arboreal_fraction(X, 0, 0) == 1.0
+        assert arboreal_fractions(X, 1, (0,))[0] == 1.0
+        assert arboreal_fractions(X, 0, (0,))[0] == 1.0
         assert arboreal_fractions(X, 1, (0, 0)) == (1.0, 1.0)
 
     @pytest.mark.parametrize("k,r", [(3, -1), (1, -1), (1, 1), (0, 2)])
     def test_same_errors_as_oracle(self, k, r):
         X = cycle_graph(6)
         with pytest.raises(ValueError) as batched:
-            arboreal_fraction(X, k, r)
+            arboreal_fractions(X, k, (r,))[0]
         with pytest.raises(ValueError) as oracle:
             census_oracle(X, k, r)
         with pytest.raises(ValueError) as several:

@@ -58,6 +58,34 @@ class TestSample:
         assert "exhausted" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["sample", "local"])
+    def test_negative_trials_exit_2(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([command, "--d", "1", "--k", "2", "--n", "8", "--trials", "-1", "--out", str(out)])
+        assert code == 2
+        assert "trials must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_converge_and_sst_draw_the_same_trials(self, tmp_path, monkeypatch):
+        # one stream per (seed, n, trial): sample's files, converge --keep-complexes and sst --trial agree
+        import steinerlab.cli as cli
+
+        source = ["--d", "2", "--k", "3", "--n", "13", "--seed", "5"]
+        assert main(["sample", *source, "--trials", "3", "--out", str(tmp_path / "sample")]) == 0
+        assert main(["converge", *source, "--trials", "3", "--deterministic", "--keep-complexes",
+                     str(tmp_path / "kept"), "--out", str(tmp_path / "rows.csv")]) == 0
+        counted = []
+        count = cli.weighted_tree_count
+        monkeypatch.setattr(cli, "weighted_tree_count", lambda X, oracle: (counted.append(X), count(X, oracle))[1])
+        for trial in range(3):
+            name = f"complex_n13_t{trial}.txt"
+            X = read_complex(tmp_path / "sample" / name)
+            assert (tmp_path / "sample" / name).read_bytes() == (tmp_path / "kept" / name).read_bytes()
+            assert main(["sst", *source, "--trial", str(trial), "--out", str(tmp_path / "sst.json")]) == 0
+            assert counted[-1] == X
+        assert len({X.faces.tobytes() for X in counted}) == 3
+
+
 class TestSpectrum:
     def test_csv_and_sidecar(self, tmp_path):
         out = tmp_path / "hist.csv"

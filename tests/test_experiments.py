@@ -12,7 +12,7 @@ from steinerlab.experiments import (
     run_gap_report,
 )
 from steinerlab.spectra import eigenvalues, laplacian_matrix, trivial_zero_count
-from steinerlab.trees import growth_rate_from_eigenvalues
+from oracles import growth_rate_from_eigenvalues, mean_growth_rate
 
 
 def small_config(**overrides):
@@ -133,7 +133,7 @@ class TestRunConverge:
         gaps = {}
         for n in (100, 200):
             cfg = small_config(n_values=(n,), trials=20, radii=(), lmax=0, seed=42)
-            mean = run_converge(cfg).mean_growth_rate(n)
+            mean = mean_growth_rate(run_converge(cfg), n)
             gaps[n] = abs(mean - xi) / xi
         assert gaps[100] <= 0.05
         assert gaps[200] <= 0.03

@@ -6,14 +6,13 @@ from scipy.integrate import quad
 
 from steinerlab import (
     LimitLaw,
-    chebyshev_t,
     growth_constant_chebyshev,
     growth_constant_closed,
     growth_constant_quadrature,
     limitlaw,
     series_coefficient,
-    series_coefficient_projection,
 )
+from oracles import chebyshev_t, series_coefficient_projection
 
 
 class TestLimitLawParams:

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +18,42 @@ def test_public_names_are_defined_in_their_module(layer):
         obj = vars(module)[name]
         if inspect.isfunction(obj) or inspect.isclass(obj):
             assert obj.__module__ == module.__name__, f"{layer}.{name} comes from {obj.__module__}"
+
+
+def test_package_exports_are_layer_names():
+    import steinerlab
+
+    layers = [importlib.import_module(f"steinerlab.{layer}") for layer in LAYERS]
+    for name, obj in vars(steinerlab).items():
+        if name.startswith("_") or inspect.ismodule(obj):
+            continue
+        assert any(name in m.__all__ and vars(m)[name] is obj for m in layers), (
+            f"steinerlab exports {name}, which no layer lists in its __all__"
+        )
+
+
+def test_oracles_stay_out_of_the_package():
+    import oracles
+    import steinerlab
+
+    defined = [name for name, obj in vars(oracles).items()
+               if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == "oracles"]
+    assert "exact_rank" in defined
+    modules = [steinerlab, *(importlib.import_module(f"steinerlab.{layer}") for layer in LAYERS)]
+    for name in defined:
+        for module in modules:
+            assert name not in vars(module), f"{module.__name__} has the test oracle {name}"
+
+
+def test_src_never_imports_tests():
+    src = Path(importlib.import_module("steinerlab").__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in {"tests", "oracles", "conftest"}, f"{path.name} imports {name}"

@@ -13,7 +13,6 @@ from steinerlab import (
     SeededRng,
     SteinerSystem,
     complex_from_dfaces,
-    inclusion_frequency_test,
     is_admissible,
     sample_greedy,
     sample_matching,
@@ -22,6 +21,7 @@ from steinerlab import (
 )
 from steinerlab import sampling
 from steinerlab.sampling import _bounded_draws
+from oracles import inclusion_frequency_test
 
 # bounds on numpy's 32-bit path: no rejection (1, 2**32), rare rejection,
 # and rejection of about a quarter (3 * 2**30 + 7) and a half (2**31 + 1)
@@ -288,10 +288,12 @@ class TestHillClimbReference:
             assert state(gen) == state(ref)
         assert None in runs  # sample_sts restarted
 
-    def test_exhausted_leaves_same_stream(self):
+    def test_exhausted_leaves_same_stream(self, monkeypatch):
         gen, ref = SeededRng(3, 3).generator(), SeededRng(3, 3).generator()
+        monkeypatch.setattr(sampling, "MAX_RESTARTS", 4)
+        monkeypatch.setattr(sampling, "ITERATION_FACTOR", 0)
         with pytest.raises(SamplerExhausted, match="exceeded 4 restarts"):
-            sample_sts(31, gen, max_restarts=4, iteration_factor=0)
+            sample_sts(31, gen)
         for _ in range(4):
             assert reference_hill_climb(31, ref, 0) is None
         assert state(gen) == state(ref)
@@ -329,9 +331,10 @@ class TestGreedy:
             assert sample_greedy(n, d, gen) == reference_system(n, d, ref, once, None)
             assert state(gen) == state(ref)
 
-    def test_restart_cap_surfaces_typed_failure(self):
+    def test_restart_cap_surfaces_typed_failure(self, monkeypatch):
+        monkeypatch.setattr(sampling, "MAX_RESTARTS", 0)
         with pytest.raises(SamplerExhausted):
-            sample_greedy(9, 2, SeededRng(8), max_restarts=0)
+            sample_greedy(9, 2, SeededRng(8))
 
 
 class TestSteinerComplex:

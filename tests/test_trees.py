@@ -16,13 +16,17 @@ from steinerlab import (
     spectra,
     steiner_complex,
     tree_count_exact,
-    tree_growth_rate,
     trees,
     weighted_tree_count,
 )
-from steinerlab.spectra import eigenvalues, exact_rank, laplacian_matrix, sparse_laplacian, trivial_zero_count
-from steinerlab.trees import growth_rate_from_eigenvalues, pseudodet_from_eigenvalues
+from steinerlab.spectra import eigenvalues, laplacian_matrix, sparse_laplacian, trivial_zero_count
 from conftest import random_complex
+from oracles import exact_rank, growth_rate_from_eigenvalues, pseudodet_from_eigenvalues
+
+
+def growth_rate(X):
+    """(weighted tree count)^(1/C(n, d)), 0 when flagged: a converge row's growth_rate."""
+    return exp(weighted_tree_count(X).log_count / comb(X.n, X.d))
 
 
 def triangle():
@@ -82,14 +86,14 @@ class TestWeightedTreeCount:
 
 class TestGrowthRate:
     def test_k4_graph_is_two(self):
-        assert tree_growth_rate(complete_complex(4, 1)) == pytest.approx(2.0, abs=1e-10)
+        assert growth_rate(complete_complex(4, 1)) == pytest.approx(2.0, abs=1e-10)
 
     def test_triangle(self):
-        assert tree_growth_rate(triangle()) == pytest.approx(3 ** (1 / 3), abs=1e-12)
+        assert growth_rate(triangle()) == pytest.approx(3 ** (1 / 3), abs=1e-12)
 
     def test_flagged_complex_returns_zero(self):
         X = complex_from_dfaces(4, 2, [(1, 2, 3), (1, 2, 4)])
-        assert tree_growth_rate(X) == 0.0
+        assert growth_rate(X) == 0.0
 
 
 class TestSmithNormalForm:
@@ -295,6 +299,50 @@ class TestExactOracle:
         assert exact == round(weighted_tree_count(X).count)
         assert peak < 6 * 2**20
 
+    def test_d1_path_runs_in_int64_past_r_62(self, monkeypatch):
+        # r = 399: the Hadamard bound 2^399 would send it to Python ints, but a graph's
+        # incidence matrix is totally unimodular, so every product stays within 2
+        eliminate, dtypes = trees._bareiss_trees, []
+
+        def spy(A):
+            dtypes.append(A.dtype)
+            return eliminate(A)
+
+        monkeypatch.setattr(trees, "_bareiss_trees", spy)
+        assert tree_count_exact(path_graph(400)) == 1
+        assert dtypes == [np.int64]
+
+    def test_d1_path_peak_memory_within_guard(self, monkeypatch):
+        X = path_graph(400)
+        needs, require = [], trees.require_memory
+        monkeypatch.setattr(trees, "require_memory", lambda need, what: (needs.append(need), require(need, what)))
+        tracemalloc.start()
+        try:
+            assert tree_count_exact(X) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = 8 * 400 * 399  # one chunk of one subset: the stack is as large as the block
+        assert needs == [4 * block]
+        assert 2.5 * block < peak < needs[0]
+
+    @settings(max_examples=6, deadline=None)
+    @given(n=st.integers(64, 70), seed=st.integers(0, 2**32 - 1))
+    def test_d1_unicyclic_int64_matches_object_path(self, n, seed):
+        # a random spanning tree plus one edge: its spanning trees are the cycle's length
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(n) + 1
+        edges = {tuple(sorted((int(order[i]), int(order[rng.integers(0, i)])))) for i in range(1, n)}
+        extra = tuple(sorted(int(v) for v in rng.choice(n, size=2, replace=False) + 1))
+        assume(extra not in edges)
+        X = complex_from_dfaces(n, 1, edges | {extra})
+        cycle = round(weighted_tree_count(X).count)
+        assert 3 <= cycle <= n
+        assert tree_count_exact(X) == cycle
+        with pytest.MonkeyPatch.context() as mp:
+            object_path_only(mp)
+            assert tree_count_exact(X) == cycle
+
     def test_matches_spectral_on_random_complexes(self, gen):
         positive_seen = 0
         for _ in range(12):
@@ -335,6 +383,10 @@ def cycle_graph(n):
     return complex_from_dfaces(n, 1, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 
 
+def path_graph(n):
+    return complex_from_dfaces(n, 1, [(i, i + 1) for i in range(1, n)])
+
+
 class TestMatrixTreeRoute:
     """The Cholesky / Lanczos route against the full-spectrum oracle."""
 
@@ -347,11 +399,11 @@ class TestMatrixTreeRoute:
         assert r.floor == pytest.approx(eigs[tz], abs=1e-10 * max(1.0, eigs[-1]))
         if flag:
             assert r.count == 0.0 and r.log_count == float("-inf")
-            assert tree_growth_rate(X) == 0.0
+            assert growth_rate(X) == 0.0
         else:
             assert r.pseudodet_log == pytest.approx(pseudodet, rel=1e-10, abs=1e-12)
             expected = growth_rate_from_eigenvalues(eigs, tz, X.n, X.d)
-            assert tree_growth_rate(X) == pytest.approx(expected, rel=1e-10)
+            assert growth_rate(X) == pytest.approx(expected, rel=1e-10)
         return r
 
     def test_random_grid_d123(self, gen):
