@@ -228,13 +228,11 @@ def require_int64_powers(M: sp.spmatrix, lmax: int) -> None:
         )
 
 
-def _power_traces(M: np.ndarray | sp.spmatrix, lmax: int) -> list[int]:
-    """Exact traces tr(M^l), l = 0..lmax, of an integer matrix, as Python ints.
+def _int64_powers(M: np.ndarray | sp.spmatrix, lmax: int) -> list[sp.csr_matrix]:
+    """M^0 .. M^ceil(lmax/2) of an integer matrix, in int64, for exact traces up to tr(M^lmax).
 
-    tr(M^l) = sum(M^a * (M^b)^T) with a = ceil(l/2), b = l - a, so only
-    int64 powers up to ceil(lmax/2) are formed; each row of that product
-    sums within int64 (`require_int64_powers`) and the rows are summed as
-    Python ints.
+    Refuses (ValueError) a matrix that is not integer, or one whose powers
+    or trace sums up to lmax could leave int64 (`require_int64_powers`).
     """
     M = sp.csr_matrix(M)
     ints = M.astype(np.int64)
@@ -244,18 +242,25 @@ def _power_traces(M: np.ndarray | sp.spmatrix, lmax: int) -> list[int]:
     powers = [sp.identity(M.shape[0], dtype=np.int64, format="csr"), ints]
     while len(powers) <= (lmax + 1) // 2:
         powers.append(powers[-1] @ ints)
-    traces = []
-    for ell in range(lmax + 1):
-        a = (ell + 1) // 2
-        rows = powers[a].multiply(powers[ell - a].T).sum(axis=1)
-        traces.append(sum(np.asarray(rows).ravel().tolist()))
-    return traces
+    return powers
+
+
+def _trace(powers: list[sp.csr_matrix], ell: int) -> int:
+    """Exact tr(M^ell) as a Python int from `_int64_powers`.
+
+    tr(M^ell) = sum(M^a * (M^b)^T) with a = ceil(ell/2), b = ell - a; each
+    row of that product sums within int64 and the rows are summed as
+    Python ints.
+    """
+    a = (ell + 1) // 2
+    rows = powers[a].multiply(powers[ell - a].T).sum(axis=1)
+    return sum(np.asarray(rows).ravel().tolist())
 
 
 def moments(M: np.ndarray | sp.spmatrix, lmax: int) -> list[float]:
     """Spectral moments (1/m) tr(M^l) for l = 0..lmax of an integer matrix, from exact traces."""
-    m = M.shape[0]
-    return [trace / m for trace in _power_traces(M, lmax)]
+    powers = _int64_powers(M, lmax)
+    return [_trace(powers, ell) / M.shape[0] for ell in range(lmax + 1)]
 
 
 def _summary_from_eigs(
@@ -316,4 +321,4 @@ def signed_trace(X: PureComplex, length: int) -> int:
         raise ValueError(
             f"length {length} exceeds guard {SIGNED_TRACE_MAX_LENGTH} (growth is (dk)^l)"
         )
-    return _power_traces(signed_adjacency(boundary_matrix(X)), length)[length]
+    return _trace(_int64_powers(signed_adjacency(boundary_matrix(X)), length), length)

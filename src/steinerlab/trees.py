@@ -26,17 +26,20 @@ rectangular full packed storage, half a dense matrix, and factors it in
 place (`dpftrf`), adding 2 sum log diag of the factor.  At d = 2, k = 5,
 n = 111 phase 1 cuts the dense order from 5995 to about 3930, which leaves
 under a third of the dense flops.  The enumeration oracle instead sums the
-squared torsion over candidate trees: one batched fraction-free (Bareiss)
-elimination per chunk of candidate subsets finds the trees, a unit maximal
-minor gives torsion 1, and any other tree gets its torsion from a Smith
-normal form.  Spectral arithmetic stays in the log domain because counts
-grow like exp(Theta(n^d)).
+squared torsion over candidate trees.  It walks the prefix tree of candidate
+face subsets depth-first: a node holds its fraction-free (Bareiss)
+eliminated trailing block, each child is one batched Bareiss step on a
+later face's column, and a dependent prefix drops its subtree, so every
+prefix is eliminated once.  Pieces of about ORACLE_CHUNK_BYTES of node
+states bound its memory, which the guard counts before any work.  At a leaf
+a unit maximal minor gives torsion 1, and any other tree gets its torsion
+from a Smith normal form.  Spectral arithmetic stays in the log domain
+because counts grow like exp(Theta(n^d)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, islice
 from math import comb, exp, frexp, log
 from typing import Sequence
 
@@ -66,7 +69,7 @@ __all__ = [
 ]
 
 ORACLE_MAX_SUBSETS = 10**6
-# the oracle eliminates its candidate subsets in chunks of about this many bytes of int64 columns
+# the oracle walks its prefix tree in pieces of about this many bytes of node states
 ORACLE_CHUNK_BYTES = 2**20
 # int64 elimination while (d + 1)^r, the Hadamard bound on its products, is below this
 INT64_MINOR_LIMIT = 2**62
@@ -370,19 +373,53 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
     return replace(result, exact_count=exact)
 
 
-def _oracle_chunk(m: int, r: int) -> int:
-    """Candidate subsets per chunk: about ORACLE_CHUNK_BYTES of (m, r) int64 blocks, at least one."""
-    return max(1, ORACLE_CHUNK_BYTES // (8 * m * r))
+def _node_entries(R: int, F: int, r: int, j: int) -> int:
+    """Ints a node at depth j of the oracle's walk holds: its (R - j) x (F - j)
+    block, its j faces, its pivot, and (node, column, pivot row) for each of
+    its at most F - r + 1 children."""
+    return (R - j) * (F - j) + j + 1 + 3 * (F - r + 1)
+
+
+def _piece_nodes(R: int, F: int, r: int, j: int) -> int:
+    """Nodes in one piece at depth j of the oracle's walk: about ORACLE_CHUNK_BYTES of them, at least one."""
+    return max(1, ORACLE_CHUNK_BYTES // (8 * _node_entries(R, F, r, j)))
+
+
+def _walk_entries(R: int, F: int, r: int) -> int:
+    """The most ints the oracle's walk holds at once besides its R x F boundary block, the root.
+
+    Expanding a piece at depth j holds the piece, its next piece of children
+    three times over (the children, and the step's product temporary or the
+    pivot search's gathered columns), and every piece lower on the stack
+    that still has children to walk.  A piece at depth j has at most
+    min(C(F - r + j, j), `_piece_nodes`) nodes, each with at most F - r + 1
+    children, and it stays on the stack only when its children can fill
+    more than one piece.  Pieces at depth r - 1 have leaves, pivots only.
+    """
+    spare = F - r
+    held = peak = 0
+    nodes = 1
+    for j in range(r - 1):
+        piece = nodes * _node_entries(R, F, r, j) if j else 0
+        children = min(comb(spare + j + 1, j + 1), nodes * (spare + 1))
+        cap = _piece_nodes(R, F, r, j + 1)
+        nodes = min(children, cap)
+        peak = max(peak, held + piece + 3 * nodes * _node_entries(R, F, r, j + 1))
+        if children > cap:
+            held += piece
+    return peak
 
 
 def require_oracle_fits(X: PureComplex) -> None:
     """Refuse, with ValueError, an enumeration of more than ORACLE_MAX_SUBSETS candidate
     trees, or one whose arrays exceed `usable_memory`.
 
-    The oracle holds the dense C(n, d) x #d-faces boundary block and, per
-    chunk, a stack of C(n, d) x r column blocks, its copy once a subset drops
-    out of the elimination, and a product temporary as large as the stack:
-    8 bytes an entry (a pointer on the Python-int path).
+    The oracle holds the dense C(n, d) x #d-faces boundary block, the root
+    of its walk, and at most the walk's pieces that `_walk_entries` counts
+    from the shape: the piece being expanded, three times its next piece of
+    children, and every lower piece with children still to walk, a piece
+    being about ORACLE_CHUNK_BYTES of node states or one node.  Each entry
+    takes 8 bytes (a pointer on the Python-int path).
     """
     r = comb(X.n - 1, X.d)
     subsets = comb(X.num_dfaces, r)
@@ -391,49 +428,56 @@ def require_oracle_fits(X: PureComplex) -> None:
             f"C({X.num_dfaces}, {r}) = {subsets} subsets exceeds the "
             f"enumeration guard {ORACLE_MAX_SUBSETS}"
         )
-    m = comb(X.n, X.d)
-    stack = min(subsets, _oracle_chunk(m, r)) * m * r
+    R = comb(X.n, X.d)
+    walk = _walk_entries(R, X.num_dfaces, r) if subsets else 0
     require_memory(
-        8 * (m * X.num_dfaces + 3 * stack),
-        f"the oracle's dense {m} x {X.num_dfaces} boundary block and its elimination stack",
+        8 * (R * X.num_dfaces + walk),
+        f"the oracle's dense {R} x {X.num_dfaces} boundary block and the pieces of its walk",
     )
 
 
-def _bareiss_trees(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bareiss elimination of a (c, R, r) stack of integer matrices, in place.
+def _children(states: np.ndarray, faces: np.ndarray, spare: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(node, column, pivot row) of every child of a piece at depth j, in lexicographic order.
 
-    Column k pivots on the first nonzero entry in rows k.. of that column,
-    swapped into row k and made positive by negating that row, and then
-    A <- (A p - a b) // p_prev on the trailing block, an exact division
-    (Bareiss 1968).  A matrix with no pivot in some column has rank below r
-    and leaves the stack.  Returns the positions in the stack of the
-    matrices of rank r and their last pivots, each the absolute value of an
-    r x r minor.
+    Node i may take any face after its last one up to face j + spare: at
+    depth j face c is column c - j of the block, so these are among its
+    first spare + 1 columns.  The pivot row is the first nonzero row of the
+    face's column, and a column with none is dependent.
     """
-    kept = np.arange(len(A))
-    prev = np.ones(len(A), dtype=A.dtype)
-    r = A.shape[2]
-    for k in range(r):
-        nonzero = A[:, k:, k] != 0
-        found = nonzero.any(axis=1)
-        if not found.all():
-            A, kept, prev, nonzero = A[found], kept[found], prev[found], nonzero[found]
-        at = np.arange(len(A))
-        first = k + nonzero.argmax(axis=1)
-        pivot_rows = A[at, first, k:].copy()
-        A[at, first, k:] = A[:, k, k:]
-        # a negated row only flips the sign of the minors; a positive pivot makes units 1
-        A[:, k, k:] = np.where(pivot_rows[:, :1] < 0, -pivot_rows, pivot_rows)
-        pivot = A[:, k, k]
-        if k + 1 < r:
-            rest = A[:, k + 1:, k + 1:]
-            if (pivot != 1).any():  # most pivots of +-1 columns are 1: skip the no-op
-                rest *= pivot[:, None, None]
-            rest -= A[:, k + 1:, k:k + 1] * A[:, k:k + 1, k + 1:]
-            if (prev != 1).any():
-                rest //= prev[:, None, None]
-        prev = pivot
-    return kept, prev
+    j = faces.shape[1]
+    last = faces[:, -1] - j if j else np.full(len(faces), -1)
+    node, col = np.nonzero(np.arange(spare + 1) > last[:, None])
+    nonzero = states[node, :, col] != 0
+    row = nonzero.argmax(axis=1)
+    found = nonzero[np.arange(len(row)), row]
+    return node[found], col[found], row[found]
+
+
+def _bareiss_step(
+    states: np.ndarray, prev: np.ndarray, node: np.ndarray, col: np.ndarray, row: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One fraction-free (Bareiss 1968) step per child: its trailing block and its pivot.
+
+    The pivot row of node's block is swapped into row 0 and made positive
+    by negating it, which only flips the sign of the minors, and then
+    block <- (p block - a b) // p_prev on rows 1.. and columns 1.., an exact
+    division by the parent's pivot.
+    """
+    child = states[node, 1:, 1:]
+    below = states[node, 1:, col]
+    moved = np.flatnonzero(row)
+    child[moved, row[moved] - 1] = states[node[moved], 0, 1:]
+    below[moved, row[moved] - 1] = states[node[moved], 0, col[moved]]
+    pivot = states[node, row, col]
+    sign = np.where(pivot < 0, -1, 1)
+    pivot = pivot * sign
+    if (pivot != 1).any():  # most pivots of +-1 columns are 1: skip the no-op
+        child *= pivot[:, None, None]
+    child -= below[:, :, None] * (states[node, row, 1:] * sign[:, None])[:, None, :]
+    prev = prev[node]
+    if (prev != 1).any():
+        child //= prev[:, None, None]
+    return child, pivot
 
 
 def tree_count_exact(X: PureComplex) -> int:
@@ -442,19 +486,25 @@ def tree_count_exact(X: PureComplex) -> int:
     A candidate is any C(n-1, d)-subset of the d-faces; it is a tree exactly
     when its boundary columns are independent over the rationals, and its
     weight is the squared torsion of the cokernel of those columns, the gcd
-    of their r x r minors, r = C(n-1, d).  The candidates are taken in chunks
-    of about ORACLE_CHUNK_BYTES, and each chunk's (C(n, d), r) column blocks
-    go through one batched Bareiss elimination (`_bareiss_trees`).  A tree
-    whose last pivot, a maximal minor, is 1 has torsion 1; any other tree
-    gets its torsion from `smith_normal_form`.  Every Bareiss entry is a
-    minor of columns with d + 1 entries of +-1, so by Hadamard's inequality
-    no product exceeds (d + 1)^r; below INT64_MINOR_LIMIT the elimination
-    runs in int64, above it the same code runs on Python ints.  At d = 1 the
-    boundary is an oriented incidence matrix, totally unimodular, so every
-    entry is 0 or +-1, no product exceeds 2 and every r runs in int64.  Fewer
-    d-faces than r give 0 at once; otherwise more than ORACLE_MAX_SUBSETS
-    candidates, or arrays above usable memory, are refused (ValueError)
-    before any work (`require_oracle_fits`).
+    of their r x r minors, r = C(n-1, d).  The candidates are the leaves of
+    a prefix tree, faces in increasing order.  A node at depth j holds its
+    fraction-free (Bareiss) eliminated trailing block, rows j.. and columns
+    j.. of the C(n, d) x #d-faces boundary, and each child takes a later
+    face c with one Bareiss step on column c (`_bareiss_step`), pivoting on
+    the first nonzero row; a prefix with no pivot is dependent and drops its
+    subtree, so every prefix is eliminated once.  The walk is depth-first,
+    one batched step per piece of about ORACLE_CHUNK_BYTES of children, so
+    memory does not grow with the subset count.  At depth r the pivot is a
+    maximal minor: 1 gives torsion 1, and any other tree gets its torsion
+    from `smith_normal_form`.  Every Bareiss entry is a minor of columns
+    with d + 1 entries of +-1, so by Hadamard's inequality no product
+    exceeds (d + 1)^r; below INT64_MINOR_LIMIT the walk runs in int64, above
+    it the same code runs on Python ints.  At d = 1 the boundary is an
+    oriented incidence matrix, totally unimodular, so every entry is 0 or
+    +-1, no product exceeds 2 and every r runs in int64.  Fewer d-faces than
+    r give 0 at once; otherwise more than ORACLE_MAX_SUBSETS candidates, or
+    arrays above usable memory, are refused (ValueError) before any work
+    (`require_oracle_fits`).
     """
     r = comb(X.n - 1, X.d)
     if X.num_dfaces < r:
@@ -462,18 +512,30 @@ def tree_count_exact(X: PureComplex) -> int:
     require_oracle_fits(X)
     # the largest product: 2 at d = 1, else (d + 1)^r, whose exponent need not exceed 62
     largest = 2 if X.d == 1 else (X.d + 1) ** min(r, 62)
-    columns = boundary_matrix(X).T.astype(np.int64).toarray(order="C")  # row i: the column of d-face i
+    block = boundary_matrix(X).astype(np.int64).toarray()  # column c: the boundary of d-face c
     if largest >= INT64_MINOR_LIMIT:
-        columns = columns.astype(object)
-    chunk = _oracle_chunk(columns.shape[1], r)
-    candidates = combinations(range(X.num_dfaces), r)
+        block = block.astype(object)
+    R, F = block.shape
+    spare = F - r
+    root = (block[None], np.empty((1, 0), dtype=np.intp))
+    stack = [(*root, np.ones(1, dtype=block.dtype), _children(*root, spare), 0)]
     total = 0
-    while batch := list(islice(candidates, chunk)):
-        batch = np.array(batch, dtype=np.intp)
-        kept, last = _bareiss_trees(columns[batch].transpose(0, 2, 1))
-        unit = last == 1
-        total += int(unit.sum())
-        for subset in batch[kept[~unit]]:
-            torsion = smith_normal_form(columns[subset].T).torsion()
-            total += torsion * torsion
+    while stack:
+        states, faces, prev, (node, col, row), start = stack.pop()
+        j = faces.shape[1]
+        if j + 1 == r:  # the children are leaves, and their pivots maximal minors
+            pivot = abs(states[node, row, col])
+            unit = pivot == 1
+            total += int(unit.sum())
+            for i in np.flatnonzero(~unit):
+                torsion = smith_normal_form(block[:, [*faces[node[i]], j + col[i]]]).torsion()
+                total += torsion * torsion
+            continue
+        stop = start + _piece_nodes(R, F, r, j + 1)
+        if stop < len(node):
+            stack.append((states, faces, prev, (node, col, row), stop))
+        node, col, row = node[start:stop], col[start:stop], row[start:stop]
+        child, pivot = _bareiss_step(states, prev, node, col, row)
+        child_faces = np.column_stack([faces[node], j + col])
+        stack.append((child, child_faces, pivot, _children(child, child_faces, spare), 0))
     return total

@@ -153,8 +153,26 @@ def exact_det(M):
     )
 
 
+def eliminate_columns(A):
+    """Walk a stack of (R, r) matrices through the oracle's pivot search and Bareiss steps.
+
+    With no spare column every node's one child takes its next column, so
+    the walk eliminates each matrix's columns in order.  Returns the
+    positions of the matrices of rank r and their last pivots.
+    """
+    states, faces, prev = A, np.empty((len(A), 0), dtype=np.intp), np.ones(len(A), dtype=A.dtype)
+    kept = np.arange(len(A))
+    for j in range(A.shape[2]):
+        node, col, row = trees._children(states, faces, 0)
+        kept = kept[node]
+        if j + 1 == A.shape[2]:
+            return kept, abs(states[node, row, col])
+        states, prev = trees._bareiss_step(states, prev, node, col, row)
+        faces = np.column_stack([faces[node], j + col])
+
+
 class TestBareiss:
-    """The batched elimination behind the oracle, on random stacks of +-1 columns."""
+    """The oracle's batched elimination, on random stacks of +-1 columns."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -173,7 +191,7 @@ class TestBareiss:
                 at = rng.choice(rows, size=min(nonzeros, rows), replace=False)
                 M[at, j] = rng.choice([-1, 1], size=len(at))
         mats = [M.tolist() for M in A]
-        kept, last = trees._bareiss_trees(A.astype(object) if python_ints else A)
+        kept, last = eliminate_columns(A.astype(object) if python_ints else A)
         trees_at = set(kept.tolist())
         assert [exact_rank(M) == size for M in mats] == [i in trees_at for i in range(len(mats))]
         if not extra_rows:
@@ -195,15 +213,27 @@ def per_subset_tree_count(X):
 
 
 def object_path_only(mp):
-    """Send every chunk of the oracle through the Python-int elimination, and check that it does."""
-    eliminate = trees._bareiss_trees
+    """Send the oracle's walk through Python-int blocks, and check that every piece is one."""
+    find_pivots = trees._children
 
-    def spy(A):
-        assert A.dtype == object
-        return eliminate(A)
+    def spy(states, faces, spare):
+        assert states.dtype == object
+        return find_pivots(states, faces, spare)
 
     mp.setattr(trees, "INT64_MINOR_LIMIT", 0)
-    mp.setattr(trees, "_bareiss_trees", spy)
+    mp.setattr(trees, "_children", spy)
+
+
+def record_steps(mp, R):
+    """Record (depth, dtype, children) of every Bareiss step of the oracle's walk on C(n, d) = R rows."""
+    step, steps = trees._bareiss_step, []
+
+    def spy(states, prev, node, col, row):
+        steps.append((R - states.shape[1], states.dtype, len(node)))
+        return step(states, prev, node, col, row)
+
+    mp.setattr(trees, "_bareiss_step", spy)
+    return steps
 
 
 ORACLE_MAX_N = {1: 8, 2: 7, 3: 6}
@@ -222,8 +252,51 @@ class TestExactOracle:
     def test_k5_2(self):
         assert tree_count_exact(complete_complex(5, 2)) == 125
 
-    def test_too_few_faces_is_zero(self):
+    def test_too_few_faces_is_zero(self, monkeypatch):
+        def no_elimination(*args):
+            raise AssertionError("the oracle built or eliminated a block with fewer faces than r")
+
+        for name in ("boundary_matrix", "_children", "_bareiss_step"):
+            monkeypatch.setattr(trees, name, no_elimination)
         assert tree_count_exact(complex_from_dfaces(4, 2, [(1, 2, 3)])) == 0
+        assert tree_count_exact(complex_from_dfaces(2, 1, [])) == 0
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (4, 3)])
+    def test_one_face_is_one_tree(self, n, d, monkeypatch):
+        # r = C(n - 1, d) = 1: the root's pivot search finds the leaf, and no step runs
+        steps = record_steps(monkeypatch, comb(n, d))
+        assert tree_count_exact(complete_complex(n, d)) == 1
+        assert steps == []
+
+    def test_smith_form_once_per_non_unit_minor(self, monkeypatch):
+        calls, snf = [], trees.smith_normal_form
+        monkeypatch.setattr(trees, "smith_normal_form", lambda M: (calls.append(1), snf(M))[1])
+        assert tree_count_exact(complete_complex(5, 2)) == 125
+        assert calls == []  # the last pivot of each of its trees is 1
+        assert tree_count_exact(complex_from_dfaces(6, 2, RP2)) == 4
+        assert calls == [1]  # RP^2 is its one tree, with torsion 2: every maximal minor is even
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        data=st.data(),
+        extra=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.sampled_from([1, 2**9, 2**11]),
+    )
+    def test_small_pieces_match_per_subset(self, d, data, extra, seed, chunk):
+        # pieces of one or a few nodes split the walk at several depths
+        n = data.draw(st.integers(d + 1, ORACLE_MAX_N[d]))
+        r = comb(n - 1, d)
+        faces = min(r + extra, comb(n, d + 1))
+        assume(comb(faces, r) <= 1000)
+        X = random_complex(n, d, np.random.default_rng(seed), min_faces=faces, max_faces=faces)
+        expected = per_subset_tree_count(X)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trees, "ORACLE_CHUNK_BYTES", chunk)
+            assert tree_count_exact(X) == expected
+            object_path_only(mp)
+            assert tree_count_exact(X) == expected
 
     def test_guard(self):
         with pytest.raises(ValueError, match="guard"):
@@ -275,20 +348,18 @@ class TestExactOracle:
     def test_several_chunks_with_a_partial_last(self, monkeypatch):
         X = complete_complex(5, 2)  # C(10, 6) = 210 candidate subsets of 10 x 6 columns
         monkeypatch.setattr(trees, "ORACLE_CHUNK_BYTES", 16 * 8 * 10 * 6)
-        sizes = []
-        eliminate = trees._bareiss_trees
-
-        def spy(A):
-            sizes.append(len(A))
-            return eliminate(A)
-
-        monkeypatch.setattr(trees, "_bareiss_trees", spy)
+        steps = record_steps(monkeypatch, 10)
         assert tree_count_exact(X) == per_subset_tree_count(X) == 125
-        assert sizes == [16] * 13 + [2]
+        caps = [trees._piece_nodes(10, 10, 6, j) for j in range(6)]
+        assert caps == [8, 9, 11, 14, 17, 20]
+        for depth in range(1, 5):
+            sizes = [children for j, _, children in steps if j == depth]
+            # a piece's children fill several pieces here: full ones, then a partial last
+            assert max(sizes) == caps[depth + 1] and min(sizes) < caps[depth + 1]
 
     def test_chunked_peak_memory(self, gen):
         # the verify-exact workload's d = 1 complex: 16 edges on 10 vertices, C(16, 9) = 11440
-        # subsets; in 1 MiB chunks the count peaks near 2.6 MiB, in one chunk near 19 MiB
+        # subsets; each depth of its walk fits one 1 MiB piece, and the count peaks near 1.7 MiB
         X = random_complex(10, 1, gen, min_faces=16, max_faces=16)
         tracemalloc.start()
         try:
@@ -299,18 +370,30 @@ class TestExactOracle:
         assert exact == round(weighted_tree_count(X).count)
         assert peak < 6 * 2**20
 
+    @pytest.mark.parametrize("chunk", [2**16, 2**18])
+    def test_held_pieces_peak_within_guard(self, chunk, gen, monkeypatch):
+        # small pieces make pieces wait on the stack while their first children are
+        # walked; the guard counts them, and the traced peak stays below its count
+        X = random_complex(10, 1, gen, min_faces=16, max_faces=16)
+        monkeypatch.setattr(trees, "ORACLE_CHUNK_BYTES", chunk)
+        needs, require = [], trees.require_memory
+        monkeypatch.setattr(trees, "require_memory", lambda need, what: (needs.append(need), require(need, what)))
+        tracemalloc.start()
+        try:
+            exact = tree_count_exact(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exact == round(weighted_tree_count(X).count)
+        assert peak < needs[0]
+
     def test_d1_path_runs_in_int64_past_r_62(self, monkeypatch):
         # r = 399: the Hadamard bound 2^399 would send it to Python ints, but a graph's
         # incidence matrix is totally unimodular, so every product stays within 2
-        eliminate, dtypes = trees._bareiss_trees, []
-
-        def spy(A):
-            dtypes.append(A.dtype)
-            return eliminate(A)
-
-        monkeypatch.setattr(trees, "_bareiss_trees", spy)
+        steps = record_steps(monkeypatch, 400)
         assert tree_count_exact(path_graph(400)) == 1
-        assert dtypes == [np.int64]
+        # one child per node: a step at every depth but the last, all in int64
+        assert steps == [(j, np.dtype(np.int64), 1) for j in range(398)]
 
     def test_d1_path_peak_memory_within_guard(self, monkeypatch):
         X = path_graph(400)
@@ -322,9 +405,12 @@ class TestExactOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        block = 8 * 400 * 399  # one chunk of one subset: the stack is as large as the block
-        assert needs == [4 * block]
-        assert 2.5 * block < peak < needs[0]
+        # one node a depth, none held: the boundary block, the depth-1 node, and three times
+        # its child (the child, the step's product temporary); a node also keeps j faces,
+        # a pivot and three ints for its one child
+        block, node1, node2 = 400 * 399, 399 * 398 + 2 + 3, 398 * 397 + 3 + 3
+        assert needs == [8 * (block + node1 + 3 * node2)]
+        assert 8 * (block + node1 + 2 * node2) < peak < needs[0]
 
     @settings(max_examples=6, deadline=None)
     @given(n=st.integers(64, 70), seed=st.integers(0, 2**32 - 1))
