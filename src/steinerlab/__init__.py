@@ -34,7 +34,6 @@ from .arboreal import (
 from .spectra import (
     SpectralSummary,
     adjacency_matrix,
-    eigenvalues,
     laplacian_matrix,
     moments,
     signed_trace,

@@ -20,7 +20,8 @@ image and L delta = 0, so for c > 0 the spectrum of L + c delta delta^T is
 the non-trivial spectrum of L together with c n repeated C(n-1, d-1) times.
 That identity lets the spectral floor skip the full spectrum, and tree
 counts take the determinant of a reduced Laplacian instead (see `trees`);
-dense eigenvalues are computed only where a spectrum is the output.
+delta delta^T / n projects onto that image, which gives the gap statistic
+by Lanczos (see `experiments`).  `spectral_summary` is the one dense solve.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 from .complexes import PureComplex, all_faces
 
@@ -44,15 +47,12 @@ __all__ = [
     "coboundary_matrix",
     "adjacency_matrix",
     "laplacian_matrix",
-    "eigenvalues",
     "trivial_zero_count",
     "moments",
     "spectral_summary",
     "signed_trace",
 ]
 
-SYMMETRY_RTOL = 1e-12
-SYMMETRY_BLOCK_ROWS = 256
 ZERO_RTOL = 1e-8
 AMBIGUOUS_FACTOR = 1e3
 SIGNED_TRACE_MAX_LENGTH = 10
@@ -125,6 +125,15 @@ def coboundary_matrix(n: int, d: int) -> sp.csr_matrix:
     return _signed_incidence(sigmas, n).T.tocsr()
 
 
+# fixed Lanczos start vector: reproducible, and never in ker L (ones is, at d = 1)
+LANCZOS_SEED = 20090601
+
+
+def _lanczos_extreme(op, which: str) -> float:
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(op.shape[0])
+    return float(eigsh(op, k=1, which=which, v0=v0, return_eigenvectors=False)[0])
+
+
 # memory limits of this process's cgroup (v2, then v1); "max" or a missing
 # file means no limit there
 CGROUP_MEMORY_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
@@ -172,25 +181,6 @@ def adjacency_matrix(X: PureComplex) -> np.ndarray:
     """Dense signed adjacency diag(L) - L, in lexicographic face order; size-checked first."""
     require_dense_fits(comb(X.n, X.d))
     return signed_adjacency(boundary_matrix(X)).toarray()
-
-
-def eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Full ascending spectrum of a symmetric matrix (dense LAPACK solve).
-
-    Symmetry is checked a block of rows at a time, so the check allocates
-    no second m x m array.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    scale, asymmetry = 1.0, 0.0
-    for lo in range(0, len(M), SYMMETRY_BLOCK_ROWS):
-        rows = M[lo : lo + SYMMETRY_BLOCK_ROWS]
-        scale = max(scale, float(np.abs(rows).max()))
-        asymmetry = max(asymmetry, float(np.abs(rows - M[:, lo : lo + SYMMETRY_BLOCK_ROWS].T).max()))
-    if asymmetry > SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    return np.linalg.eigvalsh(M)
 
 
 def trivial_zero_count(X: PureComplex) -> int:
@@ -283,14 +273,17 @@ def _summary_from_eigs(
 def spectral_summary(
     X: PureComplex, operator: str = "laplacian", bins: int = 40, lmax: int = 8
 ) -> SpectralSummary:
-    """ESD of the complex's Laplacian or adjacency, with trivial-zero accounting."""
-    if operator == "laplacian":
-        M = laplacian_matrix(X)
-    elif operator == "adjacency":
-        M = adjacency_matrix(X)
-    else:
+    """ESD of the complex's Laplacian or adjacency, with trivial-zero accounting.
+
+    M is symmetric by construction and M.T is its Fortran-order view, so
+    LAPACK `dsyevd` solves it in place, with no second m x m array.
+    """
+    builders = {"laplacian": laplacian_matrix, "adjacency": adjacency_matrix}
+    if operator not in builders:
         raise ValueError(f"unknown operator {operator!r}")
-    return _summary_from_eigs(eigenvalues(M), bins, lmax, trivial_zero_count(X))
+    M = builders[operator](X)
+    eigs = scipy.linalg.eigvalsh(M.T, overwrite_a=True, check_finite=False, driver="evd")
+    return _summary_from_eigs(eigs, bins, lmax, trivial_zero_count(X))
 
 
 def zero_threshold(top: float) -> float:

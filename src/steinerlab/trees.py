@@ -46,10 +46,11 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpftrf
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import LinearOperator
 
 from .complexes import PureComplex
 from .spectra import (
+    _lanczos_extreme,
     boundary_matrix,
     coboundary_matrix,
     require_memory,
@@ -73,8 +74,6 @@ ORACLE_MAX_SUBSETS = 10**6
 ORACLE_CHUNK_BYTES = 2**20
 # int64 elimination while (d + 1)^r, the Hadamard bound on its products, is below this
 INT64_MINOR_LIMIT = 2**62
-# fixed Lanczos start vector: reproducible, and never in ker L (ones is, at d = 1)
-LANCZOS_SEED = 20090601
 ORACLE_LOG_RTOL = 1e-6
 # largest N with N(N+1) below 2**31, the packed length check in scipy's dpftrf wrapper
 MAX_PACKED_ORDER = 46340
@@ -201,11 +200,6 @@ class TreeCount:
     @property
     def count(self) -> float:
         return 0.0 if self.zero_flag else exp(self.log_count)
-
-
-def _lanczos_extreme(op, which: str) -> float:
-    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(op.shape[0])
-    return float(eigsh(op, k=1, which=which, v0=v0, return_eigenvectors=False)[0])
 
 
 def _rfp_offsets(i: np.ndarray, j: np.ndarray, N: int) -> np.ndarray:

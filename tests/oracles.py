@@ -1,11 +1,12 @@
 """Reference routines the tests check the package against; the package never calls them.
 
 Each is an independent or slower route to a value the pipeline computes:
-the eigenvalue pseudodeterminant of the tree count, the exact rank of an
-integer matrix, Chebyshev coefficients by their projection integral, the
-block-inclusion frequency of a sampler, layer totals of a neighbourhood
-census, and per-n means of converge rows.  Tests import this module the way
-they import `conftest`.
+the eigenvalue pseudodeterminant of the tree count, the dense top of the
+adjacency spectrum on ker delta^T, the exact rank of an integer matrix,
+Chebyshev coefficients by their projection integral, the block-inclusion
+frequency of a sampler, layer totals of a neighbourhood census, and per-n
+means of converge rows.  Tests import this module the way they import
+`conftest`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from math import comb, cos, exp, gcd, log, pi, sin, sqrt
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import quad
 
 from steinerlab.complexes import Face, NeighborhoodComplex
@@ -23,7 +25,8 @@ from steinerlab.sampling import SeededRng, sample_system
 from steinerlab.spectra import (
     SpectralSummary,
     _summary_from_eigs,
-    eigenvalues,
+    adjacency_matrix,
+    coboundary_matrix,
     warn_ambiguous_zeros,
     zero_threshold,
 )
@@ -62,7 +65,18 @@ def exact_rank(rows: list[list[int]]) -> int:
 
 def esd(M: np.ndarray, bins: int = 40, lmax: int = 8) -> SpectralSummary:
     """Empirical spectral distribution of a symmetric matrix."""
-    return _summary_from_eigs(eigenvalues(M), bins, lmax, None)
+    return _summary_from_eigs(np.linalg.eigvalsh(M), bins, lmax, None)
+
+
+def gap_top_oracle(X) -> float:
+    """Top adjacency eigenvalue on ker delta^T, by a dense solve in an orthonormal basis Q of it.
+
+    The oracle of the gap statistic: the largest eigenvalue of Q^T A Q with
+    Q = null_space(delta^T) from an SVD, independent of the projector and
+    the Lanczos shift the pipeline uses.
+    """
+    Q = scipy.linalg.null_space(coboundary_matrix(X.n, X.d).T.toarray())
+    return float(np.linalg.eigvalsh(Q.T @ adjacency_matrix(X) @ Q)[-1])
 
 
 # -- trees ---------------------------------------------------------------------

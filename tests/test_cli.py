@@ -164,17 +164,25 @@ class TestSst:
         assert "physical memory" in err and "Traceback" not in err
 
     def test_guards_size_each_route(self, monkeypatch, capsys):
-        # d = 2, n = 15: the order-91 packed factor takes 33,488 B, a dense m = 105 matrix 88,200 B
+        # d = 2, k = 5, n = 15 (m = 105): the order-91 packed factor takes 33,488 B; a gap row
+        # 75,600 B (16 B for each of k + 2(dk + 1) + d = 29 sparse entries a row, and 32
+        # vectors of order m); a dense m x m matrix 88,200 B
         import steinerlab.cli as cli
         import steinerlab.experiments as experiments
         from steinerlab import spectra
 
         sst = ["sst", "--d", "2", "--k", "5", "--n", "15", "--seed", "3"]
+        gap = ["gap", "--d", "2", "--k", "5", "--n", "15", "--seed", "3", "--deterministic"]
         assert main(sst) == 0
         want = capsys.readouterr().out
+        assert main(gap) == 0
+        want_gap = capsys.readouterr().out
         monkeypatch.setattr(spectra, "usable_memory", lambda: 50_000)
         assert main(sst) == 0
         assert capsys.readouterr().out == want
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 75_600)
+        assert main(gap) == 0  # no dense matrix: gap runs where spectrum is refused
+        assert capsys.readouterr().out == want_gap
 
         def never(*args, **kwargs):
             raise AssertionError("sampled a complex the guard should refuse")
@@ -183,8 +191,9 @@ class TestSst:
         monkeypatch.setattr(experiments, "steiner_complex", never)
         assert main(["spectrum", "--d", "2", "--k", "5", "--n", "15"]) == 2
         assert "dense 105 x 105" in capsys.readouterr().err
-        assert main(["gap", "--d", "2", "--k", "5", "--n", "15"]) == 2
-        assert "dense 105 x 105" in capsys.readouterr().err
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 75_599)
+        assert main(gap) == 2
+        assert "a gap row at n=15" in capsys.readouterr().err
         monkeypatch.setattr(spectra, "usable_memory", lambda: 30_000)
         assert main(sst) == 2
         assert "packed Cholesky factor" in capsys.readouterr().err
@@ -238,6 +247,7 @@ class TestConverge:
 
     def test_oversized_n_exits_2_before_sampling(self, monkeypatch, capsys):
         import steinerlab.experiments as experiments
+        from steinerlab import spectra
 
         def never(*args, **kwargs):
             raise AssertionError("sampled an oversized complex")
@@ -245,7 +255,10 @@ class TestConverge:
         monkeypatch.setattr(experiments, "steiner_complex", never)
         assert main(["converge", "--d", "2", "--k", "5", "--n", "997"]) == 2
         assert "physical memory" in capsys.readouterr().err
+        # a gap row at n = 997 takes about 357 MB, so gap is refused under a smaller limit
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 2**28)
         assert main(["gap", "--d", "2", "--k", "5", "--n", "997"]) == 2
+        assert "a gap row at n=997" in capsys.readouterr().err
 
     def test_flagged_floors_are_zero(self, tmp_path):
         # every row here is flagged; the Lanczos round-off of a true zero used to vary between runs

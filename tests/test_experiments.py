@@ -1,8 +1,10 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
-from steinerlab import read_complex, spectra, steiner_complex
+from steinerlab import complete_complex, complex_from_dfaces, experiments, read_complex, spectra, steiner_complex
 from steinerlab.experiments import (
     ExperimentConfig,
     converge_csv,
@@ -11,8 +13,13 @@ from steinerlab.experiments import (
     run_converge,
     run_gap_report,
 )
-from steinerlab.spectra import eigenvalues, laplacian_matrix, trivial_zero_count
-from oracles import growth_rate_from_eigenvalues, mean_growth_rate
+from steinerlab.spectra import adjacency_matrix, laplacian_matrix, trivial_zero_count
+from conftest import random_complex
+from oracles import gap_top_oracle, growth_rate_from_eigenvalues, mean_growth_rate
+
+
+def never(*args, **kwargs):
+    raise AssertionError("sampled a complex the guard should refuse")
 
 
 def small_config(**overrides):
@@ -38,17 +45,21 @@ class TestConfig:
         small_config(k=1, radii=(0,))
         small_config(k=1, radii=())
 
-    def test_oversized_n_rejected(self):
-        # m = C(997, 2) = 496,506: the dense factor would need about 2 TB
+    def test_oversized_n_rejected(self, monkeypatch):
+        # the reduced Laplacian of order C(996, 2) = 495,510 would need about 1 TB packed;
+        # converge refuses before sampling, and the config, which gap shares, holds no size guard
+        cfg = small_config(d=2, k=5, n_values=(7, 997))
+        monkeypatch.setattr(experiments, "steiner_complex", never)
         with pytest.raises(ValueError, match="physical memory"):
-            small_config(d=2, k=5, n_values=(7, 997))
+            run_converge(cfg)
 
     def test_packed_order_cap_rejected(self, monkeypatch):
         # n = 307 passes a 1 TB memory guard, but its reduced Laplacian order
         # C(306, 2) = 46665 is above what dpftrf accepts
         monkeypatch.setattr(spectra, "usable_memory", lambda: 2**40)
+        monkeypatch.setattr(experiments, "steiner_complex", never)
         with pytest.raises(ValueError, match="order 46665"):
-            small_config(d=2, k=5, n_values=(7, 307))
+            run_converge(small_config(d=2, k=5, n_values=(7, 307)))
 
     def test_lmax_bounded_by_int64_traces(self):
         # d = 1, k = 3: |L| has row sums at most 6, and 6^24 < 2^63 <= 6^25
@@ -104,7 +115,7 @@ class TestRunConverge:
         res = run_converge(cfg)
         for row in res.rows:
             X = read_complex(tmp_path / f"complex_n{row.n}_t{row.trial}.txt")
-            eigs = eigenvalues(laplacian_matrix(X))
+            eigs = np.linalg.eigvalsh(laplacian_matrix(X))
             rate = growth_rate_from_eigenvalues(eigs, trivial_zero_count(X), X.n, X.d)
             assert rate == pytest.approx(row.growth_rate, abs=1e-12)
             for ell in range(cfg.lmax + 1):
@@ -205,3 +216,69 @@ class TestGapReport:
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert lines[0] == "n,trial,top_nontrivial,passed"
         assert len(lines) == 1 + len(report.rows)
+
+
+def gap_statistic(X, monkeypatch):
+    """run_gap_report's top_nontrivial on X, handed out by a patched sampler."""
+    cfg = ExperimentConfig(d=X.d, k=2, n_values=(X.n,), trials=1, radii=())
+    with monkeypatch.context() as patch, pytest.warns(RuntimeWarning, match="threshold"):
+        patch.setattr(experiments, "steiner_complex", lambda n, d, k, rng: X)
+        (row,) = run_gap_report(cfg, epsilon=0.5).rows
+    return row.top_nontrivial
+
+
+def descending_adjacency_statistic(X):
+    """The (t+1)-th largest adjacency eigenvalue, t = C(n-1, d-1): the statistic on k-regular complexes."""
+    return float(np.linalg.eigvalsh(adjacency_matrix(X))[::-1][trivial_zero_count(X)])
+
+
+class TestGapStatistic:
+    """top_nontrivial is the top of the adjacency spectrum on ker delta^T."""
+
+    # d-admissible n: n even at d = 1, n = 1, 3 mod 6 at d = 2, n = 2, 4 mod 6 at d = 3
+    ADMISSIBLE = {1: (2, 4, 6, 8), 2: (3, 7, 9), 3: (4, 8)}
+
+    def test_matches_dense_oracle_on_random_complexes(self, gen, monkeypatch):
+        for d, sizes in self.ADMISSIBLE.items():
+            for _ in range(4):
+                X = random_complex(int(gen.choice(sizes)), d, gen)
+                assert gap_statistic(X, monkeypatch) == pytest.approx(gap_top_oracle(X), abs=1e-9)
+
+    def test_matches_dense_oracle_on_steiner_complexes(self):
+        # (2, 5, 31) and (2, 21, 33) merge repeated blocks, so they are not k-regular
+        for d, k, n in ((1, 3, 40), (2, 5, 31), (2, 21, 33)):
+            cfg = small_config(d=d, k=k, n_values=(n,), trials=3, seed=0, radii=())
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                rows = run_gap_report(cfg, epsilon=0.5).rows
+            moved = 0.0
+            for row in rows:
+                X = steiner_complex(n, d, k, cfg.stream(n, row.trial))
+                assert row.top_nontrivial == pytest.approx(gap_top_oracle(X), abs=1e-9)
+                moved = max(moved, row.top_nontrivial - descending_adjacency_statistic(X))
+            if d == 2:
+                assert moved > 1e-3  # the (t+1)-th largest eigenvalue of A is not the statistic here
+
+    def test_equals_descending_statistic_on_regular_complexes(self, monkeypatch):
+        for d, sizes in self.ADMISSIBLE.items():
+            for n in sizes:
+                X = complete_complex(n, d)
+                assert gap_statistic(X, monkeypatch) == pytest.approx(descending_adjacency_statistic(X), abs=1e-9)
+        # trial 2 of d = 2, k = 2, n = 15, seed 0 shares no block between its two systems
+        cfg = small_config(d=2, k=2, n_values=(15,), trials=3, seed=0, radii=())
+        with pytest.warns(RuntimeWarning, match="threshold"):
+            rows = run_gap_report(cfg, epsilon=0.5).rows
+        for row in rows:
+            X = steiner_complex(15, 2, 2, cfg.stream(15, row.trial))
+            if X.min_degree() == X.max_degree() == 2:
+                assert row.top_nontrivial == pytest.approx(descending_adjacency_statistic(X), abs=1e-9)
+                return
+        pytest.fail("no 2-regular sample found")
+
+    def test_smallest_complexes(self, monkeypatch):
+        # n = d + 1: the operator has order d + 1 and ker delta^T is one-dimensional
+        for d in (1, 2, 3):
+            for X in (complete_complex(d + 1, d), complex_from_dfaces(d + 1, d, [])):
+                top = gap_statistic(X, monkeypatch)
+                assert top == pytest.approx(gap_top_oracle(X), abs=1e-9)
+                assert top == pytest.approx(-d if X.num_dfaces else 0.0, abs=1e-9)

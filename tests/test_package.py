@@ -57,3 +57,31 @@ def test_src_never_imports_tests():
                 continue
             for name in names:
                 assert name.split(".")[0] not in {"tests", "oracles", "conftest"}, f"{path.name} imports {name}"
+
+
+DENSE_EIGENSOLVERS = {"eigvalsh", "eigh", "eigvals", "eig"}
+
+
+def test_one_dense_eigensolve():
+    # the full spectrum is an output only of `spectrum`; every other route is sparse
+    src = Path(importlib.import_module("steinerlab").__file__).parent
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = {}  # node -> name of the top-level definition holding it
+        for top in tree.body:
+            name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(top):
+                scopes.setdefault(node, name)
+        for node, scope in scopes.items():
+            if isinstance(node, ast.Attribute):
+                used = node.attr
+            elif isinstance(node, ast.Name):
+                used = node.id
+            elif isinstance(node, ast.alias):
+                used = node.name.split(".")[-1]
+            else:
+                continue
+            if used in DENSE_EIGENSOLVERS:
+                callers.add(f"{path.stem}.{scope}")
+    assert callers == {"spectra.spectral_summary"}

@@ -9,7 +9,6 @@ from steinerlab import (
     all_faces,
     complete_complex,
     complex_from_dfaces,
-    eigenvalues,
     facets_of,
     laplacian_matrix,
     moments,
@@ -37,7 +36,7 @@ class TestAdjacency:
         A = adjacency_matrix(complex_from_dfaces(3, 2, [(1, 2, 3)]))
         expected = np.array([[0, 1, -1], [1, 0, 1], [-1, 1, 0]], dtype=float)
         assert np.array_equal(A, expected)
-        assert np.allclose(np.sort(eigenvalues(A)), [-2, 1, 1])
+        assert np.allclose(np.sort(np.linalg.eigvalsh(A)), [-2, 1, 1])
 
     def test_row_sums_bounded_by_d_deg(self, gen):
         for _ in range(10):
@@ -57,7 +56,7 @@ class TestAdjacency:
 
 class TestLaplacian:
     def test_triangle_spectrum(self):
-        eigs = eigenvalues(laplacian_matrix(triangle()))
+        eigs = np.linalg.eigvalsh(laplacian_matrix(triangle()))
         assert np.allclose(eigs, [0, 3, 3], atol=1e-10)
 
     def test_k4_trace_is_degree_sum(self):
@@ -75,7 +74,7 @@ class TestLaplacian:
         # spectrum within [0, (d+1)k] for degree-bounded complexes
         for seed in range(3):
             X = steiner_complex(9, 2, 3, SeededRng(100 + seed))
-            eigs = eigenvalues(laplacian_matrix(X))
+            eigs = np.linalg.eigvalsh(laplacian_matrix(X))
             bound = (X.d + 1) * 3
             eps = 1e-8 * bound
             assert eigs[0] >= -eps
@@ -144,38 +143,29 @@ class TestSparseOperators:
 
 
 class TestEigenvalues:
+    """spectral_summary's in-place solve gives eigvalsh's spectrum of the dense operator, bit for bit."""
+
+    @staticmethod
+    def assert_bit_equal_at_31():
+        X = steiner_complex(31, 2, 5, SeededRng(7).substream(31, 0))
+        for operator, build in (("laplacian", laplacian_matrix), ("adjacency", adjacency_matrix)):
+            got = spectral_summary(X, operator=operator).eigenvalues
+            assert np.array_equal(got, np.linalg.eigvalsh(build(X))), operator
+
     def test_diagonal(self):
-        assert np.allclose(eigenvalues(np.diag([3.0, 1.0, 2.0])), [1, 2, 3])
+        # no d-face: both operators are the zero matrix, the one diagonal case
+        X = complex_from_dfaces(5, 2, [])
+        for operator in ("laplacian", "adjacency"):
+            assert np.array_equal(spectral_summary(X, operator=operator).eigenvalues, np.zeros(10))
+        self.assert_bit_equal_at_31()
 
     def test_trace_invariance(self, gen):
         X = random_complex(8, 2, gen)
-        L = laplacian_matrix(X)
-        eigs = eigenvalues(L)
-        assert np.trace(L) == pytest.approx(eigs.sum(), abs=1e-9 * max(1, abs(np.trace(L))) * len(L))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-    def test_rejects_asymmetry_beyond_first_block(self):
-        m = spectra.SYMMETRY_BLOCK_ROWS + 5
-        M = np.eye(m)
-        M[m - 1, 1] = 1e-6
-        with pytest.raises(ValueError, match="symmetric"):
-            eigenvalues(M)
-        M[1, m - 1] = 1e-6
-        assert np.allclose(eigenvalues(M)[[0, -1]], [1 - 1e-6, 1 + 1e-6])
-
-    def test_tolerance_scales_with_largest_entry(self):
-        M = np.array([[1e6, 1.0], [1.0 + 1e-7, 0.0]])
-        eigenvalues(M)  # asymmetry 1e-7 is within 1e-12 * 1e6
-        M[1, 0] = 1.0 + 1e-5
-        with pytest.raises(ValueError, match="symmetric"):
-            eigenvalues(M)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            eigenvalues(np.zeros((2, 3)))
+        for operator, build in (("laplacian", laplacian_matrix), ("adjacency", adjacency_matrix)):
+            M = build(X)
+            eigs = spectral_summary(X, operator=operator).eigenvalues
+            assert np.trace(M) == pytest.approx(eigs.sum(), abs=1e-9 * max(1, abs(np.trace(M))) * len(M))
+        self.assert_bit_equal_at_31()
 
 
 class TestTrivialZeros:
@@ -197,7 +187,7 @@ class TestTrivialZeros:
     def test_zero_count_lower_bounds_kernel(self, gen):
         for _ in range(5):
             X = random_complex(6, 2, gen)
-            eigs = eigenvalues(laplacian_matrix(X))
+            eigs = np.linalg.eigvalsh(laplacian_matrix(X))
             eps = spectra.zero_threshold(float(eigs[-1]))
             assert int(np.sum(eigs < eps)) >= trivial_zero_count(X)
 
@@ -229,7 +219,7 @@ class TestEsdMoments:
                 X = random_complex(int(gen.integers(d + 3, 10 - d)), d, gen)
                 L = spectra.sparse_laplacian(X)
                 dense = L.toarray().astype(np.int64)
-                eigs = eigenvalues(L.toarray())
+                eigs = np.linalg.eigvalsh(L.toarray())
                 m = len(eigs)
                 got = moments(L, 7)
                 power = np.eye(m, dtype=np.int64)
