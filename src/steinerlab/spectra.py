@@ -156,18 +156,29 @@ def usable_memory() -> int:
     return min(limits)
 
 
+def resident_memory() -> int:
+    """Bytes this process holds now: resident pages from /proc/self/statm, else peak RSS."""
+    try:
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * resource.getpagesize()
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
 def require_memory(need: int, what: str) -> None:
-    """Refuse, with ValueError, `what` when its `need` bytes exceed `usable_memory`."""
+    """Refuse, with ValueError, `what` when its `need` bytes and the resident set exceed `usable_memory`."""
     have = usable_memory()
-    if need > have:
+    held = resident_memory()
+    if need + held > have:
         raise ValueError(
-            f"{what} needs {need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
-            "this process may use (physical memory, cgroup and address-space limits)"
+            f"{what} needs {need / 2**30:.1f} GiB; with the {held / 2**30:.1f} GiB this process holds "
+            f"that is more than the {have / 2**30:.1f} GiB it may use "
+            "(physical memory, cgroup and address-space limits)"
         )
 
 
 def require_dense_fits(m: int) -> None:
-    """Refuse, with ValueError, an m x m float64 array larger than `usable_memory`."""
+    """Refuse, with ValueError, an m x m float64 array that does not fit beside the process in `usable_memory`."""
     require_memory(8 * m * m, f"a dense {m} x {m} matrix")
 
 

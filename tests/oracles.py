@@ -3,10 +3,10 @@
 Each is an independent or slower route to a value the pipeline computes:
 the eigenvalue pseudodeterminant of the tree count, the dense top of the
 adjacency spectrum on ker delta^T, the exact rank of an integer matrix,
-Chebyshev coefficients by their projection integral, the block-inclusion
-frequency of a sampler, layer totals of a neighbourhood census, and per-n
-means of converge rows.  Tests import this module the way they import
-`conftest`.
+expectations against the limit law and Chebyshev coefficients by adaptive
+quadrature, the block-inclusion frequency of a sampler, layer totals of a
+neighbourhood census, and per-n means of converge rows.  Tests import this
+module the way they import `conftest`.
 """
 
 from __future__ import annotations
@@ -126,6 +126,23 @@ def chebyshev_t(m: int, x):
     for _ in range(m - 1):
         prev, cur = cur, 2.0 * x * cur - prev
     return cur
+
+
+def expectation_by_quad(law: LimitLaw, f, epsabs: float = QUAD_EPSABS) -> float:
+    """Integral of a scalar f against the Laplacian law by adaptive quadrature.
+
+    The reference of `LimitLaw.expectation`'s midpoint rule: the same
+    substitution x = center - half_width*cos(theta), integrated by QUADPACK.
+    """
+    d, k, center, w = law.d, law.k, law.center, law.half_width
+
+    def integrand(theta: float) -> float:
+        x = center - w * cos(theta)
+        s = sin(theta)
+        return f(x) * k * w * w * s * s / (2.0 * pi * x * ((d + 1) * k - x))
+
+    value, _ = quad(integrand, 0.0, pi, epsabs=epsabs, limit=400)
+    return value
 
 
 def series_coefficient_projection(law: LimitLaw, n: int) -> float:

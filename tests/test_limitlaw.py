@@ -12,7 +12,7 @@ from steinerlab import (
     limitlaw,
     series_coefficient,
 )
-from oracles import chebyshev_t, series_coefficient_projection
+from oracles import chebyshev_t, expectation_by_quad, series_coefficient_projection
 
 
 class TestLimitLawParams:
@@ -86,6 +86,26 @@ class TestMoments:
     def test_order_guard(self):
         with pytest.raises(ValueError):
             LimitLaw(1, 3).laplacian_moment(13)
+
+
+class TestMidpointRule:
+    @pytest.mark.parametrize("d,k", [(1, 2), (2, 3), (2, 5), (3, 40)])
+    def test_moments_match_adaptive_quadrature(self, d, k):
+        # k = d+1 puts the density's pole at the lower edge of the support
+        law = LimitLaw(d, k)
+        for ell in range(limitlaw.MOMENT_MAX + 1):
+            lap = expectation_by_quad(law, lambda x: x**ell, limitlaw.MOMENT_EPSABS)
+            adj = expectation_by_quad(law, lambda x: (k - x) ** ell, limitlaw.MOMENT_EPSABS)
+            # odd adjacency moments can vanish; compare them on the scale of E|k - x|^ell
+            scale = expectation_by_quad(law, lambda x: abs(k - x) ** ell, limitlaw.MOMENT_EPSABS)
+            assert law.laplacian_moment(ell) == pytest.approx(lap, rel=1e-9)
+            assert law.adjacency_moment(ell) == pytest.approx(adj, abs=1e-9 * scale)
+
+    def test_point_cap_raises(self, monkeypatch):
+        # (10, 12) needs 512 points: the support's lower edge is 0.024 from the zero of log
+        monkeypatch.setattr(limitlaw, "QUAD_MAX_POINTS", 32)
+        with pytest.raises(RuntimeError, match="within 32 points"):
+            growth_constant_quadrature(10, 12)
 
 
 class TestChebyshevPolynomials:
@@ -166,10 +186,8 @@ class TestGrowthConstant:
         )
 
     def test_quadrature_route(self):
-        for d, k in [(1, 3), (2, 21), (3, 40)]:
-            assert growth_constant_quadrature(d, k) == pytest.approx(
-                growth_constant_closed(d, k), abs=1e-8 * growth_constant_closed(d, k)
-            )
+        for d, k in [(1, 3), (1, 8), (2, 4), (2, 5), (2, 21), (3, 5), (3, 40), (10, 12)]:
+            assert growth_constant_quadrature(d, k) == pytest.approx(growth_constant_closed(d, k), rel=1e-12)
 
     def test_chebyshev_route(self):
         for d, k in [(1, 3), (2, 5), (3, 9), (2, 21)]:

@@ -284,10 +284,15 @@ class TestSignedTrace:
 
 
 class TestDenseGuard:
-    """m x m dense arrays are refused, before allocation, when 8 m^2 exceeds usable memory."""
+    """m x m dense arrays are refused, before allocation, when 8 m^2 and the resident set exceed usable memory."""
 
     @pytest.fixture
-    def tiny_memory(self, monkeypatch):
+    def no_resident(self, monkeypatch):
+        # the byte boundaries below count the array alone
+        monkeypatch.setattr(spectra, "resident_memory", lambda: 0)
+
+    @pytest.fixture
+    def tiny_memory(self, monkeypatch, no_resident):
         # 1000 bytes of "physical memory": m = 11 fits (968 B), m = 12 does not
         sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1000}
         monkeypatch.setattr(spectra.os, "sysconf", lambda name: sizes[name])
@@ -313,7 +318,7 @@ class TestDenseGuard:
         with pytest.raises(ValueError, match="physical memory"):
             weighted_tree_count(complete_complex(8, 2))
 
-    def test_cgroup_limit_caps_physical_memory(self, tmp_path, monkeypatch):
+    def test_cgroup_limit_caps_physical_memory(self, tmp_path, monkeypatch, no_resident):
         v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
         monkeypatch.setattr(spectra, "CGROUP_MEMORY_LIMITS", (str(v2), str(v1)))
         physical = spectra.usable_memory()
@@ -326,9 +331,28 @@ class TestDenseGuard:
         v1.unlink()
         assert spectra.usable_memory() == physical
 
-    def test_address_space_limit_caps_physical_memory(self, monkeypatch):
+    def test_address_space_limit_caps_physical_memory(self, monkeypatch, no_resident):
         monkeypatch.setattr(spectra.resource, "getrlimit", lambda _: (4096, spectra.resource.RLIM_INFINITY))
         assert spectra.usable_memory() == 4096
+
+    def test_resident_set_counts_against_the_limit(self, monkeypatch, no_resident):
+        # d = 2, n = 255: the 8.39 GB matrix fits an 8,029 MiB host only if the process holds nothing
+        m = comb(255, 2)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 8 * m * m + 1)
+        spectra.require_dense_fits(m)
+        monkeypatch.setattr(spectra, "resident_memory", lambda: 85 * 2**20)
+        with pytest.raises(ValueError, match="physical memory"):
+            spectra.require_dense_fits(m)
+
+    def test_resident_memory_reads_the_process(self, monkeypatch):
+        peak = spectra.resource.getrusage(spectra.resource.RUSAGE_SELF).ru_maxrss * 1024
+        assert 0 < spectra.resident_memory() <= peak
+
+        def no_proc(*args, **kwargs):
+            raise OSError("no /proc")
+
+        monkeypatch.setattr(spectra, "open", no_proc, raising=False)
+        assert spectra.resident_memory() >= peak
 
     def test_real_memory_admits_bench_sizes(self):
         spectra.require_dense_fits(comb(111, 2))
