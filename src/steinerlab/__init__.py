@@ -23,9 +23,7 @@ from .sampling import (
     steiner_complex,
 )
 from .arboreal import (
-    ArborealBall,
     LayerProfile,
-    arboreal_ball,
     arboreal_fractions,
     is_arboreal_ball,
     layer_sizes,

@@ -1,13 +1,13 @@
-"""Truncations of the k-regular d-dimensional arboreal complex.
+"""The k-regular d-dimensional arboreal complex and its local statistics.
 
 The arboreal complex generalizes the k-regular tree: start from one
 (d-1)-face, attach k d-faces to it (one fresh vertex each), then keep
 attaching k-1 fresh-vertex d-faces to every boundary (d-1)-face, layer by
-layer.  This module builds explicit radius-r truncations, gives the closed
-form layer counts, tests whether a neighborhood in an arbitrary complex is
-isomorphic to such a truncation, and counts the signed closed walks at the
-root, the moments of the limiting adjacency law, as diagonal entries of
-powers of the truncation's signed adjacency (see `spectra`).
+layer.  This module gives the closed-form layer counts, tests whether a
+neighborhood in an arbitrary complex is isomorphic to a radius-r
+truncation, and counts the signed closed walks at a (d-1)-face, the
+moments of the limiting adjacency law, by the first-return recursion on
+the tree of (d+1)-cliques that is the complex's line graph.
 """
 
 from __future__ import annotations
@@ -19,21 +19,16 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import Face, PureComplex, ball, complex_from_dfaces, facets_of
-from .spectra import boundary_matrix, require_int64_powers, signed_adjacency
+from .complexes import Face, PureComplex, ball
+from .spectra import boundary_matrix
 
 __all__ = [
     "LayerProfile",
-    "ArborealBall",
     "layer_sizes",
-    "arboreal_ball",
     "is_arboreal_ball",
     "arboreal_fractions",
     "signed_walk_count",
 ]
-
-# arboreal_ball refuses radii above this: the truncation grows like (d(k-1))^r
-MAX_RADIUS = 12
 
 
 @dataclass(frozen=True)
@@ -84,73 +79,6 @@ def layer_sizes(d: int, k: int, r: int) -> LayerProfile:
         new_facets=tuple(new_facets),
         new_dfaces=tuple(new_dfaces),
         total_vertices=tuple(totals),
-    )
-
-
-@dataclass(frozen=True)
-class ArborealBall:
-    """Explicit radius-r truncation with its layer inventories."""
-
-    d: int
-    k: int
-    r: int
-    complex: PureComplex
-    root: Face
-    vertex_layers: tuple[tuple[int, ...], ...]
-    facet_layers: tuple[tuple[Face, ...], ...]
-    dface_layers: tuple[tuple[Face, ...], ...]
-
-
-def arboreal_ball(d: int, k: int, r: int) -> ArborealBall:
-    """Construct the radius-r truncation explicitly, fresh vertex per d-face.
-
-    Layer 1 attaches k d-faces to the root; deeper layers attach k-1 to each
-    boundary (d-1)-face.  Growth is (d(k-1))^r, hence the radius guard MAX_RADIUS.
-    """
-    if r > MAX_RADIUS:
-        raise ValueError(f"radius {r} exceeds guard {MAX_RADIUS}; growth is (d(k-1))^r")
-    layer_sizes(d, k, r)  # raises on k < 2, d < 1 or r < 0
-
-    root: Face = tuple(range(1, d + 1))
-    next_vertex = d + 1
-    dfaces: list[Face] = []
-    vertex_layers: list[tuple[int, ...]] = [root]
-    facet_layers: list[tuple[Face, ...]] = [(root,)]
-    dface_layers: list[tuple[Face, ...]] = [()]
-    frontier: list[Face] = [root]
-
-    for rho in range(1, r + 1):
-        growth = k if rho == 1 else k - 1
-        new_vertices: list[int] = []
-        new_facets: list[Face] = []
-        new_dfaces: list[Face] = []
-        for sigma in frontier:
-            for _ in range(growth):
-                v = next_vertex
-                next_vertex += 1
-                tau = tuple(sorted(sigma + (v,)))
-                new_vertices.append(v)
-                new_dfaces.append(tau)
-                for facet in facets_of(tau):
-                    if facet != sigma:
-                        new_facets.append(facet)
-        dfaces.extend(new_dfaces)
-        vertex_layers.append(tuple(new_vertices))
-        facet_layers.append(tuple(new_facets))
-        dface_layers.append(tuple(new_dfaces))
-        frontier = new_facets
-
-    n = next_vertex - 1 if r > 0 else d
-    cx = complex_from_dfaces(max(n, d + 1), d, dfaces) if dfaces else complex_from_dfaces(d + 1, d, [])
-    return ArborealBall(
-        d=d,
-        k=k,
-        r=r,
-        complex=cx,
-        root=root,
-        vertex_layers=tuple(vertex_layers),
-        facet_layers=tuple(facet_layers),
-        dface_layers=tuple(dface_layers),
     )
 
 
@@ -240,30 +168,31 @@ def _pattern(M: sp.spmatrix) -> sp.csr_matrix:
     return M
 
 
+
+
 def signed_walk_count(d: int, k: int, length: int) -> int:
     """Signed count of closed length-l walks at a (d-1)-face of the arboreal complex.
 
     This integer is the l-th moment of the limiting adjacency spectral law;
     walks returning with flipped orientation count negatively.  l = 1 gives 0
-    (neighbors have distinct underlying faces) and l = 2 gives d*k.  It is
-    the root's diagonal entry of A^l, from l sparse products on the
-    radius-floor(l/2) truncation, which holds every closed l-walk; B is
-    indexed by the truncation's own facets, in layer order, so the root is
-    row 0.
+    (neighbors have distinct underlying faces) and l = 2 gives d*k.
+
+    The line graph is a tree of (d+1)-cliques, k at every vertex, and a
+    diagonal of signs carries the signed adjacency to minus the clique
+    tree's adjacency, so the count is (-1)^l g_l with G = sum g_l z^l the
+    closed walks at a vertex of the clique tree.  By first return,
+    G = 1 + kEG and H = 1 + (k-1)EH, where E counts the excursions into one
+    clique and H the closed walks that avoid one clique; an excursion steps to one of the d
+    other clique vertices, then alternates H-walks with steps inside the
+    clique until it steps home: E = d z^2 H + (d-1) z H E.  The
+    coefficients are taken in order, in Python ints, so l is unbounded.
     """
     if length < 0:
         raise ValueError("walk length must be >= 0")
-    tree = arboreal_ball(d, k, length // 2)
-    index = {face: i for i, face in enumerate(f for layer in tree.facet_layers for f in layer)}
-    taus = [tau for layer in tree.dface_layers for tau in layer]
-    rows = [index[facet] for tau in taus for facet in facets_of(tau)]
-    cols = np.repeat(np.arange(len(taus)), d + 1)
-    signs = np.tile([(-1) ** i for i in range(d + 1)], len(taus))
-    B = sp.csr_matrix((signs, (rows, cols)), shape=(len(index), len(taus)), dtype=np.int64)
-    A = signed_adjacency(B)
-    require_int64_powers(A, length)
-    walks = np.zeros(len(index), dtype=np.int64)
-    walks[0] = 1
-    for _ in range(length):
-        walks = A @ walks
-    return int(walks[0])
+    layer_sizes(d, k, 0)  # raises on k < 2 or d < 1
+    E, H, G = [0, 0], [1, 0], [1, 0]  # z^0 and z^1 terms: an excursion takes >= 2 steps
+    for n in range(2, length + 1):
+        E.append(d * H[n - 2] + (d - 1) * sum(H[i] * E[n - 1 - i] for i in range(n - 2)))
+        H.append((k - 1) * sum(E[i] * H[n - i] for i in range(2, n + 1)))
+        G.append(k * sum(E[i] * G[n - i] for i in range(2, n + 1)))
+    return (-1) ** length * G[length]

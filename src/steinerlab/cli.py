@@ -296,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     except SamplerExhausted as exc:
         print(f"sampler exhausted: {exc}", file=sys.stderr)
         return EXIT_SAMPLER
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

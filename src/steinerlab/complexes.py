@@ -225,10 +225,14 @@ def write_complex(X: PureComplex, path: str | Path) -> None:
 
 def read_complex(path: str | Path) -> PureComplex:
     """Parse the canonical text format produced by write_complex."""
-    text = Path(path).read_text()
-    rows = [line.split() for line in text.splitlines() if line.strip()]
+    rows = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if line.strip():
+            try:
+                rows.append(tuple(int(v) for v in line.split()))
+            except ValueError:
+                raise ValueError(f"{path}:{number}: non-integer token in {line.strip()!r}") from None
     if not rows or len(rows[0]) != 2:
         raise ValueError(f"{path}: missing 'n d' header line")
-    n, d = int(rows[0][0]), int(rows[0][1])
-    faces = [tuple(int(v) for v in row) for row in rows[1:]]
+    (n, d), faces = rows[0], rows[1:]
     return complex_from_dfaces(n, d, faces)

@@ -65,8 +65,6 @@ class LimitLaw:
       weight_upper sqrt(upper_gap^2 - half_width^2) = d(k-1)-1
       ratio_zero   2d / half_width, geometric decay tied to the pole at 0
       ratio_upper  2 / half_width, decay tied to the upper pole
-      series_t     evaluation point of the log series; coincides with
-                   ratio_zero and lies in (0, 1) whenever k >= d+2
     """
 
     d: int
@@ -78,7 +76,6 @@ class LimitLaw:
     weight_upper: int = field(init=False)
     ratio_zero: float = field(init=False)
     ratio_upper: float = field(init=False)
-    series_t: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -93,7 +90,6 @@ class LimitLaw:
         object.__setattr__(self, "weight_upper", d * (k - 1) - 1)
         object.__setattr__(self, "ratio_zero", 2.0 * d / self.half_width)
         object.__setattr__(self, "ratio_upper", 2.0 / self.half_width)
-        object.__setattr__(self, "series_t", self.ratio_zero)
 
     @property
     def laplacian_support(self) -> tuple[float, float]:
@@ -219,14 +215,15 @@ def growth_constant_chebyshev(d: int, k: int) -> float:
         - weight_zero/(d+1) * log(1 - ratio_zero * t)
         - weight_upper/(d+1) * log(1 + ratio_upper * t)
 
-    at t = series_t, which is also the sum -pi * sum_n alpha_n t^n / n of the
-    coefficient series.  Both are evaluated and must agree to 1e-10; a
-    mismatch means a coefficient bug, not a numerical artifact.
+    at t = ratio_zero, in (0, 1) whenever k >= d+2, which is also the sum
+    -pi * sum_n alpha_n t^n / n of the coefficient series.  Both are
+    evaluated and must agree to 1e-10; a mismatch means a coefficient bug,
+    not a numerical artifact.
     """
     if k < d + 2:
         raise ValueError(f"growth constant needs k >= d+2, got d={d}, k={k}")
     law = LimitLaw(d, k)
-    t = law.series_t
+    t = law.ratio_zero
     head = log(law.center) - log(1.0 + t * t)
     closed = (
         head

@@ -9,9 +9,10 @@ adjacency is A = diag(L) - L.
 
 Reversing a face's orientation is -1 on forms, so the signed count of
 closed l-walks at a face on the oriented line-graph, phi_l(s+, s+) -
-phi_l(s+, s-), is the diagonal entry (A^l)_ss; walk counts are exact
-integer powers of A (`signed_trace` here, `arboreal.signed_walk_count` on
-the arboreal complex).
+phi_l(s+, s-), is the diagonal entry (A^l)_ss, and their sum over faces is
+the exact trace of an integer power of A (`signed_trace`).  On the
+arboreal complex the walk counts have a closed recursion instead
+(`arboreal.signed_walk_count`).
 
 The trivial kernel of L is the image of the coboundary delta from the
 (d-2)-forms of the complete skeleton; its dimension is C(n-1, d-1).  On the
@@ -292,6 +293,10 @@ def spectral_summary(
     builders = {"laplacian": laplacian_matrix, "adjacency": adjacency_matrix}
     if operator not in builders:
         raise ValueError(f"unknown operator {operator!r}")
+    if bins < 1:
+        raise ValueError(f"need bins >= 1, got {bins}")
+    if lmax < 0:
+        raise ValueError(f"need lmax >= 0, got {lmax}")
     M = builders[operator](X)
     eigs = scipy.linalg.eigvalsh(M.T, overwrite_a=True, check_finite=False, driver="evd")
     return _summary_from_eigs(eigs, bins, lmax, trivial_zero_count(X))

@@ -5,8 +5,9 @@ the eigenvalue pseudodeterminant of the tree count, the dense top of the
 adjacency spectrum on ker delta^T, the exact rank of an integer matrix,
 expectations against the limit law and Chebyshev coefficients by adaptive
 quadrature, the block-inclusion frequency of a sampler, layer totals of a
-neighbourhood census, and per-n means of converge rows.  Tests import this
-module the way they import `conftest`.
+neighbourhood census, explicit truncations of the arboreal complex and the
+signed walk counts read off their adjacency powers, and per-n means of
+converge rows.  Tests import this module the way they import `conftest`.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from math import comb, cos, exp, gcd, log, pi, sin, sqrt
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.integrate import quad
 
-from steinerlab.complexes import Face, NeighborhoodComplex
+from steinerlab.arboreal import layer_sizes
+from steinerlab.complexes import Face, NeighborhoodComplex, PureComplex, complex_from_dfaces, facets_of
 from steinerlab.experiments import ConvergenceResult
 from steinerlab.limitlaw import QUAD_EPSABS, LimitLaw
 from steinerlab.sampling import SeededRng, sample_system
@@ -27,6 +30,8 @@ from steinerlab.spectra import (
     _summary_from_eigs,
     adjacency_matrix,
     coboundary_matrix,
+    require_int64_powers,
+    signed_adjacency,
     warn_ambiguous_zeros,
     zero_threshold,
 )
@@ -228,6 +233,103 @@ def total_dfaces(b: NeighborhoodComplex) -> int:
 def facet_distances(b: NeighborhoodComplex) -> dict[Face, int]:
     """Line-graph distance from the centre of every (d-1)-face in the ball."""
     return {f: rho for rho, layer in enumerate(b.facet_layers) for f in layer}
+
+
+# -- arboreal ------------------------------------------------------------------
+# arboreal_ball refuses radii above this: the truncation grows like (d(k-1))^r
+MAX_RADIUS = 12
+
+
+@dataclass(frozen=True)
+class ArborealBall:
+    """Explicit radius-r truncation with its layer inventories."""
+
+    d: int
+    k: int
+    r: int
+    complex: PureComplex
+    root: Face
+    vertex_layers: tuple[tuple[int, ...], ...]
+    facet_layers: tuple[tuple[Face, ...], ...]
+    dface_layers: tuple[tuple[Face, ...], ...]
+
+
+def arboreal_ball(d: int, k: int, r: int) -> ArborealBall:
+    """Construct the radius-r truncation explicitly, fresh vertex per d-face.
+
+    Layer 1 attaches k d-faces to the root; deeper layers attach k-1 to each
+    boundary (d-1)-face.  Growth is (d(k-1))^r, hence the radius guard MAX_RADIUS.
+    """
+    if r > MAX_RADIUS:
+        raise ValueError(f"radius {r} exceeds guard {MAX_RADIUS}; growth is (d(k-1))^r")
+    layer_sizes(d, k, r)  # raises on k < 2, d < 1 or r < 0
+
+    root: Face = tuple(range(1, d + 1))
+    next_vertex = d + 1
+    dfaces: list[Face] = []
+    vertex_layers: list[tuple[int, ...]] = [root]
+    facet_layers: list[tuple[Face, ...]] = [(root,)]
+    dface_layers: list[tuple[Face, ...]] = [()]
+    frontier: list[Face] = [root]
+
+    for rho in range(1, r + 1):
+        growth = k if rho == 1 else k - 1
+        new_vertices: list[int] = []
+        new_facets: list[Face] = []
+        new_dfaces: list[Face] = []
+        for sigma in frontier:
+            for _ in range(growth):
+                v = next_vertex
+                next_vertex += 1
+                tau = tuple(sorted(sigma + (v,)))
+                new_vertices.append(v)
+                new_dfaces.append(tau)
+                for facet in facets_of(tau):
+                    if facet != sigma:
+                        new_facets.append(facet)
+        dfaces.extend(new_dfaces)
+        vertex_layers.append(tuple(new_vertices))
+        facet_layers.append(tuple(new_facets))
+        dface_layers.append(tuple(new_dfaces))
+        frontier = new_facets
+
+    n = next_vertex - 1 if r > 0 else d
+    cx = complex_from_dfaces(max(n, d + 1), d, dfaces) if dfaces else complex_from_dfaces(d + 1, d, [])
+    return ArborealBall(
+        d=d,
+        k=k,
+        r=r,
+        complex=cx,
+        root=root,
+        vertex_layers=tuple(vertex_layers),
+        facet_layers=tuple(facet_layers),
+        dface_layers=tuple(dface_layers),
+    )
+
+
+def walk_count_oracle(d: int, k: int, length: int) -> int:
+    """Signed closed length-l walks at the root, as the root's diagonal entry of A^l.
+
+    A is the signed adjacency of the radius-floor(l/2) truncation, which
+    holds every closed l-walk, from l sparse int64 products; B is indexed by
+    the truncation's own facets, in layer order, so the root is row 0.
+    """
+    if length < 0:
+        raise ValueError("walk length must be >= 0")
+    tree = arboreal_ball(d, k, length // 2)
+    index = {face: i for i, face in enumerate(f for layer in tree.facet_layers for f in layer)}
+    taus = [tau for layer in tree.dface_layers for tau in layer]
+    rows = [index[facet] for tau in taus for facet in facets_of(tau)]
+    cols = np.repeat(np.arange(len(taus)), d + 1)
+    signs = np.tile([(-1) ** i for i in range(d + 1)], len(taus))
+    B = sp.csr_matrix((signs, (rows, cols)), shape=(len(index), len(taus)), dtype=np.int64)
+    A = signed_adjacency(B)
+    require_int64_powers(A, length)
+    walks = np.zeros(len(index), dtype=np.int64)
+    walks[0] = 1
+    for _ in range(length):
+        walks = A @ walks
+    return int(walks[0])
 
 
 # -- experiments ---------------------------------------------------------------

@@ -13,7 +13,6 @@ from steinerlab import (
     LimitLaw,
     SeededRng,
     adjacency_matrix,
-    arboreal_ball,
     complete_complex,
     growth_constant_chebyshev,
     growth_constant_closed,
@@ -30,7 +29,7 @@ from steinerlab import (
 )
 from steinerlab.experiments import ExperimentConfig, run_converge
 from conftest import random_complex
-from oracles import inclusion_frequency_test, mean_fraction, mean_moment
+from oracles import arboreal_ball, inclusion_frequency_test, mean_fraction, mean_moment
 
 
 def verdict(num, name, ok, detail):

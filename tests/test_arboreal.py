@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import random_complex
+from oracles import arboreal_ball, walk_count_oracle
 
 from steinerlab import (
     LimitLaw,
     SeededRng,
-    arboreal,
-    arboreal_ball,
     arboreal_fractions,
     ball,
     complete_complex,
@@ -95,7 +95,7 @@ class TestArborealBall:
     def test_radius_guard(self, monkeypatch):
         with pytest.raises(ValueError, match="guard"):
             arboreal_ball(2, 3, 13)
-        monkeypatch.setattr(arboreal, "MAX_RADIUS", 13)
+        monkeypatch.setattr(oracles, "MAX_RADIUS", 13)
         arboreal_ball(1, 2, 13)
 
     def test_interior_degrees_are_k(self):
@@ -262,6 +262,12 @@ class TestBatchedCensus:
         assert str(batched.value) == str(oracle.value) == str(several.value)
 
 
+# the oracle's outer layer has about (d(k-1))^(l/2) d-faces; the full grid
+# (l <= 10 for every d <= 4, k <= 7) agrees too, but its largest truncations
+# take about 90 s and 4 GB on a 2-vCPU host
+ORACLE_LAYER_BUDGET = 50_000
+
+
 class TestSignedWalkCount:
     def test_length_zero_and_one(self):
         for d, k in [(1, 3), (2, 3), (3, 4)]:
@@ -298,3 +304,31 @@ class TestSignedWalkCount:
                     for j in range(ell + 1)
                 )
                 assert transformed == pytest.approx(law.laplacian_moment(ell), abs=1e-6)
+
+    def test_matches_truncation_oracle(self):
+        for d in range(1, 5):
+            for k in range(2, 8):
+                for ell in range(11):
+                    if (d * (k - 1)) ** (ell // 2) <= ORACLE_LAYER_BUDGET:
+                        assert signed_walk_count(d, k, ell) == walk_count_oracle(d, k, ell), (d, k, ell)
+
+    @pytest.mark.parametrize("d,k,ell", [(2, 5, 30), (1, 8, 30), (3, 4, 26)])
+    def test_long_walks_match_law_moment(self, d, k, ell):
+        # beyond the truncation's radius guard and int64
+        value = signed_walk_count(d, k, ell)
+        assert value > 2**63
+        moment = LimitLaw(d, k).expectation(lambda x: (k - x) ** ell)
+        assert abs(value - moment) <= 1e-12 * abs(moment)
+
+    def test_odd_lengths_vanish_on_trees(self):
+        for k in (2, 3, 8):
+            for ell in range(1, 42, 2):
+                assert signed_walk_count(1, k, ell) == 0
+
+    def test_same_errors(self):
+        for d, k, ell in [(2, 3, -1), (2, 1, 4), (0, 3, 4), (2, 1, 0)]:
+            with pytest.raises(ValueError) as new:
+                signed_walk_count(d, k, ell)
+            with pytest.raises(ValueError) as old:
+                walk_count_oracle(d, k, ell)
+            assert str(new.value) == str(old.value)

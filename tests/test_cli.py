@@ -114,6 +114,21 @@ class TestSpectrum:
         code = main(["spectrum", "--op", "laplacian"])
         assert code == 2
 
+    @pytest.mark.parametrize("op", ["laplacian", "adjacency"])
+    @pytest.mark.parametrize("flag", [["--bins", "0"], ["--lmax", "-1"]])
+    def test_bad_bins_or_lmax_exit_2_before_the_dense_matrix(self, op, flag, tmp_path, monkeypatch, capsys):
+        from steinerlab import spectra
+
+        built = []
+        for name in ("laplacian_matrix", "adjacency_matrix"):
+            monkeypatch.setattr(spectra, name, lambda X, name=name: built.append(name))
+        out = tmp_path / "hist.csv"
+        code = main(["spectrum", "--d", "1", "--k", "3", "--n", "10", "--op", op, *flag, "--out", str(out)])
+        assert code == 2
+        assert built == []
+        assert list(tmp_path.iterdir()) == []
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestSst:
     def test_triangle_json(self, tmp_path, capsys):
@@ -332,3 +347,9 @@ class TestGapOracle:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["oracle", "--in", "/nonexistent/cx.txt"]) == 2
+
+    @pytest.mark.parametrize("command", ["oracle", "sst"])
+    def test_directory_as_input_exits_2(self, command, tmp_path, capsys):
+        assert main([command, "--in", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

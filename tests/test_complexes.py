@@ -1,3 +1,4 @@
+import re
 from math import comb
 
 import numpy as np
@@ -267,6 +268,12 @@ class TestTextFormat:
         p = tmp_path / "bad.txt"
         p.write_text("")
         with pytest.raises(ValueError, match="header"):
+            read_complex(p)
+
+    def test_non_integer_token_names_file_and_line(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("4 2\n1 2 3\n\n1 x 4\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:4: non-integer token in '1 x 4'")):
             read_complex(p)
 
     def test_format_shape(self, tmp_path):

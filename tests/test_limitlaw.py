@@ -23,8 +23,7 @@ class TestLimitLawParams:
             assert law.weight_upper == d * (k - 1) - 1
             assert isclose(sqrt(law.center**2 - law.half_width**2), law.weight_zero)
             assert isclose(sqrt(law.upper_gap**2 - law.half_width**2), law.weight_upper)
-            assert law.series_t == law.ratio_zero
-            assert 0 < law.series_t < 1
+            assert 0 < law.ratio_zero < 1
             assert 0 < law.ratio_upper < 1
 
     def test_supports_reflect_through_k(self):
@@ -199,7 +198,7 @@ class TestGrowthConstant:
         # halving the truncation moves the series by less than 1e-9
         law = LimitLaw(2, 5)
         truncation = limitlaw._chebyshev_truncation(law)
-        t = law.series_t
+        t = law.ratio_zero
 
         def series_sum(upto):
             total, t_pow = 0.0, 1.0
