@@ -39,9 +39,7 @@ from .spectra import (
     trivial_zero_count,
 )
 from .trees import (
-    SnfDiagonal,
     TreeCount,
-    smith_normal_form,
     tree_count_exact,
     weighted_tree_count,
 )

@@ -221,6 +221,8 @@ def _parse_table(raw: str) -> tuple[float, float, int]:
     parts = raw.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected lo:hi:steps")
+    if int(parts[2]) < 1:
+        raise argparse.ArgumentTypeError(f"steps must be >= 1, got {parts[2]}")
     return (float(parts[0]), float(parts[1]), int(parts[2]))
 
 

@@ -109,6 +109,14 @@ class PureComplex:
         return f"PureComplex(n={self.n}, d={self.d}, dfaces={self.num_dfaces})"
 
 
+class _FaceError(ValueError):
+    """A refused top face; `at` is its position in the input."""
+
+    def __init__(self, message: str, at: int) -> None:
+        super().__init__(message)
+        self.at = at
+
+
 def complex_from_dfaces(n: int, d: int, faces: Iterable[Sequence[int]]) -> PureComplex:
     """Build a PureComplex from its top faces, sorted, rejecting malformed input.
 
@@ -139,12 +147,12 @@ def complex_from_dfaces(n: int, d: int, faces: Iterable[Sequence[int]]) -> PureC
     if len(bad) or end < len(faces):
         at, kind = (bad[0], 1 + offences[:, bad[0]].argmax()) if len(bad) else (end, 0)
         face = tuple(faces[at])
-        raise ValueError((
+        raise _FaceError((
             f"face {face} has dimension {len(face) - 1}, expected {d}",
             f"face {face} is not strictly increasing",
             f"face {face} has vertices outside [1, {n}]",
             f"duplicate d-face {face}",
-        )[kind])
+        )[kind], int(at))
     return PureComplex(n, d, keys[order])
 
 
@@ -224,15 +232,20 @@ def write_complex(X: PureComplex, path: str | Path) -> None:
 
 
 def read_complex(path: str | Path) -> PureComplex:
-    """Parse the canonical text format produced by write_complex."""
-    rows = []
+    """Parse the canonical text format produced by write_complex; a refused row names path:line."""
+    rows, numbers = [], []
     for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if line.strip():
             try:
                 rows.append(tuple(int(v) for v in line.split()))
             except ValueError:
                 raise ValueError(f"{path}:{number}: non-integer token in {line.strip()!r}") from None
+            numbers.append(number)
     if not rows or len(rows[0]) != 2:
         raise ValueError(f"{path}: missing 'n d' header line")
     (n, d), faces = rows[0], rows[1:]
-    return complex_from_dfaces(n, d, faces)
+    try:
+        return complex_from_dfaces(n, d, faces)
+    except ValueError as exc:  # a face names its own line, any other error the header's
+        line = numbers[exc.at + 1] if isinstance(exc, _FaceError) else numbers[0]
+        raise ValueError(f"{path}:{line}: {exc}") from None

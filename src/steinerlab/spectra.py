@@ -56,7 +56,6 @@ __all__ = [
 
 ZERO_RTOL = 1e-8
 AMBIGUOUS_FACTOR = 1e3
-SIGNED_TRACE_MAX_LENGTH = 10
 
 
 def _binom(x: np.ndarray, k: int) -> np.ndarray:
@@ -321,13 +320,9 @@ def warn_ambiguous_zeros(value: float, eps: float) -> None:
 def signed_trace(X: PureComplex, length: int) -> int:
     """Exact integer tr(A^l) of the signed adjacency A: signed closed l-walks summed over faces.
 
-    Raises ValueError for l > SIGNED_TRACE_MAX_LENGTH (walk counts grow
-    like (dk)^l) and before any product whose entries could leave int64.
+    Raises ValueError before any product whose entries could leave int64
+    (`require_int64_powers`).
     """
     if length < 0:
         raise ValueError("walk length must be >= 0")
-    if length > SIGNED_TRACE_MAX_LENGTH:
-        raise ValueError(
-            f"length {length} exceeds guard {SIGNED_TRACE_MAX_LENGTH} (growth is (dk)^l)"
-        )
     return _trace(_int64_powers(signed_adjacency(boundary_matrix(X)), length), length)

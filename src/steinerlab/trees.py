@@ -11,11 +11,11 @@ reduced Laplacian: L with the rows and columns of the C(n-1, d-1)
 the first rows of L.  The same total is the product of the non-trivial
 eigenvalues of L divided by n^C(n-2, d-1).
 
-The count needs no spectrum.  L delta = 0 is checked exactly, and for a
-power of two c with c n above the Gershgorin bound of L the spectrum of
-M = L + c delta delta^T is the non-trivial spectrum of L plus c n repeated
-C(n-1, d-1) times (see `spectra`).  So the smallest eigenvalue of M, found
-by Lanczos, is the spectral floor that decides an extra kernel (count 0).
+The count needs no spectrum.  As L delta = 0, for a power of two c with
+c n above the Gershgorin bound of L the spectrum of M = L + c delta delta^T
+is the non-trivial spectrum of L plus c n repeated C(n-1, d-1) times (see
+`spectra`).  So the smallest eigenvalue of M, found by Lanczos, is the
+spectral floor that decides an extra kernel (count 0).
 Otherwise the reduced Laplacian is positive definite and its log-determinant
 comes from a Cholesky factorization in two phases (George and Liu, "The
 evolution of the minimum degree ordering algorithm", SIAM Review 1989).
@@ -33,15 +33,14 @@ later face's column, and a dependent prefix drops its subtree, so every
 prefix is eliminated once.  Pieces of about ORACLE_CHUNK_BYTES of node
 states bound its memory, which the guard counts before any work.  At a leaf
 a unit maximal minor gives torsion 1, and any other tree gets its torsion
-from a Smith normal form.  Spectral arithmetic stays in the log domain
-because counts grow like exp(Theta(n^d)).
+as the determinant of an integer triangular form of its columns.  Spectral
+arithmetic stays in the log domain because counts grow like exp(Theta(n^d)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import comb, exp, frexp, log
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,9 +60,7 @@ from .spectra import (
 )
 
 __all__ = [
-    "SnfDiagonal",
     "TreeCount",
-    "smith_normal_form",
     "tree_count_from_laplacian",
     "weighted_tree_count",
     "tree_count_exact",
@@ -86,91 +83,29 @@ SPARSE_FILL_LIMIT = 0.02
 SPARSE_ROUND_MIN = 0.005
 
 
-@dataclass(frozen=True)
-class SnfDiagonal:
-    """Invariant factors s_1 | s_2 | ... | s_r of an integer matrix."""
+def _torsion(M: np.ndarray) -> int:
+    """Order of the torsion of coker M, for an integer matrix M of full column rank.
 
-    factors: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.factors)
-
-    def torsion(self) -> int:
-        """Order of the torsion part of the cokernel: product of the factors."""
-        out = 1
-        for s in self.factors:
-            out *= s
-        return out
-
-
-def smith_normal_form(M: Sequence[Sequence[int]] | np.ndarray) -> SnfDiagonal:
-    """Diagonalize an integer matrix over Z by row/column operations.
-
-    Pivots on the smallest nonzero entry (the first in row-major order; the
-    scan stops at the first unit) and re-reduces until the pivot divides its
-    row and column, which keeps coefficient growth in check.  A unit pivot
-    divides the rest of the block, so only a larger one is checked for it.
-    Entries are Python ints, so there is no overflow.
+    Unimodular row operations bring M to [T; 0], T upper triangular, a
+    column at a time: Euclid on the smallest nonzero entry below the rows
+    already placed leaves one nonzero entry, and a swap moves it into
+    place.  coker M is Z^r / T Z^r plus a free part, so the torsion order
+    is |det T|, the product of the diagonal.  Entries are Python ints.
     """
-    A = [[int(v) for v in row] for row in M]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    factors: list[int] = []
-    top = 0
-    while top < min(rows, cols):
-        # locate smallest nonzero entry in the remaining block
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                v = abs(A[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-                    if v == 1:
-                        break  # no later entry is strictly smaller
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, pi, pj = best
-        A[top], A[pi] = A[pi], A[top]
-        for row in A:
-            row[top], row[pj] = row[pj], row[top]
-        pivot = A[top][top]
-
-        dirty = False
-        for i in range(top + 1, rows):
-            if A[i][top]:
-                q = A[i][top] // pivot
-                for j in range(top, cols):
-                    A[i][j] -= q * A[top][j]
-                if A[i][top]:
-                    dirty = True
-        for j in range(top + 1, cols):
-            if A[top][j]:
-                q = A[top][j] // pivot
-                for i in range(top, rows):
-                    A[i][j] -= q * A[i][top]
-                if A[top][j]:
-                    dirty = True
-        if dirty:
-            continue  # remainders became new, smaller candidates
-
-        # pivot must divide the rest of the block for the divisibility chain; a unit divides all
-        offender = None
-        if abs(pivot) > 1:
-            offender = next(
-                (i for i in range(top + 1, rows) if any(A[i][j] % pivot for j in range(top + 1, cols))), None
-            )
-        if offender is not None:
-            for j in range(top, cols):
-                A[top][j] += A[offender][j]
-            continue
-
-        factors.append(abs(pivot))
-        top += 1
-
-    return SnfDiagonal(tuple(factors))
+    A = M.tolist()
+    torsion = 1
+    for j in range(len(A[0])):
+        live = [i for i in range(j, len(A)) if A[i][j]]
+        while len(live) > 1:
+            p = min(live, key=lambda i: abs(A[i][j]))
+            for i in live:
+                if i != p:
+                    q = A[i][j] // A[p][j]
+                    A[i] = [a - q * b for a, b in zip(A[i], A[p])]
+            live = [i for i in live if A[i][j]]
+        A[j], A[live[0]] = A[live[0]], A[j]
+        torsion *= A[j][j]
+    return abs(torsion)
 
 
 @dataclass(frozen=True)
@@ -304,8 +239,6 @@ def tree_count_from_laplacian(X: PureComplex, L: sp.csr_matrix) -> TreeCount:
     require_tree_count_fits(X.n, X.d)
     n, d = X.n, X.d
     delta = coboundary_matrix(n, d)
-    if (L @ delta).count_nonzero():
-        raise RuntimeError("coboundary image is not in the Laplacian kernel: L delta != 0")
     trivial = trivial_zero_count(X)
     # c n above the Gershgorin bound (d+1) max deg of L puts the shifted trivial
     # eigenvalues above the rest; a power of two keeps c * (delta delta^T x) exact
@@ -490,15 +423,15 @@ def tree_count_exact(X: PureComplex) -> int:
     one batched step per piece of about ORACLE_CHUNK_BYTES of children, so
     memory does not grow with the subset count.  At depth r the pivot is a
     maximal minor: 1 gives torsion 1, and any other tree gets its torsion
-    from `smith_normal_form`.  Every Bareiss entry is a minor of columns
-    with d + 1 entries of +-1, so by Hadamard's inequality no product
-    exceeds (d + 1)^r; below INT64_MINOR_LIMIT the walk runs in int64, above
-    it the same code runs on Python ints.  At d = 1 the boundary is an
-    oriented incidence matrix, totally unimodular, so every entry is 0 or
-    +-1, no product exceeds 2 and every r runs in int64.  Fewer d-faces than
-    r give 0 at once; otherwise more than ORACLE_MAX_SUBSETS candidates, or
-    arrays above usable memory, are refused (ValueError) before any work
-    (`require_oracle_fits`).
+    from `_torsion`, an integer triangular form of its columns.  Every
+    Bareiss entry is a minor of columns with d + 1 entries of +-1, so by
+    Hadamard's inequality no product exceeds (d + 1)^r; below
+    INT64_MINOR_LIMIT the walk runs in int64, above it the same code runs
+    on Python ints.  At d = 1 the boundary is an oriented incidence matrix,
+    totally unimodular, so every entry is 0 or +-1, no product exceeds 2 and
+    every r runs in int64.  Fewer d-faces than r give 0 at once; otherwise
+    more than ORACLE_MAX_SUBSETS candidates, or arrays above usable memory,
+    are refused (ValueError) before any work (`require_oracle_fits`).
     """
     r = comb(X.n - 1, X.d)
     if X.num_dfaces < r:
@@ -522,8 +455,7 @@ def tree_count_exact(X: PureComplex) -> int:
             unit = pivot == 1
             total += int(unit.sum())
             for i in np.flatnonzero(~unit):
-                torsion = smith_normal_form(block[:, [*faces[node[i]], j + col[i]]]).torsion()
-                total += torsion * torsion
+                total += _torsion(block[:, [*faces[node[i]], j + col[i]]]) ** 2
             continue
         stop = start + _piece_nodes(R, F, r, j + 1)
         if stop < len(node):

@@ -1,19 +1,21 @@
 """Reference routines the tests check the package against; the package never calls them.
 
 Each is an independent or slower route to a value the pipeline computes:
-the eigenvalue pseudodeterminant of the tree count, the dense top of the
-adjacency spectrum on ker delta^T, the exact rank of an integer matrix,
-expectations against the limit law and Chebyshev coefficients by adaptive
-quadrature, the block-inclusion frequency of a sampler, layer totals of a
-neighbourhood census, explicit truncations of the arboreal complex and the
-signed walk counts read off their adjacency powers, and per-n means of
-converge rows.  Tests import this module the way they import `conftest`.
+the eigenvalue pseudodeterminant of the tree count, the Smith normal form
+whose factors give a tree's torsion, the dense top of the adjacency
+spectrum on ker delta^T, the exact rank of an integer matrix, expectations
+against the limit law and Chebyshev coefficients by adaptive quadrature,
+the block-inclusion frequency of a sampler, layer totals of a neighbourhood
+census, explicit truncations of the arboreal complex and the signed walk
+counts read off their adjacency powers, and per-n means of converge rows.
+Tests import this module the way they import `conftest`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, cos, exp, gcd, log, pi, sin, sqrt
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -116,6 +118,93 @@ def growth_rate_from_eigenvalues(eigs: np.ndarray, trivial_zeros: int, n: int, d
         return 0.0
     log_count = pseudodet_log - comb(n - 2, d - 1) * log(n)
     return exp(log_count / comb(n, d))
+
+
+@dataclass(frozen=True)
+class SnfDiagonal:
+    """Invariant factors s_1 | s_2 | ... | s_r of an integer matrix."""
+
+    factors: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.factors)
+
+    def torsion(self) -> int:
+        """Order of the torsion part of the cokernel: product of the factors."""
+        out = 1
+        for s in self.factors:
+            out *= s
+        return out
+
+
+def smith_normal_form(M: Sequence[Sequence[int]] | np.ndarray) -> SnfDiagonal:
+    """Diagonalize an integer matrix over Z by row/column operations.
+
+    Pivots on the smallest nonzero entry (the first in row-major order; the
+    scan stops at the first unit) and re-reduces until the pivot divides its
+    row and column, which keeps coefficient growth in check.  A unit pivot
+    divides the rest of the block, so only a larger one is checked for it.
+    Entries are Python ints, so there is no overflow.
+    """
+    A = [[int(v) for v in row] for row in M]
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    factors: list[int] = []
+    top = 0
+    while top < min(rows, cols):
+        # locate smallest nonzero entry in the remaining block
+        best = None
+        for i in range(top, rows):
+            for j in range(top, cols):
+                v = abs(A[i][j])
+                if v and (best is None or v < best[0]):
+                    best = (v, i, j)
+                    if v == 1:
+                        break  # no later entry is strictly smaller
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, pi, pj = best
+        A[top], A[pi] = A[pi], A[top]
+        for row in A:
+            row[top], row[pj] = row[pj], row[top]
+        pivot = A[top][top]
+
+        dirty = False
+        for i in range(top + 1, rows):
+            if A[i][top]:
+                q = A[i][top] // pivot
+                for j in range(top, cols):
+                    A[i][j] -= q * A[top][j]
+                if A[i][top]:
+                    dirty = True
+        for j in range(top + 1, cols):
+            if A[top][j]:
+                q = A[top][j] // pivot
+                for i in range(top, rows):
+                    A[i][j] -= q * A[i][top]
+                if A[top][j]:
+                    dirty = True
+        if dirty:
+            continue  # remainders became new, smaller candidates
+
+        # pivot must divide the rest of the block for the divisibility chain; a unit divides all
+        offender = None
+        if abs(pivot) > 1:
+            offender = next(
+                (i for i in range(top + 1, rows) if any(A[i][j] % pivot for j in range(top + 1, cols))), None
+            )
+        if offender is not None:
+            for j in range(top, cols):
+                A[top][j] += A[offender][j]
+            continue
+
+        factors.append(abs(pivot))
+        top += 1
+
+    return SnfDiagonal(tuple(factors))
 
 
 # -- limitlaw ------------------------------------------------------------------

@@ -234,6 +234,15 @@ class TestLimit:
     def test_k_too_small_exits_2(self, capsys):
         assert main(["limit", "--d", "2", "--k", "3"]) == 2
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_table_without_steps_exits_2(self, steps, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["limit", "--d", "2", "--k", "5", "--table", f"0:5:{steps}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"steps must be >= 1, got {steps}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLocal:
     def test_csv_columns(self, capsys):
@@ -353,3 +362,21 @@ class TestGapOracle:
         assert main([command, "--in", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["oracle", "sst"])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["1 2"], "face (1, 2) has dimension 1, expected 2"),
+            (["1 3 2"], "face (1, 3, 2) is not strictly increasing"),
+            (["1 2 9"], "face (1, 2, 9) has vertices outside [1, 4]"),
+            (["2 3 4", "1 2 3"], "duplicate d-face (1, 2, 3)"),
+        ],
+        ids=["dimension", "order", "range", "duplicate"],
+    )
+    def test_bad_row_names_file_and_line(self, command, rows, message, tmp_path, capsys):
+        # after the header, a good row and a blank line, the last row is the bad one
+        path = tmp_path / "cx.txt"
+        path.write_text("4 2\n1 2 3\n\n" + "\n".join(rows) + "\n")
+        assert main([command, "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{3 + len(rows)}: {message}\n"

@@ -276,6 +276,13 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=re.escape(f"{p}:4: non-integer token in '1 x 4'")):
             read_complex(p)
 
+    @pytest.mark.parametrize("header, message", [("4 0", "dimension d must be >= 1"), ("2 2", "need n >= d+1")])
+    def test_bad_header_names_file_and_line(self, header, message, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"\n{header}\n1 2 3\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:2: {message}")):
+            read_complex(p)
+
     def test_format_shape(self, tmp_path):
         X = complex_from_dfaces(4, 2, [(1, 2, 4)])
         path = tmp_path / "cx.txt"

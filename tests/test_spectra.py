@@ -254,9 +254,10 @@ class TestSignedTrace:
     def test_triangle_two_walks(self):
         assert signed_trace(triangle(), 2) == 6
 
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            signed_trace(triangle(), 11)
+    def test_length_past_ten_matches_dense_trace(self):
+        # no fixed length cap: only the int64 guard refuses a length
+        A = np.asarray(adjacency_matrix(triangle())).astype(np.int64)
+        assert signed_trace(triangle(), 11) == np.trace(np.linalg.matrix_power(A, 11))
 
     def test_matches_matrix_power(self, gen):
         for _ in range(12):

@@ -1,6 +1,6 @@
 import tracemalloc
 from itertools import combinations
-from math import comb, exp, log
+from math import comb, exp, log, prod
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from steinerlab import (
     SeededRng,
     complete_complex,
     complex_from_dfaces,
-    smith_normal_form,
     spectra,
     steiner_complex,
     tree_count_exact,
@@ -21,7 +20,7 @@ from steinerlab import (
 )
 from steinerlab.spectra import laplacian_matrix, sparse_laplacian, trivial_zero_count
 from conftest import random_complex
-from oracles import exact_rank, growth_rate_from_eigenvalues, pseudodet_from_eigenvalues
+from oracles import exact_rank, growth_rate_from_eigenvalues, pseudodet_from_eigenvalues, smith_normal_form
 
 
 def growth_rate(X):
@@ -141,6 +140,44 @@ class TestSmithNormalForm:
             for s in factors:
                 product *= s
             assert product == abs(exact_det(M))
+
+
+def unimodular(size, steps, rng):
+    """A product of `steps` random elementary integer matrices: row additions, swaps and negations."""
+    U = np.eye(size, dtype=np.int64).astype(object)
+    for _ in range(steps):
+        a, b = rng.integers(size, size=2)
+        kind = int(rng.integers(3)) if a != b else 2
+        if kind == 0:
+            U[a] += int(rng.integers(-3, 4)) * U[b]
+        elif kind == 1:
+            U[[a, b]] = U[[b, a]]
+        else:
+            U[a] *= -1
+    return U
+
+
+class TestTorsion:
+    """The oracle's torsion at a leaf: |det T| of a triangular form U M = [T; 0]."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        diagonal=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+        extra_rows=st.integers(0, 4),
+        steps=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unimodular_conjugate_of_a_diagonal(self, diagonal, extra_rows, steps, seed):
+        rng = np.random.default_rng(seed)
+        r = len(diagonal)
+        D = np.zeros((r + extra_rows, r), dtype=object)
+        D[range(r), range(r)] = diagonal
+        M = unimodular(r + extra_rows, steps, rng) @ D @ unimodular(r, steps, rng)
+        assert trees._torsion(M) == prod(diagonal) == smith_normal_form(M).torsion()
+
+    def test_projective_plane(self):
+        B = spectra.boundary_matrix(complex_from_dfaces(6, 2, RP2)).toarray()
+        assert trees._torsion(B) == 2
 
 
 def exact_det(M):
@@ -268,9 +305,9 @@ class TestExactOracle:
         assert tree_count_exact(complete_complex(n, d)) == 1
         assert steps == []
 
-    def test_smith_form_once_per_non_unit_minor(self, monkeypatch):
-        calls, snf = [], trees.smith_normal_form
-        monkeypatch.setattr(trees, "smith_normal_form", lambda M: (calls.append(1), snf(M))[1])
+    def test_torsion_once_per_non_unit_minor(self, monkeypatch):
+        calls, torsion = [], trees._torsion
+        monkeypatch.setattr(trees, "_torsion", lambda M: (calls.append(1), torsion(M))[1])
         assert tree_count_exact(complete_complex(5, 2)) == 125
         assert calls == []  # the last pivot of each of its trees is 1
         assert tree_count_exact(complex_from_dfaces(6, 2, RP2)) == 4
