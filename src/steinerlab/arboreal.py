@@ -109,14 +109,8 @@ def is_arboreal_ball(X: PureComplex, sigma0: Face, k: int, r: int) -> bool:
     return True
 
 
-def arboreal_fractions(
-    X: PureComplex, k: int, radii: Sequence[int], B: sp.csr_matrix | None = None
-) -> tuple[float, ...]:
+def arboreal_fractions(X: PureComplex, k: int, radii: Sequence[int]) -> tuple[float, ...]:
     """Fraction of all C(n, d) faces of dimension d-1 whose r-ball is arboreal, per r in `radii`.
-
-    B is X's signed boundary (`boundary_matrix`) when the caller already
-    built it, as a converge row does for its Laplacian; it is built here
-    otherwise.
 
     The census of `is_arboreal_ball` for every centre at once.  Row c of the
     0/1 matrix reach_rho marks the (d-1)-faces within line-graph distance rho
@@ -139,7 +133,7 @@ def arboreal_fractions(
         return tuple(1.0 for _ in radii)
     profile = layer_sizes(d, k, top)
     dfaces_within = np.cumsum(profile.new_dfaces)
-    P = abs(boundary_matrix(X) if B is None else B)
+    P = abs(boundary_matrix(X))
     m = P.shape[0]
     G = _pattern(sp.identity(m, format="csr") + P @ P.T)
     faces = np.array(list(X.facet_iter()), dtype=np.int64).reshape(m, d)

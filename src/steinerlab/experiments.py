@@ -22,7 +22,6 @@ from datetime import datetime, timezone
 from math import comb, exp, frexp, sqrt
 from pathlib import Path
 
-import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
 from .arboreal import arboreal_fractions
@@ -30,13 +29,14 @@ from .complexes import PureComplex, write_complex
 from .sampling import SamplerExhausted, SeededRng, is_admissible, steiner_complex
 from .spectra import (
     _lanczos_extreme,
-    boundary_matrix,
     coboundary_matrix,
+    int64_power_overflows,
     moments,
     require_memory,
     signed_adjacency,
+    sparse_laplacian,
 )
-from .trees import require_tree_count_fits, tree_count_from_laplacian
+from .trees import require_tree_count_fits, weighted_tree_count
 
 __all__ = [
     "ExperimentConfig",
@@ -64,9 +64,9 @@ def regularity_threshold(d: int) -> int:
 class ExperimentConfig:
     """Shared knobs for ensemble runs.
 
-    Every n must be d-admissible, arboreal radii >= 1 need k >= 2, and the
-    exact int64 moment traces need ((d+1) k)^lmax below 2^63 ((d+1) k
-    bounds the absolute row sums of L).  Memory is checked by each run.
+    Every n must be d-admissible, k >= 1 (k >= 2 with an arboreal radius
+    >= 1), and the exact int64 moment traces need ((d+1) k)^lmax below 2^63
+    ((d+1) k bounds the absolute row sums of L).  Memory is checked by each run.
     """
 
     d: int
@@ -82,9 +82,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
+        if self.k < 1:
+            raise ValueError("need k >= 1 systems")
         if self.lmax < 0:
             raise ValueError("lmax must be >= 0")
-        if ((self.d + 1) * self.k) ** self.lmax >= 2**63:
+        if int64_power_overflows((self.d + 1) * self.k, self.lmax):
             raise ValueError(
                 f"lmax={self.lmax} is too large for exact int64 moments at d={self.d}, k={self.k}"
             )
@@ -125,16 +127,15 @@ class ConvergenceResult:
 
 
 def _converge_row(config: ExperimentConfig, X: PureComplex, n: int, trial: int) -> ConvergenceRow:
-    B = boundary_matrix(X)
-    L = (B @ B.T).tocsr()
-    count = tree_count_from_laplacian(X, L)
+    count = weighted_tree_count(X)
+    L = sparse_laplacian(X)
     return ConvergenceRow(
         n=n,
         trial=trial,
         growth_rate=exp(count.log_count / comb(X.n, X.d)),
-        min_degree=int(np.diff(B.indptr).min()),  # row nnz of B: the degrees
+        min_degree=int(L.diagonal().min()),  # the diagonal of L is the degree
         spectral_floor=count.floor,
-        fractions=dict(zip(config.radii, arboreal_fractions(X, config.k, config.radii, B))),
+        fractions=dict(zip(config.radii, arboreal_fractions(X, config.k, config.radii))),
         moments=tuple(moments(L, config.lmax)),
     )
 
@@ -190,7 +191,7 @@ def _top_nontrivial(X: PureComplex) -> float:
     has the spectrum of A there and -c on im delta, which a power of two c
     above the Gershgorin bound of A puts below the rest.
     """
-    A = signed_adjacency(boundary_matrix(X))
+    A = signed_adjacency(sparse_laplacian(X))
     delta = coboundary_matrix(X.n, X.d)
     c = 2.0 ** frexp(float(abs(A).sum(axis=1).max()) + 1)[1]
 

@@ -102,15 +102,14 @@ def sparse_laplacian(X: PureComplex) -> sp.csr_matrix:
     return (B @ B.T).tocsr()
 
 
-def signed_adjacency(B: sp.spmatrix) -> sp.csr_matrix:
-    """Signed adjacency diag(L) - L of L = B B^T, in the dtype of B.
+def signed_adjacency(L: sp.spmatrix) -> sp.csr_matrix:
+    """Signed adjacency diag(L) - L of the upper Laplacian L (`sparse_laplacian`), in its dtype.
 
     Each d-face and facet pair (i, j) contributes (-1)**(i+j+1) to the entry
     of the two facets: the sign is +1 exactly when the orientation of facet
     j induced alongside +facet i is the negative representative.  For d = 1
     this is the ordinary graph adjacency matrix.
     """
-    L = (B @ B.T).tocsr()
     return (sp.diags(L.diagonal(), dtype=L.dtype) - L).tocsr()
 
 
@@ -191,7 +190,7 @@ def laplacian_matrix(X: PureComplex) -> np.ndarray:
 def adjacency_matrix(X: PureComplex) -> np.ndarray:
     """Dense signed adjacency diag(L) - L, in lexicographic face order; size-checked first."""
     require_dense_fits(comb(X.n, X.d))
-    return signed_adjacency(boundary_matrix(X)).toarray()
+    return signed_adjacency(sparse_laplacian(X)).toarray()
 
 
 def trivial_zero_count(X: PureComplex) -> int:
@@ -214,6 +213,11 @@ class SpectralSummary:
     trivial_zero_count: int | None = None
 
 
+def int64_power_overflows(R: int, lmax: int) -> bool:
+    """Whether R^lmax >= 2^63, for R, lmax >= 0; without the power when R >= 2 and lmax >= 63."""
+    return (R >= 2 and lmax >= 63) or R**lmax >= 2**63
+
+
 def require_int64_powers(M: sp.spmatrix, lmax: int) -> None:
     """Refuse, with ValueError, powers up to M^lmax whose entries could leave int64.
 
@@ -222,7 +226,7 @@ def require_int64_powers(M: sp.spmatrix, lmax: int) -> None:
     M^a * (M^b)^T with a + b = l is at most R^l in absolute value.
     """
     R = int(abs(M).sum(axis=1).max())
-    if R**lmax >= 2**63:
+    if int64_power_overflows(R, lmax):
         raise ValueError(
             f"power {lmax} of a matrix with absolute row sum {R} can leave int64 "
             f"({R}^{lmax} >= 2^63)"
@@ -325,4 +329,4 @@ def signed_trace(X: PureComplex, length: int) -> int:
     """
     if length < 0:
         raise ValueError("walk length must be >= 0")
-    return _trace(_int64_powers(signed_adjacency(boundary_matrix(X)), length), length)
+    return _trace(_int64_powers(signed_adjacency(sparse_laplacian(X)), length), length)

@@ -11,11 +11,12 @@ reduced Laplacian: L with the rows and columns of the C(n-1, d-1)
 the first rows of L.  The same total is the product of the non-trivial
 eigenvalues of L divided by n^C(n-2, d-1).
 
-The count needs no spectrum.  As L delta = 0, for a power of two c with
-c n above the Gershgorin bound of L the spectrum of M = L + c delta delta^T
-is the non-trivial spectrum of L plus c n repeated C(n-1, d-1) times (see
-`spectra`).  So the smallest eigenvalue of M, found by Lanczos, is the
-spectral floor that decides an extra kernel (count 0).
+The count, `weighted_tree_count`, needs no spectrum and builds L itself.
+As L delta = 0, for a power of two c with c n above the Gershgorin bound
+of L the spectrum of M = L + c delta delta^T is the non-trivial spectrum of
+L plus c n repeated C(n-1, d-1) times (see `spectra`).  So the smallest
+eigenvalue of M, found by Lanczos, is the spectral floor that decides an
+extra kernel (count 0).
 Otherwise the reduced Laplacian is positive definite and its log-determinant
 comes from a Cholesky factorization in two phases (George and Liu, "The
 evolution of the minimum degree ordering algorithm", SIAM Review 1989).
@@ -61,7 +62,6 @@ from .spectra import (
 
 __all__ = [
     "TreeCount",
-    "tree_count_from_laplacian",
     "weighted_tree_count",
     "tree_count_exact",
 ]
@@ -222,22 +222,25 @@ def require_tree_count_fits(n: int, d: int) -> None:
         )
 
 
-def tree_count_from_laplacian(X: PureComplex, L: sp.csr_matrix) -> TreeCount:
-    """Tree count of X from its sparse Laplacian L (as from `sparse_laplacian`), without a full spectrum.
+def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
+    """Weighted number of d-dimensional spanning trees, without a full spectrum.
 
-    Takes L so a caller that also needs L, such as a converge row's moments,
-    builds it once.  The log-count is the log-determinant of the reduced
-    Laplacian L[t:, t:], t = C(n-1, d-1), by sparse elimination of its
-    low-degree rows and then a packed Cholesky factor of the remainder
-    (`_reduced_log_det`).  Refuses (ValueError) before any work when the
-    packed factor of the whole reduced Laplacian, C(n-1, d)(C(n-1, d)+1)/2
-    doubles, would not fit in memory or its order is too large for `dpftrf`
-    (`require_tree_count_fits`).  A pivot <= 0 in either phase after the
-    floor cleared the zero threshold raises RuntimeError naming the pivot's
-    row of the reduced Laplacian.
+    The log-count is the log-determinant of the reduced Laplacian L[t:, t:],
+    t = C(n-1, d-1), of L = `sparse_laplacian(X)`: sparse elimination of its
+    low-degree rows, then a packed Cholesky factor of the rest
+    (`_reduced_log_det`).  pseudodet_log adds C(n-2, d-1) log n, the log of
+    the closed-form count of the complete skeleton one level down.  With
+    oracle=True the enumeration result is attached and cross-checked.  The
+    oracle's guard, then the count's (`require_tree_count_fits`), refuse
+    with ValueError before any operator is built.  A pivot <= 0 after the
+    floor cleared the zero threshold raises RuntimeError naming its row of
+    the reduced Laplacian.
     """
+    if oracle:
+        require_oracle_fits(X)
     require_tree_count_fits(X.n, X.d)
     n, d = X.n, X.d
+    L = sparse_laplacian(X)
     delta = coboundary_matrix(n, d)
     trivial = trivial_zero_count(X)
     # c n above the Gershgorin bound (d+1) max deg of L puts the shifted trivial
@@ -263,7 +266,7 @@ def tree_count_from_laplacian(X: PureComplex, L: sp.csr_matrix) -> TreeCount:
                 f"Cholesky factor of the reduced Laplacian fails at pivot {exc.args[0]} of "
                 f"{L.shape[0] - trivial}"
             ) from None
-    return TreeCount(
+    result = TreeCount(
         log_count=log_count,
         pseudodet_log=0.0 if flag else log_count + comb(n - 2, d - 1) * log(n),
         trivial_zeros=trivial,
@@ -271,26 +274,9 @@ def tree_count_from_laplacian(X: PureComplex, L: sp.csr_matrix) -> TreeCount:
         floor=floor,
         zero_threshold=eps,
     )
-
-
-def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
-    """Weighted number of d-dimensional spanning trees.
-
-    Matrix-tree route: the non-trivial Laplacian eigenvalue product equals
-    the tree count times n^C(n-2, d-1) (the closed-form count of the
-    complete skeleton one level down, whose codimension-two torsion is
-    trivial).  With oracle=True the enumeration result is attached and
-    cross-checked.  The oracle's guard, then the count's, refuse before
-    any operator is built.
-    """
-    if oracle:
-        require_oracle_fits(X)
-    require_tree_count_fits(X.n, X.d)
-    result = tree_count_from_laplacian(X, sparse_laplacian(X))
     if not oracle:
         return result
     exact = tree_count_exact(X)
-    flag, log_count = result.zero_flag, result.log_count
     if flag != (exact == 0):
         raise RuntimeError(f"oracle disagreement: zero_flag={flag} but exact count {exact}")
     if not flag and abs(log(exact) - log_count) > ORACLE_LOG_RTOL * max(1.0, abs(log_count)):

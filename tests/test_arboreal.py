@@ -179,6 +179,19 @@ class TestArborealFraction:
         assert at_500 >= 0.9
         assert at_500 > at_100
 
+    def test_local_convergence_rises_with_n(self):
+        # the converge streams of seed 4 at d = 1, k = 3, five trials per n; the means
+        # are 0.734, 0.915, 0.971 at r = 2 and 0.116, 0.637, 0.893 at r = 3
+        radii = (2, 3)
+        means = []
+        for n in (100, 400, 1600):
+            rows = [arboreal_fractions(steiner_complex(n, 1, 3, SeededRng(4).substream(n, t)), 3, radii)
+                    for t in range(5)]
+            means.append(np.mean(rows, axis=0))
+        for series in zip(*means):
+            assert series[0] < series[1] < series[2]
+        assert means[-1][0] >= 0.95 and means[-1][1] >= 0.85
+
 
 def census_oracle(X, k, r):
     """Per-face census: the share of centres whose ball passes is_arboreal_ball."""

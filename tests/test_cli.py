@@ -1,5 +1,7 @@
 import csv
 import json
+import time
+import warnings
 
 import pytest
 
@@ -270,6 +272,12 @@ class TestConverge:
         assert "k >= 2" in capsys.readouterr().err
         assert not keep.exists()
 
+    def test_huge_lmax_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        assert main(["converge", "--d", "2", "--k", "5", "--n", "31", "--lmax", "1000000000"]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert "lmax=1000000000 is too large" in capsys.readouterr().err
+
     def test_oversized_n_exits_2_before_sampling(self, monkeypatch, capsys):
         import steinerlab.experiments as experiments
         from steinerlab import spectra
@@ -317,6 +325,14 @@ class TestGapOracle:
             main(["gap", "--d", "1", "--k", "8", "--n", "20", "--keep-complexes", str(keep)])
         assert exc.value.code == 2
         assert not keep.exists()
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_gap_k_below_one_names_k(self, k, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gap", "--d", "1", "--k", k, "--n", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: need k >= 1 systems\n"
 
     def test_gap_takes_no_radius(self, capsys):
         # k = 1 is refused only where an arboreal radius is asked for

@@ -93,7 +93,7 @@ def face_lists(draw):
 
 def adjacency(X):
     """Sparse signed adjacency A, rows and columns in facet_iter order."""
-    return spectra.signed_adjacency(spectra.boundary_matrix(X))
+    return spectra.signed_adjacency(spectra.sparse_laplacian(X))
 
 
 def row(X, face):

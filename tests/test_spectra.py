@@ -1,3 +1,4 @@
+import time
 from math import comb
 
 import numpy as np
@@ -282,6 +283,18 @@ class TestSignedTrace:
         # absolute row sum 80 and 80^10 > 2^63: refused before any product
         with pytest.raises(ValueError, match="int64"):
             signed_trace(complete_complex(42, 2), 10)
+
+    def test_huge_length_refused_at_once(self):
+        # absolute row sum 2: refused without building 2^(10^9)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"2\^1000000000 >= 2\^63"):
+            signed_trace(triangle(), 10**9)
+        assert time.perf_counter() - start < 2.0
+
+    def test_overflow_test_matches_the_power(self):
+        for R in range(5):
+            for lmax in range(70):
+                assert spectra.int64_power_overflows(R, lmax) == (R**lmax >= 2**63)
 
 
 class TestDenseGuard:

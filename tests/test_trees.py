@@ -4,7 +4,6 @@ from math import comb, exp, log, prod
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +19,13 @@ from steinerlab import (
 )
 from steinerlab.spectra import laplacian_matrix, sparse_laplacian, trivial_zero_count
 from conftest import random_complex
-from oracles import exact_rank, growth_rate_from_eigenvalues, pseudodet_from_eigenvalues, smith_normal_form
+from oracles import (
+    exact_rank,
+    exact_reduced_det,
+    growth_rate_from_eigenvalues,
+    pseudodet_from_eigenvalues,
+    smith_normal_form,
+)
 
 
 def growth_rate(X):
@@ -340,10 +345,10 @@ class TestExactOracle:
             tree_count_exact(complete_complex(9, 1))
 
     def test_guard_before_spectral_count(self, monkeypatch):
-        def no_spectral_count(X, L):
+        def no_spectral_count(X):
             raise AssertionError("the spectral count ran before the oracle guard")
 
-        monkeypatch.setattr(trees, "tree_count_from_laplacian", no_spectral_count)
+        monkeypatch.setattr(trees, "sparse_laplacian", no_spectral_count)
         with pytest.raises(ValueError, match="guard"):
             weighted_tree_count(complete_complex(9, 1), oracle=True)
 
@@ -610,12 +615,10 @@ class TestPackedFactor:
 
     def test_peak_memory_below_dense_matrix(self):
         X = steiner_complex(63, 2, 5, SeededRng(1))
-        L = sparse_laplacian(X)
-        m = L.shape[0]
-        assert m == 1953
+        m = comb(63, 2)
         tracemalloc.start()
         try:
-            r = trees.tree_count_from_laplacian(X, L)
+            r = weighted_tree_count(X)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -629,9 +632,8 @@ class TestPackedFactor:
         # nothing of that size is allocated
         monkeypatch.setattr(spectra, "usable_memory", lambda: 2**40)
         trees.require_tree_count_fits(305, 2)  # order C(304, 2) = 46056
-        m = comb(306, 2)
         with pytest.raises(ValueError, match="order 46360 is above 46340"):
-            trees.tree_count_from_laplacian(complex_from_dfaces(306, 2, []), sp.csr_matrix((m, m)))
+            weighted_tree_count(complex_from_dfaces(306, 2, []))
 
 
 def dense_reduced_log_det(X):
@@ -668,7 +670,7 @@ class TestTwoPhaseCount:
         log_det, dense_order = trees._reduced_log_det(R)
         assert dense_order < 0.9 * order
         assert trees._reduced_log_det(R) == (log_det, dense_order)  # bit-equal on a second call
-        r = trees.tree_count_from_laplacian(X, L)
+        r = weighted_tree_count(X)
         assert r.log_count == log_det
         assert log_det == pytest.approx(dense_reduced_log_det(X), rel=1e-12)
 
@@ -687,3 +689,53 @@ class TestTwoPhaseCount:
         monkeypatch.setattr(trees, "_lanczos_extreme", lambda op, which: 1.0)
         with pytest.raises(RuntimeError, match=r"floor 1\.000e\+00.*threshold 1\.000e-08.*pivot 999 of 999"):
             weighted_tree_count(X)
+
+
+class TestExactReducedDet:
+    """The multi-modular det of the integer reduced Laplacian against the enumeration and the count."""
+
+    def test_matches_enumeration(self, gen):
+        zeros = positive = 0
+        for d in (1, 2, 3):
+            for _ in range(12):
+                n = int(gen.integers(d + 1, ORACLE_MAX_N[d] + 1))
+                r = comb(n - 1, d)
+                faces = min(r + int(gen.integers(-1, 4)), comb(n, d + 1))
+                if faces < 1 or comb(faces, r) > 2000:
+                    continue
+                X = random_complex(n, d, gen, min_faces=faces, max_faces=faces)
+                det = exact_reduced_det(X)
+                assert det == tree_count_exact(X)
+                zeros += det == 0
+                positive += det > 0
+        assert zeros >= 3 and positive >= 10
+
+    @staticmethod
+    def check_count(X):
+        det = exact_reduced_det(X)
+        r = weighted_tree_count(X)
+        assert r.zero_flag == (det == 0)
+        if det:
+            assert log(det) == pytest.approx(r.log_count, rel=1e-12)
+        return det
+
+    def test_count_on_criterion_3_complexes(self):
+        gen = np.random.default_rng(123)  # the 25 random complexes of acceptance criterion 3
+        dets = []
+        for i in range(25):
+            d = 1 if i % 2 == 0 else 2
+            n = int(gen.integers(d + 2, 7))
+            dets.append(self.check_count(random_complex(n, d, gen, max_faces=12 if d == 2 else None)))
+        assert 0 < sum(det > 0 for det in dets) < 25
+
+    @pytest.mark.parametrize("trial", [0, 1])
+    def test_count_on_golden_input(self, trial):
+        # the d = 1, k = 3, n = 100, seed 7 golden converge rows: order 99
+        X = steiner_complex(100, 1, 3, SeededRng(7).substream(100, trial))
+        assert self.check_count(X) > 0
+
+    def test_flagged_d3_rows_have_det_zero(self):
+        # converge --d 3 --k 2 --n 8 --seed 3: every row is flagged, with floors
+        # that were round-off of a true zero
+        for trial in range(4):
+            assert self.check_count(steiner_complex(8, 3, 2, SeededRng(3).substream(8, trial))) == 0
