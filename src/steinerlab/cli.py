@@ -8,8 +8,6 @@ line).  Exit codes: 0 success, 2 validation error, 3 sampler exhaustion.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from collections.abc import Callable
@@ -18,11 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexes import PureComplex, read_complex, write_complex
+from .arboreal import arboreal_fractions
+from .complexes import PureComplex, read_complex
 from .experiments import (
     ExperimentConfig,
     converge_csv,
     converge_json,
+    csv_table,
     gap_csv,
     run_converge,
     run_gap_report,
@@ -33,7 +33,7 @@ from .limitlaw import (
     growth_constant_closed,
     growth_constant_quadrature,
 )
-from .sampling import SamplerExhausted, SeededRng, steiner_complex
+from .sampling import SamplerExhausted
 from .spectra import require_dense_fits, spectral_summary
 from .trees import require_tree_count_fits, tree_count_exact, weighted_tree_count
 
@@ -62,15 +62,10 @@ def _add_ensemble(parser: argparse.ArgumentParser, repeat_n: bool) -> None:
     parser.add_argument("--trials", type=int, default=1, help="trials per vertex count")
 
 
-def _trials(args: argparse.Namespace) -> range:
-    if args.trials < 0:
-        raise ValueError("trials must be >= 0")
-    return range(args.trials)
-
-
-def _sampled(args: argparse.Namespace, trial: int) -> PureComplex:
-    """Trial `trial` of the --d/--k/--n/--seed ensemble, from the stream `converge` gives (n, trial)."""
-    return steiner_complex(args.n, args.d, args.k, SeededRng(args.seed).substream(args.n, trial))
+def _config_from_args(args: argparse.Namespace, **fields) -> ExperimentConfig:
+    """The --d/--k/--n/--seed/--trials ensemble as a validated config; `fields` give the rest."""
+    n_values = tuple(args.n) if isinstance(args.n, list) else (args.n,)
+    return ExperimentConfig(d=args.d, k=args.k, n_values=n_values, trials=args.trials, seed=args.seed, **fields)
 
 
 def _resolve_complex(args: argparse.Namespace, require_fits: Callable[[int, int], None]) -> PureComplex:
@@ -80,7 +75,8 @@ def _resolve_complex(args: argparse.Namespace, require_fits: Callable[[int, int]
     if args.d is None or args.k is None or args.n is None:
         raise ValueError("either --in or all of --d/--k/--n are required")
     require_fits(args.n, args.d)
-    return _sampled(args, args.trial)
+    config = ExperimentConfig(d=args.d, k=args.k, n_values=(args.n,), trials=0, radii=(), seed=args.seed, lmax=0)
+    return config.draw(args.n, args.trial)
 
 
 def _write_text(path: Path | None, text: str) -> None:
@@ -92,23 +88,22 @@ def _write_text(path: Path | None, text: str) -> None:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    trials = _trials(args)
+    config = _config_from_args(args, radii=(), lmax=0, complex_dir=args.out)
     args.out.mkdir(parents=True, exist_ok=True)
-    for trial in trials:
-        write_complex(_sampled(args, trial), args.out / f"complex_n{args.n}_t{trial}.txt")
+    for trial in range(config.trials):
+        config.draw(args.n, trial)
     print(f"wrote {args.trials} complex(es) to {args.out}")
     return EXIT_OK
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    if args.out is not None and args.out.suffix == ".json":
+        raise ValueError(f"--out {args.out} would be overwritten by its own JSON sidecar; use another suffix")
     X = _resolve_complex(args, lambda n, d: require_dense_fits(comb(n, d)))
     summary = spectral_summary(X, operator=args.op, bins=args.bins, lmax=args.lmax)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bin_lo", "bin_hi", "mass"])
-    for i, mass in enumerate(summary.hist_masses):
-        writer.writerow([repr(float(summary.hist_edges[i])), repr(float(summary.hist_edges[i + 1])), repr(float(mass))])
-    _write_text(args.out, buf.getvalue())
+    edges = [repr(float(edge)) for edge in summary.hist_edges]
+    rows = zip(edges, edges[1:], (repr(float(mass)) for mass in summary.hist_masses))
+    _write_text(args.out, csv_table(["bin_lo", "bin_hi", "mass"], rows))
     sidecar = {
         "operator": args.op,
         "n": X.n,
@@ -116,10 +111,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "moments": list(summary.moments),
         "trivial_zero_count": summary.trivial_zero_count,
     }
-    if args.out is not None:
-        args.out.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
-    else:
-        sys.stdout.write(json.dumps(sidecar, indent=2) + "\n")
+    sidecar_out = None if args.out is None else args.out.with_suffix(".json")
+    _write_text(sidecar_out, json.dumps(sidecar, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -151,47 +144,25 @@ def _cmd_limit(args: argparse.Namespace) -> int:
     if args.table:
         lo, hi, steps = args.table
         law = LimitLaw(args.d, args.k)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["x", "nu", "mu"])
-        for x in np.linspace(lo, hi, steps):
-            writer.writerow([repr(float(x)), repr(law.laplacian_density(float(x))), repr(law.adjacency_density(float(x)))])
-        _write_text(args.out, buf.getvalue())
+        xs = np.linspace(lo, hi, steps).tolist()
+        rows = ([repr(x), repr(law.laplacian_density(x)), repr(law.adjacency_density(x))] for x in xs)
+        _write_text(args.out, csv_table(["x", "nu", "mu"], rows))
     return EXIT_OK
 
 
 def _cmd_local(args: argparse.Namespace) -> int:
-    from .arboreal import arboreal_fractions
-
-    radii = args.r or [1]
-    trials = _trials(args)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trial", "n", "r", "fraction"])
-    for trial in trials:
-        X = _sampled(args, trial)
-        for r, fraction in zip(radii, arboreal_fractions(X, args.k, radii)):
-            writer.writerow([trial, args.n, r, repr(fraction)])
-    _write_text(args.out, buf.getvalue())
+    config = _config_from_args(args, radii=tuple(args.r or [1]), lmax=0)
+    rows = []
+    for trial in range(config.trials):
+        fractions = arboreal_fractions(config.draw(args.n, trial), config.k, config.radii)
+        rows += [[trial, args.n, r, repr(fraction)] for r, fraction in zip(config.radii, fractions)]
+    _write_text(args.out, csv_table(["trial", "n", "r", "fraction"], rows))
     return EXIT_OK
 
 
-def _config_from_args(args: argparse.Namespace, **fields) -> ExperimentConfig:
-    return ExperimentConfig(
-        d=args.d,
-        k=args.k,
-        n_values=tuple(args.n),
-        trials=args.trials,
-        seed=args.seed,
-        deterministic=args.deterministic,
-        **fields,
-    )
-
-
 def _cmd_converge(args: argparse.Namespace) -> int:
-    config = _config_from_args(
-        args, radii=tuple(args.r or (1,)), lmax=args.lmax, complex_dir=args.keep_complexes
-    )
+    config = _config_from_args(args, deterministic=args.deterministic, radii=tuple(args.r or (1,)),
+                               lmax=args.lmax, complex_dir=args.keep_complexes)
     result = run_converge(config)
     text = converge_json(result, config) if args.format == "json" else converge_csv(result, config)
     _write_text(args.out, text)
@@ -201,7 +172,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
-    config = _config_from_args(args, radii=())  # the gap statistic takes no radius
+    config = _config_from_args(args, deterministic=args.deterministic, radii=())  # the gap statistic takes no radius
     report = run_gap_report(config, epsilon=args.eps)
     _write_text(args.out, gap_csv(report, config))
     print(f"pass fraction: {report.pass_fraction:.3f} "

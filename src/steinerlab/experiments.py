@@ -17,7 +17,8 @@ import csv
 import io
 import json
 import warnings
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from math import comb, exp, frexp, sqrt
 from pathlib import Path
@@ -50,6 +51,7 @@ __all__ = [
     "converge_csv",
     "converge_json",
     "gap_csv",
+    "csv_table",
 ]
 
 CSV_SCHEMA = 1
@@ -101,6 +103,13 @@ class ExperimentConfig:
     def stream(self, n: int, trial: int) -> SeededRng:
         return SeededRng(self.seed).substream(n, trial)
 
+    def draw(self, n: int, trial: int) -> PureComplex:
+        """Trial (n, trial) from `stream(n, trial)`, written into complex_dir (which must exist) when set."""
+        X = steiner_complex(n, self.d, self.k, self.stream(n, trial))
+        if self.complex_dir is not None:
+            write_complex(X, self.complex_dir / f"complex_n{n}_t{trial}.txt")
+        return X
+
 
 @dataclass(frozen=True)
 class ConvergenceRow:
@@ -151,12 +160,10 @@ def run_converge(config: ExperimentConfig) -> ConvergenceResult:
     for n in config.n_values:
         for trial in range(config.trials):
             try:
-                X = steiner_complex(n, config.d, config.k, config.stream(n, trial))
+                X = config.draw(n, trial)
             except SamplerExhausted as exc:
                 failures.append(RowFailure(n=n, trial=trial, reason=str(exc)))
                 continue
-            if config.complex_dir is not None:
-                write_complex(X, config.complex_dir / f"complex_n{n}_t{trial}.txt")
             rows.append(_converge_row(config, X, n, trial))
     return ConvergenceResult(rows=tuple(rows), failures=tuple(failures))
 
@@ -226,10 +233,19 @@ def run_gap_report(config: ExperimentConfig, epsilon: float) -> GapReport:
     rows: list[GapRow] = []
     for n in config.n_values:
         for trial in range(config.trials):
-            X = steiner_complex(n, d, k, config.stream(n, trial))
-            top = _top_nontrivial(X)
+            top = _top_nontrivial(config.draw(n, trial))
             rows.append(GapRow(n=n, trial=trial, top_nontrivial=top, passed=top <= base + epsilon))
     return GapReport(threshold_base=base, epsilon=epsilon, rows=tuple(rows))
+
+
+def csv_table(columns: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str] = ()) -> str:
+    """CSV text: the comment lines as given, a header row of `columns`, then `rows`."""
+    buf = io.StringIO()
+    buf.writelines(f"{line}\n" for line in comments)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _csv_header(config: ExperimentConfig) -> list[str]:
@@ -241,57 +257,40 @@ def _csv_header(config: ExperimentConfig) -> list[str]:
 
 def converge_csv(result: ConvergenceResult, config: ExperimentConfig) -> str:
     """Render rows as CSV; byte-stable under config.deterministic."""
-    buf = io.StringIO()
-    for line in _csv_header(config):
-        buf.write(line + "\n")
     frac_cols = [f"frac_r{r}" for r in config.radii]
     mom_cols = [f"moment_{ell}" for ell in range(config.lmax + 1)]
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "trial", "growth_rate", "min_degree", "spectral_floor", *frac_cols, *mom_cols])
-    for row in result.rows:
-        writer.writerow(
-            [
-                row.n,
-                row.trial,
-                repr(row.growth_rate),
-                row.min_degree,
-                repr(row.spectral_floor),
-                *[repr(row.fractions[r]) for r in config.radii],
-                *[repr(m) for m in row.moments],
-            ]
-        )
-    return buf.getvalue()
+    columns = ["n", "trial", "growth_rate", "min_degree", "spectral_floor", *frac_cols, *mom_cols]
+    rows = (
+        [
+            row.n,
+            row.trial,
+            repr(row.growth_rate),
+            row.min_degree,
+            repr(row.spectral_floor),
+            *[repr(row.fractions[r]) for r in config.radii],
+            *[repr(m) for m in row.moments],
+        ]
+        for row in result.rows
+    )
+    return csv_table(columns, rows, _csv_header(config))
+
+
+def _json_fields(fields: list[tuple[str, object]]) -> dict:
+    """`asdict` factory giving dict-valued fields str keys, as JSON objects have (so radii sort as text)."""
+    return {name: {str(key): v for key, v in value.items()} if isinstance(value, dict) else value
+            for name, value in fields}
 
 
 def converge_json(result: ConvergenceResult, config: ExperimentConfig) -> str:
     payload = {
         "schema": CSV_SCHEMA,
-        "rows": [
-            {
-                "n": row.n,
-                "trial": row.trial,
-                "growth_rate": row.growth_rate,
-                "min_degree": row.min_degree,
-                "spectral_floor": row.spectral_floor,
-                "fractions": {str(r): v for r, v in row.fractions.items()},
-                "moments": list(row.moments),
-            }
-            for row in result.rows
-        ],
-        "failures": [
-            {"n": f.n, "trial": f.trial, "reason": f.reason} for f in result.failures
-        ],
+        "rows": [asdict(row, dict_factory=_json_fields) for row in result.rows],
+        "failures": [asdict(failure) for failure in result.failures],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def gap_csv(report: GapReport, config: ExperimentConfig) -> str:
-    buf = io.StringIO()
-    for line in _csv_header(config):
-        buf.write(line + "\n")
-    buf.write(f"# threshold={report.threshold_base!r} epsilon={report.epsilon!r}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "trial", "top_nontrivial", "passed"])
-    for row in report.rows:
-        writer.writerow([row.n, row.trial, repr(row.top_nontrivial), int(row.passed)])
-    return buf.getvalue()
+    comments = [*_csv_header(config), f"# threshold={report.threshold_base!r} epsilon={report.epsilon!r}"]
+    rows = ([row.n, row.trial, repr(row.top_nontrivial), int(row.passed)] for row in report.rows)
+    return csv_table(["n", "trial", "top_nontrivial", "passed"], rows, comments)

@@ -182,6 +182,17 @@ def _uniform_relabel(system: SteinerSystem, rng: np.random.Generator) -> Steiner
     return SteinerSystem(system.n, system.d, blocks)
 
 
+def _restarting(
+    n: int, d: int, gen: np.random.Generator, attempt: Callable[[], list[Face] | None], name: str
+) -> SteinerSystem:
+    """Up to MAX_RESTARTS calls of `attempt`; its first block list, checked and uniformly relabeled."""
+    for _ in range(MAX_RESTARTS):
+        blocks = attempt()
+        if blocks is not None:
+            return _uniform_relabel(SteinerSystem.checked(n, d, blocks), gen)
+    raise SamplerExhausted(f"{name} exceeded {MAX_RESTARTS} restarts")
+
+
 def sample_matching(n: int, rng: SeededRng | np.random.Generator) -> SteinerSystem:
     """Uniformly random perfect matching on [n] (n even)."""
     if n % 2 != 0 or n < 2:
@@ -250,12 +261,7 @@ def sample_sts(n: int, rng: SeededRng | np.random.Generator) -> SteinerSystem:
     _require_admissible(n, 2)
     gen = rng.generator() if isinstance(rng, SeededRng) else rng
     cap = ITERATION_FACTOR * n * n
-    for _ in range(MAX_RESTARTS):
-        blocks = _hill_climb_triples(n, gen, cap)
-        if blocks is not None:
-            system = SteinerSystem.checked(n, 2, blocks)
-            return _uniform_relabel(system, gen)
-    raise SamplerExhausted(f"sample_sts(n={n}) exceeded {MAX_RESTARTS} restarts")
+    return _restarting(n, 2, gen, lambda: _hill_climb_triples(n, gen, cap), f"sample_sts(n={n})")
 
 
 def _greedy_once(n: int, d: int, gen: np.random.Generator) -> list[Face] | None:
@@ -297,12 +303,7 @@ def sample_greedy(n: int, d: int, rng: SeededRng | np.random.Generator) -> Stein
     gen = rng.generator() if isinstance(rng, SeededRng) else rng
     if d == 1:
         return sample_matching(n, gen)
-    for _ in range(MAX_RESTARTS):
-        blocks = _greedy_once(n, d, gen)
-        if blocks is not None:
-            system = SteinerSystem.checked(n, d, blocks)
-            return _uniform_relabel(system, gen)
-    raise SamplerExhausted(f"sample_greedy(n={n}, d={d}) exceeded {MAX_RESTARTS} restarts")
+    return _restarting(n, d, gen, lambda: _greedy_once(n, d, gen), f"sample_greedy(n={n}, d={d})")
 
 
 def sample_system(n: int, d: int, rng: SeededRng | np.random.Generator) -> SteinerSystem:

@@ -325,8 +325,13 @@ def signed_trace(X: PureComplex, length: int) -> int:
     """Exact integer tr(A^l) of the signed adjacency A: signed closed l-walks summed over faces.
 
     Raises ValueError before any product whose entries could leave int64
-    (`require_int64_powers`).
+    (`require_int64_powers`).  With absolute row sums at most 1 (a matching
+    at d = 1, k = 1), A is symmetric with at most one +-1 a row and a zero
+    diagonal, so A^3 = A and a length l >= 3 has the trace of 2 - l mod 2.
     """
     if length < 0:
         raise ValueError("walk length must be >= 0")
-    return _trace(_int64_powers(signed_adjacency(sparse_laplacian(X)), length), length)
+    A = signed_adjacency(sparse_laplacian(X))
+    if length >= 3 and abs(A).sum(axis=1).max() <= 1:
+        length = 2 - length % 2
+    return _trace(_int64_powers(A, length), length)

@@ -249,26 +249,82 @@ def _det_mod(A: np.ndarray, p: int) -> int:
     return det % p
 
 
-def exact_reduced_det(X: PureComplex) -> int:
-    """det of the integer reduced Laplacian L[t:, t:], t = C(n-1, d-1): the weighted tree count.
+# the blocked determinant's primes are below 2^25, so its residues are at most 2^24 in
+# absolute value: a float64 product of two is below 2^48 and a sum of DET_BLOCK = 16
+# of them below 2^52, exact
+DET_PRIME_BITS = 25
+DET_BLOCK = 16
+DET_BATCH = 16  # primes eliminated side by side, about 24 MB at order 435
 
-    Multi-modular (Abbott, Bronstein and Mulders, ISSAC 1999): det mod the
-    primes below 2^31, largest first, by int64 elimination (`_det_mod`),
-    combined by the CRT until their product M passes twice the Hadamard
-    bound H, the product of the row norms; M^2 > 4 H^2 is decided in
-    integers.  The result is the residue in (-M/2, M/2].  No bound is taken
-    from the float count this checks.
+
+def _mod(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """x less the nearest multiple of q, in place; exact on integers below 2^53, at most q/2 + 1 in size."""
+    t = x / q
+    np.rint(t, out=t)
+    t *= q
+    x -= t
+    return x
+
+
+def _dets_mod(R: np.ndarray, primes: list[int]) -> list[int]:
+    """det R mod each prime below 2^25, by one blocked LU without pivoting for all primes at once.
+
+    The primes run side by side on a leading axis of float64 residues.  Each
+    block of DET_BLOCK columns is eliminated a column at a time, and its
+    trailing update is one float64 matmul a prime, exact at these sizes
+    (Dumas, Giorgi and Pernet, ACM TOMS 2008).  A prime that meets a zero
+    pivot is redone by `_det_mod`, which pivots.
+    """
+    q = np.array(primes, dtype=np.float64)[:, None, None]
+    A = _mod(np.repeat(R[None].astype(np.float64), len(primes), axis=0), q)
+    dets, stuck = [1] * len(primes), set()
+    for k0 in range(0, len(R), DET_BLOCK):
+        k1 = min(k0 + DET_BLOCK, len(R))
+        for j in range(k0, k1):
+            pivots = [int(v) % p for v, p in zip(A[:, j, j].tolist(), primes)]
+            stuck.update(i for i, v in enumerate(pivots) if v == 0)
+            dets = [det * v % p for det, v, p in zip(dets, pivots, primes)]
+            inverse = np.array([pow(v, -1, p) if v else 0 for v, p in zip(pivots, primes)], dtype=np.float64)
+            col = A[:, j + 1:, j] = _mod(A[:, j + 1:, j] * inverse[:, None], q[:, 0])
+            panel = A[:, j + 1:, j + 1:k1]
+            panel -= col[:, :, None] * A[:, j, None, j + 1:k1]
+            _mod(panel, q)
+            rows = A[:, j + 1:k1, k1:]
+            rows -= col[:, :k1 - j - 1, None] * A[:, j, None, k1:]
+            _mod(rows, q)
+        trailing = A[:, k1:, k1:]
+        trailing -= A[:, k1:, k0:k1] @ A[:, k0:k1, k1:]
+        _mod(trailing, q)
+    return [_det_mod(R, p) if i in stuck else det for i, (det, p) in enumerate(zip(dets, primes))]
+
+
+def exact_reduced_det(X: PureComplex) -> int:
+    """det of the integer reduced Laplacian R = L[t:, t:], t = C(n-1, d-1): the weighted tree count.
+
+    Multi-modular (Abbott, Bronstein and Mulders, ISSAC 1999): det R mod the
+    primes below 2^25, largest first, by a blocked elimination (`_dets_mod`),
+    combined by the CRT until their product M passes twice the Hadamard bound
+    H.  R is the Gram matrix of rows of the boundary B, so it is positive
+    semidefinite and 0 <= det R <= H, the product of its diagonal.  The
+    result is the residue in (-M/2, M/2].  No bound is taken from the float
+    count this checks.
     """
     t = comb(X.n - 1, X.d - 1)
     R = np.rint(sparse_laplacian(X)[t:, t:].toarray()).astype(np.int64)
-    hadamard_sq = prod(int(s) for s in (R * R).sum(axis=1))
-    value, modulus, p = 0, 1, 2**31
-    while modulus**2 <= 4 * hadamard_sq:
+    hadamard = prod(int(v) for v in R.diagonal())
+    primes, modulus, p = [], 1, 2**DET_PRIME_BITS
+    while modulus <= 2 * hadamard:
         p -= 1
         while not _is_prime(p):
             p -= 1
-        value += modulus * ((_det_mod(R, p) - value) * pow(modulus, -1, p) % p)
+        primes.append(p)
         modulus *= p
+    value, modulus = 0, 1
+    for start in range(0, len(primes), DET_BATCH):
+        batch = primes[start:start + DET_BATCH]
+        for p, det in zip(batch, _dets_mod(R, batch)):
+            value += modulus * ((det - value) * pow(modulus, -1, p) % p)
+            modulus *= p
     return value if 2 * value <= modulus else value - modulus
 
 

@@ -42,18 +42,25 @@ class TestSample:
         assert X.n == 8 and X.d == 1
 
     def test_inadmissible_n_exits_2(self, tmp_path, capsys):
-        code = main(["sample", "--d", "2", "--k", "2", "--n", "8",
-                     "--out", str(tmp_path / "cx")])
+        out = tmp_path / "cx"
+        code = main(["sample", "--d", "2", "--k", "2", "--n", "8", "--out", str(out)])
         assert code == 2
         assert "admissible" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_k_below_one_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "cx"
+        assert main(["sample", "--d", "1", "--k", "0", "--n", "8", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: need k >= 1 systems\n"
+        assert not out.exists()
 
     def test_sampler_exhaustion_exits_3(self, tmp_path, monkeypatch, capsys):
-        import steinerlab.cli as cli
+        import steinerlab.experiments as experiments
 
         def boom(*args, **kwargs):
             raise SamplerExhausted("no luck")
 
-        monkeypatch.setattr(cli, "steiner_complex", boom)
+        monkeypatch.setattr(experiments, "steiner_complex", boom)
         code = main(["sample", "--d", "1", "--k", "2", "--n", "8",
                      "--out", str(tmp_path / "cx")])
         assert code == 3
@@ -112,6 +119,20 @@ class TestSpectrum:
         out = capsys.readouterr().out
         assert "bin_lo,bin_hi,mass" in out
 
+    def test_json_out_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys):
+        # the JSON sidecar goes to out.with_suffix(".json"), which for X.json is X.json itself
+        import steinerlab.experiments as experiments
+        from steinerlab import spectra
+
+        monkeypatch.setattr(experiments, "steiner_complex", never)
+        for name in ("laplacian_matrix", "adjacency_matrix"):
+            monkeypatch.setattr(spectra, name, never)
+        out = tmp_path / "hist.json"
+        assert main(["spectrum", "--d", "1", "--k", "3", "--n", "20", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "its own JSON sidecar" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_requires_source(self, capsys):
         code = main(["spectrum", "--op", "laplacian"])
         assert code == 2
@@ -157,12 +178,12 @@ class TestSst:
 
     @pytest.mark.parametrize("command", ["spectrum", "sst"])
     def test_oversized_n_exits_2_before_sampling(self, command, monkeypatch, capsys):
-        import steinerlab.cli as cli
+        import steinerlab.experiments as experiments
 
         def never(*args, **kwargs):
             raise AssertionError("sampled an oversized complex")
 
-        monkeypatch.setattr(cli, "steiner_complex", never)
+        monkeypatch.setattr(experiments, "steiner_complex", never)
         assert main([command, "--d", "2", "--k", "5", "--n", "997"]) == 2
         assert "physical memory" in capsys.readouterr().err
 
@@ -184,7 +205,6 @@ class TestSst:
         # d = 2, k = 5, n = 15 (m = 105): the order-91 packed factor takes 33,488 B; a gap row
         # 75,600 B (16 B for each of k + 2(dk + 1) + d = 29 sparse entries a row, and 32
         # vectors of order m); a dense m x m matrix 88,200 B
-        import steinerlab.cli as cli
         import steinerlab.experiments as experiments
         from steinerlab import spectra
 
@@ -205,7 +225,6 @@ class TestSst:
         def never(*args, **kwargs):
             raise AssertionError("sampled a complex the guard should refuse")
 
-        monkeypatch.setattr(cli, "steiner_complex", never)
         monkeypatch.setattr(experiments, "steiner_complex", never)
         assert main(["spectrum", "--d", "2", "--k", "5", "--n", "15"]) == 2
         assert "dense 105 x 105" in capsys.readouterr().err

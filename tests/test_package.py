@@ -98,3 +98,12 @@ def test_one_dense_eigensolve():
             if used in DENSE_EIGENSOLVERS:
                 callers.add(f"{path.stem}.{scope}")
     assert callers == {"spectra.spectral_summary"}
+
+
+@pytest.mark.parametrize("needle", [".substream(", "csv.writer(", "complex_n{"])
+def test_one_trial_source_and_one_table_writer(needle):
+    # trial (n, t) is drawn, named and written in `experiments` alone; the CLI reuses them
+    src = Path(importlib.import_module("steinerlab").__file__).parent
+    hits = [f"{path.name}:{number}" for path in sorted(src.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), start=1) if needle in line]
+    assert len(hits) == 1 and hits[0].startswith("experiments.py:"), hits

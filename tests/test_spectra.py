@@ -291,6 +291,19 @@ class TestSignedTrace:
             signed_trace(triangle(), 10**9)
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize(
+        "X", [steiner_complex(12, 1, 1, SeededRng(5)), complex_from_dfaces(2, 1, [(1, 2)])], ids=["matching", "edge"]
+    )
+    def test_matching_traces_have_period_two(self, X):
+        # absolute row sums <= 1: the int64 guard admits every length, and A^3 = A
+        A = spectra.signed_adjacency(spectra.sparse_laplacian(X))
+        for ell in range(10):
+            assert signed_trace(X, ell) == spectra._trace(spectra._int64_powers(A, ell), ell)
+        start = time.perf_counter()
+        assert signed_trace(X, 10**9) == signed_trace(X, 2) == X.n
+        assert signed_trace(X, 10**9 + 1) == 0
+        assert time.perf_counter() - start < 1.0
+
     def test_overflow_test_matches_the_power(self):
         for R in range(5):
             for lmax in range(70):

@@ -734,6 +734,11 @@ class TestExactReducedDet:
         X = steiner_complex(100, 1, 3, SeededRng(7).substream(100, trial))
         assert self.check_count(X) > 0
 
+    def test_count_on_d2_golden_input(self):
+        # trial 0 of the d = 2, k = 5, n = 31, seed 7 golden converge rows: order 435
+        X = steiner_complex(31, 2, 5, SeededRng(7).substream(31, 0))
+        assert self.check_count(X) > 0
+
     def test_flagged_d3_rows_have_det_zero(self):
         # converge --d 3 --k 2 --n 8 --seed 3: every row is flagged, with floors
         # that were round-off of a true zero
