@@ -374,7 +374,9 @@ def _bareiss_step(
     The pivot row of node's block is swapped into row 0 and made positive
     by negating it, which only flips the sign of the minors, and then
     block <- (p block - a b) // p_prev on rows 1.. and columns 1.., an exact
-    division by the parent's pivot.
+    division by the parent's pivot.  Most pivots of +-1 columns are 1, so
+    only children whose own pivot is not 1 are multiplied, and only those
+    whose parent's is not 1 divided.
     """
     child = states[node, 1:, 1:]
     below = states[node, 1:, col]
@@ -384,12 +386,12 @@ def _bareiss_step(
     pivot = states[node, row, col]
     sign = np.where(pivot < 0, -1, 1)
     pivot = pivot * sign
-    if (pivot != 1).any():  # most pivots of +-1 columns are 1: skip the no-op
-        child *= pivot[:, None, None]
+    scaled = np.flatnonzero(pivot != 1)
+    child[scaled] *= pivot[scaled, None, None]
     child -= below[:, :, None] * (states[node, row, 1:] * sign[:, None])[:, None, :]
     prev = prev[node]
-    if (prev != 1).any():
-        child //= prev[:, None, None]
+    divided = np.flatnonzero(prev != 1)
+    child[divided] //= prev[divided, None, None]
     return child, pivot
 
 

@@ -4,7 +4,8 @@ Each is an independent or slower route to a value the pipeline computes:
 the eigenvalue pseudodeterminant of the tree count and its exact
 multi-modular determinant, the Smith normal form whose factors give a
 tree's torsion, the dense top of the adjacency spectrum on ker delta^T,
-the exact rank of an integer matrix, expectations against the limit law
+the exact rank of an integer matrix, exact traces of its powers from
+one product at a time, expectations against the limit law
 and Chebyshev coefficients by adaptive quadrature, the block-inclusion
 frequency of a sampler, layer totals of a neighbourhood census, explicit
 truncations of the arboreal complex and the signed walk counts read off
@@ -70,6 +71,25 @@ def exact_rank(rows: list[list[int]]) -> int:
         basis.sort(key=lambda item: item[0])
         rank += 1
     return rank
+
+
+def trace_oracle(M: np.ndarray | sp.spmatrix, lmax: int) -> list[int]:
+    """Exact tr(M^l) for l = 0..lmax as Python ints, from lmax sparse-times-dense int64 products.
+
+    Starts at the dense identity and multiplies by M from the left, so it
+    pairs no powers, squares none and needs no symmetry.  Every entry of
+    M^l is at most R^l with R the largest absolute row sum of M, asserted
+    below 2^63.
+    """
+    M = sp.csr_matrix(M).astype(np.int64)
+    R = int(abs(M).sum(axis=1).max())
+    assert R**lmax < 2**63
+    power = np.eye(M.shape[0], dtype=np.int64)
+    traces = [M.shape[0]]
+    for _ in range(lmax):
+        power = M @ power
+        traces.append(sum(power.diagonal().tolist()))
+    return traces
 
 
 def esd(M: np.ndarray, bins: int = 40, lmax: int = 8) -> SpectralSummary:

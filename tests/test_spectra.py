@@ -3,6 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from steinerlab import (
     SeededRng,
@@ -20,7 +21,7 @@ from steinerlab import (
 )
 from steinerlab import spectra
 from conftest import random_complex
-from oracles import esd, exact_rank
+from oracles import esd, exact_rank, trace_oracle
 
 
 def triangle():
@@ -233,6 +234,30 @@ class TestEsdMoments:
         with pytest.raises(ValueError, match="integer"):
             moments(np.array([[0.5, 0.0], [0.0, 1.0]]), 2)
 
+    def test_moments_need_a_symmetric_matrix(self):
+        # the traces pair M^a with M^b in place of (M^b)^T
+        with pytest.raises(ValueError, match="symmetric"):
+            moments(np.array([[0, 1], [0, 0]]), 2)
+
+    def test_duplicate_entries_are_summed_before_squares(self):
+        def doubled():  # [[0, 2], [2, 0]] with each 2 stored as 1 + 1
+            return sp.csr_matrix((np.ones(4, dtype=np.int64), [1, 1, 0, 0], [0, 2, 4]), shape=(2, 2))
+
+        M = doubled()
+        assert moments(M, 4) == [1, 0, 4, 0, 16]
+        assert M.indptr.tolist() == [0, 2, 4] and M.data.tolist() == [1, 1, 1, 1]  # summed in a copy
+        assert spectra._trace(spectra._int64_powers(doubled(), 2), 2) == 8
+
+    @pytest.mark.parametrize("n,dense", [(2048, True), (2050, False)], ids=["dense-powers", "sparse-powers"])
+    def test_traces_on_both_sides_of_the_dense_rule(self, n, dense):
+        # d = 1, k = 8: A^3 fills about a fifth, so A^4 is dense up to order 2048 and sparse above
+        X = steiner_complex(n, 1, 8, SeededRng(5))
+        A = spectra.signed_adjacency(spectra.sparse_laplacian(X))
+        assert isinstance(spectra._int64_powers(A, 8)[-1], np.ndarray) is dense
+        expected = trace_oracle(A, 8)
+        assert [signed_trace(X, ell) for ell in range(9)] == expected
+        assert moments(A, 8) == [t / n for t in expected]
+
     def test_histogram_masses_sum_to_one(self, gen):
         X = random_complex(7, 2, gen)
         s = esd(laplacian_matrix(X), bins=7, lmax=2)
@@ -296,9 +321,9 @@ class TestSignedTrace:
     )
     def test_matching_traces_have_period_two(self, X):
         # absolute row sums <= 1: the int64 guard admits every length, and A^3 = A
-        A = spectra.signed_adjacency(spectra.sparse_laplacian(X))
+        expected = trace_oracle(spectra.signed_adjacency(spectra.sparse_laplacian(X)), 9)
         for ell in range(10):
-            assert signed_trace(X, ell) == spectra._trace(spectra._int64_powers(A, ell), ell)
+            assert signed_trace(X, ell) == expected[ell]
         start = time.perf_counter()
         assert signed_trace(X, 10**9) == signed_trace(X, 2) == X.n
         assert signed_trace(X, 10**9 + 1) == 0
