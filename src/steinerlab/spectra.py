@@ -164,6 +164,11 @@ def resident_memory() -> int:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
+def fits_memory(need: int) -> bool:
+    """Whether `need` more bytes and the resident set fit in `usable_memory`."""
+    return need + resident_memory() <= usable_memory()
+
+
 def require_memory(need: int, what: str) -> None:
     """Refuse, with ValueError, `what` when its `need` bytes and the resident set exceed `usable_memory`."""
     have = usable_memory()
@@ -233,10 +238,8 @@ def require_int64_powers(M: sp.spmatrix, lmax: int) -> None:
         )
 
 
-# the dense-power rule of `_int64_powers`: the fill past which a power goes dense, and the largest
-# dense int64 power (an operator of order 2048)
-DENSE_POWER_FILL = 1 / 10
-DENSE_POWER_BYTES = 2**25
+# the fill from which `_int64_powers` makes a power dense, inside the measured cross-over
+DENSE_POWER_FILL = 1 / 9
 
 
 def _int64_powers(M: sp.spmatrix, lmax: int) -> list[sp.csr_matrix | np.ndarray]:
@@ -246,15 +249,15 @@ def _int64_powers(M: sp.spmatrix, lmax: int) -> list[sp.csr_matrix | np.ndarray]
     or trace sums up to lmax could leave int64 (`require_int64_powers`).
     Duplicate entries are summed in a copy of M, so no power stores any.
     Past M^2, each power is M times the one before, and that one is made a
-    dense array first once it fills DENSE_POWER_FILL of its m^2 entries,
-    if a dense int64 power takes at most DENSE_POWER_BYTES.  A sparse
-    product pays index bookkeeping on each of its nonzero products, a dense
-    one does M's nonzeros times m multiply-adds.  On sampled complexes of
-    order 465 to 1953 the sparse product was the faster up to a fill of 6%
-    and the dense one from 7%; at m = 465 (d = 2, k = 5), where M^2 fills
-    13% and M^3 51%, the dense one takes a third to a half of the time.
-    Large operators stay sparse: one dense power at m = 6105 would take
-    298 MB.
+    dense array first once it fills DENSE_POWER_FILL of its m^2 entries and
+    the dense powers still to come fit beside the process in
+    `usable_memory`.  Timed as `moments(M, 2j + 2)` with M^j the first
+    dense power, against all-sparse powers, on 31 sampled operators of
+    order 465 to 6105, the switch was no faster at any fill of M^j up to
+    10% (0.4 to 1.0 times the speed), 0.9 to 1.24 times as fast from 11.4%
+    to 12.5%, and faster from 13% at every order (1.02 to 2.5 times); at
+    m = 465 (d = 2, k = 5) M^2 fills 12.5% to 13.4%.  The order sets only
+    the memory: a dense power at m = 6105 takes 298 MB.
     """
     M = sp.csr_matrix(M, copy=True)
     M.sum_duplicates()
@@ -263,10 +266,16 @@ def _int64_powers(M: sp.spmatrix, lmax: int) -> list[sp.csr_matrix | np.ndarray]
         raise ValueError("exact traces need an integer matrix")
     require_int64_powers(ints, lmax)
     m = M.shape[0]
-    dense_from = DENSE_POWER_FILL * m * m if 8 * m * m <= DENSE_POWER_BYTES else np.inf
+    last = (lmax + 1) // 2
     powers = [sp.identity(m, dtype=np.int64, format="csr"), ints]
-    while len(powers) <= (lmax + 1) // 2:
-        if len(powers) > 2 and sp.issparse(powers[-1]) and powers[-1].nnz >= dense_from:
+    while len(powers) <= last:
+        # dense from here on: the last power and those after it, up to M^last
+        if (
+            len(powers) > 2
+            and sp.issparse(powers[-1])
+            and powers[-1].nnz >= DENSE_POWER_FILL * m * m
+            and fits_memory(8 * m * m * (last - len(powers) + 2))
+        ):
             powers[-1] = powers[-1].toarray()
         powers.append(ints @ powers[-1])
     return powers

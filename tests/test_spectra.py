@@ -248,12 +248,20 @@ class TestEsdMoments:
         assert M.indptr.tolist() == [0, 2, 4] and M.data.tolist() == [1, 1, 1, 1]  # summed in a copy
         assert spectra._trace(spectra._int64_powers(doubled(), 2), 2) == 8
 
-    @pytest.mark.parametrize("n,dense", [(2048, True), (2050, False)], ids=["dense-powers", "sparse-powers"])
-    def test_traces_on_both_sides_of_the_dense_rule(self, n, dense):
-        # d = 1, k = 8: A^3 fills about a fifth, so A^4 is dense up to order 2048 and sparse above
+    @pytest.mark.parametrize(
+        "n,room,dense_from",
+        [(486, True, 2), (488, True, 3), (486, False, 5)],
+        ids=["dense-powers", "sparse-powers", "no-room"],
+    )
+    def test_traces_on_both_sides_of_the_dense_rule(self, monkeypatch, n, room, dense_from):
+        # d = 1, k = 8: A^2 fills 11.13% of its entries at n = 486 and 11.02% at n = 488, just above
+        # and just below DENSE_POWER_FILL, and A^3 fills 56%; with no room for dense powers none is made
+        if not room:
+            monkeypatch.setattr(spectra, "usable_memory", spectra.resident_memory)
         X = steiner_complex(n, 1, 8, SeededRng(5))
         A = spectra.signed_adjacency(spectra.sparse_laplacian(X))
-        assert isinstance(spectra._int64_powers(A, 8)[-1], np.ndarray) is dense
+        powers = spectra._int64_powers(A, 8)
+        assert [isinstance(P, np.ndarray) for P in powers] == [j >= dense_from for j in range(5)]
         expected = trace_oracle(A, 8)
         assert [signed_trace(X, ell) for ell in range(9)] == expected
         assert moments(A, 8) == [t / n for t in expected]
