@@ -67,8 +67,9 @@ class ExperimentConfig:
     """Shared knobs for ensemble runs.
 
     Every n must be d-admissible, k >= 1 (k >= 2 with an arboreal radius
-    >= 1), and the exact int64 moment traces need ((d+1) k)^lmax below 2^63
-    ((d+1) k bounds the absolute row sums of L).  Memory is checked by each run.
+    >= 1), the radii distinct, and the exact int64 moment traces need
+    ((d+1) k)^lmax below 2^63 ((d+1) k bounds the absolute row sums of L).
+    Memory is checked by each run.
     """
 
     d: int
@@ -94,6 +95,9 @@ class ExperimentConfig:
             )
         if any(r < 0 for r in self.radii):
             raise ValueError("radii must be >= 0")
+        repeated = sorted({r for r in self.radii if self.radii.count(r) > 1})
+        if repeated:
+            raise ValueError(f"radii must be distinct; repeated: {', '.join(map(str, repeated))}")
         if self.k < 2 and any(r >= 1 for r in self.radii):
             raise ValueError("arboreal radii >= 1 need k >= 2")
         for n in self.n_values:

@@ -238,84 +238,79 @@ def require_int64_powers(M: sp.spmatrix, lmax: int) -> None:
         )
 
 
-# the fill from which `_int64_powers` makes a power dense, inside the measured cross-over
+# the fill from which `_traces` makes a power dense, inside the measured cross-over
 DENSE_POWER_FILL = 1 / 9
 
 
-def _int64_powers(M: sp.spmatrix, lmax: int) -> list[sp.csr_matrix | np.ndarray]:
-    """M^0 .. M^ceil(lmax/2) of a symmetric integer matrix, in int64, for exact traces up to tr(M^lmax).
+def _traces(M: sp.spmatrix, lengths: list[int]) -> list[int]:
+    """Exact tr(M^l) as Python ints for each l in `lengths`, of a symmetric integer matrix.
 
-    Refuses (ValueError) a matrix that is not integer, or one whose powers
-    or trace sums up to lmax could leave int64 (`require_int64_powers`).
-    Duplicate entries are summed in a copy of M, so no power stores any.
-    Past M^2, each power is M times the one before, and that one is made a
-    dense array first once it fills DENSE_POWER_FILL of its m^2 entries and
-    the dense powers still to come fit beside the process in
-    `usable_memory`.  Timed as `moments(M, 2j + 2)` with M^j the first
-    dense power, against all-sparse powers, on 31 sampled operators of
-    order 465 to 6105, the switch was no faster at any fill of M^j up to
-    10% (0.4 to 1.0 times the speed), 0.9 to 1.24 times as fast from 11.4%
-    to 12.5%, and faster from 13% at every order (1.02 to 2.5 times); at
-    m = 465 (d = 2, k = 5) M^2 fills 12.5% to 13.4%.  The order sets only
-    the memory: a dense power at m = 6105 takes 298 MB.
+    Walks j = 0, 1, 2, ... up to ceil(top/2), top the longest length,
+    holding only M^(j-1) and M^j: tr(M^2j) is the sum of the squares of
+    M^j and tr(M^(2j-1)) the sum of M^(j-1) * M^j.  With absolute row sums
+    at most 1, M has at most one +-1 a row, so M^3 = M and a length l >= 3
+    is taken as 2 - l mod 2.  Refuses (ValueError) a matrix that is not
+    integer, or, before any product, one whose powers could leave int64
+    (`require_int64_powers`).  Duplicate entries are summed in a copy of M.
+    Each row of a product sums within int64, the rows as Python ints.
+
+    M^j with j >= 2 is made a dense array before M^(j+1) is formed once it
+    fills DENSE_POWER_FILL of its m^2 entries and two dense powers fit
+    beside the process in `usable_memory`.  Timed as `moments(M, 2j + 2)`
+    with M^j the first dense power, against all-sparse powers, on 31
+    sampled operators of order 465 to 6105, the switch was no faster at any
+    fill of M^j up to 10% (0.4 to 1.0 times the speed), 0.9 to 1.24 times
+    as fast from 11.4% to 12.5%, and faster from 13% at every order (1.02
+    to 2.5 times); at m = 465 (d = 2, k = 5) M^2 fills 12.5% to 13.4%.  The
+    order sets only the memory: a dense power at m = 6105 takes 298 MB.
     """
     M = sp.csr_matrix(M, copy=True)
     M.sum_duplicates()
     ints = M.astype(np.int64)
     if (ints.data != M.data).any():
         raise ValueError("exact traces need an integer matrix")
-    require_int64_powers(ints, lmax)
+    if abs(ints).sum(axis=1).max() <= 1:
+        lengths = [ell if ell < 3 else 2 - ell % 2 for ell in lengths]
+    top = max(lengths, default=0)
+    require_int64_powers(ints, top)
     m = M.shape[0]
-    last = (lmax + 1) // 2
-    powers = [sp.identity(m, dtype=np.int64, format="csr"), ints]
-    while len(powers) <= last:
-        # dense from here on: the last power and those after it, up to M^last
-        if (
-            len(powers) > 2
-            and sp.issparse(powers[-1])
-            and powers[-1].nnz >= DENSE_POWER_FILL * m * m
-            and fits_memory(8 * m * m * (last - len(powers) + 2))
-        ):
-            powers[-1] = powers[-1].toarray()
-        powers.append(ints @ powers[-1])
-    return powers
-
-
-def _row_dots(P: sp.csr_matrix | np.ndarray, Q: sp.csr_matrix | np.ndarray) -> np.ndarray:
-    """Int64 row sums of the elementwise product of two powers from `_int64_powers`."""
-    if not sp.issparse(P):
-        P, Q = Q, P
-    if not sp.issparse(P):
-        return np.einsum("ij,ij->i", P, Q)
-    if P is Q:  # no duplicate entries: the squares of the stored ones, without the sort `P.power` does
-        return sp.csr_matrix((P.data * P.data, P.indices, P.indptr), shape=P.shape).sum(axis=1)
-    return P.multiply(Q).sum(axis=1)
-
-
-def _trace(powers: list[sp.csr_matrix | np.ndarray], ell: int) -> int:
-    """Exact tr(M^ell) as a Python int from `_int64_powers` of a symmetric M.
-
-    M^b is symmetric, so tr(M^ell) = sum(M^a * M^b) with a = ceil(ell/2),
-    b = ell - a, and for even ell a = b, the sum of the squares of M^a.
-    Each row of that product sums within int64 and the rows are summed as
-    Python ints.
-    """
-    a = (ell + 1) // 2
-    rows = _row_dots(powers[a], powers[ell - a])
-    return sum(np.asarray(rows).ravel().tolist())
+    last = (top + 1) // 2
+    traces = dict.fromkeys(lengths)
+    prev, power = None, sp.identity(m, dtype=np.int64, format="csr")
+    for j in range(last + 1):
+        if j:
+            prev = power  # M^(j-2) is dropped before M^j is formed
+            power = ints if j == 1 else ints @ prev
+        filled = 2 <= j < last and sp.issparse(power) and power.nnz >= DENSE_POWER_FILL * m * m
+        if filled and fits_memory(16 * m * m):
+            power = power.toarray()
+        for ell in traces.keys() & {2 * j - 1, 2 * j}:
+            P, Q = power, prev if ell % 2 else power
+            if not sp.issparse(P):
+                P, Q = Q, P
+            if not sp.issparse(P):
+                rows = np.einsum("ij,ij->i", P, Q)
+            elif P is Q:  # no duplicate entries: the squares of the stored ones, without the sort `P.power` does
+                rows = sp.csr_matrix((P.data * P.data, P.indices, P.indptr), shape=P.shape).sum(axis=1)
+            else:
+                rows = P.multiply(Q).sum(axis=1)
+            traces[ell] = sum(np.asarray(rows).ravel().tolist())
+            del P, Q  # so M^(j-1) is not held past the step
+    return [traces[ell] for ell in lengths]
 
 
 def moments(M: np.ndarray | sp.spmatrix, lmax: int) -> list[float]:
     """Spectral moments (1/m) tr(M^l) for l = 0..lmax of a symmetric integer matrix, from exact traces.
 
-    Refuses (ValueError) a matrix that is not symmetric: the traces pair
-    M^a with M^b, which is M^a with the transpose of M^b only when M is.
+    The traces come from one walk over the powers (`_traces`), which holds
+    at most two of them, so memory does not grow with lmax.  Refuses
+    (ValueError) a matrix that is not symmetric: the traces pair M^a with
+    M^b, which is M^a with the transpose of M^b only when M is.
     """
     M = sp.csr_matrix(M)
     if (M != M.T).nnz:
         raise ValueError("moments need a symmetric matrix")
-    powers = _int64_powers(M, lmax)
-    return [_trace(powers, ell) / M.shape[0] for ell in range(lmax + 1)]
+    return [t / M.shape[0] for t in _traces(M, list(range(lmax + 1)))]
 
 
 def _summary_from_eigs(
@@ -374,16 +369,12 @@ def warn_ambiguous_zeros(value: float, eps: float) -> None:
 def signed_trace(X: PureComplex, length: int) -> int:
     """Exact integer tr(A^l) of the signed adjacency A: signed closed l-walks summed over faces.
 
-    A = diag(L) - L with L = B B^T is symmetric, as `_trace` needs; it is
+    A = diag(L) - L with L = B B^T is symmetric, as `_traces` needs; it is
     built here, so unlike `moments` this does not check it.  Raises
     ValueError before any product whose entries could leave int64
-    (`require_int64_powers`).  With absolute row sums at most 1 (a matching
-    at d = 1, k = 1), A is symmetric with at most one +-1 a row and a zero
-    diagonal, so A^3 = A and a length l >= 3 has the trace of 2 - l mod 2.
+    (`require_int64_powers`).  A matching (d = 1, k = 1) has absolute row
+    sums at most 1, so A^3 = A and `_traces` forms no power past A.
     """
     if length < 0:
         raise ValueError("walk length must be >= 0")
-    A = signed_adjacency(sparse_laplacian(X))
-    if length >= 3 and abs(A).sum(axis=1).max() <= 1:
-        length = 2 - length % 2
-    return _trace(_int64_powers(A, length), length)
+    return _traces(signed_adjacency(sparse_laplacian(X)), [length])[0]

@@ -41,7 +41,7 @@ arithmetic stays in the log domain because counts grow like exp(Theta(n^d)).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb, exp, frexp, log
+from math import comb, frexp, log
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,11 +112,9 @@ def _torsion(M: np.ndarray) -> int:
 class TreeCount:
     """Weighted spanning-tree count of a complex, in the log domain.
 
-    log_count is the log-determinant of the reduced Laplacian; pseudodet_log
-    is the log-product of the non-trivial Laplacian eigenvalues, which is
-    log_count + C(n-2, d-1) log n.  zero_flag means the complex has a
-    non-trivial Laplacian kernel and the count is exactly 0; log_count is
-    then -inf and pseudodet_log is 0.  floor is the smallest non-trivial
+    log_count is the log-determinant of the reduced Laplacian.  zero_flag
+    means the complex has a non-trivial Laplacian kernel and the count is
+    exactly 0; log_count is then -inf.  floor is the smallest non-trivial
     Laplacian eigenvalue; the flag is set exactly when it is below
     zero_threshold, so the two give the margin.  A flagged floor is recorded
     as 0.0: it is a Lanczos estimate of a true zero, and its digits are
@@ -125,16 +123,11 @@ class TreeCount:
     """
 
     log_count: float
-    pseudodet_log: float
     trivial_zeros: int
     zero_flag: bool
     floor: float
     zero_threshold: float
     exact_count: int | None = None
-
-    @property
-    def count(self) -> float:
-        return 0.0 if self.zero_flag else exp(self.log_count)
 
 
 def _rfp_offsets(i: np.ndarray, j: np.ndarray, N: int) -> np.ndarray:
@@ -228,13 +221,11 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
     The log-count is the log-determinant of the reduced Laplacian L[t:, t:],
     t = C(n-1, d-1), of L = `sparse_laplacian(X)`: sparse elimination of its
     low-degree rows, then a packed Cholesky factor of the rest
-    (`_reduced_log_det`).  pseudodet_log adds C(n-2, d-1) log n, the log of
-    the closed-form count of the complete skeleton one level down.  With
-    oracle=True the enumeration result is attached and cross-checked.  The
-    oracle's guard, then the count's (`require_tree_count_fits`), refuse
-    with ValueError before any operator is built.  A pivot <= 0 after the
-    floor cleared the zero threshold raises RuntimeError naming its row of
-    the reduced Laplacian.
+    (`_reduced_log_det`).  With oracle=True the enumeration result is
+    attached and cross-checked.  The oracle's guard, then the count's
+    (`require_tree_count_fits`), refuse with ValueError before any operator
+    is built.  A pivot <= 0 after the floor cleared the zero threshold
+    raises RuntimeError naming its row of the reduced Laplacian.
     """
     if oracle:
         require_oracle_fits(X)
@@ -268,7 +259,6 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
             ) from None
     result = TreeCount(
         log_count=log_count,
-        pseudodet_log=0.0 if flag else log_count + comb(n - 2, d - 1) * log(n),
         trivial_zeros=trivial,
         zero_flag=flag,
         floor=floor,

@@ -54,6 +54,7 @@ class TestSample:
         assert capsys.readouterr().err == "error: need k >= 1 systems\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:k=2 is at or below the proven regime threshold")
     def test_sampler_exhaustion_exits_3(self, tmp_path, monkeypatch, capsys):
         import steinerlab.experiments as experiments
 
@@ -65,6 +66,16 @@ class TestSample:
                      "--out", str(tmp_path / "cx")])
         assert code == 3
         assert "exhausted" in capsys.readouterr().err
+        # gap and local stop at the first trial and write no rows; converge skips the row
+        for command in ("gap", "local"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--d", "1", "--k", "2", "--n", "8", "--out", str(out)]) == 3
+            assert "exhausted" in capsys.readouterr().err
+            assert not out.exists()
+        out = tmp_path / "converge.csv"
+        assert main(["converge", "--d", "1", "--k", "2", "--n", "8", "--trials", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().err.count("skipped") == 2
+        assert out.read_text().splitlines()[-1].startswith("n,trial,")  # the header, no rows
 
 
     @pytest.mark.parametrize("command", ["sample", "local"])
@@ -73,6 +84,16 @@ class TestSample:
         code = main([command, "--d", "1", "--k", "2", "--n", "8", "--trials", "-1", "--out", str(out)])
         assert code == 2
         assert "trials must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["converge", "local"])
+    def test_repeated_radii_exit_2(self, command, tmp_path, capsys):
+        # converge would write a frac_r2 column twice and local every row twice
+        out = tmp_path / "out.csv"
+        code = main([command, "--d", "1", "--k", "2", "--n", "8", "--r", "2", "--r", "1", "--r", "2",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: radii must be distinct; repeated: 2\n"
         assert not out.exists()
 
     def test_converge_and_sst_draw_the_same_trials(self, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -26,6 +27,19 @@ from oracles import esd, exact_rank, trace_oracle
 
 def triangle():
     return complex_from_dfaces(3, 1, [(1, 2), (2, 3), (1, 3)])
+
+
+def spy_products(monkeypatch) -> list[bool]:
+    """From now on, record for each sparse-times-matrix product whether the right factor is dense."""
+    right_dense = []
+    matmul = sp.csr_matrix.__matmul__
+
+    def spy(self, other):
+        right_dense.append(isinstance(other, np.ndarray))
+        return matmul(self, other)
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", spy)
+    return right_dense
 
 
 class TestAdjacency:
@@ -246,7 +260,7 @@ class TestEsdMoments:
         M = doubled()
         assert moments(M, 4) == [1, 0, 4, 0, 16]
         assert M.indptr.tolist() == [0, 2, 4] and M.data.tolist() == [1, 1, 1, 1]  # summed in a copy
-        assert spectra._trace(spectra._int64_powers(doubled(), 2), 2) == 8
+        assert spectra._traces(doubled(), [2]) == [8]
 
     @pytest.mark.parametrize(
         "n,room,dense_from",
@@ -260,11 +274,35 @@ class TestEsdMoments:
             monkeypatch.setattr(spectra, "usable_memory", spectra.resident_memory)
         X = steiner_complex(n, 1, 8, SeededRng(5))
         A = spectra.signed_adjacency(spectra.sparse_laplacian(X))
-        powers = spectra._int64_powers(A, 8)
-        assert [isinstance(P, np.ndarray) for P in powers] == [j >= dense_from for j in range(5)]
         expected = trace_oracle(A, 8)
         assert [signed_trace(X, ell) for ell in range(9)] == expected
         assert moments(A, 8) == [t / n for t in expected]
+        right_dense = spy_products(monkeypatch)
+        assert spectra._traces(A, list(range(9))) == expected
+        # A^2, A^3 and A^4 are A times A, A^2 and A^3, each dense from A^dense_from on
+        assert right_dense == [j >= dense_from for j in range(1, 4)]
+
+    def test_at_most_two_dense_powers_are_live(self):
+        # d = 1, k = 8, n = 488: A^3 is the first dense power, and lmax = 16 reaches A^8
+        X = steiner_complex(488, 1, 8, SeededRng(5))
+        A = spectra.signed_adjacency(spectra.sparse_laplacian(X))
+        tracemalloc.start()
+        try:
+            got = moments(A, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * 488**2
+        assert got == [t / 488 for t in trace_oracle(A, 16)]
+
+    def test_matching_moments_form_no_power(self, monkeypatch):
+        # absolute row sums <= 1: A^3 = A, so every trace comes from the identity and A itself
+        A = spectra.signed_adjacency(spectra.sparse_laplacian(steiner_complex(12, 1, 1, SeededRng(5))))
+        expected = trace_oracle(A, 8)
+        right_dense = spy_products(monkeypatch)
+        assert moments(A, 8) == [t / 12 for t in expected]
+        assert moments(A, 10**4)[-2:] == [0.0, 1.0]
+        assert right_dense == []
 
     def test_histogram_masses_sum_to_one(self, gen):
         X = random_complex(7, 2, gen)
