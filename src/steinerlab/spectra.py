@@ -218,9 +218,32 @@ class SpectralSummary:
     trivial_zero_count: int | None = None
 
 
+def integer_width(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype whose range holds every integer of absolute value at most `bound`.
+
+    Exact integer kernels run at the width of a proven bound on every
+    intermediate value, so each product moves as few bytes as the bound
+    allows; past int64 the width is object, Python ints.
+    """
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(object)
+
+
 def int64_power_overflows(R: int, lmax: int) -> bool:
     """Whether R^lmax >= 2^63, for R, lmax >= 0; without the power when R >= 2 and lmax >= 63."""
     return (R >= 2 and lmax >= 63) or R**lmax >= 2**63
+
+
+def _power_width(R: int, lmax: int) -> np.dtype:
+    """`integer_width` of R^lmax, refusing (ValueError) past int64 without forming the power."""
+    if int64_power_overflows(R, lmax):
+        raise ValueError(
+            f"power {lmax} of a matrix with absolute row sum {R} can leave int64 "
+            f"({R}^{lmax} >= 2^63)"
+        )
+    return integer_width(R**lmax)
 
 
 def require_int64_powers(M: sp.spmatrix, lmax: int) -> None:
@@ -230,72 +253,94 @@ def require_int64_powers(M: sp.spmatrix, lmax: int) -> None:
     partial sum forming it, and every row sum of the elementwise product
     M^a * M^b with a + b = l is at most R^l in absolute value.
     """
-    R = int(abs(M).sum(axis=1).max())
-    if int64_power_overflows(R, lmax):
-        raise ValueError(
-            f"power {lmax} of a matrix with absolute row sum {R} can leave int64 "
-            f"({R}^{lmax} >= 2^63)"
-        )
+    _power_width(int(abs(M).sum(axis=1).max()), lmax)
 
 
 # the fill from which `_traces` makes a power dense, inside the measured cross-over
 DENSE_POWER_FILL = 1 / 9
+# `_traces` forms its last power from a dense one this many bytes of rows at a
+# time.  Timed as `_traces(A, [5])` plus `[6]` against the whole power,
+# interleaved: at m = 465 (d = 2, k = 5, int32, a dense power 865 KB) 128 KiB
+# blocks took 0.80 to 0.83 of its time, 256 KiB 0.83 to 1.0 and 512 KiB 1.0 to
+# 1.05 (a block and the dense power then outgrow one core's 2 MiB L2); at
+# m = 210 to 1953, int32 and int64, 128 KiB took 0.96 to 1.18 of its time.
+TRACE_BLOCK_BYTES = 2**17
+
+
+def _row_dots(P, Q) -> int:
+    """The sum of P * Q, for rows of two powers of one shape: each row summed at their width, the rows as Python ints."""
+    if not sp.issparse(P):
+        P, Q = Q, P
+    if not sp.issparse(P):
+        rows = np.einsum("ij,ij->i", P, Q)
+    elif P is Q:  # no duplicate entries: the squares of the stored ones, without the sort `P.power` does
+        rows = sp.csr_matrix((P.data * P.data, P.indices, P.indptr), shape=P.shape).sum(axis=1)
+    else:
+        rows = P.multiply(Q).sum(axis=1)
+    return sum(np.asarray(rows).ravel().tolist())
 
 
 def _traces(M: sp.spmatrix, lengths: list[int]) -> list[int]:
     """Exact tr(M^l) as Python ints for each l in `lengths`, of a symmetric integer matrix.
 
-    Walks j = 0, 1, 2, ... up to ceil(top/2), top the longest length,
-    holding only M^(j-1) and M^j: tr(M^2j) is the sum of the squares of
-    M^j and tr(M^(2j-1)) the sum of M^(j-1) * M^j.  With absolute row sums
-    at most 1, M has at most one +-1 a row, so M^3 = M and a length l >= 3
-    is taken as 2 - l mod 2.  Refuses (ValueError) a matrix that is not
-    integer, or, before any product, one whose powers could leave int64
-    (`require_int64_powers`).  Duplicate entries are summed in a copy of M.
-    Each row of a product sums within int64, the rows as Python ints.
+    Walks j = 0, 1, 2, ... up to last = ceil(top/2), top the longest
+    length, holding only M^(j-1) and M^j: tr(M^2j) is the sum of the
+    squares of M^j and tr(M^(2j-1)) the sum of M^(j-1) * M^j.  With R the
+    largest absolute row sum of M, every entry of a power, every partial sum
+    forming it and every row sum of such a product is at most R^top in
+    absolute value, so the powers run at `integer_width(R^top)`: int32 for
+    the signed adjacency at d = 2, k = 5 up to length 9.  With R at most 1,
+    M has at most one +-1 a row, so M^3 = M and a length l >= 3 is taken as
+    2 - l mod 2.  Refuses (ValueError) a matrix that is not integer, or,
+    before any product, one whose powers could leave int64.  Duplicate
+    entries are summed in a copy of M.  Each row of a product sums at the
+    width, the rows as Python ints.
 
-    M^j with j >= 2 is made a dense array before M^(j+1) is formed once it
-    fills DENSE_POWER_FILL of its m^2 entries and two dense powers fit
-    beside the process in `usable_memory`.  Timed as `moments(M, 2j + 2)`
-    with M^j the first dense power, against all-sparse powers, on 31
-    sampled operators of order 465 to 6105, the switch was no faster at any
-    fill of M^j up to 10% (0.4 to 1.0 times the speed), 0.9 to 1.24 times
-    as fast from 11.4% to 12.5%, and faster from 13% at every order (1.02
-    to 2.5 times); at m = 465 (d = 2, k = 5) M^2 fills 12.5% to 13.4%.  The
-    order sets only the memory: a dense power at m = 6105 takes 298 MB.
+    M^j with 2 <= j < last is made a dense array before M^(j+1) is formed
+    once it fills DENSE_POWER_FILL of its m^2 entries and two dense powers
+    at the width fit beside the process in `usable_memory`.  Timed as
+    `moments(M, 2j + 2)` with M^j the first dense power, against all-sparse
+    powers, on 31 sampled operators of order 465 to 6105, the switch was no
+    faster at any fill of M^j up to 10% (0.4 to 1.0 times the speed), 0.9 to
+    1.24 times as fast from 11.4% to 12.5%, and faster from 13% at every
+    order (1.02 to 2.5 times); at m = 465 (d = 2, k = 5) M^2 fills 12.5% to
+    13.4%.  The order sets only the memory: a dense int64 power at m = 6105
+    takes 298 MB.  When M^(last-1) is dense, M^last is never formed whole:
+    it is formed TRACE_BLOCK_BYTES of rows at a time, and each block is
+    reduced to its row dots with itself and with M^(last-1) at once.
     """
     M = sp.csr_matrix(M, copy=True)
     M.sum_duplicates()
     ints = M.astype(np.int64)
     if (ints.data != M.data).any():
         raise ValueError("exact traces need an integer matrix")
-    if abs(ints).sum(axis=1).max() <= 1:
+    R = int(abs(ints).sum(axis=1).max())
+    if R <= 1:
         lengths = [ell if ell < 3 else 2 - ell % 2 for ell in lengths]
     top = max(lengths, default=0)
-    require_int64_powers(ints, top)
+    width = _power_width(R, top)
+    ints = ints.astype(width)
     m = M.shape[0]
     last = (top + 1) // 2
-    traces = dict.fromkeys(lengths)
-    prev, power = None, sp.identity(m, dtype=np.int64, format="csr")
+    traces = dict.fromkeys(lengths, 0)
+    prev, power = None, sp.identity(m, dtype=width, format="csr")
     for j in range(last + 1):
+        wanted = traces.keys() & {2 * j - 1, 2 * j}
         if j:
             prev = power  # M^(j-2) is dropped before M^j is formed
+            if j == last and not sp.issparse(prev):
+                step = max(1, TRACE_BLOCK_BYTES // (width.itemsize * m))
+                for a in range(0, m, step):
+                    block = ints[a : a + step] @ prev
+                    for ell in wanted:
+                        traces[ell] += _row_dots(block, prev[a : a + step] if ell % 2 else block)
+                break
             power = ints if j == 1 else ints @ prev
         filled = 2 <= j < last and sp.issparse(power) and power.nnz >= DENSE_POWER_FILL * m * m
-        if filled and fits_memory(16 * m * m):
+        if filled and fits_memory(2 * width.itemsize * m * m):
             power = power.toarray()
-        for ell in traces.keys() & {2 * j - 1, 2 * j}:
-            P, Q = power, prev if ell % 2 else power
-            if not sp.issparse(P):
-                P, Q = Q, P
-            if not sp.issparse(P):
-                rows = np.einsum("ij,ij->i", P, Q)
-            elif P is Q:  # no duplicate entries: the squares of the stored ones, without the sort `P.power` does
-                rows = sp.csr_matrix((P.data * P.data, P.indices, P.indptr), shape=P.shape).sum(axis=1)
-            else:
-                rows = P.multiply(Q).sum(axis=1)
-            traces[ell] = sum(np.asarray(rows).ravel().tolist())
-            del P, Q  # so M^(j-1) is not held past the step
+        for ell in wanted:
+            traces[ell] = _row_dots(power, prev if ell % 2 else power)
     return [traces[ell] for ell in lengths]
 
 
@@ -303,9 +348,11 @@ def moments(M: np.ndarray | sp.spmatrix, lmax: int) -> list[float]:
     """Spectral moments (1/m) tr(M^l) for l = 0..lmax of a symmetric integer matrix, from exact traces.
 
     The traces come from one walk over the powers (`_traces`), which holds
-    at most two of them, so memory does not grow with lmax.  Refuses
-    (ValueError) a matrix that is not symmetric: the traces pair M^a with
-    M^b, which is M^a with the transpose of M^b only when M is.
+    at most two of them, at the narrowest integer width that R^lmax allows
+    (R the largest absolute row sum of M), so memory does not grow with
+    lmax.  Refuses (ValueError) a matrix that is not symmetric: the traces
+    pair M^a with M^b, which is M^a with the transpose of M^b only when M is,
+    or one whose powers up to lmax could leave int64.
     """
     M = sp.csr_matrix(M)
     if (M != M.T).nnz:
@@ -370,10 +417,12 @@ def signed_trace(X: PureComplex, length: int) -> int:
     """Exact integer tr(A^l) of the signed adjacency A: signed closed l-walks summed over faces.
 
     A = diag(L) - L with L = B B^T is symmetric, as `_traces` needs; it is
-    built here, so unlike `moments` this does not check it.  Raises
-    ValueError before any product whose entries could leave int64
-    (`require_int64_powers`).  A matching (d = 1, k = 1) has absolute row
-    sums at most 1, so A^3 = A and `_traces` forms no power past A.
+    built here, so unlike `moments` this does not check it.  The powers run
+    at `integer_width(R^l)`, R the largest absolute row sum of A (at most d
+    times the largest degree): int32 for d = 2, k = 5 up to l = 9.  Raises
+    ValueError before any product whose entries could leave int64.  A
+    matching (d = 1, k = 1) has absolute row sums at most 1, so A^3 = A and
+    `_traces` forms no power past A.
     """
     if length < 0:
         raise ValueError("walk length must be >= 0")

@@ -53,6 +53,7 @@ from .spectra import (
     _lanczos_extreme,
     boundary_matrix,
     coboundary_matrix,
+    integer_width,
     require_memory,
     sparse_laplacian,
     trivial_zero_count,
@@ -69,8 +70,6 @@ __all__ = [
 ORACLE_MAX_SUBSETS = 10**6
 # the oracle walks its prefix tree in pieces of about this many bytes of node states
 ORACLE_CHUNK_BYTES = 2**20
-# int64 elimination while (d + 1)^r, the Hadamard bound on its products, is below this
-INT64_MINOR_LIMIT = 2**62
 ORACLE_LOG_RTOL = 1e-6
 # largest N with N(N+1) below 2**31, the packed length check in scipy's dpftrf wrapper
 MAX_PACKED_ORDER = 46340
@@ -276,20 +275,32 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
     return replace(result, exact_count=exact)
 
 
-def _node_entries(R: int, F: int, r: int, j: int) -> int:
-    """Ints a node at depth j of the oracle's walk holds: its (R - j) x (F - j)
-    block, its j faces, its pivot, and (node, column, pivot row) for each of
-    its at most F - r + 1 children."""
-    return (R - j) * (F - j) + j + 1 + 3 * (F - r + 1)
+def _oracle_width(d: int, r: int) -> np.dtype:
+    """`integer_width` of the largest value the oracle's walk forms: 2 at d = 1, else 2 (d + 1)^r.
+
+    Each Bareiss step forms p a - b c from minors of columns with d + 1
+    entries of +-1, so by Hadamard's inequality each product is at most
+    (d + 1)^r; at d = 1 every minor is 0 or +-1.  The exponent need not
+    pass 63: 3^63 is already past int64.
+    """
+    return integer_width(2 if d == 1 else 2 * (d + 1) ** min(r, 63))
 
 
-def _piece_nodes(R: int, F: int, r: int, j: int) -> int:
+def _node_bytes(R: int, F: int, r: int, j: int, width: int) -> int:
+    """Bytes a node at depth j of the oracle's walk holds: its (R - j) x (F - j)
+    block and its pivot at `width` bytes an entry, and as 8-byte indices its
+    j faces and (node, column, pivot row) for each of its at most F - r + 1
+    children."""
+    return width * ((R - j) * (F - j) + 1) + 8 * (j + 3 * (F - r + 1))
+
+
+def _piece_nodes(R: int, F: int, r: int, j: int, width: int) -> int:
     """Nodes in one piece at depth j of the oracle's walk: about ORACLE_CHUNK_BYTES of them, at least one."""
-    return max(1, ORACLE_CHUNK_BYTES // (8 * _node_entries(R, F, r, j)))
+    return max(1, ORACLE_CHUNK_BYTES // _node_bytes(R, F, r, j, width))
 
 
-def _walk_entries(R: int, F: int, r: int) -> int:
-    """The most ints the oracle's walk holds at once besides its R x F boundary block, the root.
+def _walk_bytes(R: int, F: int, r: int, width: int) -> int:
+    """The most bytes the oracle's walk holds at once besides its R x F boundary block, the root.
 
     Expanding a piece at depth j holds the piece, its next piece of children
     three times over (the children, and the step's product temporary or the
@@ -303,11 +314,11 @@ def _walk_entries(R: int, F: int, r: int) -> int:
     held = peak = 0
     nodes = 1
     for j in range(r - 1):
-        piece = nodes * _node_entries(R, F, r, j) if j else 0
+        piece = nodes * _node_bytes(R, F, r, j, width) if j else 0
         children = min(comb(spare + j + 1, j + 1), nodes * (spare + 1))
-        cap = _piece_nodes(R, F, r, j + 1)
+        cap = _piece_nodes(R, F, r, j + 1, width)
         nodes = min(children, cap)
-        peak = max(peak, held + piece + 3 * nodes * _node_entries(R, F, r, j + 1))
+        peak = max(peak, held + piece + 3 * nodes * _node_bytes(R, F, r, j + 1, width))
         if children > cap:
             held += piece
     return peak
@@ -318,11 +329,13 @@ def require_oracle_fits(X: PureComplex) -> None:
     trees, or one whose arrays exceed `usable_memory`.
 
     The oracle holds the dense C(n, d) x #d-faces boundary block, the root
-    of its walk, and at most the walk's pieces that `_walk_entries` counts
+    of its walk, and at most the walk's pieces that `_walk_bytes` counts
     from the shape: the piece being expanded, three times its next piece of
     children, and every lower piece with children still to walk, a piece
-    being about ORACLE_CHUNK_BYTES of node states or one node.  Each entry
-    takes 8 bytes (a pointer on the Python-int path).
+    being about ORACLE_CHUNK_BYTES of node states or one node.  Each block
+    entry takes the bytes of the walk's width (`_oracle_width`: 1 at d = 1;
+    at d = 2, 2 up to r = 8 and 4 up to r = 18; 8, a pointer, on the
+    Python-int path).
     """
     r = comb(X.n - 1, X.d)
     subsets = comb(X.num_dfaces, r)
@@ -332,9 +345,10 @@ def require_oracle_fits(X: PureComplex) -> None:
             f"enumeration guard {ORACLE_MAX_SUBSETS}"
         )
     R = comb(X.n, X.d)
-    walk = _walk_entries(R, X.num_dfaces, r) if subsets else 0
+    width = _oracle_width(X.d, r).itemsize
+    walk = _walk_bytes(R, X.num_dfaces, r, width) if subsets else 0
     require_memory(
-        8 * (R * X.num_dfaces + walk),
+        width * R * X.num_dfaces + walk,
         f"the oracle's dense {R} x {X.num_dfaces} boundary block and the pieces of its walk",
     )
 
@@ -374,7 +388,7 @@ def _bareiss_step(
     child[moved, row[moved] - 1] = states[node[moved], 0, 1:]
     below[moved, row[moved] - 1] = states[node[moved], 0, col[moved]]
     pivot = states[node, row, col]
-    sign = np.where(pivot < 0, -1, 1)
+    sign = np.where(pivot < 0, -1, 1).astype(states.dtype)
     pivot = pivot * sign
     scaled = np.flatnonzero(pivot != 1)
     child[scaled] *= pivot[scaled, None, None]
@@ -403,23 +417,23 @@ def tree_count_exact(X: PureComplex) -> int:
     maximal minor: 1 gives torsion 1, and any other tree gets its torsion
     from `_torsion`, an integer triangular form of its columns.  Every
     Bareiss entry is a minor of columns with d + 1 entries of +-1, so by
-    Hadamard's inequality no product exceeds (d + 1)^r; below
-    INT64_MINOR_LIMIT the walk runs in int64, above it the same code runs
-    on Python ints.  At d = 1 the boundary is an oriented incidence matrix,
-    totally unimodular, so every entry is 0 or +-1, no product exceeds 2 and
-    every r runs in int64.  Fewer d-faces than r give 0 at once; otherwise
-    more than ORACLE_MAX_SUBSETS candidates, or arrays above usable memory,
-    are refused (ValueError) before any work (`require_oracle_fits`).
+    Hadamard's inequality no product exceeds (d + 1)^r and no step's value
+    2 (d + 1)^r; the block is built directly at the narrowest integer width
+    holding that (`_oracle_width`), int32 at d = 2 for 9 <= r <= 18, and past
+    int64 the same code runs on Python ints.  At d = 1 the boundary is an
+    oriented incidence matrix, totally unimodular, so every entry is 0 or
+    +-1, no value exceeds 2 and every r runs in int8.  Fewer d-faces than r
+    give 0 at once; otherwise more than ORACLE_MAX_SUBSETS candidates, or
+    arrays above usable memory, are refused (ValueError) before any work
+    (`require_oracle_fits`).
     """
     r = comb(X.n - 1, X.d)
     if X.num_dfaces < r:
         return 0
     require_oracle_fits(X)
-    # the largest product: 2 at d = 1, else (d + 1)^r, whose exponent need not exceed 62
-    largest = 2 if X.d == 1 else (X.d + 1) ** min(r, 62)
-    block = boundary_matrix(X).astype(np.int64).toarray()  # column c: the boundary of d-face c
-    if largest >= INT64_MINOR_LIMIT:
-        block = block.astype(object)
+    B = boundary_matrix(X).tocoo()
+    block = np.zeros(B.shape, dtype=_oracle_width(X.d, r))  # column c: the boundary of d-face c
+    block[B.row, B.col] = B.data.astype(np.int8)
     R, F = block.shape
     spare = F - r
     root = (block[None], np.empty((1, 0), dtype=np.intp))
@@ -435,7 +449,7 @@ def tree_count_exact(X: PureComplex) -> int:
             for i in np.flatnonzero(~unit):
                 total += _torsion(block[:, [*faces[node[i]], j + col[i]]]) ** 2
             continue
-        stop = start + _piece_nodes(R, F, r, j + 1)
+        stop = start + _piece_nodes(R, F, r, j + 1, block.itemsize)
         if stop < len(node):
             stack.append((states, faces, prev, (node, col, row), stop))
         node, col, row = node[start:stop], col[start:stop], row[start:stop]

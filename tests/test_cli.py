@@ -234,13 +234,16 @@ class TestSst:
         monkeypatch.setattr(spectra, "resident_memory", lambda: 0)  # the boundaries count the route alone
         assert main(sst) == 0
         want = capsys.readouterr().out
-        assert main(gap) == 0
+        # k = 5 is at or below the proven regime threshold at d = 2, so every gap run warns
+        with pytest.warns(RuntimeWarning, match="proven regime threshold"):
+            assert main(gap) == 0
         want_gap = capsys.readouterr().out
         monkeypatch.setattr(spectra, "usable_memory", lambda: 50_000)
         assert main(sst) == 0
         assert capsys.readouterr().out == want
         monkeypatch.setattr(spectra, "usable_memory", lambda: 75_600)
-        assert main(gap) == 0  # no dense matrix: gap runs where spectrum is refused
+        with pytest.warns(RuntimeWarning, match="proven regime threshold"):
+            assert main(gap) == 0  # no dense matrix: gap runs where spectrum is refused
         assert capsys.readouterr().out == want_gap
 
         def never(*args, **kwargs):

@@ -1,3 +1,4 @@
+import io
 import time
 import tracemalloc
 from math import comb
@@ -29,17 +30,24 @@ def triangle():
     return complex_from_dfaces(3, 1, [(1, 2), (2, 3), (1, 3)])
 
 
-def spy_products(monkeypatch) -> list[bool]:
-    """From now on, record for each sparse-times-matrix product whether the right factor is dense."""
-    right_dense = []
+def spy_products(monkeypatch) -> list[tuple[bool, int, np.dtype]]:
+    """From now on, record (whether the right factor is dense, rows, dtype) for each sparse-times-matrix product."""
+    products = []
     matmul = sp.csr_matrix.__matmul__
 
     def spy(self, other):
-        right_dense.append(isinstance(other, np.ndarray))
-        return matmul(self, other)
+        product = matmul(self, other)
+        products.append((isinstance(other, np.ndarray), self.shape[0], product.dtype))
+        return product
 
     monkeypatch.setattr(sp.csr_matrix, "__matmul__", spy)
-    return right_dense
+    return products
+
+
+def row_blocks(m: int, width: int) -> list[int]:
+    """Rows of each block in which `_traces` forms a last power of order m at `width` bytes an entry."""
+    step = spectra.TRACE_BLOCK_BYTES // (width * m)
+    return [min(step, m - a) for a in range(0, m, step)]
 
 
 class TestAdjacency:
@@ -277,10 +285,33 @@ class TestEsdMoments:
         expected = trace_oracle(A, 8)
         assert [signed_trace(X, ell) for ell in range(9)] == expected
         assert moments(A, 8) == [t / n for t in expected]
-        right_dense = spy_products(monkeypatch)
+        products = spy_products(monkeypatch)
         assert spectra._traces(A, list(range(9))) == expected
-        # A^2, A^3 and A^4 are A times A, A^2 and A^3, each dense from A^dense_from on
-        assert right_dense == [j >= dense_from for j in range(1, 4)]
+        # A^2, A^3 and A^4 are A times A, A^2 and A^3, each dense from A^dense_from on, all in
+        # int32 (8^8 < 2^31); the last, A^4, is formed in blocks of rows when A^3 is dense
+        int32 = np.dtype(np.int32)
+        whole = [(j >= dense_from, n, int32) for j in range(1, 3)]
+        if dense_from <= 3:
+            assert products == whole + [(True, rows, int32) for rows in row_blocks(n, 4)]
+        else:
+            assert products == whole + [(False, n, int32)]
+
+    @pytest.mark.parametrize("length, width", [(5, np.int32), (6, np.int64)])
+    def test_traces_on_both_sides_of_the_width(self, monkeypatch, length, width):
+        # K_21^(2): each facet lies in n - d = 19 d-faces with d = 2 other facets each, so the
+        # absolute row sums of A are 38, and 38^5 < 2^31 <= 38^6
+        X = complete_complex(21, 2)
+        A = spectra.signed_adjacency(spectra.sparse_laplacian(X))
+        m = comb(21, 2)
+        assert int(abs(A).sum(axis=1).max()) == 38
+        expected = trace_oracle(A, length)[length]
+        products = spy_products(monkeypatch)
+        assert spectra._traces(A, [length]) == [expected]
+        # A^2 is made dense, and A^3, the last power, comes in blocks of rows, none of them all m
+        dtype = np.dtype(width)
+        blocks = row_blocks(m, dtype.itemsize)
+        assert products == [(False, m, dtype)] + [(True, rows, dtype) for rows in blocks]
+        assert len(blocks) > 1
 
     def test_at_most_two_dense_powers_are_live(self):
         # d = 1, k = 8, n = 488: A^3 is the first dense power, and lmax = 16 reaches A^8
@@ -299,10 +330,10 @@ class TestEsdMoments:
         # absolute row sums <= 1: A^3 = A, so every trace comes from the identity and A itself
         A = spectra.signed_adjacency(spectra.sparse_laplacian(steiner_complex(12, 1, 1, SeededRng(5))))
         expected = trace_oracle(A, 8)
-        right_dense = spy_products(monkeypatch)
+        products = spy_products(monkeypatch)
         assert moments(A, 8) == [t / 12 for t in expected]
         assert moments(A, 10**4)[-2:] == [0.0, 1.0]
-        assert right_dense == []
+        assert products == []
 
     def test_histogram_masses_sum_to_one(self, gen):
         X = random_complex(7, 2, gen)
@@ -443,8 +474,17 @@ class TestDenseGuard:
             spectra.require_dense_fits(m)
 
     def test_resident_memory_reads_the_process(self, monkeypatch):
+        # the real read is only checked positive: statm can run a few pages above
+        # ru_maxrss, whose peak is summed from counters that lag
         peak = spectra.resource.getrusage(spectra.resource.RUSAGE_SELF).ru_maxrss * 1024
-        assert 0 < spectra.resident_memory() <= peak
+        assert spectra.resident_memory() > 0
+
+        def statm(path, *args, **kwargs):
+            assert path == "/proc/self/statm"
+            return io.StringIO("52000 1234 800 300 0 9000 0\n")  # size resident shared text lib data dt
+
+        monkeypatch.setattr(spectra, "open", statm, raising=False)
+        assert spectra.resident_memory() == 1234 * spectra.resource.getpagesize()
 
         def no_proc(*args, **kwargs):
             raise OSError("no /proc")

@@ -256,14 +256,15 @@ def per_subset_tree_count(X):
 
 
 def object_path_only(mp):
-    """Send the oracle's walk through Python-int blocks, and check that every piece is one."""
+    """Send the oracle's walk through Python-int blocks, by a width rule that admits no
+    fixed width, and check that every piece is one."""
     find_pivots = trees._children
 
     def spy(states, faces, spare):
         assert states.dtype == object
         return find_pivots(states, faces, spare)
 
-    mp.setattr(trees, "INT64_MINOR_LIMIT", 0)
+    mp.setattr(trees, "integer_width", lambda bound: np.dtype(object))
     mp.setattr(trees, "_children", spy)
 
 
@@ -390,11 +391,13 @@ class TestExactOracle:
 
     def test_several_chunks_with_a_partial_last(self, monkeypatch):
         X = complete_complex(5, 2)  # C(10, 6) = 210 candidate subsets of 10 x 6 columns
-        monkeypatch.setattr(trees, "ORACLE_CHUNK_BYTES", 16 * 8 * 10 * 6)
+        monkeypatch.setattr(trees, "ORACLE_CHUNK_BYTES", 16 * 2 * 10 * 6)
         steps = record_steps(monkeypatch, 10)
         assert tree_count_exact(X) == per_subset_tree_count(X) == 125
-        caps = [trees._piece_nodes(10, 10, 6, j) for j in range(6)]
-        assert caps == [8, 9, 11, 14, 17, 20]
+        # 2 (d + 1)^r = 1458: the walk runs in int16, and a piece holds about as many bytes of it
+        assert {dtype for _, dtype, _ in steps} == {np.dtype(np.int16)}
+        caps = [trees._piece_nodes(10, 10, 6, j, 2) for j in range(6)]
+        assert caps == [5, 6, 7, 7, 8, 9]
         for depth in range(1, 5):
             sizes = [children for j, _, children in steps if j == depth]
             # a piece's children fill several pieces here: full ones, then a partial last
@@ -402,7 +405,7 @@ class TestExactOracle:
 
     def test_chunked_peak_memory(self, gen):
         # the verify-exact workload's d = 1 complex: 16 edges on 10 vertices, C(16, 9) = 11440
-        # subsets; each depth of its walk fits one 1 MiB piece, and the count peaks near 1.7 MiB
+        # subsets; in int8 each depth of its walk fits one 1 MiB piece, and the count peaks near 0.6 MiB
         X = random_complex(10, 1, gen, min_faces=16, max_faces=16)
         tracemalloc.start()
         try:
@@ -432,11 +435,23 @@ class TestExactOracle:
 
     def test_d1_path_runs_in_int64_past_r_62(self, monkeypatch):
         # r = 399: the Hadamard bound 2^399 would send it to Python ints, but a graph's
-        # incidence matrix is totally unimodular, so every product stays within 2
+        # incidence matrix is totally unimodular, so every value stays within 2: the
+        # fixed-width path, at its narrowest width, int8
         steps = record_steps(monkeypatch, 400)
         assert tree_count_exact(path_graph(400)) == 1
-        # one child per node: a step at every depth but the last, all in int64
-        assert steps == [(j, np.dtype(np.int64), 1) for j in range(398)]
+        # one child per node: a step at every depth but the last, all in int8
+        assert steps == [(j, np.dtype(np.int8), 1) for j in range(398)]
+
+    def test_d2_runs_in_int32(self, gen, monkeypatch):
+        # n = 7, as the verify-exact d = 2 complexes: r = C(6, 2) = 15 and 2 * 3^15 < 2^31
+        steps = record_steps(monkeypatch, 21)
+        counts = []
+        for _ in range(5):
+            X = random_complex(7, 2, gen, min_faces=17, max_faces=17)  # C(17, 15) = 136 subsets
+            counts.append(tree_count_exact(X))
+            assert counts[-1] == per_subset_tree_count(X)
+        assert any(counts) and not all(counts)
+        assert {dtype for _, dtype, _ in steps} == {np.dtype(np.int32)}
 
     def test_d1_path_peak_memory_within_guard(self, monkeypatch):
         X = path_graph(400)
@@ -449,11 +464,11 @@ class TestExactOracle:
         finally:
             tracemalloc.stop()
         # one node a depth, none held: the boundary block, the depth-1 node, and three times
-        # its child (the child, the step's product temporary); a node also keeps j faces,
-        # a pivot and three ints for its one child
-        block, node1, node2 = 400 * 399, 399 * 398 + 2 + 3, 398 * 397 + 3 + 3
-        assert needs == [8 * (block + node1 + 3 * node2)]
-        assert 8 * (block + node1 + 2 * node2) < peak < needs[0]
+        # its child (the child, the step's product temporary), one byte an entry in int8;
+        # a node also keeps a pivot, and j faces and three indices for its one child at 8 bytes
+        block, node1, node2 = 400 * 399, 399 * 398 + 1 + 8 * (1 + 3), 398 * 397 + 1 + 8 * (2 + 3)
+        assert needs == [block + node1 + 3 * node2]
+        assert block + node1 + 2 * node2 < peak < needs[0]
 
     @settings(max_examples=6, deadline=None)
     @given(n=st.integers(64, 70), seed=st.integers(0, 2**32 - 1))
