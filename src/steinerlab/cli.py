@@ -2,7 +2,8 @@
 
 Subcommands: sample, spectrum, sst, limit, local, converge, gap, oracle.
 Complexes travel in the canonical text format (header "n d", one d-face per
-line).  Exit codes: 0 success, 2 validation error, 3 sampler exhaustion.
+line).  Exit codes: 0 success, 2 validation error, 3 sampler exhaustion,
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from math import comb, exp
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from .arboreal import arboreal_fractions
 from .complexes import PureComplex, read_complex
 from .experiments import (
     ExperimentConfig,
+    RowFailure,
     converge_csv,
     converge_json,
     csv_table,
@@ -34,12 +36,13 @@ from .limitlaw import (
     growth_constant_quadrature,
 )
 from .sampling import SamplerExhausted
-from .spectra import require_dense_fits, spectral_summary
+from .spectra import NumericalFailure, require_dense_fits, spectral_summary
 from .trees import require_tree_count_fits, tree_count_exact, weighted_tree_count
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SAMPLER = 3
+EXIT_NUMERICAL = 4
 
 
 def _add_sample_source(parser: argparse.ArgumentParser) -> None:
@@ -85,6 +88,11 @@ def _write_text(path: Path | None, text: str) -> None:
     else:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
+
+
+def _report_skipped(failures: Iterable[RowFailure]) -> None:
+    for failure in failures:
+        print(f"skipped n={failure.n} trial={failure.trial}: {failure.reason}", file=sys.stderr)
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -166,8 +174,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     result = run_converge(config)
     text = converge_json(result, config) if args.format == "json" else converge_csv(result, config)
     _write_text(args.out, text)
-    for failure in result.failures:
-        print(f"skipped n={failure.n} trial={failure.trial}: {failure.reason}", file=sys.stderr)
+    _report_skipped(result.failures)
     return EXIT_OK
 
 
@@ -175,6 +182,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
     config = _config_from_args(args, deterministic=args.deterministic, radii=())  # the gap statistic takes no radius
     report = run_gap_report(config, epsilon=args.eps)
     _write_text(args.out, gap_csv(report, config))
+    _report_skipped(report.failures)
     print(f"pass fraction: {report.pass_fraction:.3f} "
           f"(threshold {report.threshold_base:.4f} + eps {report.epsilon})", file=sys.stderr)
     return EXIT_OK
@@ -269,6 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     except SamplerExhausted as exc:
         print(f"sampler exhausted: {exc}", file=sys.stderr)
         return EXIT_SAMPLER
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

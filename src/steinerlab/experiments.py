@@ -7,8 +7,11 @@ statistics: normalized spanning-tree count, Laplacian spectral moments,
 arboreal-neighborhood fractions, minimum degree and spectral floor.  A row
 takes no full spectrum: the count and floor come from the Cholesky and
 Lanczos route in `trees`, the moments from exact sparse traces of L, and
-the gap statistic is one Lanczos eigenvalue too.  Rows come back in
-deterministic (n, trial) order regardless of how the trials were scheduled.
+the gap statistic is the largest eigenvalue of the signed adjacency on
+ker delta^T (`spectra.restricted_extreme`).  A trial whose solve fails
+(`spectra.NumericalFailure`) is recorded as a `RowFailure` and the run goes
+on.  Rows come back in deterministic (n, trial) order regardless of how the
+trials were scheduled.
 """
 
 from __future__ import annotations
@@ -20,20 +23,18 @@ import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from math import comb, exp, frexp, sqrt
+from math import comb, exp, sqrt
 from pathlib import Path
-
-from scipy.sparse.linalg import LinearOperator
 
 from .arboreal import arboreal_fractions
 from .complexes import PureComplex, write_complex
 from .sampling import SamplerExhausted, SeededRng, is_admissible, steiner_complex
 from .spectra import (
-    _lanczos_extreme,
-    coboundary_matrix,
+    NumericalFailure,
     int64_power_overflows,
     moments,
     require_memory,
+    restricted_extreme,
     signed_adjacency,
     sparse_laplacian,
 )
@@ -164,11 +165,9 @@ def run_converge(config: ExperimentConfig) -> ConvergenceResult:
     for n in config.n_values:
         for trial in range(config.trials):
             try:
-                X = config.draw(n, trial)
-            except SamplerExhausted as exc:
+                rows.append(_converge_row(config, config.draw(n, trial), n, trial))
+            except (SamplerExhausted, NumericalFailure) as exc:
                 failures.append(RowFailure(n=n, trial=trial, reason=str(exc)))
-                continue
-            rows.append(_converge_row(config, X, n, trial))
     return ConvergenceResult(rows=tuple(rows), failures=tuple(failures))
 
 
@@ -182,11 +181,15 @@ class GapRow:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Non-binding per-trial check of the adjacency spectral-gap threshold."""
+    """Non-binding per-trial check of the adjacency spectral-gap threshold.
+
+    failures are the trials whose solve failed (`spectra.NumericalFailure`).
+    """
 
     threshold_base: float
     epsilon: float
     rows: tuple[GapRow, ...]
+    failures: tuple[RowFailure, ...] = ()
 
     @property
     def pass_fraction(self) -> float:
@@ -195,37 +198,19 @@ class GapReport:
         return sum(row.passed for row in self.rows) / len(self.rows)
 
 
-def _top_nontrivial(X: PureComplex) -> float:
-    """Largest eigenvalue of the signed adjacency A on ker delta^T, by Lanczos.
-
-    P = I - delta delta^T / n projects onto ker delta^T, so P A P - c (I - P)
-    has the spectrum of A there and -c on im delta, which a power of two c
-    above the Gershgorin bound of A puts below the rest.
-    """
-    A = signed_adjacency(sparse_laplacian(X))
-    delta = coboundary_matrix(X.n, X.d)
-    c = 2.0 ** frexp(float(abs(A).sum(axis=1).max()) + 1)[1]
-
-    def matvec(x):
-        trivial = delta @ (delta.T @ x) / X.n  # (I - P) x
-        apx = A @ (x - trivial)
-        return apx - delta @ (delta.T @ apx) / X.n - c * trivial
-
-    return _lanczos_extreme(LinearOperator(A.shape, matvec=matvec, dtype=float), "LA")
-
-
 def run_gap_report(config: ExperimentConfig, epsilon: float) -> GapReport:
     """Largest non-trivial adjacency eigenvalue per trial vs 2d sqrt(k-1) + eps.
 
     The statistic is the top of the adjacency spectrum on ker delta^T
-    (`_top_nontrivial`).  On a k-regular complex it is the (t+1)-th largest
+    (`spectra.restricted_extreme`).  On a k-regular complex it is the (t+1)-th largest
     adjacency eigenvalue, t = C(n-1, d-1); merged duplicate blocks break
     k-regularity.  Probabilistic, so reported, not asserted.  Before anything
     is sampled each n is checked against usable memory for what a row holds,
     m = C(n, d): 16 bytes (value and index) an entry of B (at most k a row),
     of L and A (d k + 1 a row each) and of delta (d a row), and 32 vectors
     of order m (ARPACK's 20 Lanczos vectors, its work vectors, the matvec's
-    temporaries).
+    temporaries).  A trial whose solve fails is a failure, not a row; a
+    sampler that gives up stops the run (`SamplerExhausted`).
     """
     d, k = config.d, config.k
     for n in config.n_values:
@@ -235,11 +220,17 @@ def run_gap_report(config: ExperimentConfig, epsilon: float) -> GapReport:
                       f"for d={d}; the gap statistic is exploratory here", RuntimeWarning, stacklevel=2)
     base = 2.0 * d * sqrt(k - 1)
     rows: list[GapRow] = []
+    failures: list[RowFailure] = []
     for n in config.n_values:
         for trial in range(config.trials):
-            top = _top_nontrivial(config.draw(n, trial))
+            A = signed_adjacency(sparse_laplacian(config.draw(n, trial)))
+            try:
+                top = restricted_extreme(A, n, d, "LA")
+            except NumericalFailure as exc:
+                failures.append(RowFailure(n=n, trial=trial, reason=str(exc)))
+                continue
             rows.append(GapRow(n=n, trial=trial, top_nontrivial=top, passed=top <= base + epsilon))
-    return GapReport(threshold_base=base, epsilon=epsilon, rows=tuple(rows))
+    return GapReport(threshold_base=base, epsilon=epsilon, rows=tuple(rows), failures=tuple(failures))
 
 
 def csv_table(columns: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str] = ()) -> str:

@@ -16,13 +16,13 @@ arboreal complex the walk counts have a closed recursion instead
 
 The trivial kernel of L is the image of the coboundary delta from the
 (d-2)-forms of the complete skeleton; its dimension is C(n-1, d-1).  On the
-complete skeleton delta delta^T has the single non-zero eigenvalue n on that
-image and L delta = 0, so for c > 0 the spectrum of L + c delta delta^T is
-the non-trivial spectrum of L together with c n repeated C(n-1, d-1) times.
-That identity lets the spectral floor skip the full spectrum, and tree
-counts take the determinant of a reduced Laplacian instead (see `trees`);
-delta delta^T / n projects onto that image, which gives the gap statistic
-by Lanczos (see `experiments`).  `spectral_summary` is the one dense solve.
+complete skeleton delta delta^T / n projects onto that image, so for a
+symmetric M and P = I - delta delta^T / n, P M P + c delta delta^T has the
+spectrum of M on ker delta^T and c n, C(n-1, d-1) times.  With c n beyond
+the wanted end, `restricted_extreme` is the one such solve, by Lanczos: the
+tree count's spectral floor is its smallest of L, where L delta = 0 makes
+P L P = L (see `trees`), and the gap statistic its largest of A (see
+`experiments`).  `spectral_summary` is the one dense solve.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ import os
 import resource
 import warnings
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, frexp
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .complexes import PureComplex, all_faces
 
@@ -128,9 +128,42 @@ def coboundary_matrix(n: int, d: int) -> sp.csr_matrix:
 LANCZOS_SEED = 20090601
 
 
+class NumericalFailure(RuntimeError):
+    """A solve that gave no number to trust: a Lanczos run that did not converge, or a failed check."""
+
+
 def _lanczos_extreme(op, which: str) -> float:
+    """The extreme eigenvalue `which` of a symmetric operator by seeded Lanczos; NumericalFailure if ARPACK stops short."""
     v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(op.shape[0])
-    return float(eigsh(op, k=1, which=which, v0=v0, return_eigenvectors=False)[0])
+    try:
+        return float(eigsh(op, k=1, which=which, v0=v0, return_eigenvectors=False)[0])
+    except ArpackNoConvergence as exc:
+        raise NumericalFailure(f"Lanczos ({which}) did not converge: {exc}") from None
+
+
+def restricted_extreme(M: sp.csr_matrix, n: int, d: int, which: str) -> float:
+    """The smallest ("SA") or largest ("LA") eigenvalue of a symmetric sparse M on ker delta^T.
+
+    Lanczos runs on P M P + c delta delta^T, c a power of two (so c delta
+    delta^T x is exact) with c n above the largest absolute row sum of M,
+    negative for "LA".  When M delta = 0, as for L, P M P = M and no
+    projection is formed.  The row sums come from a copy: `abs(M)` sorts M's
+    indices in place, and with them the rounding of every later M @ x.
+    """
+    delta = coboundary_matrix(n, d)
+    delta_t = delta.T.tocsr()
+    bound = float(abs(M.copy()).sum(axis=1).max())
+    c = 2.0 ** frexp((bound + 1) / n)[1] * {"SA": 1.0, "LA": -1.0}[which]
+    projected = bool((M @ delta).count_nonzero())
+
+    def matvec(x):
+        trivial = delta @ (delta_t @ x)  # n (I - P) x
+        if not projected:
+            return M @ x + c * trivial
+        y = M @ (x - trivial / n)
+        return y - delta @ (delta_t @ y) / n + c * trivial
+
+    return _lanczos_extreme(LinearOperator(M.shape, matvec=matvec, dtype=float), which)
 
 
 # memory limits of this process's cgroup (v2, then v1); "max" or a missing

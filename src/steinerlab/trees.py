@@ -12,11 +12,8 @@ the first rows of L.  The same total is the product of the non-trivial
 eigenvalues of L divided by n^C(n-2, d-1).
 
 The count, `weighted_tree_count`, needs no spectrum and builds L itself.
-As L delta = 0, for a power of two c with c n above the Gershgorin bound
-of L the spectrum of M = L + c delta delta^T is the non-trivial spectrum of
-L plus c n repeated C(n-1, d-1) times (see `spectra`).  So the smallest
-eigenvalue of M, found by Lanczos, is the spectral floor that decides an
-extra kernel (count 0).
+The smallest eigenvalue of L on ker delta^T (`spectra.restricted_extreme`)
+is the spectral floor that decides an extra kernel (count 0).
 Otherwise the reduced Laplacian is positive definite and its log-determinant
 comes from a Cholesky factorization in two phases (George and Liu, "The
 evolution of the minimum degree ordering algorithm", SIAM Review 1989).
@@ -41,20 +38,20 @@ arithmetic stays in the log domain because counts grow like exp(Theta(n^d)).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb, frexp, log
+from math import comb, log
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpftrf
-from scipy.sparse.linalg import LinearOperator
 
 from .complexes import PureComplex
 from .spectra import (
+    NumericalFailure,
     _lanczos_extreme,
     boundary_matrix,
-    coboundary_matrix,
     integer_width,
     require_memory,
+    restricted_extreme,
     sparse_laplacian,
     trivial_zero_count,
     warn_ambiguous_zeros,
@@ -224,22 +221,15 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
     attached and cross-checked.  The oracle's guard, then the count's
     (`require_tree_count_fits`), refuse with ValueError before any operator
     is built.  A pivot <= 0 after the floor cleared the zero threshold
-    raises RuntimeError naming its row of the reduced Laplacian.
+    raises `spectra.NumericalFailure`, a RuntimeError, naming its row of the
+    reduced Laplacian; so does an oracle disagreement.
     """
     if oracle:
         require_oracle_fits(X)
     require_tree_count_fits(X.n, X.d)
-    n, d = X.n, X.d
     L = sparse_laplacian(X)
-    delta = coboundary_matrix(n, d)
     trivial = trivial_zero_count(X)
-    # c n above the Gershgorin bound (d+1) max deg of L puts the shifted trivial
-    # eigenvalues above the rest; a power of two keeps c * (delta delta^T x) exact
-    gershgorin = (d + 1) * float(L.diagonal().max(initial=0.0))
-    c = 2.0 ** frexp((gershgorin + 1) / n)[1]
-    delta_t = delta.T.tocsr()
-    shifted = LinearOperator(L.shape, matvec=lambda x: L @ x + c * (delta @ (delta_t @ x)), dtype=float)
-    floor = _lanczos_extreme(shifted, "SA")
+    floor = restricted_extreme(L, X.n, X.d, "SA")
     eps = zero_threshold(_lanczos_extreme(L, "LA"))
     warn_ambiguous_zeros(floor, eps)
     flag = floor < eps
@@ -251,7 +241,7 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
         try:
             log_count, _ = _reduced_log_det(L[trivial:, trivial:])
         except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
+            raise NumericalFailure(
                 f"spectral floor {floor:.3e} is above the zero threshold {eps:.3e}, but the "
                 f"Cholesky factor of the reduced Laplacian fails at pivot {exc.args[0]} of "
                 f"{L.shape[0] - trivial}"
@@ -267,9 +257,9 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
         return result
     exact = tree_count_exact(X)
     if flag != (exact == 0):
-        raise RuntimeError(f"oracle disagreement: zero_flag={flag} but exact count {exact}")
+        raise NumericalFailure(f"oracle disagreement: zero_flag={flag} but exact count {exact}")
     if not flag and abs(log(exact) - log_count) > ORACLE_LOG_RTOL * max(1.0, abs(log_count)):
-        raise RuntimeError(
+        raise NumericalFailure(
             f"oracle disagreement: log exact {log(exact):.12f} vs spectral {log_count:.12f}"
         )
     return replace(result, exact_count=exact)

@@ -3,6 +3,7 @@ import json
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from steinerlab import read_complex
@@ -351,6 +352,70 @@ class TestConverge:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["rows"][0]["n"] == 20
+
+
+# scipy's message for a Lanczos run out of iterations
+STALLED = "No convergence (106 iterations, 0/1 eigenvectors converged)"
+
+
+def stall_lanczos(monkeypatch, calls: set[int]) -> None:
+    """Make the Lanczos calls numbered in `calls` (from 0) raise ArpackNoConvergence; the rest run."""
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    from steinerlab import spectra
+
+    count = iter(range(10**6))
+    eigsh = spectra.eigsh
+
+    def stalling(*args, **kwargs):
+        if next(count) in calls:
+            raise ArpackNoConvergence(STALLED, np.zeros(0), np.zeros((0, 0)))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "eigsh", stalling)
+
+
+class TestNumericalFailure:
+    """A failed solve is a skipped row in converge and gap, and exit 4 in sst and spectrum."""
+
+    def test_converge_skips_a_failed_count(self, tmp_path, capsys):
+        # trial 10's Lanczos floor misses a kernel that the Cholesky factor then finds
+        out = tmp_path / "rows.csv"
+        assert main(["converge", "--d", "2", "--k", "2", "--n", "15", "--trials", "11", "--seed", "11",
+                     "--deterministic", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
+        skipped = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("skipped n=15 trial=") for line in skipped)
+        trials = [int(row["trial"]) for row in rows] + [int(line.split("trial=")[1].split(":")[0]) for line in skipped]
+        assert sorted(trials) == list(range(11))
+
+    @pytest.mark.filterwarnings("ignore:k=8 is at or below the proven regime threshold")
+    def test_gap_skips_a_failed_solve(self, tmp_path, monkeypatch, capsys):
+        stall_lanczos(monkeypatch, {1})
+        out = tmp_path / "gap.csv"
+        assert main(["gap", "--d", "1", "--k", "8", "--n", "20", "--trials", "3", "--deterministic",
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
+        assert [row["trial"] for row in rows] == ["0", "2"]
+        skipped = [line for line in capsys.readouterr().err.splitlines() if line.startswith("skipped")]
+        assert skipped == ["skipped n=20 trial=1: Lanczos (LA) did not converge: ARPACK error -1: " + STALLED]
+
+    def test_sst_exits_4(self, monkeypatch, capsys):
+        stall_lanczos(monkeypatch, {0})
+        assert main(["sst", "--d", "2", "--k", "3", "--n", "13"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: Lanczos (SA) did not converge: ARPACK error -1: {STALLED}\n"
+
+    def test_spectrum_linalg_error_exits_4(self, monkeypatch, capsys):
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("the algorithm failed to converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", fail)
+        assert main(["spectrum", "--d", "2", "--k", "3", "--n", "13"]) == 4
+        assert capsys.readouterr().err == "error: the algorithm failed to converge\n"
 
 
 class TestGapOracle:

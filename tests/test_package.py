@@ -100,6 +100,14 @@ def test_one_dense_eigensolve():
     assert callers == {"spectra.spectral_summary"}
 
 
+@pytest.mark.parametrize("needle", ["LinearOperator(", "coboundary_matrix(", "frexp"])
+def test_one_restricted_eigensolve(needle):
+    # delta, the shift and the deflated operator live in `spectra.restricted_extreme` alone
+    src = Path(importlib.import_module("steinerlab").__file__).parent
+    files = {path.name for path in src.glob("*.py") if needle in path.read_text()}
+    assert files == {"spectra.py"}, files
+
+
 @pytest.mark.parametrize("needle", [".substream(", "csv.writer(", "complex_n{"])
 def test_one_trial_source_and_one_table_writer(needle):
     # trial (n, t) is drawn, named and written in `experiments` alone; the CLI reuses them

@@ -5,7 +5,9 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from steinerlab import (
     SeededRng,
@@ -164,6 +166,50 @@ class TestSparseOperators:
             X = random_complex(d + 4, d, gen)
             product = spectra.sparse_laplacian(X) @ spectra.coboundary_matrix(X.n, d)
             assert product.count_nonzero() == 0
+
+
+def dense_restricted(M: sp.spmatrix, n: int, d: int) -> np.ndarray:
+    """Spectrum of M on ker delta^T, by a dense solve in an orthonormal basis of it."""
+    Q = scipy.linalg.null_space(spectra.coboundary_matrix(n, d).T.toarray())
+    return np.linalg.eigvalsh(Q.T @ M.toarray() @ Q)
+
+
+class TestRestrictedExtreme:
+    """`restricted_extreme` is the one Lanczos solve on ker delta^T, for L and A at either end."""
+
+    def test_both_ends_of_both_operators_match_dense(self, gen):
+        for d in (1, 2, 3):
+            for _ in range(3):
+                X = random_complex(d + 5, d, gen, min_faces=comb(d + 4, d))
+                L = spectra.sparse_laplacian(X)
+                for M in (L, spectra.signed_adjacency(L)):
+                    eigs = dense_restricted(M, X.n, d)
+                    scale = max(1.0, float(abs(eigs).max()))
+                    assert spectra.restricted_extreme(M, X.n, d, "SA") == pytest.approx(eigs[0], abs=1e-9 * scale)
+                    assert spectra.restricted_extreme(M, X.n, d, "LA") == pytest.approx(eigs[-1], abs=1e-9 * scale)
+
+    def test_leaves_the_matrix_as_it_was(self):
+        # abs(M) would sort M's indices in place; on this input the count's floor
+        # then moves from a flagged zero to 0.108 and its Cholesky fails
+        X = steiner_complex(13, 2, 2, SeededRng(5).substream(13, 0))
+        L = spectra.sparse_laplacian(X)
+        for M, which in ((L, "SA"), (spectra.signed_adjacency(L), "LA")):
+            indices, data, indptr = M.indices.copy(), M.data.copy(), M.indptr.copy()
+            assert not M.has_sorted_indices
+            spectra.restricted_extreme(M, X.n, X.d, which)
+            assert not M.has_sorted_indices
+            assert np.array_equal(M.indices, indices) and np.array_equal(M.indptr, indptr)
+            assert np.array_equal(M.data, data)
+
+    def test_no_convergence_is_a_numerical_failure(self, monkeypatch):
+        def stall(*args, **kwargs):
+            message = "No convergence (106 iterations, 0/1 eigenvectors converged)"
+            raise ArpackNoConvergence(message, np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(spectra, "eigsh", stall)
+        L = spectra.sparse_laplacian(triangle())
+        with pytest.raises(spectra.NumericalFailure, match=r"Lanczos \(SA\) did not converge"):
+            spectra.restricted_extreme(L, 3, 1, "SA")
 
 
 class TestEigenvalues:

@@ -628,6 +628,7 @@ class TestPackedFactor:
         # diag(1, 1, 0) fails at its last pivot; a floor reported above the
         # threshold must not let that pass as a count
         monkeypatch.setattr(trees, "_lanczos_extreme", lambda op, which: 1.0)
+        monkeypatch.setattr(trees, "restricted_extreme", lambda M, n, d, which: 1.0)
         with pytest.raises(RuntimeError, match=r"floor 1\.000e\+00.*threshold 1\.000e-08.*pivot 3 of 3"):
             weighted_tree_count(complex_from_dfaces(4, 2, [(1, 2, 3), (1, 2, 4)]))
 
@@ -705,6 +706,7 @@ class TestTwoPhaseCount:
         X = steiner_complex(1000, 1, 8, SeededRng(1))
         X = complex_from_dfaces(1000, 1, [e for e in X.d_faces if 1000 not in e])
         monkeypatch.setattr(trees, "_lanczos_extreme", lambda op, which: 1.0)
+        monkeypatch.setattr(trees, "restricted_extreme", lambda M, n, d, which: 1.0)
         with pytest.raises(RuntimeError, match=r"floor 1\.000e\+00.*threshold 1\.000e-08.*pivot 999 of 999"):
             weighted_tree_count(X)
 
