@@ -31,8 +31,8 @@ from .complexes import PureComplex, write_complex
 from .sampling import SamplerExhausted, SeededRng, is_admissible, steiner_complex
 from .spectra import (
     NumericalFailure,
-    int64_power_overflows,
     moments,
+    power_width,
     require_memory,
     restricted_extreme,
     signed_adjacency,
@@ -68,8 +68,8 @@ class ExperimentConfig:
     """Shared knobs for ensemble runs.
 
     Every n must be d-admissible, k >= 1 (k >= 2 with an arboreal radius
-    >= 1), the radii distinct, and the exact int64 moment traces need
-    ((d+1) k)^lmax below 2^63 ((d+1) k bounds the absolute row sums of L).
+    >= 1), the radii distinct, and the exact moment traces need a fixed
+    `power_width((d+1) k, lmax)` ((d+1) k bounds L's absolute row sums).
     Memory is checked by each run.
     """
 
@@ -90,7 +90,7 @@ class ExperimentConfig:
             raise ValueError("need k >= 1 systems")
         if self.lmax < 0:
             raise ValueError("lmax must be >= 0")
-        if int64_power_overflows((self.d + 1) * self.k, self.lmax):
+        if power_width((self.d + 1) * self.k, self.lmax) == object:
             raise ValueError(
                 f"lmax={self.lmax} is too large for exact int64 moments at d={self.d}, k={self.k}"
             )

@@ -31,6 +31,8 @@ from math import ceil, exp, log, log10, pi, sqrt
 
 import numpy as np
 
+from .spectra import NumericalFailure
+
 __all__ = [
     "LimitLaw",
     "series_coefficient",
@@ -118,8 +120,8 @@ class LimitLaw:
         f maps an array of points x to an array of values (np.log,
         np.ones_like, a power).  The midpoint rule on theta in (0, pi) starts
         at QUAD_MIN_POINTS points and doubles until two estimates agree
-        within epsabs or QUAD_RTOL relative; RuntimeError past
-        QUAD_MAX_POINTS.
+        within epsabs or QUAD_RTOL relative; `spectra.NumericalFailure` (a
+        RuntimeError) past QUAD_MAX_POINTS.
         """
         d, k, center, w = self.d, self.k, self.center, self.half_width
 
@@ -138,7 +140,7 @@ class LimitLaw:
             if abs(value - previous) <= max(epsabs, QUAD_RTOL * abs(value)):
                 return value
             previous = value
-        raise RuntimeError(
+        raise NumericalFailure(
             f"midpoint rule for d={d}, k={k} did not reach {epsabs:g} within {QUAD_MAX_POINTS} points"
         )
 
@@ -217,8 +219,8 @@ def growth_constant_chebyshev(d: int, k: int) -> float:
 
     at t = ratio_zero, in (0, 1) whenever k >= d+2, which is also the sum
     -pi * sum_n alpha_n t^n / n of the coefficient series.  Both are
-    evaluated and must agree to 1e-10; a mismatch means a coefficient bug,
-    not a numerical artifact.
+    evaluated and must agree to 1e-10; a mismatch, `spectra.NumericalFailure`,
+    means a coefficient bug, not a numerical artifact.
     """
     if k < d + 2:
         raise ValueError(f"growth constant needs k >= d+2, got d={d}, k={k}")
@@ -237,7 +239,7 @@ def growth_constant_chebyshev(d: int, k: int) -> float:
         tail += series_coefficient(law, n) * t_pow / n
     series = head - pi * tail
     if abs(closed - series) > SERIES_MATCH_ATOL:
-        raise RuntimeError(
+        raise NumericalFailure(
             f"series/closed mismatch for d={d}, k={k}: {closed!r} vs {series!r}"
         )
     return exp(closed)

@@ -251,42 +251,21 @@ class SpectralSummary:
     trivial_zero_count: int | None = None
 
 
-def integer_width(bound: int) -> np.dtype:
-    """The narrowest signed integer dtype whose range holds every integer of absolute value at most `bound`.
+def power_width(base: int, exp: int, scale: int = 1) -> np.dtype:
+    """The narrowest signed integer dtype that holds scale * base^exp, or object (Python ints) past int64.
 
     Exact integer kernels run at the width of a proven bound on every
     intermediate value, so each product moves as few bytes as the bound
-    allows; past int64 the width is object, Python ints.
+    allows.  For base, exp >= 0 and scale >= 1; with base >= 2 and
+    exp >= 63 the bound is past int64 and no power is formed.
     """
+    if base >= 2 and exp >= 63:
+        return np.dtype(object)
+    bound = scale * base**exp
     for dtype in (np.int8, np.int16, np.int32, np.int64):
         if bound <= np.iinfo(dtype).max:
             return np.dtype(dtype)
     return np.dtype(object)
-
-
-def int64_power_overflows(R: int, lmax: int) -> bool:
-    """Whether R^lmax >= 2^63, for R, lmax >= 0; without the power when R >= 2 and lmax >= 63."""
-    return (R >= 2 and lmax >= 63) or R**lmax >= 2**63
-
-
-def _power_width(R: int, lmax: int) -> np.dtype:
-    """`integer_width` of R^lmax, refusing (ValueError) past int64 without forming the power."""
-    if int64_power_overflows(R, lmax):
-        raise ValueError(
-            f"power {lmax} of a matrix with absolute row sum {R} can leave int64 "
-            f"({R}^{lmax} >= 2^63)"
-        )
-    return integer_width(R**lmax)
-
-
-def require_int64_powers(M: sp.spmatrix, lmax: int) -> None:
-    """Refuse, with ValueError, powers up to M^lmax whose entries could leave int64.
-
-    With R the largest absolute row sum of M, every entry of M^l, every
-    partial sum forming it, and every row sum of the elementwise product
-    M^a * M^b with a + b = l is at most R^l in absolute value.
-    """
-    _power_width(int(abs(M).sum(axis=1).max()), lmax)
 
 
 # the fill from which `_traces` makes a power dense, inside the measured cross-over
@@ -321,7 +300,7 @@ def _traces(M: sp.spmatrix, lengths: list[int]) -> list[int]:
     squares of M^j and tr(M^(2j-1)) the sum of M^(j-1) * M^j.  With R the
     largest absolute row sum of M, every entry of a power, every partial sum
     forming it and every row sum of such a product is at most R^top in
-    absolute value, so the powers run at `integer_width(R^top)`: int32 for
+    absolute value, so the powers run at `power_width(R, top)`: int32 for
     the signed adjacency at d = 2, k = 5 up to length 9.  With R at most 1,
     M has at most one +-1 a row, so M^3 = M and a length l >= 3 is taken as
     2 - l mod 2.  Refuses (ValueError) a matrix that is not integer, or,
@@ -351,7 +330,9 @@ def _traces(M: sp.spmatrix, lengths: list[int]) -> list[int]:
     if R <= 1:
         lengths = [ell if ell < 3 else 2 - ell % 2 for ell in lengths]
     top = max(lengths, default=0)
-    width = _power_width(R, top)
+    width = power_width(R, top)
+    if width == object:
+        raise ValueError(f"power {top} of a matrix with absolute row sum {R} can leave int64 ({R}^{top} >= 2^63)")
     ints = ints.astype(width)
     m = M.shape[0]
     last = (top + 1) // 2
@@ -451,7 +432,7 @@ def signed_trace(X: PureComplex, length: int) -> int:
 
     A = diag(L) - L with L = B B^T is symmetric, as `_traces` needs; it is
     built here, so unlike `moments` this does not check it.  The powers run
-    at `integer_width(R^l)`, R the largest absolute row sum of A (at most d
+    at `power_width(R, l)`, R the largest absolute row sum of A (at most d
     times the largest degree): int32 for d = 2, k = 5 up to l = 9.  Raises
     ValueError before any product whose entries could leave int64.  A
     matching (d = 1, k = 1) has absolute row sums at most 1, so A^3 = A and

@@ -49,7 +49,7 @@ from .spectra import (
     NumericalFailure,
     _lanczos_extreme,
     boundary_matrix,
-    integer_width,
+    power_width,
     require_memory,
     restricted_extreme,
     sparse_laplacian,
@@ -265,17 +265,6 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
     return replace(result, exact_count=exact)
 
 
-def _oracle_width(d: int, r: int) -> np.dtype:
-    """`integer_width` of the largest value the oracle's walk forms: 2 at d = 1, else 2 (d + 1)^r.
-
-    Each Bareiss step forms p a - b c from minors of columns with d + 1
-    entries of +-1, so by Hadamard's inequality each product is at most
-    (d + 1)^r; at d = 1 every minor is 0 or +-1.  The exponent need not
-    pass 63: 3^63 is already past int64.
-    """
-    return integer_width(2 if d == 1 else 2 * (d + 1) ** min(r, 63))
-
-
 def _node_bytes(R: int, F: int, r: int, j: int, width: int) -> int:
     """Bytes a node at depth j of the oracle's walk holds: its (R - j) x (F - j)
     block and its pivot at `width` bytes an entry, and as 8-byte indices its
@@ -314,18 +303,19 @@ def _walk_bytes(R: int, F: int, r: int, width: int) -> int:
     return peak
 
 
-def require_oracle_fits(X: PureComplex) -> None:
+def require_oracle_fits(X: PureComplex) -> np.dtype:
     """Refuse, with ValueError, an enumeration of more than ORACLE_MAX_SUBSETS candidate
-    trees, or one whose arrays exceed `usable_memory`.
+    trees, or one whose arrays exceed `usable_memory`; else return the walk's width.
 
     The oracle holds the dense C(n, d) x #d-faces boundary block, the root
     of its walk, and at most the walk's pieces that `_walk_bytes` counts
     from the shape: the piece being expanded, three times its next piece of
     children, and every lower piece with children still to walk, a piece
     being about ORACLE_CHUNK_BYTES of node states or one node.  Each block
-    entry takes the bytes of the walk's width (`_oracle_width`: 1 at d = 1;
-    at d = 2, 2 up to r = 8 and 4 up to r = 18; 8, a pointer, on the
-    Python-int path).
+    entry takes the bytes of the walk's width, `power_width` of the bound
+    2 (d + 1)^r that `tree_count_exact` proves, 2 at d = 1: 1 byte at
+    d = 1; at d = 2, 2 up to r = 8 and 4 up to r = 18; 8, a pointer, on the
+    Python-int path.
     """
     r = comb(X.n - 1, X.d)
     subsets = comb(X.num_dfaces, r)
@@ -335,12 +325,13 @@ def require_oracle_fits(X: PureComplex) -> None:
             f"enumeration guard {ORACLE_MAX_SUBSETS}"
         )
     R = comb(X.n, X.d)
-    width = _oracle_width(X.d, r).itemsize
-    walk = _walk_bytes(R, X.num_dfaces, r, width) if subsets else 0
+    dtype = power_width(1 if X.d == 1 else X.d + 1, r, 2)
+    walk = _walk_bytes(R, X.num_dfaces, r, dtype.itemsize) if subsets else 0
     require_memory(
-        width * R * X.num_dfaces + walk,
+        dtype.itemsize * R * X.num_dfaces + walk,
         f"the oracle's dense {R} x {X.num_dfaces} boundary block and the pieces of its walk",
     )
+    return dtype
 
 
 def _children(states: np.ndarray, faces: np.ndarray, spare: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -409,8 +400,8 @@ def tree_count_exact(X: PureComplex) -> int:
     Bareiss entry is a minor of columns with d + 1 entries of +-1, so by
     Hadamard's inequality no product exceeds (d + 1)^r and no step's value
     2 (d + 1)^r; the block is built directly at the narrowest integer width
-    holding that (`_oracle_width`), int32 at d = 2 for 9 <= r <= 18, and past
-    int64 the same code runs on Python ints.  At d = 1 the boundary is an
+    holding that (`power_width`, from `require_oracle_fits`), int32 at d = 2
+    for 9 <= r <= 18, and past int64 the same code runs on Python ints.  At d = 1 the boundary is an
     oriented incidence matrix, totally unimodular, so every entry is 0 or
     +-1, no value exceeds 2 and every r runs in int8.  Fewer d-faces than r
     give 0 at once; otherwise more than ORACLE_MAX_SUBSETS candidates, or
@@ -420,9 +411,9 @@ def tree_count_exact(X: PureComplex) -> int:
     r = comb(X.n - 1, X.d)
     if X.num_dfaces < r:
         return 0
-    require_oracle_fits(X)
+    width = require_oracle_fits(X)
     B = boundary_matrix(X).tocoo()
-    block = np.zeros(B.shape, dtype=_oracle_width(X.d, r))  # column c: the boundary of d-face c
+    block = np.zeros(B.shape, dtype=width)  # column c: the boundary of d-face c
     block[B.row, B.col] = B.data.astype(np.int8)
     R, F = block.shape
     spare = F - r

@@ -34,7 +34,7 @@ from steinerlab.spectra import (
     _summary_from_eigs,
     adjacency_matrix,
     coboundary_matrix,
-    require_int64_powers,
+    power_width,
     signed_adjacency,
     sparse_laplacian,
     warn_ambiguous_zeros,
@@ -554,7 +554,9 @@ def walk_count_oracle(d: int, k: int, length: int) -> int:
     signs = np.tile([(-1) ** i for i in range(d + 1)], len(taus))
     B = sp.csr_matrix((signs, (rows, cols)), shape=(len(index), len(taus)), dtype=np.int64)
     A = signed_adjacency((B @ B.T).tocsr())
-    require_int64_powers(A, length)
+    R = int(abs(A).sum(axis=1).max())
+    if power_width(R, length) == object:
+        raise ValueError(f"power {length} of a matrix with absolute row sum {R} can leave int64")
     walks = np.zeros(len(index), dtype=np.int64)
     walks[0] = 1
     for _ in range(length):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from steinerlab import read_complex
+from steinerlab import limitlaw, read_complex
 from steinerlab.cli import main
 from steinerlab.sampling import SamplerExhausted
 
@@ -416,6 +416,19 @@ class TestNumericalFailure:
         monkeypatch.setattr(scipy.linalg, "eigvalsh", fail)
         assert main(["spectrum", "--d", "2", "--k", "3", "--n", "13"]) == 4
         assert capsys.readouterr().err == "error: the algorithm failed to converge\n"
+
+    def test_limit_quadrature_cap_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(limitlaw, "QUAD_MAX_POINTS", 16)
+        assert main(["limit", "--d", "2", "--k", "5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: midpoint rule for d=2, k=5 did not reach 1e-10 within 16 points\n"
+
+    def test_limit_series_mismatch_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(limitlaw, "SERIES_MATCH_ATOL", -1)
+        assert main(["limit", "--d", "2", "--k", "5"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: series/closed mismatch for d=2, k=5: ")
 
 
 class TestGapOracle:

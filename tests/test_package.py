@@ -115,3 +115,17 @@ def test_one_trial_source_and_one_table_writer(needle):
     hits = [f"{path.name}:{number}" for path in sorted(src.glob("*.py"))
             for number, line in enumerate(path.read_text().splitlines(), start=1) if needle in line]
     assert len(hits) == 1 and hits[0].startswith("experiments.py:"), hits
+
+
+def test_one_integer_width_rule():
+    # the "past int64" bound, 2^63, is decided in `spectra.power_width` alone
+    src = Path(importlib.import_module("steinerlab").__file__).parent
+    owners = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 63:
+                    owners.add(f"{path.stem}.{name}")
+    assert owners == {"spectra.power_width"}, owners

@@ -452,10 +452,31 @@ class TestSignedTrace:
         assert signed_trace(X, 10**9 + 1) == 0
         assert time.perf_counter() - start < 1.0
 
-    def test_overflow_test_matches_the_power(self):
-        for R in range(5):
-            for lmax in range(70):
-                assert spectra.int64_power_overflows(R, lmax) == (R**lmax >= 2**63)
+
+class TestPowerWidth:
+    """`power_width` is the one integer-width rule of the exact kernels."""
+
+    @staticmethod
+    def direct(base, exp, scale):
+        bound = scale * base**exp
+        fixed = [t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max]
+        return np.dtype(fixed[0]) if fixed else np.dtype(object)
+
+    def test_matches_the_direct_rule(self):
+        # at d = 2 the oracle's bound 2 * 3^r changes width between r = 3/4, 8/9, 18/19 and 39/40
+        for base in range(5):
+            for exp in range(71):
+                for scale in (1, 2):
+                    assert spectra.power_width(base, exp, scale) == self.direct(base, exp, scale), (base, exp, scale)
+        assert [spectra.power_width(3, r, 2) for r in (3, 4, 8, 9, 18, 19, 39, 40)] == [
+            np.int8, np.int16, np.int16, np.int32, np.int32, np.int64, np.int64, np.dtype(object)
+        ]
+
+    def test_huge_power_not_formed(self):
+        # 2^(10^9) would take seconds and 125 MB
+        start = time.perf_counter()
+        assert spectra.power_width(2, 10**9) == object
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDenseGuard:

@@ -264,7 +264,7 @@ def object_path_only(mp):
         assert states.dtype == object
         return find_pivots(states, faces, spare)
 
-    mp.setattr(trees, "integer_width", lambda bound: np.dtype(object))
+    mp.setattr(trees, "power_width", lambda base, exp, scale=1: np.dtype(object))
     mp.setattr(trees, "_children", spy)
 
 
