@@ -16,6 +16,7 @@ generator they leave are those of one `Generator.integers` call per draw.
 
 from __future__ import annotations
 
+from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb
@@ -208,45 +209,53 @@ def _hill_climb_triples(n: int, gen: np.random.Generator, max_iterations: int) -
 
     Its bounded integers come from `_bounded_draws`, so the run and the
     generator it leaves equal those of one `gen.integers(0, b)` per draw.
+    live[x] is the sorted list of x's uncovered partners, and pair_block
+    maps each covered pair a < b, keyed a (n + 1) + b, to its block.
     """
-    pair_block: dict[Face, Face] = {}
-    live: list[set[int]] = [set() for _ in range(n + 1)]
-    for x in range(1, n + 1):
-        live[x] = set(range(1, n + 1)) - {x}
-    num_covered = 0
+    pair_block: dict[int, Face] = {}
+    live = [[y for y in range(1, n + 1) if y != x] for x in range(n + 1)]
     target = comb(n, 2)
+    key = n + 1
 
     with _bounded_draws(gen) as below:
         for _ in range(max_iterations):
-            if num_covered == target:
+            if len(pair_block) == target:
                 return sorted(pair_block.values())
             # pick a point with uncovered pairs, then two distinct live partners
             while True:
                 x = below(n) + 1
                 if live[x]:
                     break
-            partners = sorted(live[x])
+            partners = live[x]
             i = below(len(partners))
             j = below(len(partners) - 1)
             if j >= i:
                 j += 1
             y, z = partners[i], partners[j]
+            if y > z:
+                y, z = z, y
 
-            new_block = tuple(sorted((x, y, z)))
-            yz = (y, z) if y < z else (z, y)
-            old = pair_block.get(yz)
+            # every evicted pair is covered and every placed pair live, so no
+            # insort adds a partner twice and no remove misses one
+            old = pair_block.get(y * key + z)
             if old is not None:
-                # evict the block covering {y, z}; its other two pairs go live again
-                for pair in combinations(old, 2):
-                    del pair_block[pair]
-                    live[pair[0]].add(pair[1])
-                    live[pair[1]].add(pair[0])
-                num_covered -= 3
-            for pair in combinations(new_block, 2):
-                pair_block[pair] = new_block
-                live[pair[0]].discard(pair[1])
-                live[pair[1]].discard(pair[0])
-            num_covered += 3
+                # evict the block covering {y, z}; its three pairs go live again
+                a, b, c = old
+                del pair_block[a * key + b], pair_block[a * key + c], pair_block[b * key + c]
+                insort(live[a], b)
+                insort(live[a], c)
+                insort(live[b], a)
+                insort(live[b], c)
+                insort(live[c], a)
+                insort(live[c], b)
+            a, b, c = block = (x, y, z) if x < y else (y, x, z) if x < z else (y, z, x)
+            pair_block[a * key + b] = pair_block[a * key + c] = pair_block[b * key + c] = block
+            live[a].remove(b)
+            live[a].remove(c)
+            live[b].remove(a)
+            live[b].remove(c)
+            live[c].remove(a)
+            live[c].remove(b)
 
     return None
 

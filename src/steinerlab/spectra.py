@@ -22,7 +22,9 @@ spectrum of M on ker delta^T and c n, C(n-1, d-1) times.  With c n beyond
 the wanted end, `restricted_extreme` is the one such solve, by Lanczos: the
 tree count's spectral floor is its smallest of L, where L delta = 0 makes
 P L P = L (see `trees`), and the gap statistic its largest of A (see
-`experiments`).  `spectral_summary` is the one dense solve.
+`experiments`).  The floor's zero threshold needs no solve: it is scaled
+to ||L||_inf = (d+1) max degree (`zero_threshold`), the same row-sum bound
+as the shift.  `spectral_summary` is the one dense solve.
 """
 
 from __future__ import annotations
@@ -132,21 +134,13 @@ class NumericalFailure(RuntimeError):
     """A solve that gave no number to trust: a Lanczos run that did not converge, or a failed check."""
 
 
-def _lanczos_extreme(op, which: str) -> float:
-    """The extreme eigenvalue `which` of a symmetric operator by seeded Lanczos; NumericalFailure if ARPACK stops short."""
-    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(op.shape[0])
-    try:
-        return float(eigsh(op, k=1, which=which, v0=v0, return_eigenvectors=False)[0])
-    except ArpackNoConvergence as exc:
-        raise NumericalFailure(f"Lanczos ({which}) did not converge: {exc}") from None
-
-
 def restricted_extreme(M: sp.csr_matrix, n: int, d: int, which: str) -> float:
     """The smallest ("SA") or largest ("LA") eigenvalue of a symmetric sparse M on ker delta^T.
 
     Lanczos runs on P M P + c delta delta^T, c a power of two (so c delta
     delta^T x is exact) with c n above the largest absolute row sum of M,
-    negative for "LA".  When M delta = 0, as for L, P M P = M and no
+    negative for "LA", from a seeded start vector; NumericalFailure if
+    ARPACK stops short.  When M delta = 0, as for L, P M P = M and no
     projection is formed.  The row sums come from a copy: `abs(M)` sorts M's
     indices in place, and with them the rounding of every later M @ x.
     """
@@ -163,7 +157,12 @@ def restricted_extreme(M: sp.csr_matrix, n: int, d: int, which: str) -> float:
         y = M @ (x - trivial / n)
         return y - delta @ (delta_t @ y) / n + c * trivial
 
-    return _lanczos_extreme(LinearOperator(M.shape, matvec=matvec, dtype=float), which)
+    op = LinearOperator(M.shape, matvec=matvec, dtype=float)
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(M.shape[0])
+    try:
+        return float(eigsh(op, k=1, which=which, v0=v0, return_eigenvectors=False)[0])
+    except ArpackNoConvergence as exc:
+        raise NumericalFailure(f"Lanczos ({which}) did not converge: {exc}") from None
 
 
 # memory limits of this process's cgroup (v2, then v1); "max" or a missing
@@ -412,7 +411,10 @@ def spectral_summary(
 
 
 def zero_threshold(top: float) -> float:
-    """Classification threshold for numerical zeros, scaled to the top eigenvalue."""
+    """Threshold ZERO_RTOL max(1, top) for numerical zeros, top the top eigenvalue or a bound on it.
+
+    The tree count passes ||L||_inf = (d+1) max degree (see `trees`).
+    """
     return ZERO_RTOL * max(1.0, top)
 
 

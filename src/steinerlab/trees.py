@@ -13,12 +13,17 @@ eigenvalues of L divided by n^C(n-2, d-1).
 
 The count, `weighted_tree_count`, needs no spectrum and builds L itself.
 The smallest eigenvalue of L on ker delta^T (`spectra.restricted_extreme`)
-is the spectral floor that decides an extra kernel (count 0).
-Otherwise the reduced Laplacian is positive definite and its log-determinant
-comes from a Cholesky factorization in two phases (George and Liu, "The
-evolution of the minimum degree ordering algorithm", SIAM Review 1989).
-Phase 1 eliminates low-degree rows sparsely, an independent set per round,
-each round one sparse Schur-complement update; the pivots add their logs.
+is the spectral floor that decides an extra kernel (count 0), against the
+zero threshold 1e-8 max(1, (d+1) max degree).  Two distinct (d-1)-faces lie
+in at most one common d-face, so row sigma of L holds deg(sigma) on the
+diagonal and d deg(sigma) off-diagonal entries of +-1: (d+1) max degree is
+||L||_inf, a closed-form bound on the top eigenvalue, and the count runs
+one eigensolve.  Otherwise the reduced Laplacian is positive definite and
+its log-determinant comes from a Cholesky factorization in two phases
+(George and Liu, "The evolution of the minimum degree ordering algorithm",
+SIAM Review 1989).  Phase 1 eliminates low-degree rows sparsely, an
+independent set per round, each round one sparse Schur-complement update;
+the pivots add their logs.
 Phase 2 scatters the lower triangle of the denser remainder into LAPACK
 rectangular full packed storage, half a dense matrix, and factors it in
 place (`dpftrf`), adding 2 sum log diag of the factor.  At d = 2, k = 5,
@@ -47,7 +52,6 @@ from scipy.linalg.lapack import dpftrf
 from .complexes import PureComplex
 from .spectra import (
     NumericalFailure,
-    _lanczos_extreme,
     boundary_matrix,
     power_width,
     require_memory,
@@ -112,10 +116,11 @@ class TreeCount:
     means the complex has a non-trivial Laplacian kernel and the count is
     exactly 0; log_count is then -inf.  floor is the smallest non-trivial
     Laplacian eigenvalue; the flag is set exactly when it is below
-    zero_threshold, so the two give the margin.  A flagged floor is recorded
-    as 0.0: it is a Lanczos estimate of a true zero, and its digits are
-    round-off that differs between identical runs.  exact_count is filled
-    only when the enumeration oracle was run.
+    zero_threshold, 1e-8 max(1, (d+1) max degree), so the two give the
+    margin; (d+1) max degree is ||L||_inf, at least the top eigenvalue.  A
+    flagged floor is recorded as 0.0: it is a Lanczos estimate of a true
+    zero, and its digits are round-off that differs between identical runs.
+    exact_count is filled only when the enumeration oracle was run.
     """
 
     log_count: float
@@ -230,7 +235,7 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
     L = sparse_laplacian(X)
     trivial = trivial_zero_count(X)
     floor = restricted_extreme(L, X.n, X.d, "SA")
-    eps = zero_threshold(_lanczos_extreme(L, "LA"))
+    eps = zero_threshold((X.d + 1) * float(L.diagonal().max()))
     warn_ambiguous_zeros(floor, eps)
     flag = floor < eps
     log_count = float("-inf")

@@ -186,7 +186,7 @@ class TestSst:
         assert payload["flag"] is False
         assert payload["kappa_root"] == pytest.approx(3 ** (1 / 3))
         assert payload["floor"] == pytest.approx(3.0)
-        assert payload["zero_threshold"] == pytest.approx(3e-8)
+        assert payload["zero_threshold"] == pytest.approx(4e-8)  # 1e-8 (d + 1) max degree
 
     def test_zero_flag_serializes_null(self, tmp_path, capsys):
         cx = tmp_path / "cx.txt"

@@ -129,3 +129,23 @@ def test_one_integer_width_rule():
                 if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 63:
                     owners.add(f"{path.stem}.{name}")
     assert owners == {"spectra.power_width"}, owners
+
+
+def test_one_lanczos_solve():
+    # ARPACK runs in `spectra.restricted_extreme` alone; the tree count's zero
+    # threshold is the closed form (d + 1) max degree, not a second Lanczos
+    src = Path(importlib.import_module("steinerlab").__file__).parent
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "eigsh":
+                        callers.add(f"{path.stem}.{name}")
+    assert callers == {"spectra.restricted_extreme"}, callers
+    trees = ast.parse((src / "trees.py").read_text())
+    imported = {alias.name for node in ast.walk(trees) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "_lanczos_extreme" not in imported

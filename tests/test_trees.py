@@ -4,6 +4,7 @@ from math import comb, exp, log, prod
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -539,7 +540,8 @@ class TestMatrixTreeRoute:
         r = weighted_tree_count(X)
         assert r.zero_flag == flag
         assert r.trivial_zeros == tz
-        assert r.zero_threshold == pytest.approx(1e-8 * max(1.0, eigs[-1]), rel=1e-10)
+        # scaled to ||L||_inf = (d + 1) max degree >= the top eigenvalue, from the tuple index
+        assert r.zero_threshold == pytest.approx(1e-8 * max(1, (X.d + 1) * X.max_degree()), rel=1e-10)
         assert r.floor == pytest.approx(eigs[tz], abs=1e-10 * max(1.0, eigs[-1]))
         if flag:
             assert r.log_count == float("-inf")
@@ -601,11 +603,48 @@ class TestMatrixTreeRoute:
     def test_ambiguous_floor_warns(self, monkeypatch):
         from steinerlab import spectra
 
-        # triangle: floor = top = 3, so eps = 0.3 puts the floor inside (eps, 1e3 eps)
+        # triangle: floor 3, max degree 2, so eps = 0.1 * 2 * 2 = 0.4 puts the floor inside (eps, 1e3 eps)
         monkeypatch.setattr(spectra, "ZERO_RTOL", 0.1)
         with pytest.warns(RuntimeWarning, match="ambiguous"):
             r = weighted_tree_count(triangle())
-        assert not r.zero_flag and r.zero_threshold == pytest.approx(0.3)
+        assert not r.zero_flag and r.zero_threshold == pytest.approx(0.4)
+
+
+class TestThresholdScale:
+    """The zero threshold's scale (d + 1) max degree is ||L||_inf, and bounds the top eigenvalue."""
+
+    @staticmethod
+    def scale(X):
+        # max degree from the tuple index, independent of L; every row of L holds
+        # deg on the diagonal and d deg off-diagonal entries of +-1
+        bound = (X.d + 1) * X.max_degree()
+        assert abs(sparse_laplacian(X)).sum(axis=1).max() == bound
+        return bound
+
+    def test_random_complexes_d123(self, gen):
+        for d in (1, 2, 3):
+            for _ in range(8):
+                n = int(gen.integers(d + 2, 11 - d))
+                X = random_complex(n, d, gen)
+                assert np.linalg.eigvalsh(laplacian_matrix(X))[-1] <= self.scale(X) + 1e-9
+
+    @pytest.mark.parametrize("n,d", [(4, 1), (7, 1), (4, 2), (6, 2), (8, 2), (5, 3), (7, 3)])
+    def test_complete_complexes(self, n, d):
+        X = complete_complex(n, d)
+        top = np.linalg.eigvalsh(laplacian_matrix(X))[-1]
+        assert top == pytest.approx(n) and self.scale(X) == (d + 1) * (n - d) >= n
+
+    def test_converge_d2_sample(self):
+        # the seed-1 d = 2, k = 5, n = 111 sample: bound I - L is positive definite exactly
+        # when the bound is above the top eigenvalue, and a dense Cholesky decides that
+        # at about a fifth of the cost of a dense eigensolve
+        X = steiner_complex(111, 2, 5, SeededRng(1))
+        bound = self.scale(X)
+        assert bound == 15
+        M = laplacian_matrix(X)
+        M *= -1
+        M.flat[:: M.shape[0] + 1] += bound  # in place: one 298 MB array
+        scipy.linalg.cholesky(M, lower=True, overwrite_a=True, check_finite=False)
 
 
 class TestPackedFactor:
@@ -626,10 +665,9 @@ class TestPackedFactor:
     def test_factor_failure_above_threshold_raises(self, monkeypatch):
         # hole complex: edge (3, 4) lies in no 2-face, so the reduced Laplacian
         # diag(1, 1, 0) fails at its last pivot; a floor reported above the
-        # threshold must not let that pass as a count
-        monkeypatch.setattr(trees, "_lanczos_extreme", lambda op, which: 1.0)
+        # threshold must not let that pass as a count; edge (1, 2) has degree 2, so eps = 1e-8 * 3 * 2
         monkeypatch.setattr(trees, "restricted_extreme", lambda M, n, d, which: 1.0)
-        with pytest.raises(RuntimeError, match=r"floor 1\.000e\+00.*threshold 1\.000e-08.*pivot 3 of 3"):
+        with pytest.raises(RuntimeError, match=r"floor 1\.000e\+00.*threshold 6\.000e-08.*pivot 3 of 3"):
             weighted_tree_count(complex_from_dfaces(4, 2, [(1, 2, 3), (1, 2, 4)]))
 
     def test_peak_memory_below_dense_matrix(self):
@@ -702,12 +740,13 @@ class TestTwoPhaseCount:
 
     def test_bad_sparse_pivot_raises(self, monkeypatch):
         # vertex 1000 lies in no edge, so its row of the order-999 reduced Laplacian has
-        # no stored entry; phase 1 ranks it first and must refuse its zero pivot
+        # no stored entry; phase 1 ranks it first and must refuse its zero pivot.  Its max
+        # degree is 8, so eps = 1e-8 * 2 * 8
         X = steiner_complex(1000, 1, 8, SeededRng(1))
         X = complex_from_dfaces(1000, 1, [e for e in X.d_faces if 1000 not in e])
-        monkeypatch.setattr(trees, "_lanczos_extreme", lambda op, which: 1.0)
+        assert X.max_degree() == 8
         monkeypatch.setattr(trees, "restricted_extreme", lambda M, n, d, which: 1.0)
-        with pytest.raises(RuntimeError, match=r"floor 1\.000e\+00.*threshold 1\.000e-08.*pivot 999 of 999"):
+        with pytest.raises(RuntimeError, match=r"floor 1\.000e\+00.*threshold 1\.600e-07.*pivot 999 of 999"):
             weighted_tree_count(X)
 
 
