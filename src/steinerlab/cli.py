@@ -3,7 +3,8 @@
 Subcommands: sample, spectrum, sst, limit, local, converge, gap, oracle.
 Complexes travel in the canonical text format (header "n d", one d-face per
 line).  Exit codes: 0 success, 2 validation error, 3 sampler exhaustion,
-4 numerical failure.
+4 numerical failure.  sample, local, converge and gap skip a trial whose sampler
+gives up or whose solve fails (`ExperimentConfig.run`), so only spectrum and sst exit 3.
 """
 
 from __future__ import annotations
@@ -97,10 +98,9 @@ def _report_skipped(failures: Iterable[RowFailure]) -> None:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     config = _config_from_args(args, radii=(), lmax=0, complex_dir=args.out)
-    args.out.mkdir(parents=True, exist_ok=True)
-    for trial in range(config.trials):
-        config.draw(args.n, trial)
-    print(f"wrote {args.trials} complex(es) to {args.out}")
+    written, failures = config.run(lambda X, n, trial: None)  # draw writes each complex
+    _report_skipped(failures)
+    print(f"wrote {len(written)} complex(es) to {args.out}")
     return EXIT_OK
 
 
@@ -160,11 +160,10 @@ def _cmd_limit(args: argparse.Namespace) -> int:
 
 def _cmd_local(args: argparse.Namespace) -> int:
     config = _config_from_args(args, radii=tuple(args.r or [1]), lmax=0)
-    rows = []
-    for trial in range(config.trials):
-        fractions = arboreal_fractions(config.draw(args.n, trial), config.k, config.radii)
-        rows += [[trial, args.n, r, repr(fraction)] for r, fraction in zip(config.radii, fractions)]
+    census, failures = config.run(lambda X, n, trial: (trial, n, arboreal_fractions(X, config.k, config.radii)))
+    rows = ([trial, n, r, repr(f)] for trial, n, fractions in census for r, f in zip(config.radii, fractions))
     _write_text(args.out, csv_table(["trial", "n", "r", "fraction"], rows))
+    _report_skipped(failures)
     return EXIT_OK
 
 

@@ -8,10 +8,11 @@ arboreal-neighborhood fractions, minimum degree and spectral floor.  A row
 takes no full spectrum: the count and floor come from the Cholesky and
 Lanczos route in `trees`, the moments from exact sparse traces of L, and
 the gap statistic is the largest eigenvalue of the signed adjacency on
-ker delta^T (`spectra.restricted_extreme`).  A trial whose solve fails
-(`spectra.NumericalFailure`) is recorded as a `RowFailure` and the run goes
-on.  Rows come back in deterministic (n, trial) order regardless of how the
-trials were scheduled.
+ker delta^T (`spectra.restricted_extreme`).  `ExperimentConfig.run` is the
+one loop over (n, trial): a trial whose sampler gives up (`SamplerExhausted`)
+or whose solve fails (`spectra.NumericalFailure`) is recorded as a
+`RowFailure` and the run goes on.  Rows come back in deterministic (n, trial)
+order regardless of how the trials were scheduled.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ import csv
 import io
 import json
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from math import comb, exp, sqrt
 from pathlib import Path
+from typing import TypeVar
 
 from .arboreal import arboreal_fractions
 from .complexes import PureComplex, write_complex
@@ -56,6 +58,7 @@ __all__ = [
 ]
 
 CSV_SCHEMA = 1
+Row = TypeVar("Row")
 
 
 def regularity_threshold(d: int) -> int:
@@ -68,9 +71,9 @@ class ExperimentConfig:
     """Shared knobs for ensemble runs.
 
     Every n must be d-admissible, k >= 1 (k >= 2 with an arboreal radius
-    >= 1), the radii distinct, and the exact moment traces need a fixed
-    `power_width((d+1) k, lmax)` ((d+1) k bounds L's absolute row sums).
-    Memory is checked by each run.
+    >= 1), the n values and the radii distinct, and the exact moment
+    traces need a fixed `power_width((d+1) k, lmax)` ((d+1) k bounds L's
+    absolute row sums).  Memory is checked by each run.
     """
 
     d: int
@@ -96,9 +99,10 @@ class ExperimentConfig:
             )
         if any(r < 0 for r in self.radii):
             raise ValueError("radii must be >= 0")
-        repeated = sorted({r for r in self.radii if self.radii.count(r) > 1})
-        if repeated:
-            raise ValueError(f"radii must be distinct; repeated: {', '.join(map(str, repeated))}")
+        for name, values in (("radii", self.radii), ("n values", self.n_values)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{name} must be distinct; repeated: {', '.join(map(str, repeated))}")
         if self.k < 2 and any(r >= 1 for r in self.radii):
             raise ValueError("arboreal radii >= 1 need k >= 2")
         for n in self.n_values:
@@ -114,6 +118,22 @@ class ExperimentConfig:
         if self.complex_dir is not None:
             write_complex(X, self.complex_dir / f"complex_n{n}_t{trial}.txt")
         return X
+
+    def run(self, row: Callable[[PureComplex, int, int], Row]) -> tuple[tuple[Row, ...], tuple[RowFailure, ...]]:
+        """(rows, failures): `row(X, n, trial)` of each trial in (n, trial) order, complex_dir made first.
+
+        A trial whose sampler gives up or whose solve fails is a `RowFailure` with the error's text.
+        """
+        if self.complex_dir is not None:
+            self.complex_dir.mkdir(parents=True, exist_ok=True)
+        rows, failures = [], []
+        for n in self.n_values:
+            for trial in range(self.trials):
+                try:
+                    rows.append(row(self.draw(n, trial), n, trial))
+                except (SamplerExhausted, NumericalFailure) as exc:
+                    failures.append(RowFailure(n=n, trial=trial, reason=str(exc)))
+        return tuple(rows), tuple(failures)
 
 
 @dataclass(frozen=True)
@@ -158,17 +178,7 @@ def run_converge(config: ExperimentConfig) -> ConvergenceResult:
     """Sample and summarize trials for every (n, trial) pair, in order, once every n's count fits."""
     for n in config.n_values:
         require_tree_count_fits(n, config.d)
-    rows: list[ConvergenceRow] = []
-    failures: list[RowFailure] = []
-    if config.complex_dir is not None:
-        config.complex_dir.mkdir(parents=True, exist_ok=True)
-    for n in config.n_values:
-        for trial in range(config.trials):
-            try:
-                rows.append(_converge_row(config, config.draw(n, trial), n, trial))
-            except (SamplerExhausted, NumericalFailure) as exc:
-                failures.append(RowFailure(n=n, trial=trial, reason=str(exc)))
-    return ConvergenceResult(rows=tuple(rows), failures=tuple(failures))
+    return ConvergenceResult(*config.run(lambda X, n, trial: _converge_row(config, X, n, trial)))
 
 
 @dataclass(frozen=True)
@@ -183,7 +193,8 @@ class GapRow:
 class GapReport:
     """Non-binding per-trial check of the adjacency spectral-gap threshold.
 
-    failures are the trials whose solve failed (`spectra.NumericalFailure`).
+    failures are the trials whose sampler gave up or whose solve failed
+    (`ExperimentConfig.run`).
     """
 
     threshold_base: float
@@ -209,8 +220,8 @@ def run_gap_report(config: ExperimentConfig, epsilon: float) -> GapReport:
     m = C(n, d): 16 bytes (value and index) an entry of B (at most k a row),
     of L and A (d k + 1 a row each) and of delta (d a row), and 32 vectors
     of order m (ARPACK's 20 Lanczos vectors, its work vectors, the matvec's
-    temporaries).  A trial whose solve fails is a failure, not a row; a
-    sampler that gives up stops the run (`SamplerExhausted`).
+    temporaries).  A trial whose sampler gives up or whose solve fails is a
+    failure, not a row.
     """
     d, k = config.d, config.k
     for n in config.n_values:
@@ -219,18 +230,12 @@ def run_gap_report(config: ExperimentConfig, epsilon: float) -> GapReport:
         warnings.warn(f"k={k} is at or below the proven regime threshold {regularity_threshold(d)} "
                       f"for d={d}; the gap statistic is exploratory here", RuntimeWarning, stacklevel=2)
     base = 2.0 * d * sqrt(k - 1)
-    rows: list[GapRow] = []
-    failures: list[RowFailure] = []
-    for n in config.n_values:
-        for trial in range(config.trials):
-            A = signed_adjacency(sparse_laplacian(config.draw(n, trial)))
-            try:
-                top = restricted_extreme(A, n, d, "LA")
-            except NumericalFailure as exc:
-                failures.append(RowFailure(n=n, trial=trial, reason=str(exc)))
-                continue
-            rows.append(GapRow(n=n, trial=trial, top_nontrivial=top, passed=top <= base + epsilon))
-    return GapReport(threshold_base=base, epsilon=epsilon, rows=tuple(rows), failures=tuple(failures))
+
+    def gap_row(X: PureComplex, n: int, trial: int) -> GapRow:
+        top = restricted_extreme(signed_adjacency(sparse_laplacian(X)), n, d, "LA")
+        return GapRow(n=n, trial=trial, top_nontrivial=top, passed=top <= base + epsilon)
+
+    return GapReport(base, epsilon, *config.run(gap_row))
 
 
 def csv_table(columns: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str] = ()) -> str:

@@ -63,21 +63,64 @@ class TestSample:
             raise SamplerExhausted("no luck")
 
         monkeypatch.setattr(experiments, "steiner_complex", boom)
-        code = main(["sample", "--d", "1", "--k", "2", "--n", "8",
-                     "--out", str(tmp_path / "cx")])
-        assert code == 3
-        assert "exhausted" in capsys.readouterr().err
-        # gap and local stop at the first trial and write no rows; converge skips the row
-        for command in ("gap", "local"):
+        # spectrum and sst draw one complex and stop without it
+        for command in ("spectrum", "sst"):
+            assert main([command, "--d", "1", "--k", "2", "--n", "8"]) == 3
+            assert capsys.readouterr().err == "sampler exhausted: no luck\n"
+        # the ensemble commands skip every trial they could not draw and exit 0
+        out = tmp_path / "cx"
+        assert main(["sample", "--d", "1", "--k", "2", "--n", "8", "--trials", "2", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote 0 complex(es) to {out}\n"
+        assert captured.err.count("skipped") == 2
+        assert list(out.iterdir()) == []
+        for command, header in (("gap", "n,trial,"), ("local", "trial,n,")):
             out = tmp_path / f"{command}.csv"
-            assert main([command, "--d", "1", "--k", "2", "--n", "8", "--out", str(out)]) == 3
-            assert "exhausted" in capsys.readouterr().err
-            assert not out.exists()
+            assert main([command, "--d", "1", "--k", "2", "--n", "8", "--trials", "2", "--out", str(out)]) == 0
+            assert capsys.readouterr().err.count("skipped") == 2
+            assert out.read_text().splitlines()[-1].startswith(header)  # the header, no rows
         out = tmp_path / "converge.csv"
         assert main(["converge", "--d", "1", "--k", "2", "--n", "8", "--trials", "2", "--out", str(out)]) == 0
         assert capsys.readouterr().err.count("skipped") == 2
         assert out.read_text().splitlines()[-1].startswith("n,trial,")  # the header, no rows
 
+    @pytest.mark.parametrize("command", ["gap", "local", "sample"])
+    def test_exhausted_trial_is_skipped_and_the_rest_kept(self, command, tmp_path, monkeypatch, capsys):
+        # trial 1 of 3 gives up; trials 0 and 2 keep the rows or files of a run where none did
+        import steinerlab.experiments as experiments
+
+        def run(out):
+            assert main([command, "--d", "1", "--k", "8", "--n", "20", "--trials", "3", "--seed", "5",
+                         "--out", str(out)]) == 0
+            return capsys.readouterr()
+
+        def rows(out):
+            return list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
+
+        run(tmp_path / "clean")
+        calls = []
+        draw = experiments.steiner_complex
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise SamplerExhausted("no luck")
+            return draw(*args)
+
+        monkeypatch.setattr(experiments, "steiner_complex", flaky)
+        out = tmp_path / "flaky"
+        captured = run(out)
+        skipped = [line for line in captured.err.splitlines() if line.startswith("skipped")]
+        assert skipped == ["skipped n=20 trial=1: no luck"]
+        if command == "sample":
+            assert captured.out == f"wrote 2 complex(es) to {out}\n"
+            assert sorted(path.name for path in out.iterdir()) == ["complex_n20_t0.txt", "complex_n20_t2.txt"]
+            for path in out.iterdir():
+                assert path.read_bytes() == (tmp_path / "clean" / path.name).read_bytes()
+        else:
+            kept = [row for row in rows(tmp_path / "clean") if row["trial"] != "1"]
+            assert rows(out) == kept
+            assert {row["trial"] for row in kept} == {"0", "2"}
 
     @pytest.mark.parametrize("command", ["sample", "local"])
     def test_negative_trials_exit_2(self, command, tmp_path, capsys):
@@ -95,6 +138,18 @@ class TestSample:
                      "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == "error: radii must be distinct; repeated: 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["converge", "gap"])
+    def test_repeated_n_exit_2(self, command, tmp_path, monkeypatch, capsys):
+        # converge wrote the rows of a repeated n twice, and gap counted them twice in its pass fraction
+        import steinerlab.experiments as experiments
+
+        monkeypatch.setattr(experiments, "steiner_complex", never)
+        out = tmp_path / "out.csv"
+        code = main([command, "--d", "1", "--k", "3", "--n", "8", "--n", "10", "--n", "8", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: n values must be distinct; repeated: 8\n"
         assert not out.exists()
 
     def test_converge_and_sst_draw_the_same_trials(self, tmp_path, monkeypatch):

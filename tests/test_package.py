@@ -117,6 +117,29 @@ def test_one_trial_source_and_one_table_writer(needle):
     assert len(hits) == 1 and hits[0].startswith("experiments.py:"), hits
 
 
+def test_one_trial_loop():
+    # every ensemble command loops over its trials, and records a trial that
+    # failed, through `experiments.ExperimentConfig.run` alone
+    src = Path(importlib.import_module("steinerlab").__file__).parent
+    loops, failures = set(), set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.For, ast.comprehension)) and any(
+                getattr(part, "attr", getattr(part, "id", None)) == "trials" for part in ast.walk(child.iter)
+            ):
+                loops.add(scope)
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "RowFailure":
+                failures.add(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert loops == {"experiments.ExperimentConfig.run"}, loops
+    assert failures == {"experiments.ExperimentConfig.run"}, failures
+
+
 def test_one_integer_width_rule():
     # the "past int64" bound, 2^63, is decided in `spectra.power_width` alone
     src = Path(importlib.import_module("steinerlab").__file__).parent
