@@ -15,7 +15,6 @@ from .complexes import (
 from .sampling import (
     SamplerExhausted,
     SeededRng,
-    SteinerSystem,
     is_admissible,
     sample_greedy,
     sample_matching,

@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import Face, PureComplex, ball
+from .complexes import Face, PureComplex, ball, face_array
 from .spectra import boundary_matrix
 
 __all__ = [
@@ -43,7 +43,6 @@ class LayerProfile:
     k: int
     r: int
     new_vertices: tuple[int, ...]
-    new_facets: tuple[int, ...]
     new_dfaces: tuple[int, ...]
     total_vertices: tuple[int, ...]
 
@@ -60,12 +59,10 @@ def layer_sizes(d: int, k: int, r: int) -> LayerProfile:
         raise ValueError("need d >= 1 and r >= 0")
     new_dfaces = [0]
     new_vertices = [d]
-    new_facets = [1]
     for rho in range(1, r + 1):
         dfaces = k * (k - 1) ** (rho - 1) * d ** (rho - 1)
         new_dfaces.append(dfaces)
         new_vertices.append(dfaces)
-        new_facets.append(d * dfaces)
     totals = []
     running = 0
     for c in new_vertices:
@@ -76,7 +73,6 @@ def layer_sizes(d: int, k: int, r: int) -> LayerProfile:
         k=k,
         r=r,
         new_vertices=tuple(new_vertices),
-        new_facets=tuple(new_facets),
         new_dfaces=tuple(new_dfaces),
         total_vertices=tuple(totals),
     )
@@ -136,8 +132,7 @@ def arboreal_fractions(X: PureComplex, k: int, radii: Sequence[int]) -> tuple[fl
     P = abs(boundary_matrix(X))
     m = P.shape[0]
     G = _pattern(sp.identity(m, format="csr") + P @ P.T)
-    faces = np.array(list(X.facet_iter()), dtype=np.int64).reshape(m, d)
-    V = sp.csr_matrix((np.ones(m * d), faces.ravel() - 1, np.arange(0, m * d + 1, d)), shape=(m, n))
+    V = sp.csr_matrix((np.ones(m * d), face_array(n, d - 1).ravel() - 1, np.arange(0, m * d + 1, d)), shape=(m, n))
     off_degree = (np.diff(P.indptr) != k).astype(float)
     survivors = [0] * (top + 1)
     reach = sp.identity(m, format="csr")

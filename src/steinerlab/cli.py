@@ -5,6 +5,7 @@ Complexes travel in the canonical text format (header "n d", one d-face per
 line).  Exit codes: 0 success, 2 validation error, 3 sampler exhaustion,
 4 numerical failure.  sample, local, converge and gap skip a trial whose sampler
 gives up or whose solve fails (`ExperimentConfig.run`), so only spectrum and sst exit 3.
+A RuntimeWarning a command raises prints where it occurs as one "warning:" line.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from collections.abc import Callable, Iterable
 from math import comb, exp
 from pathlib import Path
@@ -271,6 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    plain = warnings.formatwarning  # the filters stay as they are; only the text of a shown warning changes
+    warnings.formatwarning = lambda message, category, *where: (
+        f"warning: {message}\n" if issubclass(category, RuntimeWarning) else plain(message, category, *where))
     try:
         return args.func(args)
     except SamplerExhausted as exc:
@@ -282,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        warnings.formatwarning = plain
 
 
 if __name__ == "__main__":

@@ -3,16 +3,20 @@
 A complex is stored as its top-dimensional faces over the vertex set
 {1, ..., n}; all lower faces are implicit.  The d-faces are one read-only
 int64 array of strictly increasing vertex ids, a row per face, the rows
-distinct and in lexicographic order; `spectra` builds the signed boundary
-from it.  Vertex tuples appear only in the text format and in the per-face
-neighbourhoods (`ball`) that are the oracle of the census in `arboreal`.
+distinct and in lexicographic order, as are a sampled Steiner system's
+blocks (`sampling`).  That order is the one face order: `face_array` lists
+a dimension's faces in it and `lex_ranks` gives a face's place in it, for
+B's rows and delta's columns (`spectra`), the census (`arboreal`) and the
+sampler's exact-cover check.  Vertex tuples appear only in the text format
+and in the per-face neighbourhoods (`ball`) that are the oracle of the
+census in `arboreal`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -37,6 +41,34 @@ __all__ = [
 def all_faces(n: int, dim: int) -> Iterator[Face]:
     """Yield every dim-face of the complete complex on [n] in lexicographic order."""
     return combinations(range(1, n + 1), dim + 1)
+
+
+def face_array(n: int, dim: int) -> np.ndarray:
+    """Every dim-face of the complete complex on [n], one int64 row each, in all_faces order."""
+    return np.array(list(all_faces(n, dim)), dtype=np.int64).reshape(-1, dim + 1)
+
+
+def lex_ranks(faces: np.ndarray, n: int) -> np.ndarray:
+    """Positions of sorted faces (rows of vertex ids in [1, n]) in all_faces order.
+
+    With a_i = n - v_i the lexicographic rank is C(n, r) - 1 - sum_i C(a_i, r - i).
+    """
+    r = faces.shape[1]
+    rank = np.full(len(faces), comb(n, r) - 1, dtype=np.int64)
+    for i in range(r):
+        a = n - faces[:, i]
+        falling = a
+        for j in range(1, r - i):
+            falling = falling * (a - j)
+        rank -= falling // factorial(r - i)  # C(a, r - i): 0 for 0 <= a < r - i
+    return rank
+
+
+def facet_ranks(faces: np.ndarray, n: int) -> np.ndarray:
+    """Ranks of the facets of sorted faces: entry [j, i] ranks faces[j] without its i-th vertex."""
+    width = faces.shape[1]
+    keep = [[c for c in range(width) if c != i] for i in range(width)]
+    return lex_ranks(faces[:, keep].reshape(len(faces) * width, width - 1), n).reshape(-1, width)
 
 
 def facets_of(face: Face) -> list[Face]:
@@ -158,7 +190,7 @@ def complex_from_dfaces(n: int, d: int, faces: Iterable[Sequence[int]]) -> PureC
 
 def complete_complex(n: int, d: int) -> PureComplex:
     """The complete d-complex on n vertices."""
-    return complex_from_dfaces(n, d, all_faces(n, d))
+    return PureComplex(n, d, face_array(n, d))
 
 
 @dataclass(frozen=True)

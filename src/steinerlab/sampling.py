@@ -2,8 +2,11 @@
 
 An (n, d)-Steiner system is a set of (d+1)-subsets of [n] covering every
 d-subset exactly once; d = 1 gives perfect matchings, d = 2 Steiner triple
-systems.  A random Steiner complex is the union of k independent systems on
-top of the complete (d-1)-skeleton.
+systems.  A sampled system has a complex's face format (`complexes`): a
+read-only int64 array, one strictly increasing row per block, rows in
+lexicographic order, checked as an exact cover over the ranks of its
+d-subsets.  A random Steiner complex is the union of k independent systems
+on top of the complete (d-1)-skeleton.
 
 Matchings are sampled exactly uniformly.  Triple systems come from Stinson-
 style hill-climbing followed by a uniform vertex relabeling, which makes the
@@ -21,15 +24,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .complexes import Face, PureComplex, complex_from_dfaces
+from .complexes import Face, PureComplex, facet_ranks
 
 __all__ = [
     "SeededRng",
-    "SteinerSystem",
     "SamplerExhausted",
     "is_admissible",
     "sample_matching",
@@ -82,30 +84,21 @@ class SeededRng:
         return SeededRng(self.master_seed, h)
 
 
-@dataclass(frozen=True)
-class SteinerSystem:
-    """An exact cover of the d-subsets of [n] by (d+1)-subsets."""
+def _exact_cover(n: int, d: int, blocks: np.ndarray) -> np.ndarray:
+    """Blocks, strictly increasing rows in [1, n], as a read-only system in lexicographic order.
 
-    n: int
-    d: int
-    blocks: frozenset[Face]
-
-    @classmethod
-    def checked(cls, n: int, d: int, blocks: Iterable[Face]) -> "SteinerSystem":
-        """Validate the exact-cover property; every d-subset covered exactly once."""
-        block_set = frozenset(tuple(b) for b in blocks)
-        expected = comb(n, d) // (d + 1)
-        if len(block_set) != expected:
-            raise ValueError(f"expected {expected} blocks, got {len(block_set)}")
-        covered: set[Face] = set()
-        for block in block_set:
-            for sub in combinations(block, d):
-                if sub in covered:
-                    raise ValueError(f"d-subset {sub} covered more than once")
-                covered.add(sub)
-        if len(covered) != comb(n, d):
-            raise ValueError("not all d-subsets covered")
-        return cls(n, d, block_set)
+    Raises ValueError unless there are C(n, d)/(d+1) rows whose C(n, d)
+    d-subsets have distinct ranks, that is, cover every d-subset once.
+    """
+    expected = comb(n, d) // (d + 1)
+    if len(blocks) != expected:
+        raise ValueError(f"expected {expected} blocks, got {len(blocks)}")
+    covers = np.bincount(facet_ranks(blocks, n).ravel())
+    if covers.max() > 1:
+        raise ValueError(f"{np.count_nonzero(covers > 1)} d-subsets covered more than once")
+    system = blocks[np.lexsort(blocks.T[::-1])]
+    system.flags.writeable = False
+    return system
 
 
 def is_admissible(n: int, d: int) -> bool:
@@ -177,35 +170,28 @@ def _bounded_draws(gen: np.random.Generator) -> Iterator[Callable[[int], int]]:
         gen.integers(0, _WORD, size=fetched - len(words), dtype=np.uint32)
 
 
-def _uniform_relabel(system: SteinerSystem, rng: np.random.Generator) -> SteinerSystem:
-    perm = [0, *(rng.permutation(system.n) + 1).tolist()]  # perm[v]: the new label of vertex v
-    blocks = frozenset(tuple(sorted(perm[v] for v in b)) for b in system.blocks)
-    return SteinerSystem(system.n, system.d, blocks)
-
-
 def _restarting(
     n: int, d: int, gen: np.random.Generator, attempt: Callable[[], list[Face] | None], name: str
-) -> SteinerSystem:
-    """Up to MAX_RESTARTS calls of `attempt`; its first block list, checked and uniformly relabeled."""
+) -> np.ndarray:
+    """Up to MAX_RESTARTS calls of `attempt`; its first block list, uniformly relabeled and checked."""
     for _ in range(MAX_RESTARTS):
         blocks = attempt()
         if blocks is not None:
-            return _uniform_relabel(SteinerSystem.checked(n, d, blocks), gen)
+            perm = np.append(0, gen.permutation(n) + 1)  # perm[v]: the new label of vertex v
+            return _exact_cover(n, d, np.sort(perm[np.array(blocks)], axis=1))
     raise SamplerExhausted(f"{name} exceeded {MAX_RESTARTS} restarts")
 
 
-def sample_matching(n: int, rng: SeededRng | np.random.Generator) -> SteinerSystem:
+def sample_matching(n: int, rng: SeededRng | np.random.Generator) -> np.ndarray:
     """Uniformly random perfect matching on [n] (n even)."""
     if n % 2 != 0 or n < 2:
         raise ValueError(f"perfect matching needs even n >= 2, got {n}")
     gen = rng.generator() if isinstance(rng, SeededRng) else rng
-    order = gen.permutation(n) + 1
-    blocks = [tuple(sorted((int(order[2 * i]), int(order[2 * i + 1])))) for i in range(n // 2)]
-    return SteinerSystem.checked(n, 1, blocks)
+    return _exact_cover(n, 1, np.sort((gen.permutation(n) + 1).reshape(-1, 2), axis=1))
 
 
 def _hill_climb_triples(n: int, gen: np.random.Generator, max_iterations: int) -> list[Face] | None:
-    """One Stinson hill-climbing run; returns block list or None on cap.
+    """One Stinson hill-climbing run; returns its blocks, once each, or None on cap.
 
     Its bounded integers come from `_bounded_draws`, so the run and the
     generator it leaves equal those of one `gen.integers(0, b)` per draw.
@@ -220,7 +206,7 @@ def _hill_climb_triples(n: int, gen: np.random.Generator, max_iterations: int) -
     with _bounded_draws(gen) as below:
         for _ in range(max_iterations):
             if len(pair_block) == target:
-                return sorted(pair_block.values())
+                return list(set(pair_block.values()))
             # pick a point with uncovered pairs, then two distinct live partners
             while True:
                 x = below(n) + 1
@@ -260,7 +246,7 @@ def _hill_climb_triples(n: int, gen: np.random.Generator, max_iterations: int) -
     return None
 
 
-def sample_sts(n: int, rng: SeededRng | np.random.Generator) -> SteinerSystem:
+def sample_sts(n: int, rng: SeededRng | np.random.Generator) -> np.ndarray:
     """Random Steiner triple system on [n] (n = 1 or 3 mod 6).
 
     Hill-climbing resolves one uncovered pair per step, evicting any
@@ -301,7 +287,7 @@ def _greedy_once(n: int, d: int, gen: np.random.Generator) -> list[Face] | None:
     return blocks
 
 
-def sample_greedy(n: int, d: int, rng: SeededRng | np.random.Generator) -> SteinerSystem:
+def sample_greedy(n: int, d: int, rng: SeededRng | np.random.Generator) -> np.ndarray:
     """Best-effort random greedy Steiner system, restarting on dead ends.
 
     Delegates to the exact matching sampler for d = 1.  For d >= 3 success
@@ -315,7 +301,7 @@ def sample_greedy(n: int, d: int, rng: SeededRng | np.random.Generator) -> Stein
     return _restarting(n, d, gen, lambda: _greedy_once(n, d, gen), f"sample_greedy(n={n}, d={d})")
 
 
-def sample_system(n: int, d: int, rng: SeededRng | np.random.Generator) -> SteinerSystem:
+def sample_system(n: int, d: int, rng: SeededRng | np.random.Generator) -> np.ndarray:
     """Dispatch to the strongest sampler available for the dimension."""
     if d == 1:
         return sample_matching(n, rng)
@@ -328,13 +314,13 @@ def steiner_complex(n: int, d: int, k: int, rng: SeededRng | np.random.Generator
     """Union of k independent (n, d)-Steiner systems as a pure d-complex.
 
     Duplicate blocks across systems collapse, so every (d-1)-face ends up
-    with degree between 1 and k.
+    with degree between 1 and k: the stacked rows are lexsorted and a row
+    equal to the one before it dropped.
     """
     if k < 1:
         raise ValueError("need k >= 1 systems")
     _require_admissible(n, d)
     gen = rng.generator() if isinstance(rng, SeededRng) else rng
-    faces: set[Face] = set()
-    for _ in range(k):
-        faces |= sample_system(n, d, gen).blocks
-    return complex_from_dfaces(n, d, faces)
+    blocks = np.concatenate([sample_system(n, d, gen) for _ in range(k)])
+    blocks = blocks[np.lexsort(blocks.T[::-1])]
+    return PureComplex(n, d, blocks[np.append(True, (blocks[1:] != blocks[:-1]).any(axis=1))])

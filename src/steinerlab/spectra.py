@@ -33,14 +33,14 @@ import os
 import resource
 import warnings
 from dataclasses import dataclass
-from math import comb, factorial, frexp
+from math import comb, frexp
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .complexes import PureComplex, all_faces
+from .complexes import PureComplex, face_array, facet_ranks
 
 __all__ = [
     "SpectralSummary",
@@ -60,26 +60,6 @@ ZERO_RTOL = 1e-8
 AMBIGUOUS_FACTOR = 1e3
 
 
-def _binom(x: np.ndarray, k: int) -> np.ndarray:
-    """Elementwise C(x, k) for non-negative integer arrays (0 where x < k)."""
-    out = np.ones_like(x)
-    for j in range(k):
-        out = out * (x - j)
-    return out // factorial(k)
-
-
-def _lex_ranks(faces: np.ndarray, n: int) -> np.ndarray:
-    """Positions of sorted faces (rows of vertex ids in [1, n]) in all_faces order.
-
-    With a_i = n - v_i the lexicographic rank is C(n, r) - 1 - sum_i C(a_i, r - i).
-    """
-    r = faces.shape[1]
-    rank = np.full(len(faces), comb(n, r) - 1, dtype=np.int64)
-    for i in range(r):
-        rank -= _binom(n - faces[:, i], r - i)
-    return rank
-
-
 def _signed_incidence(faces: np.ndarray, n: int) -> sp.csr_matrix:
     """Signed incidence of faces (rows of w sorted vertex ids) to their facets.
 
@@ -87,7 +67,7 @@ def _signed_incidence(faces: np.ndarray, n: int) -> sp.csr_matrix:
     row of the facet that omits faces[j][i].
     """
     width = faces.shape[1]
-    facet_rows = np.concatenate([_lex_ranks(np.delete(faces, i, axis=1), n) for i in range(width)])
+    facet_rows = facet_ranks(faces, n).T.ravel()
     cols = np.tile(np.arange(len(faces)), width)
     signs = np.repeat([(-1.0) ** i for i in range(width)], len(faces))
     return sp.csr_matrix((signs, (facet_rows, cols)), shape=(comb(n, width - 1), len(faces)))
@@ -122,8 +102,7 @@ def coboundary_matrix(n: int, d: int) -> sp.csr_matrix:
     i-th vertex; for d = 1 the single column is the empty face and every
     entry is +1.
     """
-    sigmas = np.array(list(all_faces(n, d - 1)), dtype=np.int64).reshape(-1, d)
-    return _signed_incidence(sigmas, n).T.tocsr()
+    return _signed_incidence(face_array(n, d - 1), n).T.tocsr()
 
 
 # fixed Lanczos start vector: reproducible, and never in ker L (ones is, at d = 1)

@@ -427,7 +427,7 @@ def inclusion_frequency_test(n: int, d: int, trials: int, rng: SeededRng) -> Inc
         raise ValueError("need at least 1000 trials for a stable frequency")
     gen = rng.generator()
     block = tuple(range(1, d + 2))
-    hits = sum(block in sample_system(n, d, gen).blocks for _ in range(trials))
+    hits = sum(block in frozenset(map(tuple, sample_system(n, d, gen).tolist())) for _ in range(trials))
     empirical = hits / trials
     if d == 1 and n > 2:
         expected = 1.0 / (n - d)

@@ -229,7 +229,7 @@ def test_criterion_09_sampler_statistics():
 def test_criterion_10_structural_invariants():
     t0 = time.time()
     checks = 0
-    # every emitted system passes exact cover validation (checked() raises otherwise)
+    # every emitted system passes exact cover validation (sampling._exact_cover raises otherwise)
     gen = SeededRng(31).generator()
     for n in (8, 12):
         sample_matching(n, gen)
@@ -250,7 +250,7 @@ def test_criterion_10_structural_invariants():
         tree = arboreal_ball(d, k, r)
         for rho in range(r + 1):
             assert len(tree.vertex_layers[rho]) == profile.new_vertices[rho]
-            assert len(tree.facet_layers[rho]) == profile.new_facets[rho]
+            assert len(tree.facet_layers[rho]) == (d * profile.new_dfaces[rho] if rho else 1)
             assert len(tree.dface_layers[rho]) == profile.new_dfaces[rho]
         checks += 1
     elapsed = time.time() - t0

@@ -54,7 +54,6 @@ class TestLayerSizes:
             p = layer_sizes(d, k, 1)
             assert p.new_vertices[1] == k
             assert p.new_dfaces[1] == k
-            assert p.new_facets[1] == d * k
 
     def test_regular_tree_layers(self):
         p = layer_sizes(1, 3, 4)
@@ -66,7 +65,7 @@ class TestLayerSizes:
             b = arboreal_ball(d, k, r)
             for rho in range(r + 1):
                 assert len(b.vertex_layers[rho]) == p.new_vertices[rho]
-                assert len(b.facet_layers[rho]) == p.new_facets[rho]
+                assert len(b.facet_layers[rho]) == (d * p.new_dfaces[rho] if rho else 1)
                 assert len(b.dface_layers[rho]) == p.new_dfaces[rho]
 
     def test_k1_rejected(self):

@@ -1,7 +1,11 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,6 +518,24 @@ class TestGapOracle:
         # k = 1 is refused only where an arboreal radius is asked for
         with pytest.warns(RuntimeWarning, match="threshold"):
             assert main(["gap", "--d", "1", "--k", "1", "--n", "10"]) == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gap_regime_warning_is_one_line(self):
+        # pytest records the warnings of its own process instead of printing them,
+        # so the command runs in a child with Python's default filters, as a user runs it
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(src)
+        argv = ["gap", "--d", "2", "--k", "2", "--n", "15", "--trials", "2", "--seed", "11"]
+        run = subprocess.run([sys.executable, "-m", "steinerlab.cli", *argv],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        err = run.stderr.splitlines()
+        warned = [i for i, line in enumerate(err) if line.startswith("warning:")]
+        passed = [i for i, line in enumerate(err) if line.startswith("pass fraction:")]
+        assert len(warned) == 1 and len(passed) == 1 and warned[0] < passed[0], err
+        assert "proven regime threshold" in err[warned[0]]
+        assert "cli.py" not in run.stderr
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         cx = tmp_path / "cx.txt"

@@ -172,3 +172,18 @@ def test_one_lanczos_solve():
     trees = ast.parse((src / "trees.py").read_text())
     imported = {alias.name for node in ast.walk(trees) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "_lanczos_extreme" not in imported
+
+
+def test_one_face_order():
+    # face ranks, the one face order of B's rows, delta's columns and the sampler's
+    # cover check, come from `complexes.lex_ranks` alone; a sampled system is an
+    # int64 block array, not a frozenset of vertex tuples
+    src = Path(importlib.import_module("steinerlab").__file__).parent
+    formulas = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and ("lex_rank" in node.name or "binom" in node.name):
+                formulas.add(f"{path.stem}.{node.name}")
+    assert formulas == {"complexes.lex_ranks"}, formulas
+    sampling = ast.parse((src / "sampling.py").read_text())
+    assert not [node for node in ast.walk(sampling) if isinstance(node, ast.Name) and node.id == "frozenset"]

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from steinerlab import (
     SamplerExhausted,
     SeededRng,
-    SteinerSystem,
     complex_from_dfaces,
     is_admissible,
     sample_greedy,
@@ -105,12 +104,33 @@ def reference_greedy_once(n, d, gen):
 
 
 def reference_system(n, d, gen, attempt, cap, max_restarts=100):
-    """`sample_sts` / `sample_greedy` around a reference attempt."""
+    """`sample_sts` / `sample_greedy` around a reference attempt, as a set of blocks."""
     for _ in range(max_restarts):
         blocks = attempt(gen, cap)
         if blocks is not None:
-            return sampling._uniform_relabel(SteinerSystem.checked(n, d, blocks), gen)
+            perm = [0, *(gen.permutation(n) + 1).tolist()]  # perm[v]: the new label of vertex v
+            return frozenset(tuple(sorted(perm[v] for v in b)) for b in blocks)
     raise SamplerExhausted
+
+
+def reference_draw(n, d, gen):
+    """`sample_system` by the reference routes, as a set of blocks."""
+    if d == 1:
+        order = gen.permutation(n) + 1
+        return frozenset(tuple(sorted((int(order[2 * i]), int(order[2 * i + 1])))) for i in range(n // 2))
+    if d == 2:
+        return reference_system(n, 2, gen, lambda g, cap: reference_hill_climb(n, g, cap), 50 * n * n)
+    return reference_greedy(n, d, gen)
+
+
+def reference_greedy(n, d, gen):
+    """`sample_greedy` by the reference route for d >= 2, as a set of blocks."""
+    return reference_system(n, d, gen, lambda g, _: reference_greedy_once(n, d, g), None)
+
+
+def block_set(system):
+    """The rows of a sampled system as a frozenset of vertex tuples."""
+    return frozenset(map(tuple, system.tolist()))
 
 
 def state(gen):
@@ -147,7 +167,7 @@ class TestAdmissibility:
 
 class TestMatching:
     def test_n2_unique(self):
-        assert sample_matching(2, SeededRng(0)).blocks == frozenset({(1, 2)})
+        assert block_set(sample_matching(2, SeededRng(0))) == frozenset({(1, 2)})
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
@@ -155,7 +175,7 @@ class TestMatching:
 
     def test_every_vertex_covered(self):
         s = sample_matching(12, SeededRng(3))
-        assert sorted(v for b in s.blocks for v in b) == list(range(1, 13))
+        assert sorted(v for b in block_set(s) for v in b) == list(range(1, 13))
 
     def test_n4_uniform_over_three_matchings(self):
         # exact count of perfect matchings on 4 points is 3
@@ -163,7 +183,7 @@ class TestMatching:
         counts = Counter()
         trials = 30000
         for _ in range(trials):
-            counts[sample_matching(4, gen).blocks] += 1
+            counts[block_set(sample_matching(4, gen))] += 1
         assert len(counts) == 3
         p = 1 / 3
         tol = 4 * sqrt(trials * p * (1 - p))
@@ -171,14 +191,55 @@ class TestMatching:
             assert abs(c - trials * p) <= tol
 
 
+def forced_restart_sts(n, gen):
+    """`sample_sts` whose first climb is capped at n steps, so it fails and the sampler restarts."""
+    climb, runs = sampling._hill_climb_triples, []
+
+    def first_capped(n_, g, cap):
+        runs.append(climb(n_, g, n_ if not runs else cap))
+        return runs[-1]
+
+    with mock.patch.object(sampling, "_hill_climb_triples", first_capped):
+        system = sample_sts(n, gen)
+    assert runs[0] is None and len(runs) > 1
+    return system
+
+
+def reference_forced_restart(n, gen):
+    assert reference_hill_climb(n, gen, n) is None
+    return reference_draw(n, 2, gen)
+
+
+class TestSystemArrays:
+    @pytest.mark.parametrize("n,d,draw,reference", [
+        pytest.param(12, 1, sample_matching, lambda n, g: reference_draw(n, 1, g), id="matching"),
+        pytest.param(31, 2, sample_sts, lambda n, g: reference_draw(n, 2, g), id="sts"),
+        pytest.param(9, 2, lambda n, g: sample_greedy(n, 2, g), lambda n, g: reference_greedy(n, 2, g), id="greedy-d2"),
+        pytest.param(8, 3, lambda n, g: sample_greedy(n, 3, g), lambda n, g: reference_greedy(n, 3, g), id="greedy-d3"),
+        pytest.param(15, 2, forced_restart_sts, reference_forced_restart, id="sts-restart"),
+    ])
+    def test_sorted_int64_rows_and_reference_stream(self, n, d, draw, reference):
+        for seed in range(3):
+            gen, ref = SeededRng(seed, 4).generator(), SeededRng(seed, 4).generator()
+            system = draw(n, gen)
+            assert isinstance(system, np.ndarray) and system.dtype == np.int64
+            assert system.flags.c_contiguous and not system.flags.writeable
+            assert system.shape == (comb(n, d) // (d + 1), d + 1)
+            assert (np.diff(system, axis=1) > 0).all()
+            rows = system.tolist()
+            assert rows == sorted(rows) and len(set(map(tuple, rows))) == len(rows)
+            assert block_set(system) == reference(n, ref)
+            assert state(gen) == state(ref)
+
+
 class TestTripleSystems:
     def test_sts7_block_count(self):
         s = sample_sts(7, SeededRng(1))
-        assert len(s.blocks) == 7
+        assert len(block_set(s)) == 7
 
     def test_sts9_block_count(self):
         s = sample_sts(9, SeededRng(2))
-        assert len(s.blocks) == comb(9, 2) // 3
+        assert len(block_set(s)) == comb(9, 2) // 3
 
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError, match="admissible"):
@@ -186,9 +247,9 @@ class TestTripleSystems:
 
     def test_exact_cover_validation_catches_bad_blocks(self):
         with pytest.raises(ValueError):
-            SteinerSystem.checked(7, 2, [(1, 2, 3)] * 7)
+            sampling._exact_cover(7, 2, np.array([(1, 2, 3)] * 7))
         with pytest.raises(ValueError, match="blocks"):
-            SteinerSystem.checked(7, 2, [(1, 2, 3)])
+            sampling._exact_cover(7, 2, np.array([(1, 2, 3)]))
 
     def test_permutation_invariance_orbit_statistics(self):
         # uniform relabeling makes P(B in S) = #blocks / #triples = 1/7 for
@@ -200,7 +261,7 @@ class TestTripleSystems:
         for _ in range(trials):
             s = sample_sts(9, gen)
             for b in probes:
-                hits[b] += b in s.blocks
+                hits[b] += b in block_set(s)
         p = 12 / comb(9, 3)
         sigma = sqrt(trials * p * (1 - p))
         for b in probes:
@@ -252,7 +313,7 @@ class TestHillClimbReference:
                 gen.integers(0, 3), ref.integers(0, 3)
             blocks = sampling._hill_climb_triples(n, gen, 50 * n * n)
             assert blocks is not None
-            assert blocks == reference_hill_climb(n, ref, 50 * n * n)
+            assert sorted(blocks) == sorted(frozenset(reference_hill_climb(n, ref, 50 * n * n)))
             assert state(gen) == state(ref)
 
     @pytest.mark.parametrize("n", [7, 9, 13, 15])
@@ -268,7 +329,8 @@ class TestHillClimbReference:
         # caps near the iterations a run needs: some runs hit the cap, some finish
         gen, ref = SeededRng(1, 2).generator(), SeededRng(1, 2).generator()
         results = [sampling._hill_climb_triples(n, gen, cap) for _ in range(20)]
-        assert results == [reference_hill_climb(n, ref, cap) for _ in range(20)]
+        references = [reference_hill_climb(n, ref, cap) for _ in range(20)]
+        assert [r and sorted(r) for r in results] == [r and sorted(frozenset(r)) for r in references]
         assert None in results and any(results)
         assert state(gen) == state(ref)
 
@@ -284,7 +346,7 @@ class TestHillClimbReference:
             gen, ref = SeededRng(seed, 2).generator(), SeededRng(seed, 2).generator()
             with mock.patch.object(sampling, "_hill_climb_triples", short):
                 system = sample_sts(n, gen)
-            assert system == reference_system(n, 2, ref, lambda g, _: reference_hill_climb(n, g, cap), None)
+            assert block_set(system) == reference_system(n, 2, ref, lambda g, _: reference_hill_climb(n, g, cap), None)
             assert state(gen) == state(ref)
         assert None in runs  # sample_sts restarted
 
@@ -298,37 +360,42 @@ class TestHillClimbReference:
             assert reference_hill_climb(31, ref, 0) is None
         assert state(gen) == state(ref)
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_steiner_complex_n111(self, seed):
+    @pytest.mark.parametrize("n,d,k,seed", [
+        pytest.param(111, 2, 5, 1, id="1"),
+        pytest.param(111, 2, 5, 2, id="2"),
+        pytest.param(111, 2, 5, 3, id="3"),
+        pytest.param(2000, 1, 8, 1, id="n2000-d1-k8"),
+        pytest.param(63, 2, 21, 1, id="n63-d2-k21"),  # many blocks merge
+        pytest.param(8, 3, 2, 1, id="n8-d3-k2"),  # both systems equal: every block merges
+    ])
+    def test_steiner_complex_n111(self, n, d, k, seed):
         gen, ref = SeededRng(seed).generator(), SeededRng(seed).generator()
-        X = steiner_complex(111, 2, 5, gen)
-        climb = lambda g, cap: reference_hill_climb(111, g, cap)
+        X = steiner_complex(n, d, k, gen)
         faces = set()
-        for _ in range(5):
-            faces |= reference_system(111, 2, ref, climb, 50 * 111 * 111).blocks
-        assert X.d_faces == complex_from_dfaces(111, 2, faces).d_faces
+        for _ in range(k):
+            faces |= reference_draw(n, d, ref)
+        assert X.d_faces == complex_from_dfaces(n, d, faces).d_faces
         assert state(gen) == state(ref)
 
 
 class TestGreedy:
     def test_d1_delegates_to_matching(self):
         s = sample_greedy(8, 1, SeededRng(4))
-        assert s.d == 1 and len(s.blocks) == 4
+        assert s.shape[1] == 2 and len(block_set(s)) == 4
 
     def test_small_triple_system(self):
         s = sample_greedy(7, 2, SeededRng(6))
-        assert len(s.blocks) == 7
+        assert len(block_set(s)) == 7
 
     def test_quadruple_system(self):
         s = sample_greedy(8, 3, SeededRng(7))
-        assert len(s.blocks) == comb(8, 3) // 4
+        assert len(block_set(s)) == comb(8, 3) // 4
 
     @pytest.mark.parametrize("n,d", [(8, 3), (7, 2), (9, 2)])
     def test_systems_and_stream_equal_reference(self, n, d):
         for seed in range(20 if d == 3 else 5):
             gen, ref = SeededRng(seed, 3).generator(), SeededRng(seed, 3).generator()
-            once = lambda g, _: reference_greedy_once(n, d, g)
-            assert sample_greedy(n, d, gen) == reference_system(n, d, ref, once, None)
+            assert block_set(sample_greedy(n, d, gen)) == reference_greedy(n, d, ref)
             assert state(gen) == state(ref)
 
     def test_restart_cap_surfaces_typed_failure(self, monkeypatch):
@@ -352,9 +419,9 @@ class TestSteinerComplex:
         gen = SeededRng(12).generator()
         seen_both = set()
         for _ in range(30):
-            systems = [sample_matching(6, gen) for _ in range(2)]
-            X = complex_from_dfaces(6, 1, systems[0].blocks | systems[1].blocks)
-            disjoint = not (systems[0].blocks & systems[1].blocks)
+            systems = [block_set(sample_matching(6, gen)) for _ in range(2)]
+            X = complex_from_dfaces(6, 1, systems[0] | systems[1])
+            disjoint = not (systems[0] & systems[1])
             regular = all(X.degree(f) == 2 for f in X.facet_iter())
             assert disjoint == regular
             seen_both.add(disjoint)
