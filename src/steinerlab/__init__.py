@@ -6,7 +6,6 @@ from .complexes import (
     PureComplex,
     all_faces,
     ball,
-    complete_complex,
     complex_from_dfaces,
     facets_of,
     read_complex,

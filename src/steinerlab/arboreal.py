@@ -20,7 +20,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .complexes import Face, PureComplex, ball, face_array
-from .spectra import boundary_matrix
 
 __all__ = [
     "LayerProfile",
@@ -111,7 +110,8 @@ def arboreal_fractions(X: PureComplex, k: int, radii: Sequence[int]) -> tuple[fl
     The census of `is_arboreal_ball` for every centre at once.  Row c of the
     0/1 matrix reach_rho marks the (d-1)-faces within line-graph distance rho
     of face c: reach_0 = I and reach_rho = pattern(reach_{rho-1} G), with G
-    the pattern of I + P P^T and P = |B| the facet x d-face incidence.  The
+    the pattern of I + |L| (that of I + P P^T: no entry of L = B B^T cancels)
+    and P = |B| the facet x d-face incidence.  The
     row nnz of reach_rho V (V the facet x vertex incidence) is the cumulative
     vertex count, the entries d+1 of reach_rho P are the d-faces whose whole
     boundary lies within rho, and reach_rho [deg != k] = 0 is the degree
@@ -129,9 +129,9 @@ def arboreal_fractions(X: PureComplex, k: int, radii: Sequence[int]) -> tuple[fl
         return tuple(1.0 for _ in radii)
     profile = layer_sizes(d, k, top)
     dfaces_within = np.cumsum(profile.new_dfaces)
-    P = abs(boundary_matrix(X))
+    P = abs(X.boundary.copy())  # abs sorts in place, and the complex's operators are read-only
     m = P.shape[0]
-    G = _pattern(sp.identity(m, format="csr") + P @ P.T)
+    G = _pattern(sp.identity(m, format="csr") + abs(X.laplacian.copy()))
     V = sp.csr_matrix((np.ones(m * d), face_array(n, d - 1).ravel() - 1, np.arange(0, m * d + 1, d)), shape=(m, n))
     off_degree = (np.diff(P.indptr) != k).astype(float)
     survivors = [0] * (top + 1)

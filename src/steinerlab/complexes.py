@@ -7,9 +7,10 @@ distinct and in lexicographic order, as are a sampled Steiner system's
 blocks (`sampling`).  That order is the one face order: `face_array` lists
 a dimension's faces in it and `lex_ranks` gives a face's place in it, for
 B's rows and delta's columns (`spectra`), the census (`arboreal`) and the
-sampler's exact-cover check.  Vertex tuples appear only in the text format
-and in the per-face neighbourhoods (`ball`) that are the oracle of the
-census in `arboreal`.
+sampler's exact-cover check.  A complex owns its operators B and L = B B^T
+(`PureComplex`), which every layer reads.  Vertex tuples appear only in the
+text format and in the per-face neighbourhoods (`ball`) that are the oracle
+of the census in `arboreal`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 Face = tuple[int, ...]
 
@@ -29,7 +31,6 @@ __all__ = [
     "PureComplex",
     "NeighborhoodComplex",
     "complex_from_dfaces",
-    "complete_complex",
     "all_faces",
     "facets_of",
     "ball",
@@ -71,6 +72,26 @@ def facet_ranks(faces: np.ndarray, n: int) -> np.ndarray:
     return lex_ranks(faces[:, keep].reshape(len(faces) * width, width - 1), n).reshape(-1, width)
 
 
+def _signed_incidence(faces: np.ndarray, n: int) -> sp.csr_matrix:
+    """Signed incidence of faces (rows of w sorted vertex ids) to their facets.
+
+    The C(n, w-1) x len(faces) matrix whose column j holds (-1)**i in the
+    row of the facet that omits faces[j][i].
+    """
+    width = faces.shape[1]
+    facet_rows = facet_ranks(faces, n).T.ravel()
+    cols = np.tile(np.arange(len(faces)), width)
+    signs = np.repeat([(-1.0) ** i for i in range(width)], len(faces))
+    return sp.csr_matrix((signs, (facet_rows, cols)), shape=(comb(n, width - 1), len(faces)))
+
+
+def _read_only(M: sp.csr_matrix) -> sp.csr_matrix:
+    """M with its data, indices and indptr read-only, so that no consumer can sort or scale it."""
+    for array in (M.data, M.indices, M.indptr):
+        array.flags.writeable = False
+    return M
+
+
 def facets_of(face: Face) -> list[Face]:
     """Codimension-one subfaces, indexed by the omitted position.
 
@@ -83,15 +104,20 @@ def facets_of(face: Face) -> list[Face]:
 class PureComplex:
     """A finite pure d-complex on [n] with complete (d-1)-skeleton.
 
-    Only the d-faces are materialized, as the array `faces`.  `cofacets`,
-    `degree`, `min_degree` and `max_degree` answer from a tuple index built
-    on first use.  Instances are immutable and safe to share across threads.
+    Only the d-faces are materialized, as the array `faces`.  `boundary` B,
+    `laplacian` L = B B^T and the tuple index `cofacets` and `degree` read
+    are each built once, on first use.  B and L are read-only and L's indices
+    stay unsorted: sorting them, as `abs(L)` does in place, would change the
+    rounding of every later L @ x.  Instances are immutable and safe to share
+    across threads; two threads may both build an operator, and either
+    identical copy is kept.
     """
 
-    __slots__ = ("n", "d", "faces", "_index")
+    __slots__ = ("n", "d", "faces", "_index", "_boundary", "_laplacian")
 
     def __init__(self, n: int, d: int, faces: np.ndarray):
-        self.n, self.d, self.faces, self._index = n, d, faces, None
+        self.n, self.d, self.faces = n, d, faces
+        self._index = self._boundary = self._laplacian = None
         faces.flags.writeable = False
 
     @property
@@ -101,6 +127,20 @@ class PureComplex:
     @property
     def d_faces(self) -> frozenset[Face]:
         return frozenset(map(tuple, self.faces.tolist()))
+
+    @property
+    def boundary(self) -> sp.csr_matrix:
+        """Signed boundary B: C(n, d) rows in form-basis order, a column per d-face in `faces` order."""
+        if self._boundary is None:
+            self._boundary = _read_only(_signed_incidence(self.faces, self.n))
+        return self._boundary
+
+    @property
+    def laplacian(self) -> sp.csr_matrix:
+        """Upper Laplacian L = B B^T: deg(sigma) on the diagonal, (-1)**(i+j) per shared d-face."""
+        if self._laplacian is None:
+            self._laplacian = _read_only((self.boundary @ self.boundary.T).tocsr())
+        return self._laplacian
 
     def _cofacet_index(self) -> dict[Face, tuple[Face, ...]]:
         if self._index is None:
@@ -121,13 +161,6 @@ class PureComplex:
     def facet_iter(self) -> Iterator[Face]:
         """All C(n, d) faces of dimension d-1, lexicographically."""
         return all_faces(self.n, self.d - 1)
-
-    def min_degree(self) -> int:
-        index = self._cofacet_index()
-        return min(map(len, index.values())) if len(index) == comb(self.n, self.d) else 0
-
-    def max_degree(self) -> int:
-        return max(map(len, self._cofacet_index().values()), default=0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PureComplex):
@@ -186,11 +219,6 @@ def complex_from_dfaces(n: int, d: int, faces: Iterable[Sequence[int]]) -> PureC
             f"duplicate d-face {face}",
         )[kind], int(at))
     return PureComplex(n, d, keys[order])
-
-
-def complete_complex(n: int, d: int) -> PureComplex:
-    """The complete d-complex on n vertices."""
-    return PureComplex(n, d, face_array(n, d))
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,13 @@ arboreal-neighborhood fractions, minimum degree and spectral floor.  A row
 takes no full spectrum: the count and floor come from the Cholesky and
 Lanczos route in `trees`, the moments from exact sparse traces of L, and
 the gap statistic is the largest eigenvalue of the signed adjacency on
-ker delta^T (`spectra.restricted_extreme`).  `ExperimentConfig.run` is the
-one loop over (n, trial): a trial whose sampler gives up (`SamplerExhausted`)
-or whose solve fails (`spectra.NumericalFailure`) is recorded as a
-`RowFailure` and the run goes on.  Rows come back in deterministic (n, trial)
-order regardless of how the trials were scheduled.
+ker delta^T (`spectra.restricted_extreme`).  Every stage reads the one L
+the complex owns (`PureComplex.laplacian`), built once per trial.
+`ExperimentConfig.run` is the one loop over (n, trial): a trial whose
+sampler gives up (`SamplerExhausted`) or whose solve fails
+(`spectra.NumericalFailure`) is recorded as a `RowFailure` and the run goes
+on.  Rows come back in deterministic (n, trial) order regardless of how the
+trials were scheduled.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .spectra import (
     require_memory,
     restricted_extreme,
     signed_adjacency,
-    sparse_laplacian,
 )
 from .trees import require_tree_count_fits, weighted_tree_count
 
@@ -162,15 +163,14 @@ class ConvergenceResult:
 
 def _converge_row(config: ExperimentConfig, X: PureComplex, n: int, trial: int) -> ConvergenceRow:
     count = weighted_tree_count(X)
-    L = sparse_laplacian(X)
     return ConvergenceRow(
         n=n,
         trial=trial,
         growth_rate=exp(count.log_count / comb(X.n, X.d)),
-        min_degree=int(L.diagonal().min()),  # the diagonal of L is the degree
+        min_degree=int(X.laplacian.diagonal().min()),  # the diagonal of L is the degree
         spectral_floor=count.floor,
         fractions=dict(zip(config.radii, arboreal_fractions(X, config.k, config.radii))),
-        moments=tuple(moments(L, config.lmax)),
+        moments=tuple(moments(X.laplacian, config.lmax)),
     )
 
 
@@ -232,7 +232,7 @@ def run_gap_report(config: ExperimentConfig, epsilon: float) -> GapReport:
     base = 2.0 * d * sqrt(k - 1)
 
     def gap_row(X: PureComplex, n: int, trial: int) -> GapRow:
-        top = restricted_extreme(signed_adjacency(sparse_laplacian(X)), n, d, "LA")
+        top = restricted_extreme(signed_adjacency(X.laplacian), n, d, "LA")
         return GapRow(n=n, trial=trial, top_nontrivial=top, passed=top <= base + epsilon)
 
     return GapReport(base, epsilon, *config.run(gap_row))

@@ -97,11 +97,6 @@ class LimitLaw:
     def laplacian_support(self) -> tuple[float, float]:
         return (self.center - self.half_width, self.center + self.half_width)
 
-    @property
-    def adjacency_support(self) -> tuple[float, float]:
-        lo, hi = self.laplacian_support
-        return (self.k - hi, self.k - lo)
-
     def laplacian_density(self, x: float) -> float:
         """Density of the limiting Laplacian law at x (0 outside the support)."""
         lo, hi = self.laplacian_support
@@ -144,22 +139,12 @@ class LimitLaw:
             f"midpoint rule for d={d}, k={k} did not reach {epsabs:g} within {QUAD_MAX_POINTS} points"
         )
 
-    def laplacian_moment(self, ell: int) -> float:
-        """Moment of the Laplacian law by the midpoint rule."""
-        if not 0 <= ell <= MOMENT_MAX:
-            raise ValueError(f"moment order must be in [0, {MOMENT_MAX}]")
-        return self.expectation(lambda x: x**ell, epsabs=MOMENT_EPSABS)
-
     def adjacency_moment(self, ell: int) -> float:
         """Moment of the adjacency law, pushed through x -> k - x."""
         if not 0 <= ell <= MOMENT_MAX:
             raise ValueError(f"moment order must be in [0, {MOMENT_MAX}]")
         k = self.k
         return self.expectation(lambda x: (k - x) ** ell, epsabs=MOMENT_EPSABS)
-
-    def normalization(self) -> float:
-        """Total mass of the Laplacian law; 1 up to quadrature error."""
-        return self.expectation(np.ones_like)
 
 
 def series_coefficient(law: LimitLaw, n: int) -> float:

@@ -1,11 +1,11 @@
-"""Signed boundary, upper Laplacian and adjacency operators on (d-1)-forms.
+"""Solves and traces of the operators of a complex on (d-1)-forms.
 
 Skew-symmetric forms on oriented (d-1)-faces have an orthonormal basis
 indexed by one chosen orientation per face (sorted representative, sign +1),
 ordered lexicographically.  In that basis the signed boundary B of the
 d-faces (one column per d-face, entry (-1)**i on the facet omitting vertex i)
-is a sparse integer matrix, the upper Laplacian is L = B B^T and the signed
-adjacency is A = diag(L) - L.
+and the upper Laplacian L = B B^T are sparse integer matrices that the
+complex owns (`PureComplex`); the signed adjacency is A = diag(L) - L.
 
 Reversing a face's orientation is -1 on forms, so the signed count of
 closed l-walks at a face on the oriented line-graph, phi_l(s+, s+) -
@@ -40,12 +40,10 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .complexes import PureComplex, face_array, facet_ranks
+from .complexes import PureComplex, _signed_incidence, face_array
 
 __all__ = [
     "SpectralSummary",
-    "boundary_matrix",
-    "sparse_laplacian",
     "signed_adjacency",
     "coboundary_matrix",
     "adjacency_matrix",
@@ -60,32 +58,8 @@ ZERO_RTOL = 1e-8
 AMBIGUOUS_FACTOR = 1e3
 
 
-def _signed_incidence(faces: np.ndarray, n: int) -> sp.csr_matrix:
-    """Signed incidence of faces (rows of w sorted vertex ids) to their facets.
-
-    The C(n, w-1) x len(faces) matrix whose column j holds (-1)**i in the
-    row of the facet that omits faces[j][i].
-    """
-    width = faces.shape[1]
-    facet_rows = facet_ranks(faces, n).T.ravel()
-    cols = np.tile(np.arange(len(faces)), width)
-    signs = np.repeat([(-1.0) ** i for i in range(width)], len(faces))
-    return sp.csr_matrix((signs, (facet_rows, cols)), shape=(comb(n, width - 1), len(faces)))
-
-
-def boundary_matrix(X: PureComplex) -> sp.csr_matrix:
-    """Signed boundary B of the d-faces: C(n, d) rows in form-basis order, columns in X.faces order."""
-    return _signed_incidence(X.faces, X.n)
-
-
-def sparse_laplacian(X: PureComplex) -> sp.csr_matrix:
-    """Upper Laplacian L = B B^T: deg(sigma) on the diagonal, (-1)**(i+j) per shared d-face."""
-    B = boundary_matrix(X)
-    return (B @ B.T).tocsr()
-
-
 def signed_adjacency(L: sp.spmatrix) -> sp.csr_matrix:
-    """Signed adjacency diag(L) - L of the upper Laplacian L (`sparse_laplacian`), in its dtype.
+    """Signed adjacency diag(L) - L of the upper Laplacian L (`PureComplex.laplacian`), in its dtype.
 
     Each d-face and facet pair (i, j) contributes (-1)**(i+j+1) to the entry
     of the two facets: the sign is +1 exactly when the orientation of facet
@@ -200,13 +174,13 @@ def require_dense_fits(m: int) -> None:
 def laplacian_matrix(X: PureComplex) -> np.ndarray:
     """Dense upper Laplacian, rows and columns in lexicographic face order; size-checked first."""
     require_dense_fits(comb(X.n, X.d))
-    return sparse_laplacian(X).toarray()
+    return X.laplacian.toarray()
 
 
 def adjacency_matrix(X: PureComplex) -> np.ndarray:
     """Dense signed adjacency diag(L) - L, in lexicographic face order; size-checked first."""
     require_dense_fits(comb(X.n, X.d))
-    return signed_adjacency(sparse_laplacian(X)).toarray()
+    return signed_adjacency(X.laplacian).toarray()
 
 
 def trivial_zero_count(X: PureComplex) -> int:
@@ -411,14 +385,12 @@ def warn_ambiguous_zeros(value: float, eps: float) -> None:
 def signed_trace(X: PureComplex, length: int) -> int:
     """Exact integer tr(A^l) of the signed adjacency A: signed closed l-walks summed over faces.
 
-    A = diag(L) - L with L = B B^T is symmetric, as `_traces` needs; it is
-    built here, so unlike `moments` this does not check it.  The powers run
-    at `power_width(R, l)`, R the largest absolute row sum of A (at most d
-    times the largest degree): int32 for d = 2, k = 5 up to l = 9.  Raises
-    ValueError before any product whose entries could leave int64.  A
-    matching (d = 1, k = 1) has absolute row sums at most 1, so A^3 = A and
-    `_traces` forms no power past A.
+    A = diag(L) - L of the complex's L = B B^T is symmetric, as `_traces`
+    needs, so unlike `moments` this does not check it.  `_traces` runs the
+    powers at `power_width(R, l)`, R the largest absolute row sum of A (at
+    most d times the largest degree), and raises ValueError before any
+    product whose entries could leave int64.
     """
     if length < 0:
         raise ValueError("walk length must be >= 0")
-    return _traces(signed_adjacency(sparse_laplacian(X)), [length])[0]
+    return _traces(signed_adjacency(X.laplacian), [length])[0]

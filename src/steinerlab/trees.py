@@ -11,7 +11,7 @@ reduced Laplacian: L with the rows and columns of the C(n-1, d-1)
 the first rows of L.  The same total is the product of the non-trivial
 eigenvalues of L divided by n^C(n-2, d-1).
 
-The count, `weighted_tree_count`, needs no spectrum and builds L itself.
+The count, `weighted_tree_count`, needs no spectrum and reads X.laplacian.
 The smallest eigenvalue of L on ker delta^T (`spectra.restricted_extreme`)
 is the spectral floor that decides an extra kernel (count 0), against the
 zero threshold 1e-8 max(1, (d+1) max degree).  Two distinct (d-1)-faces lie
@@ -52,11 +52,9 @@ from scipy.linalg.lapack import dpftrf
 from .complexes import PureComplex
 from .spectra import (
     NumericalFailure,
-    boundary_matrix,
     power_width,
     require_memory,
     restricted_extreme,
-    sparse_laplacian,
     trivial_zero_count,
     warn_ambiguous_zeros,
     zero_threshold,
@@ -220,7 +218,7 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
     """Weighted number of d-dimensional spanning trees, without a full spectrum.
 
     The log-count is the log-determinant of the reduced Laplacian L[t:, t:],
-    t = C(n-1, d-1), of L = `sparse_laplacian(X)`: sparse elimination of its
+    t = C(n-1, d-1), of L = `X.laplacian`: sparse elimination of its
     low-degree rows, then a packed Cholesky factor of the rest
     (`_reduced_log_det`).  With oracle=True the enumeration result is
     attached and cross-checked.  The oracle's guard, then the count's
@@ -232,7 +230,7 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
     if oracle:
         require_oracle_fits(X)
     require_tree_count_fits(X.n, X.d)
-    L = sparse_laplacian(X)
+    L = X.laplacian
     trivial = trivial_zero_count(X)
     floor = restricted_extreme(L, X.n, X.d, "SA")
     eps = zero_threshold((X.d + 1) * float(L.diagonal().max()))
@@ -417,7 +415,7 @@ def tree_count_exact(X: PureComplex) -> int:
     if X.num_dfaces < r:
         return 0
     width = require_oracle_fits(X)
-    B = boundary_matrix(X).tocoo()
+    B = X.boundary.tocoo()
     block = np.zeros(B.shape, dtype=width)  # column c: the boundary of d-face c
     block[B.row, B.col] = B.data.astype(np.int8)
     R, F = block.shape

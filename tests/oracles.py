@@ -1,6 +1,8 @@
 """Reference routines the tests check the package against; the package never calls them.
 
-Each is an independent or slower route to a value the pipeline computes:
+Each is an independent or slower route to a value the pipeline computes,
+or a helper only the tests need (the complete complex, extreme degrees from
+the tuple index, the law's Laplacian moments, mass and adjacency support):
 the eigenvalue pseudodeterminant of the tree count and its exact
 multi-modular determinant, the Smith normal form whose factors give a
 tree's torsion, the dense top of the adjacency spectrum on ker delta^T,
@@ -25,9 +27,9 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 
 from steinerlab.arboreal import layer_sizes
-from steinerlab.complexes import Face, NeighborhoodComplex, PureComplex, complex_from_dfaces, facets_of
+from steinerlab.complexes import Face, NeighborhoodComplex, PureComplex, complex_from_dfaces, face_array, facets_of
 from steinerlab.experiments import ConvergenceResult
-from steinerlab.limitlaw import QUAD_EPSABS, LimitLaw
+from steinerlab.limitlaw import MOMENT_EPSABS, MOMENT_MAX, QUAD_EPSABS, LimitLaw
 from steinerlab.sampling import SeededRng, sample_system
 from steinerlab.spectra import (
     SpectralSummary,
@@ -36,10 +38,25 @@ from steinerlab.spectra import (
     coboundary_matrix,
     power_width,
     signed_adjacency,
-    sparse_laplacian,
     warn_ambiguous_zeros,
     zero_threshold,
 )
+
+
+# -- complexes -----------------------------------------------------------------
+def complete_complex(n: int, d: int) -> PureComplex:
+    """The complete d-complex on n vertices."""
+    return PureComplex(n, d, face_array(n, d))
+
+
+def min_degree(X: PureComplex) -> int:
+    """Smallest degree of a (d-1)-face, from the tuple index: 0 when one lies in no d-face."""
+    return min(X.degree(face) for face in X.facet_iter())
+
+
+def max_degree(X: PureComplex) -> int:
+    """Largest degree of a (d-1)-face, from the tuple index."""
+    return max((X.degree(face) for face in X.facet_iter()), default=0)
 
 
 # -- spectra -------------------------------------------------------------------
@@ -330,7 +347,7 @@ def exact_reduced_det(X: PureComplex) -> int:
     count this checks.
     """
     t = comb(X.n - 1, X.d - 1)
-    R = np.rint(sparse_laplacian(X)[t:, t:].toarray()).astype(np.int64)
+    R = np.rint(X.laplacian[t:, t:].toarray()).astype(np.int64)
     hadamard = prod(int(v) for v in R.diagonal())
     primes, modulus, p = [], 1, 2**DET_PRIME_BITS
     while modulus <= 2 * hadamard:
@@ -361,6 +378,24 @@ def chebyshev_t(m: int, x):
     for _ in range(m - 1):
         prev, cur = cur, 2.0 * x * cur - prev
     return cur
+
+
+def laplacian_moment(law: LimitLaw, ell: int) -> float:
+    """Moment of the Laplacian law by the law's own midpoint rule."""
+    if not 0 <= ell <= MOMENT_MAX:
+        raise ValueError(f"moment order must be in [0, {MOMENT_MAX}]")
+    return law.expectation(lambda x: x**ell, epsabs=MOMENT_EPSABS)
+
+
+def normalization(law: LimitLaw) -> float:
+    """Total mass of the Laplacian law; 1 up to quadrature error."""
+    return law.expectation(np.ones_like)
+
+
+def adjacency_support(law: LimitLaw) -> tuple[float, float]:
+    """Support of the adjacency law, the Laplacian support reflected through x -> k - x."""
+    lo, hi = law.laplacian_support
+    return (law.k - hi, law.k - lo)
 
 
 def expectation_by_quad(law: LimitLaw, f, epsabs: float = QUAD_EPSABS) -> float:

@@ -272,12 +272,9 @@ class TestSst:
     def test_oversized_file_exits_2_before_any_operator(
         self, command, one_triangle_on_many_vertices, monkeypatch, capsys
     ):
-        import steinerlab.trees as trees
-        from steinerlab import spectra
+        from steinerlab import complexes
 
-        for module in (spectra, trees):
-            monkeypatch.setattr(module, "boundary_matrix", never)
-            monkeypatch.setattr(module, "sparse_laplacian", never)
+        monkeypatch.setattr(complexes, "_signed_incidence", never)  # every operator of a complex starts there
         assert main([*command, "--in", str(one_triangle_on_many_vertices)]) == 2
         err = capsys.readouterr().err
         assert "physical memory" in err and "Traceback" not in err
@@ -549,21 +546,19 @@ class TestGapOracle:
         self, one_triangle_on_many_vertices, monkeypatch, capsys
     ):
         # r = C(99999, 2) d-faces make a tree; with one there is none, and nothing is built
-        import steinerlab.trees as trees
+        from steinerlab import complexes
 
-        monkeypatch.setattr(trees, "boundary_matrix", never)
+        monkeypatch.setattr(complexes, "_signed_incidence", never)
         assert main(["oracle", "--in", str(one_triangle_on_many_vertices)]) == 0
         assert json.loads(capsys.readouterr().out)["exact_kappa"] == 0
 
     @pytest.mark.parametrize("command", [["oracle"], ["sst", "--oracle"]])
     def test_oracle_dense_block_refused_before_work(self, command, long_path, monkeypatch, capsys):
         # one candidate subset passes the subset guard; its 100000 x 99999 block does not fit
-        import steinerlab.trees as trees
-        from steinerlab import spectra
+        from steinerlab import complexes, spectra
 
         monkeypatch.setattr(spectra, "usable_memory", lambda: 2**33)
-        monkeypatch.setattr(trees, "boundary_matrix", never)
-        monkeypatch.setattr(trees, "sparse_laplacian", never)
+        monkeypatch.setattr(complexes, "_signed_incidence", never)
         assert main([*command, "--in", str(long_path)]) == 2
         err = capsys.readouterr().err
         assert "dense 100000 x 99999 boundary block" in err and "Traceback" not in err

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from steinerlab import (
     ball,
-    complete_complex,
+    complexes,
     complex_from_dfaces,
     facets_of,
     read_complex,
@@ -16,7 +16,15 @@ from steinerlab import (
     write_complex,
 )
 from conftest import random_complex
-from oracles import facet_distances, total_dfaces, total_facets, total_vertices
+from oracles import (
+    complete_complex,
+    facet_distances,
+    max_degree,
+    min_degree,
+    total_dfaces,
+    total_facets,
+    total_vertices,
+)
 
 
 # The tuple representation the integer-array complex replaced, kept as the
@@ -93,7 +101,7 @@ def face_lists(draw):
 
 def adjacency(X):
     """Sparse signed adjacency A, rows and columns in facet_iter order."""
-    return spectra.signed_adjacency(spectra.sparse_laplacian(X))
+    return spectra.signed_adjacency(X.laplacian)
 
 
 def row(X, face):
@@ -135,7 +143,7 @@ class TestConstruction:
     def test_degree_of_uncovered_face_is_zero(self):
         X = complex_from_dfaces(5, 2, [(1, 2, 3)])
         assert X.degree((4, 5)) == 0
-        assert X.min_degree() == 0
+        assert min_degree(X) == 0
 
 
 class TestLineGraph:
@@ -310,14 +318,14 @@ class TestTupleReference:
         for facet in X.facet_iter():
             assert X.degree(facet) == ref.degree(facet)
             assert sorted(X.cofacets(facet)) == sorted(ref.cofacets(facet))
-        assert (X.min_degree(), X.max_degree()) == (ref.min_degree(), ref.max_degree())
+        assert (min_degree(X), max_degree(X)) == (ref.min_degree(), ref.max_degree())
         path = tmp_path_factory.mktemp("cx") / "cx.txt"
         write_complex(X, path)
         assert path.read_text() == reference_complex_text(ref)
         assert read_complex(path) == X
-        B = spectra.boundary_matrix(X)
+        B = X.boundary
         taus = np.array(sorted(ref.d_faces), dtype=np.int64).reshape(-1, d + 1)
-        want = spectra._signed_incidence(taus, n)
+        want = complexes._signed_incidence(taus, n)
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(B, attr), getattr(want, attr)), attr
 
@@ -336,7 +344,92 @@ class TestTupleReference:
 
     def test_cofacet_index_built_on_first_use(self):
         X = complex_from_dfaces(5, 2, [(1, 2, 3), (2, 3, 4)])
-        spectra.boundary_matrix(X)
+        X.boundary
         assert X._index is None
         assert X.cofacets((2, 3)) == ((1, 2, 3), (2, 3, 4))
         assert X._index is not None
+
+
+class TestOwnOperators:
+    """B and L are built once per complex, read-only, and no consumer changes them."""
+
+    @staticmethod
+    def arrays(M):
+        return [M.data, M.indices, M.indptr]
+
+    def test_consumers_leave_the_operators_unchanged(self, monkeypatch):
+        from steinerlab import SeededRng, experiments, steiner_complex
+        from steinerlab.arboreal import arboreal_fractions
+        from steinerlab.spectra import moments, signed_trace, spectral_summary
+        from steinerlab.trees import weighted_tree_count
+
+        X = steiner_complex(7, 2, 3, SeededRng(1))  # 17 d-faces: 136 candidate trees, count 103
+        B, L = X.boundary, X.laplacian
+        assert X.laplacian is L and X.boundary is B
+        before = [array.copy() for array in self.arrays(B) + self.arrays(L)]
+        assert weighted_tree_count(X).log_count == pytest.approx(np.log(103))
+        assert weighted_tree_count(X, oracle=True).exact_count == 103
+        arboreal_fractions(X, 3, (1, 2))
+        moments(L, 4)
+        monkeypatch.setattr(experiments, "steiner_complex", lambda *args: X)
+        config = experiments.ExperimentConfig(d=2, k=3, n_values=(7,), trials=1)
+        with pytest.warns(RuntimeWarning, match="proven regime threshold"):
+            assert len(experiments.run_gap_report(config, epsilon=0.1).rows) == 1
+        for operator in ("laplacian", "adjacency"):
+            spectral_summary(X, operator=operator)
+        signed_trace(X, 5)
+        assert X.boundary is B and X.laplacian is L
+        for array, copy in zip(self.arrays(B) + self.arrays(L), before):
+            assert np.array_equal(array, copy) and not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            L.data[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            L.sort_indices()  # what abs(L) would do to the shared L in place
+
+    def test_converge_row_builds_the_incidence_once(self, monkeypatch):
+        from steinerlab import SeededRng, experiments, steiner_complex
+
+        X = steiner_complex(15, 2, 5, SeededRng(3))
+        built = []
+        incidence = complexes._signed_incidence
+
+        def counted(faces, n):
+            built.append(faces is X.faces)
+            return incidence(faces, n)
+
+        monkeypatch.setattr(complexes, "_signed_incidence", counted)
+        config = experiments.ExperimentConfig(d=2, k=5, n_values=(15,), trials=1, radii=(1, 2))
+        experiments._converge_row(config, X, 15, 0)
+        assert built == [True]
+
+    def test_threads_share_one_read_only_laplacian(self):
+        # a race on the first build may build twice; every thread still reads an
+        # identical read-only L, and the complex keeps one of them
+        import sys
+        import threading
+
+        from steinerlab import SeededRng, steiner_complex
+
+        X = steiner_complex(31, 2, 5, SeededRng(2))
+        want = complexes._signed_incidence(X.faces, X.n)
+        want = (want @ want.T).tocsr()
+        got = [None] * 8
+
+        def read(i):
+            got[i] = X.laplacian
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(len(got))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert any(L is X.laplacian for L in got)
+        for L in got:
+            assert all(np.array_equal(a, b) for a, b in zip(self.arrays(L), self.arrays(want)))
+            assert not any(array.flags.writeable for array in self.arrays(L))

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from steinerlab import complete_complex, complex_from_dfaces, experiments, read_complex, spectra, steiner_complex
+from steinerlab import complex_from_dfaces, experiments, read_complex, spectra, steiner_complex
 from steinerlab.experiments import (
     ExperimentConfig,
     converge_csv,
@@ -15,7 +15,14 @@ from steinerlab.experiments import (
 )
 from steinerlab.spectra import adjacency_matrix, laplacian_matrix, trivial_zero_count
 from conftest import random_complex
-from oracles import gap_top_oracle, growth_rate_from_eigenvalues, mean_growth_rate
+from oracles import (
+    complete_complex,
+    gap_top_oracle,
+    growth_rate_from_eigenvalues,
+    max_degree,
+    mean_growth_rate,
+    min_degree,
+)
 
 
 def never(*args, **kwargs):
@@ -88,7 +95,7 @@ class TestRunConverge:
         for cfg in (small_config(trials=4), small_config(d=2, k=2, n_values=(9, 13), trials=3)):
             for row in run_converge(cfg).rows:
                 X = steiner_complex(row.n, cfg.d, cfg.k, cfg.stream(row.n, row.trial))
-                assert row.min_degree == X.min_degree() and type(row.min_degree) is int
+                assert row.min_degree == min_degree(X) and type(row.min_degree) is int
 
     def test_deterministic_bytes(self):
         cfg = small_config()
@@ -270,7 +277,7 @@ class TestGapStatistic:
             rows = run_gap_report(cfg, epsilon=0.5).rows
         for row in rows:
             X = steiner_complex(15, 2, 2, cfg.stream(15, row.trial))
-            if X.min_degree() == X.max_degree() == 2:
+            if min_degree(X) == max_degree(X) == 2:
                 assert row.top_nontrivial == pytest.approx(descending_adjacency_statistic(X), abs=1e-9)
                 return
         pytest.fail("no 2-regular sample found")

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -187,3 +188,25 @@ def test_one_face_order():
     assert formulas == {"complexes.lex_ranks"}, formulas
     sampling = ast.parse((src / "sampling.py").read_text())
     assert not [node for node in ast.walk(sampling) if isinstance(node, ast.Name) and node.id == "frozenset"]
+
+
+def test_the_complex_owns_its_operators():
+    # B and L = B B^T are built in `complexes.PureComplex` alone, once per complex;
+    # every other layer reads `X.boundary` and `X.laplacian`
+    src = Path(importlib.import_module("steinerlab").__file__).parent
+    builders = set()
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert not re.search(r"\b(boundary_matrix|sparse_laplacian)\b", text), path.name
+        tree = ast.parse(text)
+        for top in tree.body:
+            name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(top):
+                gram = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                        and isinstance(node.right, ast.Attribute) and node.right.attr == "T"
+                        and ast.dump(node.right.value) == ast.dump(node.left))
+                incidence = (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_signed_incidence"
+                             and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "faces")
+                if gram or incidence:
+                    builders.add(f"{path.stem}.{name}:{'gram' if gram else 'incidence'}")
+    assert builders == {"complexes.PureComplex:gram", "complexes.PureComplex:incidence"}, builders

@@ -13,7 +13,6 @@ from steinerlab import (
     SeededRng,
     adjacency_matrix,
     all_faces,
-    complete_complex,
     complex_from_dfaces,
     facets_of,
     laplacian_matrix,
@@ -25,7 +24,7 @@ from steinerlab import (
 )
 from steinerlab import spectra
 from conftest import random_complex
-from oracles import esd, exact_rank, trace_oracle
+from oracles import complete_complex, esd, exact_rank, min_degree, trace_oracle
 
 
 def triangle():
@@ -150,8 +149,8 @@ class TestSparseOperators:
             n = int(gen.integers(d + 2, 10 - d))
             X = random_complex(n, d, gen)
             assert np.array_equal(laplacian_matrix(X), tuple_laplacian(X))
-            L = spectra.sparse_laplacian(X)
-            B = spectra.boundary_matrix(X)
+            L = X.laplacian
+            B = X.boundary
             assert B.shape == (comb(n, d), X.num_dfaces)
             assert np.array_equal(B.toarray(), tuple_boundary(X))
             assert np.array_equal(L.toarray(), tuple_laplacian(X))
@@ -164,7 +163,7 @@ class TestSparseOperators:
     def test_coboundary_image_in_kernel(self, gen):
         for d in (1, 2, 3):
             X = random_complex(d + 4, d, gen)
-            product = spectra.sparse_laplacian(X) @ spectra.coboundary_matrix(X.n, d)
+            product = X.laplacian @ spectra.coboundary_matrix(X.n, d)
             assert product.count_nonzero() == 0
 
 
@@ -181,7 +180,7 @@ class TestRestrictedExtreme:
         for d in (1, 2, 3):
             for _ in range(3):
                 X = random_complex(d + 5, d, gen, min_faces=comb(d + 4, d))
-                L = spectra.sparse_laplacian(X)
+                L = X.laplacian
                 for M in (L, spectra.signed_adjacency(L)):
                     eigs = dense_restricted(M, X.n, d)
                     scale = max(1.0, float(abs(eigs).max()))
@@ -192,7 +191,7 @@ class TestRestrictedExtreme:
         # abs(M) would sort M's indices in place; on this input the count's floor
         # then moves from a flagged zero to 0.108 and its Cholesky fails
         X = steiner_complex(13, 2, 2, SeededRng(5).substream(13, 0))
-        L = spectra.sparse_laplacian(X)
+        L = X.laplacian
         for M, which in ((L, "SA"), (spectra.signed_adjacency(L), "LA")):
             indices, data, indptr = M.indices.copy(), M.data.copy(), M.indptr.copy()
             assert not M.has_sorted_indices
@@ -207,7 +206,7 @@ class TestRestrictedExtreme:
             raise ArpackNoConvergence(message, np.zeros(0), np.zeros((0, 0)))
 
         monkeypatch.setattr(spectra, "eigsh", stall)
-        L = spectra.sparse_laplacian(triangle())
+        L = triangle().laplacian
         with pytest.raises(spectra.NumericalFailure, match=r"Lanczos \(SA\) did not converge"):
             spectra.restricted_extreme(L, 3, 1, "SA")
 
@@ -277,7 +276,7 @@ class TestEsdMoments:
         # disjoint matchings happen fast for n=8, k=2; retry streams until regular
         for t in range(50):
             X = steiner_complex(8, 1, 2, SeededRng(23, t))
-            if X.min_degree() == 2:
+            if min_degree(X) == 2:
                 m = moments(adjacency_matrix(X), 2)
                 assert m[2] == pytest.approx(2.0)
                 return
@@ -287,7 +286,7 @@ class TestEsdMoments:
         for d in (1, 2, 3):
             for _ in range(3):
                 X = random_complex(int(gen.integers(d + 3, 10 - d)), d, gen)
-                L = spectra.sparse_laplacian(X)
+                L = X.laplacian
                 dense = L.toarray().astype(np.int64)
                 eigs = np.linalg.eigvalsh(L.toarray())
                 m = len(eigs)
@@ -327,7 +326,7 @@ class TestEsdMoments:
         if not room:
             monkeypatch.setattr(spectra, "usable_memory", spectra.resident_memory)
         X = steiner_complex(n, 1, 8, SeededRng(5))
-        A = spectra.signed_adjacency(spectra.sparse_laplacian(X))
+        A = spectra.signed_adjacency(X.laplacian)
         expected = trace_oracle(A, 8)
         assert [signed_trace(X, ell) for ell in range(9)] == expected
         assert moments(A, 8) == [t / n for t in expected]
@@ -347,7 +346,7 @@ class TestEsdMoments:
         # K_21^(2): each facet lies in n - d = 19 d-faces with d = 2 other facets each, so the
         # absolute row sums of A are 38, and 38^5 < 2^31 <= 38^6
         X = complete_complex(21, 2)
-        A = spectra.signed_adjacency(spectra.sparse_laplacian(X))
+        A = spectra.signed_adjacency(X.laplacian)
         m = comb(21, 2)
         assert int(abs(A).sum(axis=1).max()) == 38
         expected = trace_oracle(A, length)[length]
@@ -362,7 +361,7 @@ class TestEsdMoments:
     def test_at_most_two_dense_powers_are_live(self):
         # d = 1, k = 8, n = 488: A^3 is the first dense power, and lmax = 16 reaches A^8
         X = steiner_complex(488, 1, 8, SeededRng(5))
-        A = spectra.signed_adjacency(spectra.sparse_laplacian(X))
+        A = spectra.signed_adjacency(X.laplacian)
         tracemalloc.start()
         try:
             got = moments(A, 16)
@@ -374,7 +373,7 @@ class TestEsdMoments:
 
     def test_matching_moments_form_no_power(self, monkeypatch):
         # absolute row sums <= 1: A^3 = A, so every trace comes from the identity and A itself
-        A = spectra.signed_adjacency(spectra.sparse_laplacian(steiner_complex(12, 1, 1, SeededRng(5))))
+        A = spectra.signed_adjacency(steiner_complex(12, 1, 1, SeededRng(5)).laplacian)
         expected = trace_oracle(A, 8)
         products = spy_products(monkeypatch)
         assert moments(A, 8) == [t / 12 for t in expected]
@@ -444,7 +443,7 @@ class TestSignedTrace:
     )
     def test_matching_traces_have_period_two(self, X):
         # absolute row sums <= 1: the int64 guard admits every length, and A^3 = A
-        expected = trace_oracle(spectra.signed_adjacency(spectra.sparse_laplacian(X)), 9)
+        expected = trace_oracle(spectra.signed_adjacency(X.laplacian), 9)
         for ell in range(10):
             assert signed_trace(X, ell) == expected[ell]
         start = time.perf_counter()

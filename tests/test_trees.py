@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from steinerlab import (
     SeededRng,
-    complete_complex,
+    complexes,
     complex_from_dfaces,
     spectra,
     steiner_complex,
@@ -18,12 +18,14 @@ from steinerlab import (
     trees,
     weighted_tree_count,
 )
-from steinerlab.spectra import laplacian_matrix, sparse_laplacian, trivial_zero_count
+from steinerlab.spectra import laplacian_matrix, trivial_zero_count
 from conftest import random_complex
 from oracles import (
+    complete_complex,
     exact_rank,
     exact_reduced_det,
     growth_rate_from_eigenvalues,
+    max_degree,
     pseudodet_from_eigenvalues,
     smith_normal_form,
 )
@@ -118,7 +120,7 @@ class TestSmithNormalForm:
         assert smith_normal_form([[0, 0], [0, 0]]).factors == ()
 
     def test_projective_plane_torsion(self):
-        snf = smith_normal_form(spectra.boundary_matrix(complex_from_dfaces(6, 2, RP2)).toarray())
+        snf = smith_normal_form(complex_from_dfaces(6, 2, RP2).boundary.toarray())
         assert snf.rank == 10
         assert snf.torsion() == 2
 
@@ -183,7 +185,7 @@ class TestTorsion:
         assert trees._torsion(M) == prod(diagonal) == smith_normal_form(M).torsion()
 
     def test_projective_plane(self):
-        B = spectra.boundary_matrix(complex_from_dfaces(6, 2, RP2)).toarray()
+        B = complex_from_dfaces(6, 2, RP2).boundary.toarray()
         assert trees._torsion(B) == 2
 
 
@@ -245,7 +247,7 @@ class TestBareiss:
 def per_subset_tree_count(X):
     """The enumeration one subset at a time: exact rank, then a Smith form for every tree."""
     tree_size = comb(X.n - 1, X.d)
-    full = spectra.boundary_matrix(X).toarray().astype(np.int64)
+    full = X.boundary.toarray().astype(np.int64)
     total = 0
     for subset in combinations(range(X.num_dfaces), tree_size):
         cols = full[:, subset].tolist()
@@ -301,7 +303,8 @@ class TestExactOracle:
         def no_elimination(*args):
             raise AssertionError("the oracle built or eliminated a block with fewer faces than r")
 
-        for name in ("boundary_matrix", "_children", "_bareiss_step"):
+        monkeypatch.setattr(complexes, "_signed_incidence", no_elimination)
+        for name in ("_children", "_bareiss_step"):
             monkeypatch.setattr(trees, name, no_elimination)
         assert tree_count_exact(complex_from_dfaces(4, 2, [(1, 2, 3)])) == 0
         assert tree_count_exact(complex_from_dfaces(2, 1, [])) == 0
@@ -348,10 +351,10 @@ class TestExactOracle:
             tree_count_exact(complete_complex(9, 1))
 
     def test_guard_before_spectral_count(self, monkeypatch):
-        def no_spectral_count(X):
+        def no_spectral_count(*args):
             raise AssertionError("the spectral count ran before the oracle guard")
 
-        monkeypatch.setattr(trees, "sparse_laplacian", no_spectral_count)
+        monkeypatch.setattr(complexes, "_signed_incidence", no_spectral_count)
         with pytest.raises(ValueError, match="guard"):
             weighted_tree_count(complete_complex(9, 1), oracle=True)
 
@@ -541,7 +544,7 @@ class TestMatrixTreeRoute:
         assert r.zero_flag == flag
         assert r.trivial_zeros == tz
         # scaled to ||L||_inf = (d + 1) max degree >= the top eigenvalue, from the tuple index
-        assert r.zero_threshold == pytest.approx(1e-8 * max(1, (X.d + 1) * X.max_degree()), rel=1e-10)
+        assert r.zero_threshold == pytest.approx(1e-8 * max(1, (X.d + 1) * max_degree(X)), rel=1e-10)
         assert r.floor == pytest.approx(eigs[tz], abs=1e-10 * max(1.0, eigs[-1]))
         if flag:
             assert r.log_count == float("-inf")
@@ -617,8 +620,8 @@ class TestThresholdScale:
     def scale(X):
         # max degree from the tuple index, independent of L; every row of L holds
         # deg on the diagonal and d deg off-diagonal entries of +-1
-        bound = (X.d + 1) * X.max_degree()
-        assert abs(sparse_laplacian(X)).sum(axis=1).max() == bound
+        bound = (X.d + 1) * max_degree(X)
+        assert abs(X.laplacian.copy()).sum(axis=1).max() == bound  # abs sorts in place
         return bound
 
     def test_random_complexes_d123(self, gen):
@@ -720,7 +723,7 @@ class TestTwoPhaseCount:
     @pytest.mark.parametrize("n,d,k,order", [(1000, 1, 8, 999), (63, 2, 5, 1891)])
     def test_steiner_complexes_shrink_and_match_slogdet(self, n, d, k, order):
         X = steiner_complex(n, d, k, SeededRng(1))
-        L = sparse_laplacian(X)
+        L = X.laplacian
         t = trivial_zero_count(X)
         R = L[t:, t:]
         assert R.shape[0] == order
@@ -735,7 +738,7 @@ class TestTwoPhaseCount:
         # densities above SPARSE_FILL_LIMIT go straight to the packed factor
         for X in (complete_complex(7, 2), steiner_complex(31, 2, 5, SeededRng(1))):
             t = trivial_zero_count(X)
-            R = sparse_laplacian(X)[t:, t:]
+            R = X.laplacian[t:, t:]
             assert trees._reduced_log_det(R)[1] == R.shape[0]
 
     def test_bad_sparse_pivot_raises(self, monkeypatch):
@@ -744,7 +747,7 @@ class TestTwoPhaseCount:
         # degree is 8, so eps = 1e-8 * 2 * 8
         X = steiner_complex(1000, 1, 8, SeededRng(1))
         X = complex_from_dfaces(1000, 1, [e for e in X.d_faces if 1000 not in e])
-        assert X.max_degree() == 8
+        assert max_degree(X) == 8
         monkeypatch.setattr(trees, "restricted_extreme", lambda M, n, d, which: 1.0)
         with pytest.raises(RuntimeError, match=r"floor 1\.000e\+00.*threshold 1\.600e-07.*pivot 999 of 999"):
             weighted_tree_count(X)
