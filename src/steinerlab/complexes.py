@@ -7,10 +7,10 @@ distinct and in lexicographic order, as are a sampled Steiner system's
 blocks (`sampling`).  That order is the one face order: `face_array` lists
 a dimension's faces in it and `lex_ranks` gives a face's place in it, for
 B's rows and delta's columns (`spectra`), the census (`arboreal`) and the
-sampler's exact-cover check.  A complex owns its operators B and L = B B^T
-(`PureComplex`), which every layer reads.  Vertex tuples appear only in the
-text format and in the per-face neighbourhoods (`ball`) that are the oracle
-of the census in `arboreal`.
+sampler's exact-cover check.  A complex owns its operators B, L = B B^T and
+A = diag(L) - L (`PureComplex`), which every layer reads.  Vertex tuples
+appear only in the text format and in the per-face neighbourhoods (`ball`)
+that are the oracle of the census in `arboreal`.
 """
 
 from __future__ import annotations
@@ -105,19 +105,19 @@ class PureComplex:
     """A finite pure d-complex on [n] with complete (d-1)-skeleton.
 
     Only the d-faces are materialized, as the array `faces`.  `boundary` B,
-    `laplacian` L = B B^T and the tuple index `cofacets` and `degree` read
-    are each built once, on first use.  B and L are read-only and L's indices
-    stay unsorted: sorting them, as `abs(L)` does in place, would change the
-    rounding of every later L @ x.  Instances are immutable and safe to share
-    across threads; two threads may both build an operator, and either
-    identical copy is kept.
+    `laplacian` L = B B^T, `adjacency` A = diag(L) - L and the tuple index
+    `cofacets` and `degree` read are each built once, on first use.  B, L
+    and A are read-only and the indices of L and A stay unsorted: sorting
+    them, as `abs(L)` does in place, would change the rounding of every later
+    L @ x.  Instances are immutable and safe to share across threads; two
+    threads may both build an operator, and either identical copy is kept.
     """
 
-    __slots__ = ("n", "d", "faces", "_index", "_boundary", "_laplacian")
+    __slots__ = ("n", "d", "faces", "_index", "_boundary", "_laplacian", "_adjacency")
 
     def __init__(self, n: int, d: int, faces: np.ndarray):
         self.n, self.d, self.faces = n, d, faces
-        self._index = self._boundary = self._laplacian = None
+        self._index = self._boundary = self._laplacian = self._adjacency = None
         faces.flags.writeable = False
 
     @property
@@ -141,6 +141,20 @@ class PureComplex:
         if self._laplacian is None:
             self._laplacian = _read_only((self.boundary @ self.boundary.T).tocsr())
         return self._laplacian
+
+    @property
+    def adjacency(self) -> sp.csr_matrix:
+        """Signed adjacency A = diag(L) - L, in L's dtype.
+
+        Each d-face and facet pair (i, j) contributes (-1)**(i+j+1) to the entry
+        of the two facets: the sign is +1 exactly when the orientation of facet
+        j induced alongside +facet i is the negative representative.  For d = 1
+        this is the ordinary graph adjacency matrix.
+        """
+        if self._adjacency is None:
+            L = self.laplacian
+            self._adjacency = _read_only((sp.diags(L.diagonal(), dtype=L.dtype) - L).tocsr())
+        return self._adjacency
 
     def _cofacet_index(self) -> dict[Face, tuple[Face, ...]]:
         if self._index is None:

@@ -5,11 +5,12 @@ Each trial samples one complex from a seed stream derived from
 never perturbs existing rows, and computes the per-complex convergence
 statistics: normalized spanning-tree count, Laplacian spectral moments,
 arboreal-neighborhood fractions, minimum degree and spectral floor.  A row
-takes no full spectrum: the count and floor come from the Cholesky and
-Lanczos route in `trees`, the moments from exact sparse traces of L, and
-the gap statistic is the largest eigenvalue of the signed adjacency on
-ker delta^T (`spectra.restricted_extreme`).  Every stage reads the one L
-the complex owns (`PureComplex.laplacian`), built once per trial.
+takes no full spectrum: the count and floor come from the Cholesky
+factor and the restricted eigensolve in `trees`, the moments from exact
+sparse traces of L, and the gap statistic is the largest eigenvalue of the
+signed adjacency on ker delta^T (`spectra.restricted_extreme`, dense up to
+its cap, Lanczos above).  Every stage reads the L and A the complex owns
+(`PureComplex.laplacian`, `PureComplex.adjacency`), built once per trial.
 `ExperimentConfig.run` is the one loop over (n, trial): a trial whose
 sampler gives up (`SamplerExhausted`) or whose solve fails
 (`spectra.NumericalFailure`) is recorded as a `RowFailure` and the run goes
@@ -39,7 +40,6 @@ from .spectra import (
     power_width,
     require_memory,
     restricted_extreme,
-    signed_adjacency,
 )
 from .trees import require_tree_count_fits, weighted_tree_count
 
@@ -220,8 +220,9 @@ def run_gap_report(config: ExperimentConfig, epsilon: float) -> GapReport:
     m = C(n, d): 16 bytes (value and index) an entry of B (at most k a row),
     of L and A (d k + 1 a row each) and of delta (d a row), and 32 vectors
     of order m (ARPACK's 20 Lanczos vectors, its work vectors, the matvec's
-    temporaries).  A trial whose sampler gives up or whose solve fails is a
-    failure, not a row.
+    temporaries); up to `spectra.DENSE_EXTREME_MAX` rows the solve is dense
+    instead, a few m x m arrays of at most 2 MB each.  A trial whose sampler
+    gives up or whose solve fails is a failure, not a row.
     """
     d, k = config.d, config.k
     for n in config.n_values:
@@ -232,7 +233,7 @@ def run_gap_report(config: ExperimentConfig, epsilon: float) -> GapReport:
     base = 2.0 * d * sqrt(k - 1)
 
     def gap_row(X: PureComplex, n: int, trial: int) -> GapRow:
-        top = restricted_extreme(signed_adjacency(X.laplacian), n, d, "LA")
+        top = restricted_extreme(X.adjacency, n, d, "LA")
         return GapRow(n=n, trial=trial, top_nontrivial=top, passed=top <= base + epsilon)
 
     return GapReport(base, epsilon, *config.run(gap_row))

@@ -88,12 +88,15 @@ def _exact_cover(n: int, d: int, blocks: np.ndarray) -> np.ndarray:
     """Blocks, strictly increasing rows in [1, n], as a read-only system in lexicographic order.
 
     Raises ValueError unless there are C(n, d)/(d+1) rows whose C(n, d)
-    d-subsets have distinct ranks, that is, cover every d-subset once.
+    d-subsets have distinct ranks, that is, cover every d-subset once.  At
+    d = 1 a vertex is its own key, one more than its rank, so a matching
+    takes none of `facet_ranks`' numpy calls, whose fixed cost would be most
+    of its check.
     """
     expected = comb(n, d) // (d + 1)
     if len(blocks) != expected:
         raise ValueError(f"expected {expected} blocks, got {len(blocks)}")
-    covers = np.bincount(facet_ranks(blocks, n).ravel())
+    covers = np.bincount((blocks if d == 1 else facet_ranks(blocks, n)).ravel())
     if covers.max() > 1:
         raise ValueError(f"{np.count_nonzero(covers > 1)} d-subsets covered more than once")
     system = blocks[np.lexsort(blocks.T[::-1])]

@@ -4,8 +4,8 @@ Skew-symmetric forms on oriented (d-1)-faces have an orthonormal basis
 indexed by one chosen orientation per face (sorted representative, sign +1),
 ordered lexicographically.  In that basis the signed boundary B of the
 d-faces (one column per d-face, entry (-1)**i on the facet omitting vertex i)
-and the upper Laplacian L = B B^T are sparse integer matrices that the
-complex owns (`PureComplex`); the signed adjacency is A = diag(L) - L.
+the upper Laplacian L = B B^T and the signed adjacency A = diag(L) - L are
+sparse integer matrices that the complex owns (`PureComplex`).
 
 Reversing a face's orientation is -1 on forms, so the signed count of
 closed l-walks at a face on the oriented line-graph, phi_l(s+, s+) -
@@ -19,12 +19,13 @@ The trivial kernel of L is the image of the coboundary delta from the
 complete skeleton delta delta^T / n projects onto that image, so for a
 symmetric M and P = I - delta delta^T / n, P M P + c delta delta^T has the
 spectrum of M on ker delta^T and c n, C(n-1, d-1) times.  With c n beyond
-the wanted end, `restricted_extreme` is the one such solve, by Lanczos: the
-tree count's spectral floor is its smallest of L, where L delta = 0 makes
+the wanted end, `restricted_extreme` is the one such solve, by one dense
+LAPACK call up to DENSE_EXTREME_MAX rows and by Lanczos above: the tree
+count's spectral floor is its smallest of L, where L delta = 0 makes
 P L P = L (see `trees`), and the gap statistic its largest of A (see
 `experiments`).  The floor's zero threshold needs no solve: it is scaled
 to ||L||_inf = (d+1) max degree (`zero_threshold`), the same row-sum bound
-as the shift.  `spectral_summary` is the one dense solve.
+as the shift.  `spectral_summary` is the one full spectrum.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .complexes import PureComplex, _signed_incidence, face_array
 
 __all__ = [
     "SpectralSummary",
-    "signed_adjacency",
     "coboundary_matrix",
     "adjacency_matrix",
     "laplacian_matrix",
@@ -56,17 +56,6 @@ __all__ = [
 
 ZERO_RTOL = 1e-8
 AMBIGUOUS_FACTOR = 1e3
-
-
-def signed_adjacency(L: sp.spmatrix) -> sp.csr_matrix:
-    """Signed adjacency diag(L) - L of the upper Laplacian L (`PureComplex.laplacian`), in its dtype.
-
-    Each d-face and facet pair (i, j) contributes (-1)**(i+j+1) to the entry
-    of the two facets: the sign is +1 exactly when the orientation of facet
-    j induced alongside +facet i is the negative representative.  For d = 1
-    this is the ordinary graph adjacency matrix.
-    """
-    return (sp.diags(L.diagonal(), dtype=L.dtype) - L).tocsr()
 
 
 def coboundary_matrix(n: int, d: int) -> sp.csr_matrix:
@@ -81,26 +70,59 @@ def coboundary_matrix(n: int, d: int) -> sp.csr_matrix:
 
 # fixed Lanczos start vector: reproducible, and never in ker L (ones is, at d = 1)
 LANCZOS_SEED = 20090601
+# `restricted_extreme` solves an operator of order m up to this by one dense
+# LAPACK call (`eigvalsh`, every eigenvalue: asked for one, `dsyevr`'s bisection
+# failed on the degenerate top of A at d = 2, k = 2, m = 105) and a larger one
+# by Lanczos.  Median ms of the whole call at d = 2, k = 5 (m = 10: d = 1,
+# k = 4), the range of two warmed-up runs on a 2-vCPU Xeon VM with OpenBLAS at
+# 2 threads:
+#   m                 10       21       105      210        465     990
+#   smallest of L  0.6-0.8  0.7-0.9  1.3-1.7  4.4-5.2      20-24   87-96   dense
+#                  1.0-1.4  1.4-1.8  4.2-6.1  8.7-10       13-19   34-36   Lanczos
+#   largest of A   0.5-0.8  0.5-0.6  1.1-1.8  5.3          23-24   93      dense
+#                  1.1-1.5  1.3-1.5  4.2-6.4  10.5-10.7    19-20   42-43   Lanczos
+# The cross-over lies between m = 210 and 465.  The cap stays above 465 because
+# Lanczos can settle on a wrong eigenvalue of a degenerate spectrum, as at
+# d = 2, k = 2, m = 105 and 465 (a nonzero floor of a singular reduced
+# Laplacian), which a dense solve cannot.
+DENSE_EXTREME_MAX = 500
 
 
 class NumericalFailure(RuntimeError):
-    """A solve that gave no number to trust: a Lanczos run that did not converge, or a failed check."""
+    """A solve that gave no number to trust: a dense or Lanczos eigensolve that failed, or a failed check."""
 
 
 def restricted_extreme(M: sp.csr_matrix, n: int, d: int, which: str) -> float:
     """The smallest ("SA") or largest ("LA") eigenvalue of a symmetric sparse M on ker delta^T.
 
-    Lanczos runs on P M P + c delta delta^T, c a power of two (so c delta
+    The solve is of P M P + c delta delta^T, c a power of two (so c delta
     delta^T x is exact) with c n above the largest absolute row sum of M,
-    negative for "LA", from a seeded start vector; NumericalFailure if
-    ARPACK stops short.  When M delta = 0, as for L, P M P = M and no
-    projection is formed.  The row sums come from a copy: `abs(M)` sorts M's
-    indices in place, and with them the rounding of every later M @ x.
+    negative for "LA".  Up to DENSE_EXTREME_MAX rows that operator is
+    assembled as M plus a symmetric low-rank update and its whole spectrum
+    solved in place by one LAPACK call; above, Lanczos runs on it from a
+    seeded start vector, and when M delta = 0, as for L, P M P = M and no
+    projection is formed.  NumericalFailure if LAPACK fails or ARPACK stops
+    short.  The row sums come from a copy: `abs(M)` sorts M's indices in
+    place, and with them the rounding of every later M @ x.
     """
     delta = coboundary_matrix(n, d)
-    delta_t = delta.T.tocsr()
     bound = float(abs(M.copy()).sum(axis=1).max())
     c = 2.0 ** frexp((bound + 1) / n)[1] * {"SA": 1.0, "LA": -1.0}[which]
+    m = M.shape[0]
+    if m <= DENSE_EXTREME_MAX:
+        # with W = M delta, so that delta^T W is symmetric, the operator is M + F + F^T,
+        # F = delta V^T, V = c delta / 2 - (W - delta delta^T W / 2n) / n; the products are
+        # sparse, since a BLAS product just before slowed `dsyevd` by half (2 threads, m = 465)
+        W = (M @ delta).toarray()
+        F = delta @ (c / 2 * delta.toarray() - (W - delta @ (delta.T @ W) / (2 * n)) / n).T
+        H = M.toarray() + F
+        H += F.T
+        try:
+            eigs = scipy.linalg.eigvalsh(H.T, overwrite_a=True, check_finite=False, driver="evd")
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"dense eigensolve ({which}) failed: {exc}") from None
+        return float(eigs[0] if which == "SA" else eigs[-1])
+    delta_t = delta.T.tocsr()
     projected = bool((M @ delta).count_nonzero())
 
     def matvec(x):
@@ -111,7 +133,7 @@ def restricted_extreme(M: sp.csr_matrix, n: int, d: int, which: str) -> float:
         return y - delta @ (delta_t @ y) / n + c * trivial
 
     op = LinearOperator(M.shape, matvec=matvec, dtype=float)
-    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(M.shape[0])
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(m)
     try:
         return float(eigsh(op, k=1, which=which, v0=v0, return_eigenvectors=False)[0])
     except ArpackNoConvergence as exc:
@@ -180,7 +202,7 @@ def laplacian_matrix(X: PureComplex) -> np.ndarray:
 def adjacency_matrix(X: PureComplex) -> np.ndarray:
     """Dense signed adjacency diag(L) - L, in lexicographic face order; size-checked first."""
     require_dense_fits(comb(X.n, X.d))
-    return signed_adjacency(X.laplacian).toarray()
+    return X.adjacency.toarray()
 
 
 def trivial_zero_count(X: PureComplex) -> int:
@@ -393,4 +415,4 @@ def signed_trace(X: PureComplex, length: int) -> int:
     """
     if length < 0:
         raise ValueError("walk length must be >= 0")
-    return _traces(signed_adjacency(X.laplacian), [length])[0]
+    return _traces(X.adjacency, [length])[0]

@@ -12,8 +12,9 @@ the first rows of L.  The same total is the product of the non-trivial
 eigenvalues of L divided by n^C(n-2, d-1).
 
 The count, `weighted_tree_count`, needs no spectrum and reads X.laplacian.
-The smallest eigenvalue of L on ker delta^T (`spectra.restricted_extreme`)
-is the spectral floor that decides an extra kernel (count 0), against the
+The smallest eigenvalue of L on ker delta^T (`spectra.restricted_extreme`:
+one dense LAPACK call up to DENSE_EXTREME_MAX rows, Lanczos above) is the
+spectral floor that decides an extra kernel (count 0), against the
 zero threshold 1e-8 max(1, (d+1) max degree).  Two distinct (d-1)-faces lie
 in at most one common d-face, so row sigma of L holds deg(sigma) on the
 diagonal and d deg(sigma) off-diagonal entries of +-1: (d+1) max degree is
@@ -116,8 +117,9 @@ class TreeCount:
     Laplacian eigenvalue; the flag is set exactly when it is below
     zero_threshold, 1e-8 max(1, (d+1) max degree), so the two give the
     margin; (d+1) max degree is ||L||_inf, at least the top eigenvalue.  A
-    flagged floor is recorded as 0.0: it is a Lanczos estimate of a true
-    zero, and its digits are round-off that differs between identical runs.
+    flagged floor is recorded as 0.0: it is a floating-point estimate of a
+    true zero (`spectra.restricted_extreme`, dense or by Lanczos), and its
+    digits are round-off that may differ between identical runs.
     exact_count is filled only when the enumeration oracle was run.
     """
 

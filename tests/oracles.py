@@ -37,7 +37,6 @@ from steinerlab.spectra import (
     adjacency_matrix,
     coboundary_matrix,
     power_width,
-    signed_adjacency,
     warn_ambiguous_zeros,
     zero_threshold,
 )
@@ -588,7 +587,8 @@ def walk_count_oracle(d: int, k: int, length: int) -> int:
     cols = np.repeat(np.arange(len(taus)), d + 1)
     signs = np.tile([(-1) ** i for i in range(d + 1)], len(taus))
     B = sp.csr_matrix((signs, (rows, cols)), shape=(len(index), len(taus)), dtype=np.int64)
-    A = signed_adjacency((B @ B.T).tocsr())
+    L = (B @ B.T).tocsr()
+    A = (sp.diags(L.diagonal(), dtype=L.dtype) - L).tocsr()
     R = int(abs(A).sum(axis=1).max())
     if power_width(R, length) == object:
         raise ValueError(f"power {length} of a matrix with absolute row sum {R} can leave int64")

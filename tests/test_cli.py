@@ -12,7 +12,10 @@ import pytest
 
 from steinerlab import limitlaw, read_complex
 from steinerlab.cli import main
+from steinerlab.experiments import ExperimentConfig
 from steinerlab.sampling import SamplerExhausted
+from steinerlab.trees import weighted_tree_count
+from oracles import exact_reduced_det
 
 
 def never(*args, **kwargs):
@@ -431,47 +434,87 @@ def stall_lanczos(monkeypatch, calls: set[int]) -> None:
     monkeypatch.setattr(spectra, "eigsh", stalling)
 
 
+# LAPACK's message for an eigensolve that did not converge
+FAILED = "the algorithm failed to converge"
+
+
+def fail_dense(monkeypatch, calls: set[int]) -> None:
+    """Make the dense eigensolves numbered in `calls` (from 0) raise LinAlgError; the rest run."""
+    import scipy.linalg
+
+    count = iter(range(10**6))
+    eigvalsh = scipy.linalg.eigvalsh
+
+    def failing(*args, **kwargs):
+        if next(count) in calls:
+            raise np.linalg.LinAlgError(FAILED)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", failing)
+
+
 class TestNumericalFailure:
     """A failed solve is a skipped row in converge and gap, and exit 4 in sst and spectrum."""
 
-    def test_converge_skips_a_failed_count(self, tmp_path, capsys):
-        # trial 10's Lanczos floor misses a kernel that the Cholesky factor then finds
-        out = tmp_path / "rows.csv"
-        assert main(["converge", "--d", "2", "--k", "2", "--n", "15", "--trials", "11", "--seed", "11",
-                     "--deterministic", "--out", str(out)]) == 0
-        rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
-        skipped = capsys.readouterr().err.splitlines()
-        assert all(line.startswith("skipped n=15 trial=") for line in skipped)
-        trials = [int(row["trial"]) for row in rows] + [int(line.split("trial=")[1].split(":")[0]) for line in skipped]
-        assert sorted(trials) == list(range(11))
+    def test_converge_decides_a_degenerate_floor(self, tmp_path, capsys):
+        # at n=15 trial 10 and n=31 trial 7 a Lanczos floor settled on the smallest nonzero
+        # eigenvalue of a degenerate spectrum, and the rows were skipped; the dense solve finds
+        # the kernel, and the rows agree with the exact reduced determinant 0
+        for n, trials, degenerate in ((15, 11, 10), (31, 8, 7)):
+            out = tmp_path / f"rows{n}.csv"
+            assert main(["converge", "--d", "2", "--k", "2", "--n", str(n), "--trials", str(trials),
+                         "--seed", "11", "--deterministic", "--out", str(out)]) == 0
+            assert "skipped" not in capsys.readouterr().err
+            rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
+            assert [int(row["trial"]) for row in rows] == list(range(trials))
+            assert (rows[degenerate]["growth_rate"], rows[degenerate]["spectral_floor"]) == ("0.0", "0.0")
+            X = ExperimentConfig(d=2, k=2, n_values=(n,), trials=trials, seed=11).draw(n, degenerate)
+            assert weighted_tree_count(X).zero_flag
+            assert exact_reduced_det(X) == 0
 
     @pytest.mark.filterwarnings("ignore:k=8 is at or below the proven regime threshold")
     def test_gap_skips_a_failed_solve(self, tmp_path, monkeypatch, capsys):
-        stall_lanczos(monkeypatch, {1})
+        stall_lanczos(monkeypatch, {1})  # m = 502 is above the dense cap
         out = tmp_path / "gap.csv"
-        assert main(["gap", "--d", "1", "--k", "8", "--n", "20", "--trials", "3", "--deterministic",
+        assert main(["gap", "--d", "1", "--k", "8", "--n", "502", "--trials", "3", "--deterministic",
                      "--out", str(out)]) == 0
         rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
         assert [row["trial"] for row in rows] == ["0", "2"]
         skipped = [line for line in capsys.readouterr().err.splitlines() if line.startswith("skipped")]
-        assert skipped == ["skipped n=20 trial=1: Lanczos (LA) did not converge: ARPACK error -1: " + STALLED]
+        assert skipped == ["skipped n=502 trial=1: Lanczos (LA) did not converge: ARPACK error -1: " + STALLED]
 
     def test_sst_exits_4(self, monkeypatch, capsys):
-        stall_lanczos(monkeypatch, {0})
-        assert main(["sst", "--d", "2", "--k", "3", "--n", "13"]) == 4
+        stall_lanczos(monkeypatch, {0})  # m = 990 is above the dense cap
+        assert main(["sst", "--d", "2", "--k", "3", "--n", "45"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: Lanczos (SA) did not converge: ARPACK error -1: {STALLED}\n"
+
+    def test_converge_skips_a_failed_dense_solve(self, tmp_path, monkeypatch, capsys):
+        fail_dense(monkeypatch, {1})  # m = 105 is below the dense cap
+        out = tmp_path / "rows.csv"
+        assert main(["converge", "--d", "2", "--k", "5", "--n", "15", "--trials", "3", "--deterministic",
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
+        assert [row["trial"] for row in rows] == ["0", "2"]
+        assert capsys.readouterr().err.splitlines() == [f"skipped n=15 trial=1: dense eigensolve (SA) failed: {FAILED}"]
+
+    def test_sst_dense_failure_exits_4(self, monkeypatch, capsys):
+        fail_dense(monkeypatch, {0})
+        assert main(["sst", "--d", "2", "--k", "3", "--n", "13"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: dense eigensolve (SA) failed: {FAILED}\n"
 
     def test_spectrum_linalg_error_exits_4(self, monkeypatch, capsys):
         import scipy.linalg
 
         def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("the algorithm failed to converge")
+            raise np.linalg.LinAlgError(FAILED)
 
         monkeypatch.setattr(scipy.linalg, "eigvalsh", fail)
         assert main(["spectrum", "--d", "2", "--k", "3", "--n", "13"]) == 4
-        assert capsys.readouterr().err == "error: the algorithm failed to converge\n"
+        assert capsys.readouterr().err == f"error: {FAILED}\n"
 
     def test_limit_quadrature_cap_exits_4(self, monkeypatch, capsys):
         monkeypatch.setattr(limitlaw, "QUAD_MAX_POINTS", 16)

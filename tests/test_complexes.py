@@ -3,6 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,8 +101,8 @@ def face_lists(draw):
 
 
 def adjacency(X):
-    """Sparse signed adjacency A, rows and columns in facet_iter order."""
-    return spectra.signed_adjacency(X.laplacian)
+    """Sparse signed adjacency A, rows and columns in facet_iter order: a copy, which count_nonzero may sort."""
+    return X.adjacency.copy()
 
 
 def row(X, face):
@@ -351,7 +352,7 @@ class TestTupleReference:
 
 
 class TestOwnOperators:
-    """B and L are built once per complex, read-only, and no consumer changes them."""
+    """B, L and A are built once per complex, read-only, and no consumer changes them."""
 
     @staticmethod
     def arrays(M):
@@ -364,9 +365,10 @@ class TestOwnOperators:
         from steinerlab.trees import weighted_tree_count
 
         X = steiner_complex(7, 2, 3, SeededRng(1))  # 17 d-faces: 136 candidate trees, count 103
-        B, L = X.boundary, X.laplacian
-        assert X.laplacian is L and X.boundary is B
-        before = [array.copy() for array in self.arrays(B) + self.arrays(L)]
+        B, L, A = X.boundary, X.laplacian, X.adjacency
+        assert X.laplacian is L and X.boundary is B and X.adjacency is A
+        owned = self.arrays(B) + self.arrays(L) + self.arrays(A)
+        before = [array.copy() for array in owned]
         assert weighted_tree_count(X).log_count == pytest.approx(np.log(103))
         assert weighted_tree_count(X, oracle=True).exact_count == 103
         arboreal_fractions(X, 3, (1, 2))
@@ -378,13 +380,39 @@ class TestOwnOperators:
         for operator in ("laplacian", "adjacency"):
             spectral_summary(X, operator=operator)
         signed_trace(X, 5)
-        assert X.boundary is B and X.laplacian is L
-        for array, copy in zip(self.arrays(B) + self.arrays(L), before):
+        moments(A, 4)
+        assert X.boundary is B and X.laplacian is L and X.adjacency is A
+        for array, copy in zip(owned, before):
             assert np.array_equal(array, copy) and not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            L.data[0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            L.sort_indices()  # what abs(L) would do to the shared L in place
+        for M in (L, A):
+            with pytest.raises(ValueError, match="read-only"):
+                M.data[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                M.sort_indices()  # what abs(M) would do to the shared operator in place
+
+    def test_a_verify_item_builds_the_adjacency_once(self, monkeypatch):
+        # six traces, the dense A of their check and a gap row read one A = diag(L) - L
+        from steinerlab import SeededRng, experiments, spectra, steiner_complex
+
+        X = steiner_complex(31, 2, 5, SeededRng(1))
+        L = X.laplacian
+        built = []
+        diags = sp.diags
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return diags(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "diags", counted)
+        traces = [spectra.signed_trace(X, ell) for ell in range(1, 7)]
+        dense = spectra.adjacency_matrix(X)
+        monkeypatch.setattr(experiments, "steiner_complex", lambda *args: X)
+        config = experiments.ExperimentConfig(d=2, k=5, n_values=(31,), trials=1)
+        with pytest.warns(RuntimeWarning, match="proven regime threshold"):
+            assert len(experiments.run_gap_report(config, epsilon=0.1).rows) == 1
+        assert built == [1]
+        assert np.array_equal(dense, np.diag(L.diagonal()) - L.toarray())
+        assert traces[1] == int((dense * dense).sum())
 
     def test_converge_row_builds_the_incidence_once(self, monkeypatch):
         from steinerlab import SeededRng, experiments, steiner_complex

@@ -77,7 +77,8 @@ DENSE_EIGENSOLVERS = {"eigvalsh", "eigh", "eigvals", "eig"}
 
 
 def test_one_dense_eigensolve():
-    # the full spectrum is an output only of `spectrum`; every other route is sparse
+    # the full spectrum is an output only of `spectrum`; besides it only the restricted
+    # solve, up to its dense cap, calls a dense eigensolver
     src = Path(importlib.import_module("steinerlab").__file__).parent
     callers = set()
     for path in sorted(src.glob("*.py")):
@@ -98,7 +99,7 @@ def test_one_dense_eigensolve():
                 continue
             if used in DENSE_EIGENSOLVERS:
                 callers.add(f"{path.stem}.{scope}")
-    assert callers == {"spectra.spectral_summary"}
+    assert callers == {"spectra.spectral_summary", "spectra.restricted_extreme"}, callers
 
 
 @pytest.mark.parametrize("needle", ["LinearOperator(", "coboundary_matrix(", "frexp"])
@@ -192,12 +193,12 @@ def test_one_face_order():
 
 def test_the_complex_owns_its_operators():
     # B and L = B B^T are built in `complexes.PureComplex` alone, once per complex;
-    # every other layer reads `X.boundary` and `X.laplacian`
+    # every other layer reads `X.boundary`, `X.laplacian` and `X.adjacency`
     src = Path(importlib.import_module("steinerlab").__file__).parent
     builders = set()
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
-        assert not re.search(r"\b(boundary_matrix|sparse_laplacian)\b", text), path.name
+        assert not re.search(r"\b(boundary_matrix|sparse_laplacian|signed_adjacency)\b", text), path.name
         tree = ast.parse(text)
         for top in tree.body:
             name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"

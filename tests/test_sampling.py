@@ -232,6 +232,10 @@ class TestSystemArrays:
             assert state(gen) == state(ref)
 
 
+MATCHING = [(1, 2), (3, 4), (5, 6)]
+FANO = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
+
+
 class TestTripleSystems:
     def test_sts7_block_count(self):
         s = sample_sts(7, SeededRng(1))
@@ -250,6 +254,21 @@ class TestTripleSystems:
             sampling._exact_cover(7, 2, np.array([(1, 2, 3)] * 7))
         with pytest.raises(ValueError, match="blocks"):
             sampling._exact_cover(7, 2, np.array([(1, 2, 3)]))
+
+    @pytest.mark.parametrize("n, d, blocks, message", [
+        (6, 1, MATCHING[1:], "expected 3 blocks, got 2"),
+        (6, 1, [(1, 2), (1, 2), (5, 6)], "2 d-subsets covered more than once"),  # a repeated block
+        (6, 1, [(1, 2), (1, 3), (5, 6)], "1 d-subsets covered more than once"),  # vertex 4 uncovered
+        (7, 2, FANO[1:], "expected 7 blocks, got 6"),
+        (7, 2, FANO[:-1] + [(1, 2, 3)], "3 d-subsets covered more than once"),
+        (7, 2, FANO[:-1] + [(3, 5, 7)], "2 d-subsets covered more than once"),  # {5, 6} uncovered
+    ], ids=["d1-count", "d1-repeat", "d1-overlap", "d2-count", "d2-repeat", "d2-overlap"])
+    def test_exact_cover_refusals(self, n, d, blocks, message):
+        # the three refusals, on a perfect matching and on the Fano plane, each valid as given
+        valid = MATCHING if d == 1 else FANO
+        assert sampling._exact_cover(n, d, np.array(valid[::-1])).tolist() == sorted(map(list, valid))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sampling._exact_cover(n, d, np.array(blocks))
 
     def test_permutation_invariance_orbit_statistics(self):
         # uniform relabeling makes P(B in S) = #blocks / #triples = 1/7 for

@@ -22,7 +22,7 @@ from steinerlab import (
     steiner_complex,
     trivial_zero_count,
 )
-from steinerlab import spectra
+from steinerlab import experiments, spectra
 from conftest import random_complex
 from oracles import complete_complex, esd, exact_rank, min_degree, trace_oracle
 
@@ -173,32 +173,75 @@ def dense_restricted(M: sp.spmatrix, n: int, d: int) -> np.ndarray:
     return np.linalg.eigvalsh(Q.T @ M.toarray() @ Q)
 
 
+# complexes just below and just above the dense cap: m = C(n, d) = 465 | 990 and 500 | 502
+AT_THE_CAP = [(31, 2, 5), (45, 2, 5), (500, 1, 3), (502, 1, 3)]
+CAP_IDS = ["m465", "m990", "m500", "m502"]
+
+
 class TestRestrictedExtreme:
-    """`restricted_extreme` is the one Lanczos solve on ker delta^T, for L and A at either end."""
+    """`restricted_extreme` is the one solve on ker delta^T, dense up to the cap and Lanczos above it."""
 
     def test_both_ends_of_both_operators_match_dense(self, gen):
         for d in (1, 2, 3):
             for _ in range(3):
                 X = random_complex(d + 5, d, gen, min_faces=comb(d + 4, d))
                 L = X.laplacian
-                for M in (L, spectra.signed_adjacency(L)):
+                for M in (L, X.adjacency):
                     eigs = dense_restricted(M, X.n, d)
                     scale = max(1.0, float(abs(eigs).max()))
                     assert spectra.restricted_extreme(M, X.n, d, "SA") == pytest.approx(eigs[0], abs=1e-9 * scale)
                     assert spectra.restricted_extreme(M, X.n, d, "LA") == pytest.approx(eigs[-1], abs=1e-9 * scale)
 
+    @pytest.mark.parametrize("n, d, k", AT_THE_CAP, ids=CAP_IDS)
+    def test_dense_and_lanczos_agree_at_the_cap(self, monkeypatch, n, d, k):
+        X = steiner_complex(n, d, k, SeededRng(1))
+        for M in (X.laplacian, X.adjacency):
+            for which in ("SA", "LA"):
+                monkeypatch.setattr(spectra, "DENSE_EXTREME_MAX", 10**9)
+                dense = spectra.restricted_extreme(M, n, d, which)
+                monkeypatch.setattr(spectra, "DENSE_EXTREME_MAX", 0)
+                lanczos = spectra.restricted_extreme(M, n, d, which)
+                assert dense != 0.0 and dense == pytest.approx(lanczos, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n, d, k", AT_THE_CAP, ids=CAP_IDS)
+    def test_the_cap_picks_one_solver(self, monkeypatch, n, d, k):
+        # up to the cap ARPACK is never called, above it the dense solver never reached
+        def never(*args, **kwargs):
+            raise AssertionError("the other solver ran")
+
+        dense = comb(n, d) <= spectra.DENSE_EXTREME_MAX
+        assert dense == (n in (31, 500))
+        if dense:
+            monkeypatch.setattr(spectra, "eigsh", never)
+        else:
+            monkeypatch.setattr(scipy.linalg, "eigvalsh", never)
+        X = steiner_complex(n, d, k, SeededRng(1))
+        assert spectra.restricted_extreme(X.laplacian, n, d, "SA") > 0.1
+        assert spectra.restricted_extreme(X.adjacency, n, d, "LA") > 2.0
+
+    @pytest.mark.parametrize("n, trial", [(15, 6), (15, 10), (31, 7), (31, 17)])
+    def test_degenerate_ends_at_k2(self, n, trial):
+        # seed 11, d = 2, k = 2: A's top eigenvalue 2 is degenerate, and asked for it alone,
+        # LAPACK's bisection (`dsyevr`) stopped with an internal error at n = 15 trial 6 and
+        # n = 31 trial 17; the floor of L is a degenerate 0 that Lanczos missed at n = 15
+        # trial 10 and n = 31 trial 7
+        X = experiments.ExperimentConfig(d=2, k=2, n_values=(n,), trials=trial + 1, seed=11).draw(n, trial)
+        eigs = {which: dense_restricted(M, n, 2) for which, M in (("SA", X.laplacian), ("LA", X.adjacency))}
+        assert spectra.restricted_extreme(X.laplacian, n, 2, "SA") == pytest.approx(eigs["SA"][0], abs=1e-12)
+        assert spectra.restricted_extreme(X.adjacency, n, 2, "LA") == pytest.approx(eigs["LA"][-1], rel=1e-12)
+
     def test_leaves_the_matrix_as_it_was(self):
-        # abs(M) would sort M's indices in place; on this input the count's floor
-        # then moves from a flagged zero to 0.108 and its Cholesky fails
-        X = steiner_complex(13, 2, 2, SeededRng(5).substream(13, 0))
-        L = X.laplacian
-        for M, which in ((L, "SA"), (spectra.signed_adjacency(L), "LA")):
-            indices, data, indptr = M.indices.copy(), M.data.copy(), M.indptr.copy()
-            assert not M.has_sorted_indices
-            spectra.restricted_extreme(M, X.n, X.d, which)
-            assert not M.has_sorted_indices
-            assert np.array_equal(M.indices, indices) and np.array_equal(M.indptr, indptr)
-            assert np.array_equal(M.data, data)
+        # abs(M) would sort M's indices in place; on the n = 13 input the count's floor
+        # then moved from a flagged zero to 0.108 and its Cholesky failed
+        for n, k in ((13, 2), (45, 5)):  # a dense solve and a Lanczos one
+            X = steiner_complex(n, 2, k, SeededRng(5).substream(n, 0))
+            for M, which in ((X.laplacian, "SA"), (X.adjacency, "LA")):
+                indices, data, indptr = M.indices.copy(), M.data.copy(), M.indptr.copy()
+                assert not M.has_sorted_indices
+                spectra.restricted_extreme(M, X.n, X.d, which)
+                assert not M.has_sorted_indices
+                assert np.array_equal(M.indices, indices) and np.array_equal(M.indptr, indptr)
+                assert np.array_equal(M.data, data)
 
     def test_no_convergence_is_a_numerical_failure(self, monkeypatch):
         def stall(*args, **kwargs):
@@ -206,9 +249,17 @@ class TestRestrictedExtreme:
             raise ArpackNoConvergence(message, np.zeros(0), np.zeros((0, 0)))
 
         monkeypatch.setattr(spectra, "eigsh", stall)
-        L = triangle().laplacian
+        L = steiner_complex(502, 1, 3, SeededRng(1)).laplacian
         with pytest.raises(spectra.NumericalFailure, match=r"Lanczos \(SA\) did not converge"):
-            spectra.restricted_extreme(L, 3, 1, "SA")
+            spectra.restricted_extreme(L, 502, 1, "SA")
+
+    def test_dense_failure_is_a_numerical_failure(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("the algorithm failed to converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", fail)
+        with pytest.raises(spectra.NumericalFailure, match=r"^dense eigensolve \(LA\) failed: the algorithm"):
+            spectra.restricted_extreme(triangle().adjacency, 3, 1, "LA")
 
 
 class TestEigenvalues:
@@ -326,7 +377,7 @@ class TestEsdMoments:
         if not room:
             monkeypatch.setattr(spectra, "usable_memory", spectra.resident_memory)
         X = steiner_complex(n, 1, 8, SeededRng(5))
-        A = spectra.signed_adjacency(X.laplacian)
+        A = X.adjacency
         expected = trace_oracle(A, 8)
         assert [signed_trace(X, ell) for ell in range(9)] == expected
         assert moments(A, 8) == [t / n for t in expected]
@@ -346,9 +397,9 @@ class TestEsdMoments:
         # K_21^(2): each facet lies in n - d = 19 d-faces with d = 2 other facets each, so the
         # absolute row sums of A are 38, and 38^5 < 2^31 <= 38^6
         X = complete_complex(21, 2)
-        A = spectra.signed_adjacency(X.laplacian)
+        A = X.adjacency
         m = comb(21, 2)
-        assert int(abs(A).sum(axis=1).max()) == 38
+        assert int(abs(A.copy()).sum(axis=1).max()) == 38
         expected = trace_oracle(A, length)[length]
         products = spy_products(monkeypatch)
         assert spectra._traces(A, [length]) == [expected]
@@ -361,7 +412,7 @@ class TestEsdMoments:
     def test_at_most_two_dense_powers_are_live(self):
         # d = 1, k = 8, n = 488: A^3 is the first dense power, and lmax = 16 reaches A^8
         X = steiner_complex(488, 1, 8, SeededRng(5))
-        A = spectra.signed_adjacency(X.laplacian)
+        A = X.adjacency
         tracemalloc.start()
         try:
             got = moments(A, 16)
@@ -373,7 +424,7 @@ class TestEsdMoments:
 
     def test_matching_moments_form_no_power(self, monkeypatch):
         # absolute row sums <= 1: A^3 = A, so every trace comes from the identity and A itself
-        A = spectra.signed_adjacency(steiner_complex(12, 1, 1, SeededRng(5)).laplacian)
+        A = steiner_complex(12, 1, 1, SeededRng(5)).adjacency
         expected = trace_oracle(A, 8)
         products = spy_products(monkeypatch)
         assert moments(A, 8) == [t / 12 for t in expected]
@@ -443,7 +494,7 @@ class TestSignedTrace:
     )
     def test_matching_traces_have_period_two(self, X):
         # absolute row sums <= 1: the int64 guard admits every length, and A^3 = A
-        expected = trace_oracle(spectra.signed_adjacency(X.laplacian), 9)
+        expected = trace_oracle(X.adjacency, 9)
         for ell in range(10):
             assert signed_trace(X, ell) == expected[ell]
         start = time.perf_counter()

@@ -44,6 +44,7 @@ INPUTS = {"rp2.txt": RP2, "k4.txt": "4 1\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"}
 GRID = [
     ("golden-d2", "converge --d 2 --k 5 --n 31 --trials 3 --r 1 --r 2 --seed 7 --deterministic"),
     ("golden-d1", "converge --d 1 --k 3 --n 100 --trials 2 --r 1 --r 2 --r 3 --seed 7 --deterministic"),
+    ("converge-d2-n45", "converge --d 2 --k 5 --n 45 --trials 2 --seed 4 --deterministic"),  # m = 990, above the dense cap
     ("converge-d2-n111", "converge --d 2 --k 5 --n 111 --seed 1 --deterministic"),
     ("converge-d1-n2000", "converge --d 1 --k 8 --n 2000 --r 1 --r 2 --seed 1 --deterministic"),
     ("converge-d3-n8", "converge --d 3 --k 2 --n 8 --trials 4 --seed 1 --deterministic"),
