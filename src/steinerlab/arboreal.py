@@ -129,9 +129,9 @@ def arboreal_fractions(X: PureComplex, k: int, radii: Sequence[int]) -> tuple[fl
         return tuple(1.0 for _ in radii)
     profile = layer_sizes(d, k, top)
     dfaces_within = np.cumsum(profile.new_dfaces)
-    P = abs(X.boundary.copy())  # abs sorts in place, and the complex's operators are read-only
+    P = abs(X.boundary)
     m = P.shape[0]
-    G = _pattern(sp.identity(m, format="csr") + abs(X.laplacian.copy()))
+    G = _pattern(sp.identity(m, format="csr") + abs(X.laplacian))
     V = sp.csr_matrix((np.ones(m * d), face_array(n, d - 1).ravel() - 1, np.arange(0, m * d + 1, d)), shape=(m, n))
     off_degree = (np.diff(P.indptr) != k).astype(float)
     survivors = [0] * (top + 1)

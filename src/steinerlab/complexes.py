@@ -85,8 +85,9 @@ def _signed_incidence(faces: np.ndarray, n: int) -> sp.csr_matrix:
     return sp.csr_matrix((signs, (facet_rows, cols)), shape=(comb(n, width - 1), len(faces)))
 
 
-def _read_only(M: sp.csr_matrix) -> sp.csr_matrix:
-    """M with its data, indices and indptr read-only, so that no consumer can sort or scale it."""
+def _canonical_read_only(M: sp.csr_matrix) -> sp.csr_matrix:
+    """M made canonical, so scipy's in-place sorts (`abs`, `sort_indices`) find nothing to do, then read-only."""
+    M.sum_duplicates()
     for array in (M.data, M.indices, M.indptr):
         array.flags.writeable = False
     return M
@@ -107,10 +108,9 @@ class PureComplex:
     Only the d-faces are materialized, as the array `faces`.  `boundary` B,
     `laplacian` L = B B^T, `adjacency` A = diag(L) - L and the tuple index
     `cofacets` and `degree` read are each built once, on first use.  B, L
-    and A are read-only and the indices of L and A stay unsorted: sorting
-    them, as `abs(L)` does in place, would change the rounding of every later
-    L @ x.  Instances are immutable and safe to share across threads; two
-    threads may both build an operator, and either identical copy is kept.
+    and A are canonical CSR (sorted indices, no duplicates) and read-only.
+    Instances are immutable and safe to share across threads; two threads may
+    both build an operator, and either identical copy is kept.
     """
 
     __slots__ = ("n", "d", "faces", "_index", "_boundary", "_laplacian", "_adjacency")
@@ -132,14 +132,14 @@ class PureComplex:
     def boundary(self) -> sp.csr_matrix:
         """Signed boundary B: C(n, d) rows in form-basis order, a column per d-face in `faces` order."""
         if self._boundary is None:
-            self._boundary = _read_only(_signed_incidence(self.faces, self.n))
+            self._boundary = _canonical_read_only(_signed_incidence(self.faces, self.n))
         return self._boundary
 
     @property
     def laplacian(self) -> sp.csr_matrix:
         """Upper Laplacian L = B B^T: deg(sigma) on the diagonal, (-1)**(i+j) per shared d-face."""
         if self._laplacian is None:
-            self._laplacian = _read_only((self.boundary @ self.boundary.T).tocsr())
+            self._laplacian = _canonical_read_only((self.boundary @ self.boundary.T).tocsr())
         return self._laplacian
 
     @property
@@ -153,7 +153,7 @@ class PureComplex:
         """
         if self._adjacency is None:
             L = self.laplacian
-            self._adjacency = _read_only((sp.diags(L.diagonal(), dtype=L.dtype) - L).tocsr())
+            self._adjacency = _canonical_read_only((sp.diags(L.diagonal(), dtype=L.dtype) - L).tocsr())
         return self._adjacency
 
     def _cofacet_index(self) -> dict[Face, tuple[Face, ...]]:

@@ -102,11 +102,10 @@ def restricted_extreme(M: sp.csr_matrix, n: int, d: int, which: str) -> float:
     solved in place by one LAPACK call; above, Lanczos runs on it from a
     seeded start vector, and when M delta = 0, as for L, P M P = M and no
     projection is formed.  NumericalFailure if LAPACK fails or ARPACK stops
-    short.  The row sums come from a copy: `abs(M)` sorts M's indices in
-    place, and with them the rounding of every later M @ x.
+    short.  A complex's operators are canonical and read-only.
     """
     delta = coboundary_matrix(n, d)
-    bound = float(abs(M.copy()).sum(axis=1).max())
+    bound = float(abs(M).sum(axis=1).max())
     c = 2.0 ** frexp((bound + 1) / n)[1] * {"SA": 1.0, "LA": -1.0}[which]
     m = M.shape[0]
     if m <= DENSE_EXTREME_MAX:

@@ -211,3 +211,27 @@ def test_the_complex_owns_its_operators():
                 if gram or incidence:
                     builders.add(f"{path.stem}.{name}:{'gram' if gram else 'incidence'}")
     assert builders == {"complexes.PureComplex:gram", "complexes.PureComplex:incidence"}, builders
+
+
+def test_one_operator_contract():
+    # B, L and A are made canonical and read-only by `complexes._canonical_read_only`
+    # alone, so scipy's in-place sorts leave them be and no layer copies one to sort it
+    src = Path(importlib.import_module("steinerlab").__file__).parent
+    helpers, copies = set(), []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                inner = list(ast.walk(node))
+                sorts = any(isinstance(part, ast.Attribute) and part.attr in {"sum_duplicates", "sort_indices"}
+                            for part in inner)
+                freezes = any(isinstance(part, ast.Attribute) and part.attr == "writeable"
+                              and isinstance(part.ctx, ast.Store) for part in inner)
+                if sorts and freezes:
+                    helpers.add(f"{path.stem}.{node.name}")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "copy"
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr in {"boundary", "laplacian", "adjacency"}):
+                copies.append(f"{path.name}:{node.lineno}")
+    assert helpers == {"complexes._canonical_read_only"}, helpers
+    assert {path.name for path in src.glob("*.py") if "_canonical_read_only" in path.read_text()} == {"complexes.py"}
+    assert not copies, copies

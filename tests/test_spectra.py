@@ -21,10 +21,11 @@ from steinerlab import (
     spectral_summary,
     steiner_complex,
     trivial_zero_count,
+    weighted_tree_count,
 )
 from steinerlab import experiments, spectra
 from conftest import random_complex
-from oracles import complete_complex, esd, exact_rank, min_degree, trace_oracle
+from oracles import complete_complex, esd, exact_rank, gap_top_oracle, min_degree, trace_oracle
 
 
 def triangle():
@@ -230,16 +231,30 @@ class TestRestrictedExtreme:
         assert spectra.restricted_extreme(X.laplacian, n, 2, "SA") == pytest.approx(eigs["SA"][0], abs=1e-12)
         assert spectra.restricted_extreme(X.adjacency, n, 2, "LA") == pytest.approx(eigs["LA"][-1], rel=1e-12)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_degenerate_spectra_above_the_cap(self, k):
+        # seed 11, d = 2, n = 45 (m = 990, Lanczos): at k = 2 every floor is a degenerate zero
+        # and A's top eigenvalue 2 is degenerate; each row's flag, floor and gap top agree with
+        # dense solves, the floor with L's spectrum less its C(44, 1) trivial zeros
+        n, trivial = 45, comb(44, 1)
+        config = experiments.ExperimentConfig(d=2, k=k, n_values=(n,), trials=4, seed=11)
+        for trial in range(config.trials):
+            X = config.draw(n, trial)
+            count = weighted_tree_count(X)
+            floor = np.linalg.eigvalsh(X.laplacian.toarray())[trivial]
+            assert count.zero_flag == (floor < count.zero_threshold)
+            assert count.floor == (0.0 if count.zero_flag else pytest.approx(floor, abs=1e-12))
+            top = spectra.restricted_extreme(X.adjacency, n, 2, "LA")
+            assert top == pytest.approx(gap_top_oracle(X), rel=1e-12)
+
     def test_leaves_the_matrix_as_it_was(self):
-        # abs(M) would sort M's indices in place; on the n = 13 input the count's floor
-        # then moved from a flagged zero to 0.108 and its Cholesky failed
         for n, k in ((13, 2), (45, 5)):  # a dense solve and a Lanczos one
             X = steiner_complex(n, 2, k, SeededRng(5).substream(n, 0))
             for M, which in ((X.laplacian, "SA"), (X.adjacency, "LA")):
                 indices, data, indptr = M.indices.copy(), M.data.copy(), M.indptr.copy()
-                assert not M.has_sorted_indices
+                assert M.has_sorted_indices
                 spectra.restricted_extreme(M, X.n, X.d, which)
-                assert not M.has_sorted_indices
+                assert M.has_sorted_indices
                 assert np.array_equal(M.indices, indices) and np.array_equal(M.indptr, indptr)
                 assert np.array_equal(M.data, data)
 
@@ -399,7 +414,7 @@ class TestEsdMoments:
         X = complete_complex(21, 2)
         A = X.adjacency
         m = comb(21, 2)
-        assert int(abs(A.copy()).sum(axis=1).max()) == 38
+        assert int(abs(A).sum(axis=1).max()) == 38
         expected = trace_oracle(A, length)[length]
         products = spy_products(monkeypatch)
         assert spectra._traces(A, [length]) == [expected]

@@ -621,7 +621,7 @@ class TestThresholdScale:
         # max degree from the tuple index, independent of L; every row of L holds
         # deg on the diagonal and d deg off-diagonal entries of +-1
         bound = (X.d + 1) * max_degree(X)
-        assert abs(X.laplacian.copy()).sum(axis=1).max() == bound  # abs sorts in place
+        assert abs(X.laplacian).sum(axis=1).max() == bound
         return bound
 
     def test_random_complexes_d123(self, gen):

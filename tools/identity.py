@@ -54,6 +54,7 @@ GRID = [
     ("seed11-n31", "converge --d 2 --k 2 --n 31 --trials 8 --seed 11 --deterministic"),
     ("seed11-gap", "gap --d 2 --k 2 --n 15 --trials 18 --seed 11 --deterministic"),
     ("gap-k21", "gap --d 2 --k 21 --n 31 --trials 2 --seed 3 --deterministic --out gap.csv"),
+    ("gap-d2-n45", "gap --d 2 --k 5 --n 45 --trials 2 --seed 4 --deterministic"),  # m = 990: Lanczos
     ("local", "local --d 2 --k 5 --n 31 --trials 2 --r 1 --r 2 --seed 3"),
     ("sample", "sample --d 2 --k 5 --n 15 --trials 3 --seed 2 --out cx"),
     ("spectrum-laplacian", "spectrum --d 2 --k 5 --n 31 --seed 1 --out spectrum.csv"),
