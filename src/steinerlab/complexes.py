@@ -16,6 +16,7 @@ that are the oracle of the census in `arboreal`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 from pathlib import Path
@@ -91,6 +92,12 @@ def _canonical_read_only(M: sp.csr_matrix) -> sp.csr_matrix:
     for array in (M.data, M.indices, M.indptr):
         array.flags.writeable = False
     return M
+
+
+@lru_cache(maxsize=16)
+def _complete_coboundary(n: int, d: int) -> sp.csr_matrix:
+    """Coboundary from the (d-2)-forms of the complete skeleton on [n], built once per (n, d), canonical and read-only."""
+    return _canonical_read_only(_signed_incidence(face_array(n, d - 1), n).T.tocsr())
 
 
 def facets_of(face: Face) -> list[Face]:

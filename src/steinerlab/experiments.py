@@ -219,8 +219,9 @@ def run_gap_report(config: ExperimentConfig, epsilon: float) -> GapReport:
     is sampled each n is checked against usable memory for what a row holds,
     m = C(n, d): 16 bytes (value and index) an entry of B (at most k a row),
     of L and A (d k + 1 a row each) and of delta (d a row), and 32 vectors
-    of order m (ARPACK's 20 Lanczos vectors, its work vectors, the matvec's
-    temporaries); up to `spectra.DENSE_EXTREME_MAX` rows the solve is dense
+    of order m, a conservative bound: the Lanczos recurrence holds three, the
+    matvec a few temporaries, and T's coefficients at most 20 at the step
+    cap of 10 m; up to `spectra.DENSE_EXTREME_MAX` rows the solve is dense
     instead, a few m x m arrays of at most 2 MB each.  A trial whose sampler
     gives up or whose solve fails is a failure, not a row.
     """

@@ -20,12 +20,12 @@ complete skeleton delta delta^T / n projects onto that image, so for a
 symmetric M and P = I - delta delta^T / n, P M P + c delta delta^T has the
 spectrum of M on ker delta^T and c n, C(n-1, d-1) times.  With c n beyond
 the wanted end, `restricted_extreme` is the one such solve, by one dense
-LAPACK call up to DENSE_EXTREME_MAX rows and by Lanczos above: the tree
-count's spectral floor is its smallest of L, where L delta = 0 makes
-P L P = L (see `trees`), and the gap statistic its largest of A (see
-`experiments`).  The floor's zero threshold needs no solve: it is scaled
-to ||L||_inf = (d+1) max degree (`zero_threshold`), the same row-sum bound
-as the shift.  `spectral_summary` is the one full spectrum.
+LAPACK call up to DENSE_EXTREME_MAX rows and above by a plain Lanczos
+recurrence, stopped at the operator's rounding level: the tree count's
+spectral floor is its smallest of L, where L delta = 0 makes P L P = L (see
+`trees`), and the gap statistic its largest of A (see `experiments`).  The
+floor's zero threshold needs no solve: it is scaled to ||L||_inf = (d+1) max
+degree (`zero_threshold`), the same row-sum bound as the shift.  `spectral_summary` is the one full spectrum.
 """
 
 from __future__ import annotations
@@ -33,15 +33,15 @@ from __future__ import annotations
 import os
 import resource
 import warnings
+from array import array
 from dataclasses import dataclass
 from math import comb, frexp
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .complexes import PureComplex, _signed_incidence, face_array
+from .complexes import PureComplex, _complete_coboundary
 
 __all__ = [
     "SpectralSummary",
@@ -63,9 +63,9 @@ def coboundary_matrix(n: int, d: int) -> sp.csr_matrix:
 
     Row sigma holds (-1)**i in the column of the (d-2)-face omitting sigma's
     i-th vertex; for d = 1 the single column is the empty face and every
-    entry is +1.
+    entry is +1.  Built once per (n, d), canonical and read-only (`complexes`).
     """
-    return _signed_incidence(face_array(n, d - 1), n).T.tocsr()
+    return _complete_coboundary(n, d)
 
 
 # fixed Lanczos start vector: reproducible, and never in ker L (ones is, at d = 1)
@@ -75,21 +75,66 @@ LANCZOS_SEED = 20090601
 # failed on the degenerate top of A at d = 2, k = 2, m = 105) and a larger one
 # by Lanczos.  Median ms of the whole call at d = 2, k = 5 (m = 10: d = 1,
 # k = 4), the range of two warmed-up runs on a 2-vCPU Xeon VM with OpenBLAS at
-# 2 threads:
-#   m                 10       21       105      210        465     990
-#   smallest of L  0.6-0.8  0.7-0.9  1.3-1.7  4.4-5.2      20-24   87-96   dense
-#                  1.0-1.4  1.4-1.8  4.2-6.1  8.7-10       13-19   34-36   Lanczos
-#   largest of A   0.5-0.8  0.5-0.6  1.1-1.8  5.3          23-24   93      dense
-#                  1.1-1.5  1.3-1.5  4.2-6.4  10.5-10.7    19-20   42-43   Lanczos
-# The cross-over lies between m = 210 and 465.  The cap stays above 465 because
-# Lanczos can settle on a wrong eigenvalue of a degenerate spectrum, as at
-# d = 2, k = 2, m = 105 and 465 (a nonzero floor of a singular reduced
-# Laplacian), which a dense solve cannot.
+# 2 threads, delta built once per (n, d):
+#   m                 10       21       105      210      465       990
+#   smallest of L  0.2-0.3  0.2-0.3  0.8      2.9-3.3  15        64-69   dense
+#                  1.7-2.5  4.8-5.0  2.3-3.0  3.4-4.6  5.8-6.1   12-13   Lanczos
+#   largest of A   0.2      0.2      0.7-0.8  2.2-2.4  11-12     64-68   dense
+#                  2.2-2.9  3.0-3.4  2.9-3.2  4.2-6.8  9.4-12    16-17   Lanczos
+# The cross-over lies between m = 210 and 465; at 465 the dense solve costs up
+# to about 10 ms more.  The cap stays at 500 for degenerate spectra, not for speed:
+# a dense solve returns every eigenvalue, while a Krylov method from one start
+# vector has no such guarantee; ARPACK's Lanczos settled on a wrong eigenvalue at
+# d = 2, k = 2, m = 105 (a nonzero floor of a singular reduced Laplacian).
 DENSE_EXTREME_MAX = 500
+# the Lanczos recurrence reads its Ritz estimate every LANCZOS_CHECK steps and
+# gives up after LANCZOS_STEPS times the operator's order: the hardest rows seen,
+# d = 2, k = 3, seed 11, took up to 1,070 steps at m = 990 and 2,150 at m = 1953
+# (k = 5 rows at m = 6105 take 430-560)
+LANCZOS_CHECK = 10
+LANCZOS_STEPS = 10
 
 
 class NumericalFailure(RuntimeError):
     """A solve that gave no number to trust: a dense or Lanczos eigensolve that failed, or a failed check."""
+
+
+def _lanczos_extreme(matvec, v: np.ndarray, which: str, tol: float, noise: float, steps: int) -> float:
+    """The smallest ("SA") or largest ("LA") eigenvalue of a symmetric operator, by plain Lanczos from v.
+
+    The three-term recurrence runs on the operator, or on its negative for
+    "LA", without restarts or reorthogonalization: it holds three vectors
+    and the diagonal alpha and off-diagonal beta of the tridiagonal T, 8
+    bytes a step each.  Lost orthogonality only repeats converged Ritz
+    values, and none falls below the smallest eigenvalue by more than
+    O(eps ||op||) (Paige 1980).  Every LANCZOS_CHECK steps the smallest Ritz
+    value of T and the last entry s of its vector are read
+    (`eigh_tridiagonal`), and the value is returned once its estimate
+    |beta s| is at most tol.  A beta at most `noise`, the rounding of one
+    matvec, closes an invariant Krylov subspace: the value is returned at
+    once, and no vector is divided by a vanishing beta.  NumericalFailure
+    after `steps` steps.
+    """
+    sign = {"SA": 1.0, "LA": -1.0}[which]
+    v = v / np.linalg.norm(v)
+    v_prev = None
+    alpha, beta = array("d"), array("d")
+    for step in range(1, steps + 1):
+        w = matvec(v)
+        w *= sign
+        if v_prev is not None:
+            w -= beta[-1] * v_prev
+        alpha.append(float(v @ w))
+        w -= alpha[-1] * v
+        beta.append(float(np.linalg.norm(w)))
+        invariant = beta[-1] <= noise
+        if invariant or step % LANCZOS_CHECK == 0 or step == steps:
+            theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(0, 0))
+            if invariant or beta[-1] * abs(s[-1, 0]) <= tol:
+                return sign * float(theta[0])
+        v_prev, v = v, w
+        v /= beta[-1]
+    raise NumericalFailure(f"Lanczos ({which}) did not converge in {steps} steps")
 
 
 def restricted_extreme(M: sp.csr_matrix, n: int, d: int, which: str) -> float:
@@ -99,10 +144,12 @@ def restricted_extreme(M: sp.csr_matrix, n: int, d: int, which: str) -> float:
     delta^T x is exact) with c n above the largest absolute row sum of M,
     negative for "LA".  Up to DENSE_EXTREME_MAX rows that operator is
     assembled as M plus a symmetric low-rank update and its whole spectrum
-    solved in place by one LAPACK call; above, Lanczos runs on it from a
-    seeded start vector, and when M delta = 0, as for L, P M P = M and no
-    projection is formed.  NumericalFailure if LAPACK fails or ARPACK stops
-    short.  A complex's operators are canonical and read-only.
+    solved in place by one LAPACK call; above, a plain Lanczos recurrence
+    runs on it from a seeded start vector until the Ritz estimate is at the
+    operator's rounding level, eps c n (`_lanczos_extreme`), and when
+    M delta = 0, as for L, P M P = M and no projection is formed.
+    NumericalFailure if LAPACK fails or Lanczos stops short.  A complex's
+    operators are canonical and read-only, as is delta.
     """
     delta = coboundary_matrix(n, d)
     bound = float(abs(M).sum(axis=1).max())
@@ -121,7 +168,7 @@ def restricted_extreme(M: sp.csr_matrix, n: int, d: int, which: str) -> float:
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"dense eigensolve ({which}) failed: {exc}") from None
         return float(eigs[0] if which == "SA" else eigs[-1])
-    delta_t = delta.T.tocsr()
+    delta_t = delta.T
     projected = bool((M @ delta).count_nonzero())
 
     def matvec(x):
@@ -131,12 +178,12 @@ def restricted_extreme(M: sp.csr_matrix, n: int, d: int, which: str) -> float:
         y = M @ (x - trivial / n)
         return y - delta @ (delta_t @ y) / n + c * trivial
 
-    op = LinearOperator(M.shape, matvec=matvec, dtype=float)
     v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(m)
-    try:
-        return float(eigsh(op, k=1, which=which, v0=v0, return_eigenvectors=False)[0])
-    except ArpackNoConvergence as exc:
-        raise NumericalFailure(f"Lanczos ({which}) did not converge: {exc}") from None
+    # ||op|| is at most |c| n, which exceeds `bound`; a sum in one matvec has at most
+    # `width` terms (a row of M or of delta^T), so it rounds by at most about width eps ||op||
+    tol = np.finfo(float).eps * abs(c) * n
+    width = max(int(np.diff(M.indptr).max()), n)
+    return _lanczos_extreme(matvec, v0, which, tol, width * tol, steps=LANCZOS_STEPS * m)
 
 
 # memory limits of this process's cgroup (v2, then v1); "max" or a missing

@@ -13,8 +13,8 @@ eigenvalues of L divided by n^C(n-2, d-1).
 
 The count, `weighted_tree_count`, needs no spectrum and reads X.laplacian.
 The smallest eigenvalue of L on ker delta^T (`spectra.restricted_extreme`:
-one dense LAPACK call up to DENSE_EXTREME_MAX rows, Lanczos above) is the
-spectral floor that decides an extra kernel (count 0), against the
+one dense LAPACK call up to DENSE_EXTREME_MAX rows, above a plain Lanczos
+recurrence stopped at the operator's rounding level) is the spectral floor that decides an extra kernel (count 0), against the
 zero threshold 1e-8 max(1, (d+1) max degree).  Two distinct (d-1)-faces lie
 in at most one common d-face, so row sigma of L holds deg(sigma) on the
 diagonal and d deg(sigma) off-diagonal entries of +-1: (d+1) max degree is
@@ -119,7 +119,9 @@ class TreeCount:
     margin; (d+1) max degree is ||L||_inf, at least the top eigenvalue.  A
     flagged floor is recorded as 0.0: it is a floating-point estimate of a
     true zero (`spectra.restricted_extreme`, dense or by Lanczos), and its
-    digits are round-off that may differ between identical runs.
+    digits are round-off that may differ between identical runs.  An
+    unflagged floor above the dense cap is a Ritz value whose estimated
+    residual is at the operator's rounding level, eps c n (`spectra`).
     exact_count is filled only when the enumeration oracle was run.
     """
 

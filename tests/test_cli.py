@@ -413,25 +413,21 @@ class TestConverge:
         assert payload["rows"][0]["n"] == 20
 
 
-# scipy's message for a Lanczos run out of iterations
-STALLED = "No convergence (106 iterations, 0/1 eigenvectors converged)"
+# the step cap of a stalled Lanczos run, far short of convergence
+STALL_STEPS = 20
 
 
 def stall_lanczos(monkeypatch, calls: set[int]) -> None:
-    """Make the Lanczos calls numbered in `calls` (from 0) raise ArpackNoConvergence; the rest run."""
-    from scipy.sparse.linalg import ArpackNoConvergence
-
+    """Cut the Lanczos calls numbered in `calls` (from 0) at STALL_STEPS steps, so they fail; the rest run."""
     from steinerlab import spectra
 
     count = iter(range(10**6))
-    eigsh = spectra.eigsh
+    lanczos = spectra._lanczos_extreme
 
-    def stalling(*args, **kwargs):
-        if next(count) in calls:
-            raise ArpackNoConvergence(STALLED, np.zeros(0), np.zeros((0, 0)))
-        return eigsh(*args, **kwargs)
+    def stalling(*args, steps):
+        return lanczos(*args, steps=STALL_STEPS if next(count) in calls else steps)
 
-    monkeypatch.setattr(spectra, "eigsh", stalling)
+    monkeypatch.setattr(spectra, "_lanczos_extreme", stalling)
 
 
 # LAPACK's message for an eigensolve that did not converge
@@ -481,14 +477,14 @@ class TestNumericalFailure:
         rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
         assert [row["trial"] for row in rows] == ["0", "2"]
         skipped = [line for line in capsys.readouterr().err.splitlines() if line.startswith("skipped")]
-        assert skipped == ["skipped n=502 trial=1: Lanczos (LA) did not converge: ARPACK error -1: " + STALLED]
+        assert skipped == [f"skipped n=502 trial=1: Lanczos (LA) did not converge in {STALL_STEPS} steps"]
 
     def test_sst_exits_4(self, monkeypatch, capsys):
         stall_lanczos(monkeypatch, {0})  # m = 990 is above the dense cap
         assert main(["sst", "--d", "2", "--k", "3", "--n", "45"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: Lanczos (SA) did not converge: ARPACK error -1: {STALLED}\n"
+        assert captured.err == f"error: Lanczos (SA) did not converge in {STALL_STEPS} steps\n"
 
     def test_converge_skips_a_failed_dense_solve(self, tmp_path, monkeypatch, capsys):
         fail_dense(monkeypatch, {1})  # m = 105 is below the dense cap

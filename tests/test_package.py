@@ -102,9 +102,9 @@ def test_one_dense_eigensolve():
     assert callers == {"spectra.spectral_summary", "spectra.restricted_extreme"}, callers
 
 
-@pytest.mark.parametrize("needle", ["LinearOperator(", "coboundary_matrix(", "frexp"])
+@pytest.mark.parametrize("needle", ["coboundary_matrix(", "frexp"])
 def test_one_restricted_eigensolve(needle):
-    # delta, the shift and the deflated operator live in `spectra.restricted_extreme` alone
+    # delta and the shift live in `spectra.restricted_extreme` alone
     src = Path(importlib.import_module("steinerlab").__file__).parent
     files = {path.name for path in src.glob("*.py") if needle in path.read_text()}
     assert files == {"spectra.py"}, files
@@ -156,9 +156,24 @@ def test_one_integer_width_rule():
     assert owners == {"spectra.power_width"}, owners
 
 
+def test_src_imports_no_sparse_linalg():
+    # the extreme eigenvalue above the dense cap is a plain Lanczos recurrence, not ARPACK
+    src = Path(importlib.import_module("steinerlab").__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [name for name in names if name.startswith("scipy.sparse.linalg")], path.name
+
+
 def test_one_lanczos_solve():
-    # ARPACK runs in `spectra.restricted_extreme` alone; the tree count's zero
-    # threshold is the closed form (d + 1) max degree, not a second Lanczos
+    # the recurrence and its tridiagonal solve run in `spectra._lanczos_extreme` alone, called
+    # by `spectra.restricted_extreme` alone; the tree count's zero threshold is the closed
+    # form (d + 1) max degree, not a second Lanczos
     src = Path(importlib.import_module("steinerlab").__file__).parent
     callers = set()
     for path in sorted(src.glob("*.py")):
@@ -168,9 +183,10 @@ def test_one_lanczos_solve():
             for node in ast.walk(top):
                 if isinstance(node, ast.Call):
                     func = node.func
-                    if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "eigsh":
-                        callers.add(f"{path.stem}.{name}")
-    assert callers == {"spectra.restricted_extreme"}, callers
+                    called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if called in {"eigh_tridiagonal", "_lanczos_extreme"}:
+                        callers.add(f"{path.stem}.{name}:{called}")
+    assert callers == {"spectra._lanczos_extreme:eigh_tridiagonal", "spectra.restricted_extreme:_lanczos_extreme"}, callers
     trees = ast.parse((src / "trees.py").read_text())
     imported = {alias.name for node in ast.walk(trees) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "_lanczos_extreme" not in imported

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from steinerlab import (
     SeededRng,
@@ -23,7 +22,7 @@ from steinerlab import (
     trivial_zero_count,
     weighted_tree_count,
 )
-from steinerlab import experiments, spectra
+from steinerlab import complexes, experiments, spectra
 from conftest import random_complex
 from oracles import complete_complex, esd, exact_rank, gap_top_oracle, min_degree, trace_oracle
 
@@ -206,14 +205,14 @@ class TestRestrictedExtreme:
 
     @pytest.mark.parametrize("n, d, k", AT_THE_CAP, ids=CAP_IDS)
     def test_the_cap_picks_one_solver(self, monkeypatch, n, d, k):
-        # up to the cap ARPACK is never called, above it the dense solver never reached
+        # up to the cap the Lanczos recurrence never runs, above it the dense solver is never reached
         def never(*args, **kwargs):
             raise AssertionError("the other solver ran")
 
         dense = comb(n, d) <= spectra.DENSE_EXTREME_MAX
         assert dense == (n in (31, 500))
         if dense:
-            monkeypatch.setattr(spectra, "eigsh", never)
+            monkeypatch.setattr(spectra, "_lanczos_extreme", never)
         else:
             monkeypatch.setattr(scipy.linalg, "eigvalsh", never)
         X = steiner_complex(n, d, k, SeededRng(1))
@@ -259,14 +258,44 @@ class TestRestrictedExtreme:
                 assert np.array_equal(M.data, data)
 
     def test_no_convergence_is_a_numerical_failure(self, monkeypatch):
-        def stall(*args, **kwargs):
-            message = "No convergence (106 iterations, 0/1 eigenvectors converged)"
-            raise ArpackNoConvergence(message, np.zeros(0), np.zeros((0, 0)))
-
-        monkeypatch.setattr(spectra, "eigsh", stall)
+        # the real recurrence, its step cap cut from 10 m to 20: the Ritz estimate is still far above eps c n
+        lanczos = spectra._lanczos_extreme
+        monkeypatch.setattr(spectra, "_lanczos_extreme", lambda *args, steps: lanczos(*args, steps=20))
         L = steiner_complex(502, 1, 3, SeededRng(1)).laplacian
-        with pytest.raises(spectra.NumericalFailure, match=r"Lanczos \(SA\) did not converge"):
+        with pytest.raises(spectra.NumericalFailure, match=r"^Lanczos \(SA\) did not converge in 20 steps$"):
             spectra.restricted_extreme(L, 502, 1, "SA")
+
+    def test_an_invariant_krylov_subspace_stops_the_recurrence(self, monkeypatch):
+        # on the complete complex, d = 1, n = 502 (m = 502, Lanczos), the operator has two
+        # eigenvalues, n on ker delta^T and c n on the ones vector, so the Krylov space of any
+        # start vector is closed after two matvecs, and beta_2 is only the rounding of the second
+        n = 502
+        X = complete_complex(n, 1)
+        lanczos, matvecs = spectra._lanczos_extreme, []
+
+        def counted(matvec, *args, **kwargs):
+            return lanczos(lambda x: matvecs.append(1) or matvec(x), *args, **kwargs)
+
+        monkeypatch.setattr(spectra, "_lanczos_extreme", counted)
+        assert spectra.restricted_extreme(X.laplacian, n, 1, "SA") == pytest.approx(n, rel=1e-14)
+        assert len(matvecs) == 2
+        assert spectra.restricted_extreme(X.adjacency, n, 1, "LA") == pytest.approx(gap_top_oracle(X), rel=1e-12)
+        assert len(matvecs) == 4
+
+    def test_delta_is_built_once_per_n_and_d(self, monkeypatch):
+        X = steiner_complex(45, 2, 5, SeededRng(1))
+        L, A = X.laplacian, X.adjacency  # the complex's own incidence is built before the spy
+        built = []
+        incidence = complexes._signed_incidence
+        monkeypatch.setattr(complexes, "_signed_incidence", lambda *args: built.append(args) or incidence(*args))
+        complexes._complete_coboundary.cache_clear()
+        first = spectra.restricted_extreme(L, 45, 2, "SA")
+        assert spectra.restricted_extreme(L, 45, 2, "SA") == first
+        spectra.restricted_extreme(A, 45, 2, "LA")
+        assert len(built) == 1
+        delta = spectra.coboundary_matrix(45, 2)
+        assert delta is spectra.coboundary_matrix(45, 2) and delta.has_canonical_format
+        assert not any(array.flags.writeable for array in (delta.data, delta.indices, delta.indptr))
 
     def test_dense_failure_is_a_numerical_failure(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -15,16 +15,20 @@ verify-exact benchmark workloads, made and digested by each tree's own
 `bench/workloads.py` (`make_inputs`, `run_item`, `digest`), which it imports
 and does not change.
 
-It prints one line per command and per workload: `identical` or `DIFFERS`
-with the first line that differs, then a summary.  It exits 0 when
-everything is identical and 1 otherwise.  Last digits depend on the BLAS
-build and the CPU, so the check compares two trees on one host; it pins no
-bytes.
+It prints one line per command and per workload, `identical` or `DIFFERS`,
+then a summary.  Under a command that differs it names each output that
+moved.  For two CSV or JSON outputs of one shape that differ only in numbers
+it names every column or key that moved, with the count of moved values and
+the largest relative change; for anything else it prints the first line that
+differs.  It exits 0 when everything is identical and 1 otherwise.  Last
+digits depend on the BLAS build and the CPU, so the check compares two trees
+on one host; it pins no bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -52,6 +56,7 @@ GRID = [
                       "--keep-complexes kept --deterministic"),
     ("seed11-n15", "converge --d 2 --k 2 --n 15 --trials 11 --seed 11 --deterministic"),
     ("seed11-n31", "converge --d 2 --k 2 --n 31 --trials 8 --seed 11 --deterministic"),
+    ("seed11-n45", "converge --d 2 --k 2 --n 45 --trials 4 --seed 11 --deterministic"),  # flagged floors, Lanczos
     ("seed11-gap", "gap --d 2 --k 2 --n 15 --trials 18 --seed 11 --deterministic"),
     ("gap-k21", "gap --d 2 --k 21 --n 31 --trials 2 --seed 3 --deterministic --out gap.csv"),
     ("gap-d2-n45", "gap --d 2 --k 5 --n 45 --trials 2 --seed 4 --deterministic"),  # m = 990: Lanczos
@@ -137,21 +142,79 @@ def first_difference(label: str, mine: bytes, theirs: bytes) -> str | None:
     return f"{label}: line endings differ"
 
 
-def compare(mine: dict, theirs: dict) -> str | None:
-    """None when two runs agree byte for byte, else their first difference."""
+def _leaves(node, key: str, fields: dict) -> None:
+    """Append each leaf of a parsed JSON document to fields[its key path], list indices dropped."""
+    if isinstance(node, dict):
+        for name, value in node.items():
+            _leaves(value, f"{key}.{name}" if key else name, fields)
+    elif isinstance(node, list):
+        for value in node:
+            _leaves(value, f"{key}[]", fields)
+    else:
+        fields.setdefault(key, []).append(node)
+
+
+def fields_of(data: bytes) -> dict | None:
+    """The values of a JSON document by key path, or of a CSV table by column (comment lines as one field), else None."""
+    text = data.decode(errors="replace")
+    try:
+        fields: dict = {}
+        _leaves(json.loads(text), "", fields)
+        return fields
+    except ValueError:
+        pass
+    lines = text.splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    if len(rows) < 2 or any(len(row) != len(rows[0]) for row in rows) or len(rows[0]) < 2:
+        return None
+    return {"# comment lines": ["\n".join(comments)], **{name: list(values) for name, *values in zip(*rows)}}
+
+
+def _number(value) -> float | None:
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def field_changes(mine: bytes, theirs: bytes) -> list[str] | None:
+    """Each field that moved between two CSV or JSON outputs of one shape, or None unless every moved value is a number."""
+    a, b = fields_of(mine), fields_of(theirs)
+    if a is None or b is None or list(a) != list(b) or any(len(a[key]) != len(b[key]) for key in a):
+        return None
+    changes = []
+    for key in a:
+        moved = [(_number(x), _number(y)) for x, y in zip(a[key], b[key]) if x != y]
+        if not moved:
+            continue
+        if any(x is None or y is None for x, y in moved):
+            return None
+        largest = max(abs(x - y) / abs(y) if y else float("inf") for x, y in moved)
+        changes.append(f"{key}: {len(moved)} of {len(a[key])} values moved, largest relative change {largest:.1e}")
+    return changes
+
+
+def compare(mine: dict, theirs: dict) -> list[str]:
+    """Where two runs differ: each moved field of a numeric CSV or JSON output, else its first differing line."""
     if mine["exit code"] != theirs["exit code"]:
-        return f"exit code {mine['exit code']} (parent {theirs['exit code']})"
-    for stream in ("stdout", "stderr"):
-        found = first_difference(stream, mine[stream], theirs[stream])
-        if found:
-            return found
+        return [f"exit code {mine['exit code']} (parent {theirs['exit code']})"]
     if mine["files"].keys() != theirs["files"].keys():
-        return f"files {sorted(mine['files'])} (parent {sorted(theirs['files'])})"
-    for name in mine["files"]:
-        found = first_difference(name, mine["files"][name], theirs["files"][name])
-        if found:
-            return found
-    return None
+        return [f"files {sorted(mine['files'])} (parent {sorted(theirs['files'])})"]
+    outputs = [("stdout", mine["stdout"], theirs["stdout"]), ("stderr", mine["stderr"], theirs["stderr"])]
+    outputs += [(name, mine["files"][name], theirs["files"][name]) for name in mine["files"]]
+    found = []
+    for label, a, b in outputs:
+        if a == b:
+            continue
+        changes = field_changes(a, b)
+        if changes:
+            found += [f"{label} {change}" for change in changes]
+        else:
+            found.append(first_difference(label, a, b))
+    return found
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -166,9 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     for name, command in GRID:
         found = compare(run_command(ROOT, command), run_command(parent, command))
         total += 1
-        same += found is None
-        print(f"{'identical' if found is None else 'DIFFERS  '}  {name}: steinerlab {command}"
-              + ("" if found is None else f"\n           {found}"), flush=True)
+        same += not found
+        print(f"{'DIFFERS  ' if found else 'identical'}  {name}: steinerlab {command}"
+              + "".join(f"\n           {line}" for line in found), flush=True)
     for workload in DIGEST_WORKLOADS:
         mine, theirs = run_digests(ROOT, workload), run_digests(parent, workload)
         total += 1
