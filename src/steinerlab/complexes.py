@@ -207,8 +207,9 @@ def complex_from_dfaces(n: int, d: int, faces: Iterable[Sequence[int]]) -> PureC
     """Build a PureComplex from its top faces, sorted, rejecting malformed input.
 
     Raises ValueError naming the first face, in input order, that has the
-    wrong dimension, is not strictly increasing, has a vertex outside [1, n]
-    or repeats an earlier face, checked in that order, as whole-array steps.
+    wrong dimension, has a vertex that is not an integer (Python or numpy),
+    is not strictly increasing, has a vertex outside [1, n] or repeats an
+    earlier face, checked in that order, as whole-array steps.
     """
     if d < 1:
         raise ValueError("dimension d must be >= 1")
@@ -217,10 +218,11 @@ def complex_from_dfaces(n: int, d: int, faces: Iterable[Sequence[int]]) -> PureC
     faces = list(faces)
     widths = np.fromiter(map(len, faces), np.int64, len(faces))
     end = int(np.append(widths != d + 1, True).argmax())  # the first face of the wrong width
-    try:
-        rows = np.array(faces[:end], dtype=np.int64).reshape(end, d + 1)
-    except OverflowError:  # an id beyond int64 is out of range; compare Python ints
-        rows = np.array(faces[:end], dtype=object).reshape(end, d + 1)
+    rows = np.array(faces[:end])
+    if rows.dtype.kind not in "iu" or rows.ndim != 2:  # a non-integer vertex, or an id beyond int64
+        integral = [all(isinstance(v, (int, np.integer)) for v in face) for face in faces[:end]]
+        end = integral.index(False) if False in integral else end
+        rows = np.array(faces[:end], dtype=object).reshape(end, d + 1)  # ids beyond int64 compare as Python ints
     keys = np.clip(rows, 0, n + 1).astype(np.int64)  # alters only rows with an id outside [1, n]
     order = np.lexsort(keys.T[::-1])  # stable: a repeat sorts right after an earlier copy
     repeats = np.zeros(end, dtype=bool)
@@ -231,10 +233,11 @@ def complex_from_dfaces(n: int, d: int, faces: Iterable[Sequence[int]]) -> PureC
     )
     bad = np.flatnonzero(offences.any(axis=0))
     if len(bad) or end < len(faces):
-        at, kind = (bad[0], 1 + offences[:, bad[0]].argmax()) if len(bad) else (end, 0)
+        at, kind = (bad[0], 2 + offences[:, bad[0]].argmax()) if len(bad) else (end, int(widths[end] == d + 1))
         face = tuple(faces[at])
         raise _FaceError((
             f"face {face} has dimension {len(face) - 1}, expected {d}",
+            f"face {face} has a vertex that is not an integer",
             f"face {face} is not strictly increasing",
             f"face {face} has vertices outside [1, {n}]",
             f"duplicate d-face {face}",

@@ -27,7 +27,7 @@ real theta axis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, exp, log, log10, pi, sqrt
+from math import exp, log, pi, sqrt
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .spectra import NumericalFailure
 
 __all__ = [
     "LimitLaw",
-    "series_coefficient",
     "growth_constant_closed",
     "growth_constant_quadrature",
     "growth_constant_chebyshev",
@@ -49,7 +48,6 @@ QUAD_MAX_POINTS = 2**16
 # absolute quadrature tolerances of the law's moments and of the growth constant's log-moment
 MOMENT_EPSABS = 1e-11
 GROWTH_EPSABS = 1e-10
-SERIES_MATCH_ATOL = 1e-10
 MOMENT_MAX = 12
 
 
@@ -147,23 +145,6 @@ class LimitLaw:
         return self.expectation(lambda x: (k - x) ** ell, epsabs=MOMENT_EPSABS)
 
 
-def series_coefficient(law: LimitLaw, n: int) -> float:
-    """Closed-form Chebyshev coefficient of the weighted density h = g*sqrt(1-x^2).
-
-    Odd orders: (-weight_zero * ratio_zero^n + weight_upper * ratio_upper^n) / (pi (d+1));
-    even orders n >= 2 take the negated sum instead.  Decay is geometric with
-    ratio max(ratio_zero, ratio_upper).
-    """
-    if n < 1:
-        raise ValueError("coefficients are defined for n >= 1")
-    if law.k < law.d + 2:
-        raise ValueError("need k >= d+2 for the series expansion")
-    scale = pi * (law.d + 1)
-    a = law.weight_zero * law.ratio_zero**n
-    b = law.weight_upper * law.ratio_upper**n
-    return (-a + b) / scale if n % 2 == 1 else -(a + b) / scale
-
-
 def growth_constant_closed(d: int, k: int) -> float:
     """Closed-form limit of the normalized weighted spanning-tree count.
 
@@ -188,43 +169,27 @@ def growth_constant_quadrature(d: int, k: int) -> float:
     return exp(law.expectation(np.log, epsabs=GROWTH_EPSABS))
 
 
-def _chebyshev_truncation(law: LimitLaw) -> int:
-    """Terms of the log series whose geometric tail, ratio max(ratio_zero, ratio_upper), is below 1e-15."""
-    return ceil(15.0 / -log10(max(law.ratio_zero, law.ratio_upper))) + 5
-
-
 def growth_constant_chebyshev(d: int, k: int) -> float:
-    """Growth constant through the Chebyshev log-series machinery.
+    """Growth constant through the Chebyshev log-series, summed in closed form.
 
-    The log-moment of the law reduces to
+    The log-moment of the law is -pi * sum_n alpha_n t^n / n over the
+    geometrically decaying Chebyshev coefficients alpha_n of the weighted
+    density, plus log(center) - log(1 + t^2), at t = ratio_zero, in (0, 1)
+    whenever k >= d+2.  Each coefficient is a sum of two geometric terms, so
+    the series sums to
 
         log(center) - log(1 + t^2)
         - weight_zero/(d+1) * log(1 - ratio_zero * t)
         - weight_upper/(d+1) * log(1 + ratio_upper * t)
-
-    at t = ratio_zero, in (0, 1) whenever k >= d+2, which is also the sum
-    -pi * sum_n alpha_n t^n / n of the coefficient series.  Both are
-    evaluated and must agree to 1e-10; a mismatch, `spectra.NumericalFailure`,
-    means a coefficient bug, not a numerical artifact.
     """
     if k < d + 2:
         raise ValueError(f"growth constant needs k >= d+2, got d={d}, k={k}")
     law = LimitLaw(d, k)
     t = law.ratio_zero
-    head = log(law.center) - log(1.0 + t * t)
     closed = (
-        head
+        log(law.center)
+        - log(1.0 + t * t)
         - law.weight_zero / (d + 1) * log(1.0 - law.ratio_zero * t)
         - law.weight_upper / (d + 1) * log(1.0 + law.ratio_upper * t)
     )
-    tail = 0.0
-    t_pow = 1.0
-    for n in range(1, _chebyshev_truncation(law) + 1):
-        t_pow *= t
-        tail += series_coefficient(law, n) * t_pow / n
-    series = head - pi * tail
-    if abs(closed - series) > SERIES_MATCH_ATOL:
-        raise NumericalFailure(
-            f"series/closed mismatch for d={d}, k={k}: {closed!r} vs {series!r}"
-        )
     return exp(closed)

@@ -44,6 +44,7 @@ import scipy.sparse as sp
 from .complexes import PureComplex, _complete_coboundary
 
 __all__ = [
+    "NumericalFailure",
     "SpectralSummary",
     "coboundary_matrix",
     "adjacency_matrix",

@@ -8,7 +8,9 @@ multi-modular determinant, the Smith normal form whose factors give a
 tree's torsion, the dense top of the adjacency spectrum on ker delta^T,
 the exact rank of an integer matrix, exact traces of its powers from
 one product at a time, expectations against the limit law
-and Chebyshev coefficients by adaptive quadrature, the block-inclusion
+and Chebyshev coefficients by adaptive quadrature, the closed-form
+coefficients and their truncated log-series, whose sum the Chebyshev
+growth constant takes in closed form, the block-inclusion
 frequency of a sampler, layer totals of a neighbourhood census, explicit
 truncations of the arboreal complex and the signed walk counts read off
 their adjacency powers, and per-n means of converge rows.
@@ -18,7 +20,7 @@ Tests import this module the way they import `conftest`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, cos, exp, gcd, log, pi, prod, sin, sqrt
+from math import ceil, comb, cos, exp, gcd, log, log10, pi, prod, sin, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -414,10 +416,46 @@ def expectation_by_quad(law: LimitLaw, f, epsabs: float = QUAD_EPSABS) -> float:
     return value
 
 
+def series_coefficient(law: LimitLaw, n: int) -> float:
+    """Closed-form Chebyshev coefficient of the weighted density h = g*sqrt(1-x^2).
+
+    Odd orders: (-weight_zero * ratio_zero^n + weight_upper * ratio_upper^n) / (pi (d+1));
+    even orders n >= 2 take the negated sum instead.  Decay is geometric with
+    ratio max(ratio_zero, ratio_upper).
+    """
+    if n < 1:
+        raise ValueError("coefficients are defined for n >= 1")
+    if law.k < law.d + 2:
+        raise ValueError("need k >= d+2 for the series expansion")
+    scale = pi * (law.d + 1)
+    a = law.weight_zero * law.ratio_zero**n
+    b = law.weight_upper * law.ratio_upper**n
+    return (-a + b) / scale if n % 2 == 1 else -(a + b) / scale
+
+
+def chebyshev_truncation(law: LimitLaw) -> int:
+    """Terms of the log series whose geometric tail, ratio max(ratio_zero, ratio_upper), is below 1e-15."""
+    return ceil(15.0 / -log10(max(law.ratio_zero, law.ratio_upper))) + 5
+
+
+def series_log_moment(law: LimitLaw) -> float:
+    """log(center) - log(1 + t^2) - pi * sum_n alpha_n t^n / n at t = ratio_zero, term by term.
+
+    The coefficient series, to `chebyshev_truncation(law)` terms, that
+    `limitlaw.growth_constant_chebyshev` sums in closed form.
+    """
+    t = law.ratio_zero
+    tail, t_pow = 0.0, 1.0
+    for n in range(1, chebyshev_truncation(law) + 1):
+        t_pow *= t
+        tail += series_coefficient(law, n) * t_pow / n
+    return log(law.center) - log(1.0 + t * t) - pi * tail
+
+
 def series_coefficient_projection(law: LimitLaw, n: int) -> float:
     """Chebyshev coefficient by its defining projection integral (2/pi) int T_n g.
 
-    Independent of the closed form `limitlaw.series_coefficient`.
+    Independent of the closed form `series_coefficient`.
     """
     if n < 1:
         raise ValueError("coefficients are defined for n >= 1")

@@ -519,12 +519,6 @@ class TestNumericalFailure:
         assert captured.out == ""
         assert captured.err == "error: midpoint rule for d=2, k=5 did not reach 1e-10 within 16 points\n"
 
-    def test_limit_series_mismatch_exits_4(self, monkeypatch, capsys):
-        monkeypatch.setattr(limitlaw, "SERIES_MATCH_ATOL", -1)
-        assert main(["limit", "--d", "2", "--k", "5"]) == 4
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: series/closed mismatch for d=2, k=5: ")
-
 
 class TestGapOracle:
     def test_gap_csv(self, tmp_path, capsys):

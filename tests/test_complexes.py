@@ -35,6 +35,8 @@ def reference_normalize_face(raw, n, dim):
     face = tuple(raw)
     if len(face) != dim + 1:
         raise ValueError(f"face {face} has dimension {len(face) - 1}, expected {dim}")
+    if not all(isinstance(v, (int, np.integer)) for v in face):
+        raise ValueError(f"face {face} has a vertex that is not an integer")
     if any(face[i] >= face[i + 1] for i in range(len(face) - 1)):
         raise ValueError(f"face {face} is not strictly increasing")
     if face[0] < 1 or face[-1] > n:
@@ -94,7 +96,8 @@ def face_lists(draw):
     )
     faces = draw(st.lists(valid, max_size=20, unique=True))
     if draw(st.booleans()):
-        vertex = st.integers(1, n) | st.sampled_from([0, -1, n + 1, 10**20, -(10**20)])
+        vertex = (st.integers(1, n) | st.integers(1, n).map(np.int64)
+                  | st.sampled_from([0, -1, n + 1, 10**20, -(10**20), 1.5, 2.0, "1"]))
         malformed = st.lists(vertex, min_size=d, max_size=d + 2).map(tuple)
         faces += draw(st.lists(malformed | st.sampled_from(faces) if faces else malformed, max_size=3))
     return n, d, draw(st.permutations(faces))
@@ -330,6 +333,24 @@ class TestTupleReference:
             complex_from_dfaces(4, 2, [(1, 2, 10**20)])
         with pytest.raises(ValueError, match="not strictly increasing"):
             complex_from_dfaces(4, 2, [(1, 2, 3), (1, 10**20, 2)])
+
+    def test_non_integer_vertex_rejected(self):
+        # np.array(..., dtype=np.int64) would read 1.5 as 1 and "1" as 1
+        with pytest.raises(ValueError, match=r"face \(1\.5, 2\) has a vertex that is not an integer"):
+            complex_from_dfaces(4, 1, [(1.5, 2), (2, 3)])
+        with pytest.raises(ValueError, match=r"face \('1', 2\) has a vertex that is not an integer"):
+            complex_from_dfaces(4, 1, [("1", 2)])
+        with pytest.raises(ValueError, match=r"face \(2\.0, 3\) has a vertex that is not an integer"):
+            complex_from_dfaces(4, 1, [(2.0, 3)])
+        # the dimension is checked first, then integrality, then order
+        with pytest.raises(ValueError, match="dimension 2"):
+            complex_from_dfaces(4, 1, [(1.5, 2, 3)])
+        with pytest.raises(ValueError, match="not an integer"):
+            complex_from_dfaces(4, 1, [(2.5, 1)])
+
+    def test_numpy_integer_vertices_accepted(self):
+        X = complex_from_dfaces(4, 1, [np.array([2, 3], dtype=np.int64), (np.int64(1), np.int64(2))])
+        assert X.faces.tolist() == [[1, 2], [2, 3]] and X.faces.dtype == np.int64
 
     def test_first_offending_face_wins(self):
         # a malformed face after a duplicate: the duplicate is reported, as face by face

@@ -1,4 +1,4 @@
-from math import comb, cos, isclose, pi, sqrt
+from math import comb, cos, isclose, log, pi, sqrt
 
 import numpy as np
 import pytest
@@ -10,15 +10,17 @@ from steinerlab import (
     growth_constant_closed,
     growth_constant_quadrature,
     limitlaw,
-    series_coefficient,
 )
 from oracles import (
     adjacency_support,
     chebyshev_t,
+    chebyshev_truncation,
     expectation_by_quad,
     laplacian_moment,
     normalization,
+    series_coefficient,
     series_coefficient_projection,
+    series_log_moment,
 )
 
 
@@ -170,7 +172,7 @@ class TestSeriesCoefficients:
     def test_truncation_reaches_tail_target(self):
         law = LimitLaw(1, 3)
         ratio = max(law.ratio_zero, law.ratio_upper)
-        assert ratio**limitlaw._chebyshev_truncation(law) < 1e-15
+        assert ratio**chebyshev_truncation(law) < 1e-15
 
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -201,10 +203,14 @@ class TestGrowthConstant:
                 growth_constant_closed(d, k), rel=1e-10
             )
 
+    @pytest.mark.parametrize("d,k", [(1, 3), (1, 8), (2, 5), (2, 21), (3, 9)])
+    def test_chebyshev_closed_form_sums_the_coefficient_series(self, d, k):
+        assert abs(series_log_moment(LimitLaw(d, k)) - log(growth_constant_chebyshev(d, k))) <= 1e-12
+
     def test_series_self_truncation_stability(self):
         # halving the truncation moves the series by less than 1e-9
         law = LimitLaw(2, 5)
-        truncation = limitlaw._chebyshev_truncation(law)
+        truncation = chebyshev_truncation(law)
         t = law.ratio_zero
 
         def series_sum(upto):

@@ -24,15 +24,24 @@ def test_public_names_are_defined_in_their_module(layer):
 
 
 def test_package_exports_are_layer_names():
+    # the package re-exports each layer's __all__ and nothing else; `experiments` stays out
     import steinerlab
 
-    layers = [importlib.import_module(f"steinerlab.{layer}") for layer in LAYERS]
-    for name, obj in vars(steinerlab).items():
-        if name.startswith("_") or inspect.ismodule(obj):
-            continue
-        assert any(name in m.__all__ and vars(m)[name] is obj for m in layers), (
-            f"steinerlab exports {name}, which no layer lists in its __all__"
-        )
+    layers = [importlib.import_module(f"steinerlab.{layer}") for layer in LAYERS if layer != "experiments"]
+    public = {name for name, obj in vars(steinerlab).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public == {name for m in layers for name in m.__all__}
+    for m in layers:
+        for name in m.__all__:
+            assert vars(steinerlab)[name] is vars(m)[name], f"steinerlab.{name} is not {m.__name__}.{name}"
+
+
+def test_package_exports_the_failures_rows_record():
+    from steinerlab import NumericalFailure, SamplerExhausted
+    from steinerlab.sampling import SamplerExhausted as sampler_exhausted
+    from steinerlab.spectra import NumericalFailure as numerical_failure
+
+    assert NumericalFailure is numerical_failure and SamplerExhausted is sampler_exhausted
 
 
 def test_oracles_stay_out_of_the_package():

@@ -20,9 +20,10 @@ then a summary.  Under a command that differs it names each output that
 moved.  For two CSV or JSON outputs of one shape that differ only in numbers
 it names every column or key that moved, with the count of moved values and
 the largest relative change; for anything else it prints the first line that
-differs.  It exits 0 when everything is identical and 1 otherwise.  Last
-digits depend on the BLAS build and the CPU, so the check compares two trees
-on one host; it pins no bytes.
+differs.  The summary ends with the non-blank lines of each module under
+`src/steinerlab` in both trees.  It exits 0 when everything is identical and
+1 otherwise.  Last digits depend on the BLAS build and the CPU, so the check
+compares two trees on one host; it pins no bytes.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ GRID = [
     ("sst-oracle-rp2", "sst --in rp2.txt --oracle --out sst.json"),
     ("oracle-k4", "oracle --in k4.txt"),
     ("limit", "limit --d 2 --k 5 --table 0:12:7"),
+    ("limit-d1-k8", "limit --d 1 --k 8"),
+    ("limit-d2-k21", "limit --d 2 --k 21"),
     ("missing-file", "oracle --in missing.txt"),
 ]
 
@@ -217,6 +220,12 @@ def compare(mine: dict, theirs: dict) -> list[str]:
     return found
 
 
+def src_lines(tree: Path) -> dict[str, int]:
+    """Non-blank lines of each module under the tree's src/steinerlab."""
+    return {path.name: sum(1 for line in path.read_text().splitlines() if line.strip())
+            for path in sorted((tree / "src" / "steinerlab").glob("*.py"))}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="the parent tree (a checkout with src/ and bench/)")
@@ -242,6 +251,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{'identical' if mine == theirs else 'DIFFERS  '}  {label}"
               + ("" if mine == theirs else f"\n           {detail}"), flush=True)
     print(f"{same} of {total} identical to {parent}")
+    mine, theirs = src_lines(ROOT), src_lines(parent)
+    print(f"{'src non-blank lines':<24}{'this':>8}{'parent':>8}")
+    for name in sorted(mine.keys() | theirs.keys()):
+        print(f"  {name:<22}{mine.get(name, '-'):>8}{theirs.get(name, '-'):>8}")
+    print(f"  {'total':<22}{sum(mine.values()):>8}{sum(theirs.values()):>8}")
     return 0 if same == total else 1
 
 
