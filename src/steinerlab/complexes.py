@@ -207,9 +207,9 @@ def complex_from_dfaces(n: int, d: int, faces: Iterable[Sequence[int]]) -> PureC
     """Build a PureComplex from its top faces, sorted, rejecting malformed input.
 
     Raises ValueError naming the first face, in input order, that has the
-    wrong dimension, has a vertex that is not an integer (Python or numpy),
-    is not strictly increasing, has a vertex outside [1, n] or repeats an
-    earlier face, checked in that order, as whole-array steps.
+    wrong dimension, has a vertex that is not an integer (Python or numpy,
+    not a bool), is not strictly increasing, has a vertex outside [1, n] or
+    repeats an earlier face, checked in that order, as whole-array steps.
     """
     if d < 1:
         raise ValueError("dimension d must be >= 1")
@@ -219,10 +219,12 @@ def complex_from_dfaces(n: int, d: int, faces: Iterable[Sequence[int]]) -> PureC
     widths = np.fromiter(map(len, faces), np.int64, len(faces))
     end = int(np.append(widths != d + 1, True).argmax())  # the first face of the wrong width
     rows = np.array(faces[:end])
-    if rows.dtype.kind not in "iu" or rows.ndim != 2:  # a non-integer vertex, or an id beyond int64
-        integral = [all(isinstance(v, (int, np.integer)) for v in face) for face in faces[:end]]
-        end = integral.index(False) if False in integral else end
-        rows = np.array(faces[:end], dtype=object).reshape(end, d + 1)  # ids beyond int64 compare as Python ints
+    exact = rows.dtype.kind in "iu" and rows.ndim == 2  # else a non-integer, or a Python int past int64
+    # numpy reads a bool among ints as 0 or 1, so in an integer array only a face holding 0 or 1 can hide one
+    suspects = np.flatnonzero((rows <= 1).any(axis=1)) if exact else range(end)
+    end = next((int(at) for at in suspects
+                if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in faces[at])), end)
+    rows = rows[:end] if exact else np.array(faces[:end], dtype=object).reshape(end, d + 1)
     keys = np.clip(rows, 0, n + 1).astype(np.int64)  # alters only rows with an id outside [1, n]
     order = np.lexsort(keys.T[::-1])  # stable: a repeat sorts right after an earlier copy
     repeats = np.zeros(end, dtype=bool)

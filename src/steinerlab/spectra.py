@@ -19,13 +19,15 @@ The trivial kernel of L is the image of the coboundary delta from the
 complete skeleton delta delta^T / n projects onto that image, so for a
 symmetric M and P = I - delta delta^T / n, P M P + c delta delta^T has the
 spectrum of M on ker delta^T and c n, C(n-1, d-1) times.  With c n beyond
-the wanted end, `restricted_extreme` is the one such solve, by one dense
-LAPACK call up to DENSE_EXTREME_MAX rows and above by a plain Lanczos
-recurrence, stopped at the operator's rounding level: the tree count's
-spectral floor is its smallest of L, where L delta = 0 makes P L P = L (see
-`trees`), and the gap statistic its largest of A (see `experiments`).  The
-floor's zero threshold needs no solve: it is scaled to ||L||_inf = (d+1) max
-degree (`zero_threshold`), the same row-sum bound as the shift.  `spectral_summary` is the one full spectrum.
+the wanted end, `restricted_extreme` is the one such solve, and it defines
+that operator once: above DENSE_EXTREME_MAX rows a plain Lanczos recurrence
+applies it, stopped at the operator's rounding level, and up to the cap the
+dense path solves the operator the Lanczos path applies, by one LAPACK call.
+The tree count's spectral floor is its smallest of L, where L delta = 0
+makes P L P = L (see `trees`), and the gap statistic its largest of A (see
+`experiments`).  The floor's zero threshold needs no solve: it is scaled to
+||L||_inf = (d+1) max degree (`zero_threshold`), the same row-sum bound as
+the shift.  `spectral_summary` is the one full spectrum.
 """
 
 from __future__ import annotations
@@ -77,13 +79,13 @@ LANCZOS_SEED = 20090601
 # by Lanczos.  Median ms of the whole call at d = 2, k = 5 (m = 10: d = 1,
 # k = 4), the range of two warmed-up runs on a 2-vCPU Xeon VM with OpenBLAS at
 # 2 threads, delta built once per (n, d):
-#   m                 10       21       105      210      465       990
-#   smallest of L  0.2-0.3  0.2-0.3  0.8      2.9-3.3  15        64-69   dense
-#                  1.7-2.5  4.8-5.0  2.3-3.0  3.4-4.6  5.8-6.1   12-13   Lanczos
-#   largest of A   0.2      0.2      0.7-0.8  2.2-2.4  11-12     64-68   dense
-#                  2.2-2.9  3.0-3.4  2.9-3.2  4.2-6.8  9.4-12    16-17   Lanczos
-# The cross-over lies between m = 210 and 465; at 465 the dense solve costs up
-# to about 10 ms more.  The cap stays at 500 for degenerate spectra, not for speed:
+#   m                 10         21         105        210      465       990
+#   smallest of L  0.13-0.14  0.15-0.16  0.58-0.65  2.4-2.5  11-12     50-51   dense
+#                  1.3        3.4        1.6-1.8    2.6-2.7  4.4       9.1-9.8 Lanczos
+#   largest of A   0.16-0.18  0.16-0.17  0.64-0.68  2.3-2.4  12        53-57   dense
+#                  1.6-1.7    1.9        1.9-2.0    3.0-3.1  5.7-5.9   13      Lanczos
+# The cross-over lies near m = 210; at 465 the dense solve costs up to about
+# 7 ms more.  The cap stays at 500 for degenerate spectra, not for speed:
 # a dense solve returns every eigenvalue, while a Krylov method from one start
 # vector has no such guarantee; ARPACK's Lanczos settled on a wrong eigenvalue at
 # d = 2, k = 2, m = 105 (a nonzero floor of a singular reduced Laplacian).
@@ -143,12 +145,13 @@ def restricted_extreme(M: sp.csr_matrix, n: int, d: int, which: str) -> float:
 
     The solve is of P M P + c delta delta^T, c a power of two (so c delta
     delta^T x is exact) with c n above the largest absolute row sum of M,
-    negative for "LA".  Up to DENSE_EXTREME_MAX rows that operator is
-    assembled as M plus a symmetric low-rank update and its whole spectrum
-    solved in place by one LAPACK call; above, a plain Lanczos recurrence
-    runs on it from a seeded start vector until the Ritz estimate is at the
-    operator's rounding level, eps c n (`_lanczos_extreme`), and when
-    M delta = 0, as for L, P M P = M and no projection is formed.
+    negative for "LA"; when M delta = 0, as for L, P M P = M and no
+    projection is formed.  The operator is one `matvec`: above
+    DENSE_EXTREME_MAX rows a plain Lanczos recurrence applies it from a
+    seeded start vector until the Ritz estimate is at the operator's
+    rounding level, eps c n (`_lanczos_extreme`); up to the cap the dense
+    path solves the operator the Lanczos path applies, `matvec` of the
+    identity, whole spectrum and in place, by one LAPACK call.
     NumericalFailure if LAPACK fails or Lanczos stops short.  A complex's
     operators are canonical and read-only, as is delta.
     """
@@ -156,19 +159,6 @@ def restricted_extreme(M: sp.csr_matrix, n: int, d: int, which: str) -> float:
     bound = float(abs(M).sum(axis=1).max())
     c = 2.0 ** frexp((bound + 1) / n)[1] * {"SA": 1.0, "LA": -1.0}[which]
     m = M.shape[0]
-    if m <= DENSE_EXTREME_MAX:
-        # with W = M delta, so that delta^T W is symmetric, the operator is M + F + F^T,
-        # F = delta V^T, V = c delta / 2 - (W - delta delta^T W / 2n) / n; the products are
-        # sparse, since a BLAS product just before slowed `dsyevd` by half (2 threads, m = 465)
-        W = (M @ delta).toarray()
-        F = delta @ (c / 2 * delta.toarray() - (W - delta @ (delta.T @ W) / (2 * n)) / n).T
-        H = M.toarray() + F
-        H += F.T
-        try:
-            eigs = scipy.linalg.eigvalsh(H.T, overwrite_a=True, check_finite=False, driver="evd")
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"dense eigensolve ({which}) failed: {exc}") from None
-        return float(eigs[0] if which == "SA" else eigs[-1])
     delta_t = delta.T
     projected = bool((M @ delta).count_nonzero())
 
@@ -178,6 +168,13 @@ def restricted_extreme(M: sp.csr_matrix, n: int, d: int, which: str) -> float:
             return M @ x + c * trivial
         y = M @ (x - trivial / n)
         return y - delta @ (delta_t @ y) / n + c * trivial
+
+    if m <= DENSE_EXTREME_MAX:
+        try:
+            eigs = scipy.linalg.eigvalsh(matvec(np.eye(m)).T, overwrite_a=True, check_finite=False, driver="evd")
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"dense eigensolve ({which}) failed: {exc}") from None
+        return float(eigs[0] if which == "SA" else eigs[-1])
 
     v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(m)
     # ||op|| is at most |c| n, which exceeds `bound`; a sum in one matvec has at most

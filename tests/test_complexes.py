@@ -35,7 +35,7 @@ def reference_normalize_face(raw, n, dim):
     face = tuple(raw)
     if len(face) != dim + 1:
         raise ValueError(f"face {face} has dimension {len(face) - 1}, expected {dim}")
-    if not all(isinstance(v, (int, np.integer)) for v in face):
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in face):
         raise ValueError(f"face {face} has a vertex that is not an integer")
     if any(face[i] >= face[i + 1] for i in range(len(face) - 1)):
         raise ValueError(f"face {face} is not strictly increasing")
@@ -97,7 +97,7 @@ def face_lists(draw):
     faces = draw(st.lists(valid, max_size=20, unique=True))
     if draw(st.booleans()):
         vertex = (st.integers(1, n) | st.integers(1, n).map(np.int64)
-                  | st.sampled_from([0, -1, n + 1, 10**20, -(10**20), 1.5, 2.0, "1"]))
+                  | st.sampled_from([0, -1, n + 1, 10**20, -(10**20), 1.5, 2.0, "1", True, np.True_]))
         malformed = st.lists(vertex, min_size=d, max_size=d + 2).map(tuple)
         faces += draw(st.lists(malformed | st.sampled_from(faces) if faces else malformed, max_size=3))
     return n, d, draw(st.permutations(faces))
@@ -342,6 +342,11 @@ class TestTupleReference:
             complex_from_dfaces(4, 1, [("1", 2)])
         with pytest.raises(ValueError, match=r"face \(2\.0, 3\) has a vertex that is not an integer"):
             complex_from_dfaces(4, 1, [(2.0, 3)])
+        # numpy reads a bool among ints as 0 or 1
+        with pytest.raises(ValueError, match=r"face \(True, 2\) has a vertex that is not an integer"):
+            complex_from_dfaces(4, 1, [(True, 2)])
+        with pytest.raises(ValueError, match=r"face \(np\.True_, 2\) has a vertex that is not an integer"):
+            complex_from_dfaces(4, 1, [(np.True_, 2), (3, 4)])
         # the dimension is checked first, then integrality, then order
         with pytest.raises(ValueError, match="dimension 2"):
             complex_from_dfaces(4, 1, [(1.5, 2, 3)])
@@ -438,6 +443,7 @@ class TestOwnOperators:
         from steinerlab import SeededRng, experiments, steiner_complex
 
         X = steiner_complex(15, 2, 5, SeededRng(3))
+        complexes._complete_coboundary(15, 2)  # delta is cached per (n, d): built before the spy, as earlier tests do
         built = []
         incidence = complexes._signed_incidence
 

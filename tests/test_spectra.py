@@ -219,6 +219,17 @@ class TestRestrictedExtreme:
         assert spectra.restricted_extreme(X.laplacian, n, d, "SA") > 0.1
         assert spectra.restricted_extreme(X.adjacency, n, d, "LA") > 2.0
 
+    @pytest.mark.parametrize("n", [500, 502])
+    def test_complete_graphs_on_both_sides_of_the_cap(self, monkeypatch, n):
+        # K_n has m = n: the cap itself (dense) and just above it (Lanczos); on ker delta^T
+        # L is n I and A is -I, whichever solver decides them
+        X = complete_complex(n, 1)
+        lanczos, runs = spectra._lanczos_extreme, []
+        monkeypatch.setattr(spectra, "_lanczos_extreme", lambda *args, **kwargs: runs.append(1) or lanczos(*args, **kwargs))
+        assert weighted_tree_count(X).floor == pytest.approx(n, rel=1e-14)
+        assert spectra.restricted_extreme(X.adjacency, n, 1, "LA") == pytest.approx(gap_top_oracle(X), abs=1e-12)
+        assert len(runs) == (0 if n == spectra.DENSE_EXTREME_MAX else 2)
+
     @pytest.mark.parametrize("n, trial", [(15, 6), (15, 10), (31, 7), (31, 17)])
     def test_degenerate_ends_at_k2(self, n, trial):
         # seed 11, d = 2, k = 2: A's top eigenvalue 2 is degenerate, and asked for it alone,
