@@ -58,20 +58,18 @@ def _add_sample_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trial", type=int, default=0, help="stream index when sampling")
 
 
-def _add_ensemble(parser: argparse.ArgumentParser, repeat_n: bool) -> None:
-    """--d/--k/--n/--seed/--trials of a sampled ensemble; repeat_n makes --n repeatable."""
+def _add_ensemble(parser: argparse.ArgumentParser) -> None:
+    """--d/--k/--n/--seed/--trials of a sampled ensemble, --n repeatable."""
     parser.add_argument("--d", type=int, required=True, help="complex dimension")
     parser.add_argument("--k", type=int, required=True, help="number of Steiner systems in the union")
-    parser.add_argument("--n", type=int, required=True, action="append" if repeat_n else "store",
-                        help="vertex count (repeatable)" if repeat_n else "vertex count")
+    parser.add_argument("--n", type=int, required=True, action="append", help="vertex count (repeatable)")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--trials", type=int, default=1, help="trials per vertex count")
 
 
 def _config_from_args(args: argparse.Namespace, **fields) -> ExperimentConfig:
     """The --d/--k/--n/--seed/--trials ensemble as a validated config; `fields` give the rest."""
-    n_values = tuple(args.n) if isinstance(args.n, list) else (args.n,)
-    return ExperimentConfig(d=args.d, k=args.k, n_values=n_values, trials=args.trials, seed=args.seed, **fields)
+    return ExperimentConfig(d=args.d, k=args.k, n_values=tuple(args.n), trials=args.trials, seed=args.seed, **fields)
 
 
 def _resolve_complex(args: argparse.Namespace, require_fits: Callable[[int, int], None]) -> PureComplex:
@@ -214,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample complexes to text files, one per trial")
-    _add_ensemble(p, repeat_n=False)
+    _add_ensemble(p)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=_cmd_sample)
 
@@ -240,13 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("local", help="arboreal-neighborhood fractions per trial")
-    _add_ensemble(p, repeat_n=False)
+    _add_ensemble(p)
     p.add_argument("--r", type=int, action="append", help="radius (repeatable)")
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_local)
 
     p = sub.add_parser("converge", help="full convergence ensemble over an n-grid")
-    _add_ensemble(p, repeat_n=True)
+    _add_ensemble(p)
     p.add_argument("--r", type=int, action="append", help="arboreal radius (repeatable)")
     p.add_argument("--lmax", type=int, default=4)
     p.add_argument("--out", type=Path, default=None)
@@ -256,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("gap", help="adjacency spectral-gap statistic per trial")
-    _add_ensemble(p, repeat_n=True)
+    _add_ensemble(p)
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--deterministic", action="store_true")

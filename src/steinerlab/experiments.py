@@ -7,9 +7,9 @@ statistics: normalized spanning-tree count, Laplacian spectral moments,
 arboreal-neighborhood fractions, minimum degree and spectral floor.  A row
 takes no full spectrum: the count and floor come from the Cholesky
 factor and the restricted eigensolve in `trees`, the moments from exact
-sparse traces of L, and the gap statistic is the largest eigenvalue of the
-signed adjacency on ker delta^T (`spectra.restricted_extreme`, dense up to
-its cap, Lanczos above).  Every stage reads the L and A the complex owns
+sparse traces of L, and the gap statistic is minus the smallest eigenvalue
+of -A on ker delta^T (`spectra.restricted_extreme`, dense up to its cap,
+Lanczos above).  Every stage reads the L and A the complex owns
 (`PureComplex.laplacian`, `PureComplex.adjacency`), built once per trial.
 `ExperimentConfig.run` is the one loop over (n, trial): a trial whose
 sampler gives up (`SamplerExhausted`) or whose solve fails
@@ -212,29 +212,30 @@ class GapReport:
 def run_gap_report(config: ExperimentConfig, epsilon: float) -> GapReport:
     """Largest non-trivial adjacency eigenvalue per trial vs 2d sqrt(k-1) + eps.
 
-    The statistic is the top of the adjacency spectrum on ker delta^T
-    (`spectra.restricted_extreme`).  On a k-regular complex it is the (t+1)-th largest
-    adjacency eigenvalue, t = C(n-1, d-1); merged duplicate blocks break
-    k-regularity.  Probabilistic, so reported, not asserted.  Before anything
-    is sampled each n is checked against usable memory for what a row holds,
-    m = C(n, d): 16 bytes (value and index) an entry of B (at most k a row),
-    of L and A (d k + 1 a row each) and of delta (d a row), and 32 vectors
-    of order m, a conservative bound: the Lanczos recurrence holds three, the
-    matvec a few temporaries, and T's coefficients at most 20 at the step
-    cap of 10 m; up to `spectra.DENSE_EXTREME_MAX` rows the solve is dense
-    instead, a few m x m arrays of at most 2 MB each.  A trial whose sampler
-    gives up or whose solve fails is a failure, not a row.
+    The statistic, the top of A on ker delta^T, is minus the smallest
+    eigenvalue there of -A (`spectra.restricted_extreme`).  On a k-regular
+    complex it is the (t+1)-th largest eigenvalue of A, t = C(n-1, d-1);
+    merged duplicate blocks break k-regularity.  Probabilistic, so reported,
+    not asserted.  Before anything is sampled each n is checked against
+    usable memory for what a row holds, m = C(n, d): 16 bytes (value and
+    index) an entry of B (at most k a row), of L, A and the solve's -A
+    (d k + 1 a row each) and of delta (d a row), and 32 vectors of order m,
+    a conservative bound: the Lanczos recurrence holds three, the matvec a
+    few temporaries, and T's coefficients at most 20 at the step cap of
+    10 m; up to `spectra.DENSE_EXTREME_MAX` rows the solve is dense instead,
+    a few m x m arrays of at most 2 MB each.  A trial whose sampler gives up
+    or whose solve fails is a failure, not a row.
     """
     d, k = config.d, config.k
     for n in config.n_values:
-        require_memory(8 * comb(n, d) * (2 * (k + 2 * (d * k + 1) + d) + 32), f"a gap row at n={n}")
+        require_memory(8 * comb(n, d) * (2 * (k + 3 * (d * k + 1) + d) + 32), f"a gap row at n={n}")
     if k <= regularity_threshold(d):
         warnings.warn(f"k={k} is at or below the proven regime threshold {regularity_threshold(d)} "
                       f"for d={d}; the gap statistic is exploratory here", RuntimeWarning, stacklevel=2)
     base = 2.0 * d * sqrt(k - 1)
 
     def gap_row(X: PureComplex, n: int, trial: int) -> GapRow:
-        top = restricted_extreme(X.adjacency, n, d, "LA")
+        top = -restricted_extreme(-X.adjacency, n, d)
         return GapRow(n=n, trial=trial, top_nontrivial=top, passed=top <= base + epsilon)
 
     return GapReport(base, epsilon, *config.run(gap_row))

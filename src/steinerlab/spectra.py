@@ -18,16 +18,17 @@ The trivial kernel of L is the image of the coboundary delta from the
 (d-2)-forms of the complete skeleton; its dimension is C(n-1, d-1).  On the
 complete skeleton delta delta^T / n projects onto that image, so for a
 symmetric M and P = I - delta delta^T / n, P M P + c delta delta^T has the
-spectrum of M on ker delta^T and c n, C(n-1, d-1) times.  With c n beyond
-the wanted end, `restricted_extreme` is the one such solve, and it defines
-that operator once: above DENSE_EXTREME_MAX rows a plain Lanczos recurrence
-applies it, stopped at the operator's rounding level, and up to the cap the
-dense path solves the operator the Lanczos path applies, by one LAPACK call.
-The tree count's spectral floor is its smallest of L, where L delta = 0
-makes P L P = L (see `trees`), and the gap statistic its largest of A (see
-`experiments`).  The floor's zero threshold needs no solve: it is scaled to
-||L||_inf = (d+1) max degree (`zero_threshold`), the same row-sum bound as
-the shift.  `spectral_summary` is the one full spectrum.
+spectrum of M on ker delta^T and c n, C(n-1, d-1) times.  With c n above
+the spectrum, `restricted_extreme` is the one such solve, of the smallest
+eigenvalue, and it defines that operator once: above DENSE_EXTREME_MAX rows
+a plain Lanczos recurrence applies it, stopped at the operator's rounding
+level, and up to the cap the dense path solves the operator the Lanczos
+path applies, by one LAPACK call.  The tree count's spectral floor is its
+smallest of L, where L delta = 0 makes P L P = L (see `trees`), and the gap
+statistic minus its smallest of -A (see `experiments`).  The floor's zero
+threshold needs no solve: it is scaled to ||L||_inf = (d+1) max degree
+(`zero_threshold`), the same row-sum bound as the shift.  `spectral_summary`
+is the one full spectrum.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ LANCZOS_SEED = 20090601
 #   m                 10         21         105        210      465       990
 #   smallest of L  0.13-0.14  0.15-0.16  0.58-0.65  2.4-2.5  11-12     50-51   dense
 #                  1.3        3.4        1.6-1.8    2.6-2.7  4.4       9.1-9.8 Lanczos
-#   largest of A   0.16-0.18  0.16-0.17  0.64-0.68  2.3-2.4  12        53-57   dense
+#   smallest of -A 0.16-0.18  0.16-0.17  0.64-0.68  2.3-2.4  12        53-57   dense
 #                  1.6-1.7    1.9        1.9-2.0    3.0-3.1  5.7-5.9   13      Lanczos
 # The cross-over lies near m = 210; at 465 the dense solve costs up to about
 # 7 ms more.  The cap stays at 500 for degenerate spectra, not for speed:
@@ -102,29 +103,26 @@ class NumericalFailure(RuntimeError):
     """A solve that gave no number to trust: a dense or Lanczos eigensolve that failed, or a failed check."""
 
 
-def _lanczos_extreme(matvec, v: np.ndarray, which: str, tol: float, noise: float, steps: int) -> float:
-    """The smallest ("SA") or largest ("LA") eigenvalue of a symmetric operator, by plain Lanczos from v.
+def _lanczos_extreme(matvec, v: np.ndarray, tol: float, noise: float, steps: int) -> float:
+    """The smallest eigenvalue of a symmetric operator, by plain Lanczos from v.
 
-    The three-term recurrence runs on the operator, or on its negative for
-    "LA", without restarts or reorthogonalization: it holds three vectors
-    and the diagonal alpha and off-diagonal beta of the tridiagonal T, 8
-    bytes a step each.  Lost orthogonality only repeats converged Ritz
-    values, and none falls below the smallest eigenvalue by more than
-    O(eps ||op||) (Paige 1980).  Every LANCZOS_CHECK steps the smallest Ritz
-    value of T and the last entry s of its vector are read
+    The three-term recurrence runs without restarts or reorthogonalization:
+    it holds three vectors and the diagonal alpha and off-diagonal beta of
+    the tridiagonal T, 8 bytes a step each.  Lost orthogonality only repeats
+    converged Ritz values, and none falls below the smallest eigenvalue by
+    more than O(eps ||op||) (Paige 1980).  Every LANCZOS_CHECK steps the
+    smallest Ritz value of T and the last entry s of its vector are read
     (`eigh_tridiagonal`), and the value is returned once its estimate
     |beta s| is at most tol.  A beta at most `noise`, the rounding of one
     matvec, closes an invariant Krylov subspace: the value is returned at
     once, and no vector is divided by a vanishing beta.  NumericalFailure
     after `steps` steps.
     """
-    sign = {"SA": 1.0, "LA": -1.0}[which]
     v = v / np.linalg.norm(v)
     v_prev = None
     alpha, beta = array("d"), array("d")
     for step in range(1, steps + 1):
         w = matvec(v)
-        w *= sign
         if v_prev is not None:
             w -= beta[-1] * v_prev
         alpha.append(float(v @ w))
@@ -134,30 +132,30 @@ def _lanczos_extreme(matvec, v: np.ndarray, which: str, tol: float, noise: float
         if invariant or step % LANCZOS_CHECK == 0 or step == steps:
             theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(0, 0))
             if invariant or beta[-1] * abs(s[-1, 0]) <= tol:
-                return sign * float(theta[0])
+                return float(theta[0])
         v_prev, v = v, w
         v /= beta[-1]
-    raise NumericalFailure(f"Lanczos ({which}) did not converge in {steps} steps")
+    raise NumericalFailure(f"Lanczos did not converge in {steps} steps")
 
 
-def restricted_extreme(M: sp.csr_matrix, n: int, d: int, which: str) -> float:
-    """The smallest ("SA") or largest ("LA") eigenvalue of a symmetric sparse M on ker delta^T.
+def restricted_extreme(M: sp.csr_matrix, n: int, d: int) -> float:
+    """The smallest eigenvalue of a symmetric sparse M on ker delta^T; the largest is minus that of -M.
 
     The solve is of P M P + c delta delta^T, c a power of two (so c delta
-    delta^T x is exact) with c n above the largest absolute row sum of M,
-    negative for "LA"; when M delta = 0, as for L, P M P = M and no
-    projection is formed.  The operator is one `matvec`: above
-    DENSE_EXTREME_MAX rows a plain Lanczos recurrence applies it from a
-    seeded start vector until the Ritz estimate is at the operator's
-    rounding level, eps c n (`_lanczos_extreme`); up to the cap the dense
-    path solves the operator the Lanczos path applies, `matvec` of the
-    identity, whole spectrum and in place, by one LAPACK call.
-    NumericalFailure if LAPACK fails or Lanczos stops short.  A complex's
-    operators are canonical and read-only, as is delta.
+    delta^T x is exact) with c n above the largest absolute row sum of M;
+    when M delta = 0, as for L, P M P = M and no projection is formed.  The
+    operator is one `matvec`: above DENSE_EXTREME_MAX rows a plain Lanczos
+    recurrence applies it from a seeded start vector until the Ritz
+    estimate is at the operator's rounding level, eps c n
+    (`_lanczos_extreme`); up to the cap the dense path solves the operator
+    the Lanczos path applies, `matvec` of the identity, whole spectrum and
+    in place, by one LAPACK call.  NumericalFailure if LAPACK fails or
+    Lanczos stops short.  A complex's operators are canonical and
+    read-only, as is delta.
     """
     delta = coboundary_matrix(n, d)
     bound = float(abs(M).sum(axis=1).max())
-    c = 2.0 ** frexp((bound + 1) / n)[1] * {"SA": 1.0, "LA": -1.0}[which]
+    c = 2.0 ** frexp((bound + 1) / n)[1]
     m = M.shape[0]
     delta_t = delta.T
     projected = bool((M @ delta).count_nonzero())
@@ -173,15 +171,15 @@ def restricted_extreme(M: sp.csr_matrix, n: int, d: int, which: str) -> float:
         try:
             eigs = scipy.linalg.eigvalsh(matvec(np.eye(m)).T, overwrite_a=True, check_finite=False, driver="evd")
         except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"dense eigensolve ({which}) failed: {exc}") from None
-        return float(eigs[0] if which == "SA" else eigs[-1])
+            raise NumericalFailure(f"dense eigensolve failed: {exc}") from None
+        return float(eigs[0])
 
     v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(m)
-    # ||op|| is at most |c| n, which exceeds `bound`; a sum in one matvec has at most
+    # ||op|| is at most c n, which exceeds `bound`; a sum in one matvec has at most
     # `width` terms (a row of M or of delta^T), so it rounds by at most about width eps ||op||
-    tol = np.finfo(float).eps * abs(c) * n
+    tol = np.finfo(float).eps * c * n
     width = max(int(np.diff(M.indptr).max()), n)
-    return _lanczos_extreme(matvec, v0, which, tol, width * tol, steps=LANCZOS_STEPS * m)
+    return _lanczos_extreme(matvec, v0, tol, width * tol, steps=LANCZOS_STEPS * m)
 
 
 # memory limits of this process's cgroup (v2, then v1); "max" or a missing

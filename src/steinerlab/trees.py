@@ -236,7 +236,7 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
     require_tree_count_fits(X.n, X.d)
     L = X.laplacian
     trivial = trivial_zero_count(X)
-    floor = restricted_extreme(L, X.n, X.d, "SA")
+    floor = restricted_extreme(L, X.n, X.d)
     eps = zero_threshold((X.d + 1) * float(L.diagonal().max()))
     warn_ambiguous_zeros(floor, eps)
     flag = floor < eps

@@ -147,9 +147,10 @@ class TestSample:
         assert capsys.readouterr().err == "error: radii must be distinct; repeated: 2\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["converge", "gap"])
+    @pytest.mark.parametrize("command", ["converge", "gap", "sample", "local"])
     def test_repeated_n_exit_2(self, command, tmp_path, monkeypatch, capsys):
-        # converge wrote the rows of a repeated n twice, and gap counted them twice in its pass fraction
+        # converge wrote the rows of a repeated n twice, and gap counted them twice in its pass
+        # fraction; sample and local kept only the last --n and exited 0
         import steinerlab.experiments as experiments
 
         monkeypatch.setattr(experiments, "steiner_complex", never)
@@ -158,6 +159,17 @@ class TestSample:
         assert code == 2
         assert capsys.readouterr().err == "error: n values must be distinct; repeated: 8\n"
         assert not out.exists()
+
+    def test_sample_and_local_take_every_n(self, tmp_path):
+        # --n is repeatable on every ensemble command; sample and local kept only the last one
+        source = ["--d", "1", "--k", "2", "--n", "10", "--n", "12", "--trials", "2"]
+        assert main(["sample", *source, "--out", str(tmp_path / "cx")]) == 0
+        assert sorted(path.name for path in (tmp_path / "cx").iterdir()) == [
+            "complex_n10_t0.txt", "complex_n10_t1.txt", "complex_n12_t0.txt", "complex_n12_t1.txt"]
+        out = tmp_path / "local.csv"
+        assert main(["local", *source, "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [(row["n"], row["trial"]) for row in rows] == [("10", "0"), ("10", "1"), ("12", "0"), ("12", "1")]
 
     def test_converge_and_sst_draw_the_same_trials(self, tmp_path, monkeypatch):
         # one stream per (seed, n, trial): sample's files, converge --keep-complexes and sst --trial agree
@@ -284,8 +296,8 @@ class TestSst:
 
     def test_guards_size_each_route(self, monkeypatch, capsys):
         # d = 2, k = 5, n = 15 (m = 105): the order-91 packed factor takes 33,488 B; a gap row
-        # 75,600 B (16 B for each of k + 2(dk + 1) + d = 29 sparse entries a row, and 32
-        # vectors of order m); a dense m x m matrix 88,200 B
+        # 94,080 B (16 B for each of k + 3(dk + 1) + d = 40 sparse entries a row of B, L, A,
+        # -A and delta, and 32 vectors of order m); a dense m x m matrix 88,200 B
         import steinerlab.experiments as experiments
         from steinerlab import spectra
 
@@ -301,18 +313,19 @@ class TestSst:
         monkeypatch.setattr(spectra, "usable_memory", lambda: 50_000)
         assert main(sst) == 0
         assert capsys.readouterr().out == want
-        monkeypatch.setattr(spectra, "usable_memory", lambda: 75_600)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 94_080)
         with pytest.warns(RuntimeWarning, match="proven regime threshold"):
-            assert main(gap) == 0  # no dense matrix: gap runs where spectrum is refused
+            assert main(gap) == 0
         assert capsys.readouterr().out == want_gap
 
         def never(*args, **kwargs):
             raise AssertionError("sampled a complex the guard should refuse")
 
         monkeypatch.setattr(experiments, "steiner_complex", never)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 88_199)
         assert main(["spectrum", "--d", "2", "--k", "5", "--n", "15"]) == 2
         assert "dense 105 x 105" in capsys.readouterr().err
-        monkeypatch.setattr(spectra, "usable_memory", lambda: 75_599)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 94_079)
         assert main(gap) == 2
         assert "a gap row at n=15" in capsys.readouterr().err
         monkeypatch.setattr(spectra, "usable_memory", lambda: 30_000)
@@ -391,7 +404,7 @@ class TestConverge:
         monkeypatch.setattr(experiments, "steiner_complex", never)
         assert main(["converge", "--d", "2", "--k", "5", "--n", "997"]) == 2
         assert "physical memory" in capsys.readouterr().err
-        # a gap row at n = 997 takes about 357 MB, so gap is refused under a smaller limit
+        # a gap row at n = 997 takes about 445 MB, so gap is refused under a smaller limit
         monkeypatch.setattr(spectra, "usable_memory", lambda: 2**28)
         assert main(["gap", "--d", "2", "--k", "5", "--n", "997"]) == 2
         assert "a gap row at n=997" in capsys.readouterr().err
@@ -477,14 +490,14 @@ class TestNumericalFailure:
         rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
         assert [row["trial"] for row in rows] == ["0", "2"]
         skipped = [line for line in capsys.readouterr().err.splitlines() if line.startswith("skipped")]
-        assert skipped == [f"skipped n=502 trial=1: Lanczos (LA) did not converge in {STALL_STEPS} steps"]
+        assert skipped == [f"skipped n=502 trial=1: Lanczos did not converge in {STALL_STEPS} steps"]
 
     def test_sst_exits_4(self, monkeypatch, capsys):
         stall_lanczos(monkeypatch, {0})  # m = 990 is above the dense cap
         assert main(["sst", "--d", "2", "--k", "3", "--n", "45"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: Lanczos (SA) did not converge in {STALL_STEPS} steps\n"
+        assert captured.err == f"error: Lanczos did not converge in {STALL_STEPS} steps\n"
 
     def test_converge_skips_a_failed_dense_solve(self, tmp_path, monkeypatch, capsys):
         fail_dense(monkeypatch, {1})  # m = 105 is below the dense cap
@@ -493,14 +506,14 @@ class TestNumericalFailure:
                      "--out", str(out)]) == 0
         rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
         assert [row["trial"] for row in rows] == ["0", "2"]
-        assert capsys.readouterr().err.splitlines() == [f"skipped n=15 trial=1: dense eigensolve (SA) failed: {FAILED}"]
+        assert capsys.readouterr().err.splitlines() == [f"skipped n=15 trial=1: dense eigensolve failed: {FAILED}"]
 
     def test_sst_dense_failure_exits_4(self, monkeypatch, capsys):
         fail_dense(monkeypatch, {0})
         assert main(["sst", "--d", "2", "--k", "3", "--n", "13"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: dense eigensolve (SA) failed: {FAILED}\n"
+        assert captured.err == f"error: dense eigensolve failed: {FAILED}\n"
 
     def test_spectrum_linalg_error_exits_4(self, monkeypatch, capsys):
         import scipy.linalg

@@ -201,6 +201,19 @@ def test_one_lanczos_solve():
     assert "_lanczos_extreme" not in imported
 
 
+def test_the_restricted_solve_finds_the_smallest_eigenvalue_only():
+    # the gap top is minus the smallest eigenvalue of -A, so the solve takes no end to find
+    from steinerlab import spectra
+
+    assert list(inspect.signature(spectra.restricted_extreme).parameters) == ["M", "n", "d"]
+    assert "which" not in inspect.signature(spectra._lanczos_extreme).parameters
+    src = Path(importlib.import_module("steinerlab").__file__).parent
+    ends = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and node.value in {"SA", "LA"}]
+    assert not ends, ends
+
+
 def test_one_face_order():
     # face ranks, the one face order of B's rows, delta's columns and the sampler's
     # cover check, come from `complexes.lex_ranks` alone; a sampled system is an

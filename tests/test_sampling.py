@@ -287,6 +287,44 @@ class TestTripleSystems:
             assert abs(hits[b] - trials * p) <= 4 * sigma
         assert abs(hits[probes[0]] - hits[probes[1]]) <= 4 * sqrt(2) * sigma
 
+    def test_sts13_law_is_not_uniform(self):
+        # STS(13) has two isomorphism classes: the cyclic one (13 Pasch configurations,
+        # automorphism group of order 39) and the other (8, order 6), so the uniform law on
+        # labelled systems puts (1/39) / (1/39 + 1/6) = 6/45 on the cyclic class; the
+        # hill-climb then relabel is permutation-invariant but draws it less often
+        gen = SeededRng(11).substream(13).generator()
+        trials = 2000
+        paschs = Counter(pasch_count(sample_sts(13, gen)) for _ in range(trials))
+        assert set(paschs) <= {8, 13}, paschs
+        cyclic = paschs[13]
+        p = 182 / trials  # measured on this stream
+        assert abs(cyclic - 182) <= 4 * sqrt(trials * p * (1 - p))
+        uniform = 6 / 45
+        assert cyclic < trials * uniform - 4 * sqrt(trials * uniform * (1 - uniform))
+
+
+def pasch_count(blocks: np.ndarray) -> int:
+    """Pasch configurations of a triple system: four blocks on six points, every two meeting once.
+
+    Two blocks {a, b, c} and {a, d, e} through a point lie in one when the blocks
+    through {b, d} and {c, e}, or through {b, e} and {c, d}, share their third
+    point; each configuration holds six such pairs.
+    """
+    third = {}
+    for block in blocks.tolist():
+        for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            third[block[i], block[j]] = third[block[j], block[i]] = block[k]
+    through = {}
+    for block in blocks.tolist():
+        for point in block:
+            through.setdefault(point, []).append([q for q in block if q != point])
+    seen = 0
+    for pairs in through.values():
+        for (b, c), (d, e) in combinations(pairs, 2):
+            seen += (third[b, d] == third[c, e]) + (third[b, e] == third[c, d])
+    assert seen % 6 == 0
+    return seen // 6
+
 
 class TestBoundedDraws:
     @settings(max_examples=200, deadline=None)

@@ -189,19 +189,18 @@ class TestRestrictedExtreme:
                 for M in (L, X.adjacency):
                     eigs = dense_restricted(M, X.n, d)
                     scale = max(1.0, float(abs(eigs).max()))
-                    assert spectra.restricted_extreme(M, X.n, d, "SA") == pytest.approx(eigs[0], abs=1e-9 * scale)
-                    assert spectra.restricted_extreme(M, X.n, d, "LA") == pytest.approx(eigs[-1], abs=1e-9 * scale)
+                    assert spectra.restricted_extreme(M, X.n, d) == pytest.approx(eigs[0], abs=1e-9 * scale)
+                    assert -spectra.restricted_extreme(-M, X.n, d) == pytest.approx(eigs[-1], abs=1e-9 * scale)
 
     @pytest.mark.parametrize("n, d, k", AT_THE_CAP, ids=CAP_IDS)
     def test_dense_and_lanczos_agree_at_the_cap(self, monkeypatch, n, d, k):
         X = steiner_complex(n, d, k, SeededRng(1))
-        for M in (X.laplacian, X.adjacency):
-            for which in ("SA", "LA"):
-                monkeypatch.setattr(spectra, "DENSE_EXTREME_MAX", 10**9)
-                dense = spectra.restricted_extreme(M, n, d, which)
-                monkeypatch.setattr(spectra, "DENSE_EXTREME_MAX", 0)
-                lanczos = spectra.restricted_extreme(M, n, d, which)
-                assert dense != 0.0 and dense == pytest.approx(lanczos, rel=1e-12, abs=0)
+        for M in (X.laplacian, -X.laplacian, X.adjacency, -X.adjacency):
+            monkeypatch.setattr(spectra, "DENSE_EXTREME_MAX", 10**9)
+            dense = spectra.restricted_extreme(M, n, d)
+            monkeypatch.setattr(spectra, "DENSE_EXTREME_MAX", 0)
+            lanczos = spectra.restricted_extreme(M, n, d)
+            assert dense != 0.0 and dense == pytest.approx(lanczos, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n, d, k", AT_THE_CAP, ids=CAP_IDS)
     def test_the_cap_picks_one_solver(self, monkeypatch, n, d, k):
@@ -216,8 +215,8 @@ class TestRestrictedExtreme:
         else:
             monkeypatch.setattr(scipy.linalg, "eigvalsh", never)
         X = steiner_complex(n, d, k, SeededRng(1))
-        assert spectra.restricted_extreme(X.laplacian, n, d, "SA") > 0.1
-        assert spectra.restricted_extreme(X.adjacency, n, d, "LA") > 2.0
+        assert spectra.restricted_extreme(X.laplacian, n, d) > 0.1
+        assert -spectra.restricted_extreme(-X.adjacency, n, d) > 2.0
 
     @pytest.mark.parametrize("n", [500, 502])
     def test_complete_graphs_on_both_sides_of_the_cap(self, monkeypatch, n):
@@ -227,7 +226,7 @@ class TestRestrictedExtreme:
         lanczos, runs = spectra._lanczos_extreme, []
         monkeypatch.setattr(spectra, "_lanczos_extreme", lambda *args, **kwargs: runs.append(1) or lanczos(*args, **kwargs))
         assert weighted_tree_count(X).floor == pytest.approx(n, rel=1e-14)
-        assert spectra.restricted_extreme(X.adjacency, n, 1, "LA") == pytest.approx(gap_top_oracle(X), abs=1e-12)
+        assert -spectra.restricted_extreme(-X.adjacency, n, 1) == pytest.approx(gap_top_oracle(X), abs=1e-12)
         assert len(runs) == (0 if n == spectra.DENSE_EXTREME_MAX else 2)
 
     @pytest.mark.parametrize("n, trial", [(15, 6), (15, 10), (31, 7), (31, 17)])
@@ -237,9 +236,9 @@ class TestRestrictedExtreme:
         # n = 31 trial 17; the floor of L is a degenerate 0 that Lanczos missed at n = 15
         # trial 10 and n = 31 trial 7
         X = experiments.ExperimentConfig(d=2, k=2, n_values=(n,), trials=trial + 1, seed=11).draw(n, trial)
-        eigs = {which: dense_restricted(M, n, 2) for which, M in (("SA", X.laplacian), ("LA", X.adjacency))}
-        assert spectra.restricted_extreme(X.laplacian, n, 2, "SA") == pytest.approx(eigs["SA"][0], abs=1e-12)
-        assert spectra.restricted_extreme(X.adjacency, n, 2, "LA") == pytest.approx(eigs["LA"][-1], rel=1e-12)
+        floor, top = dense_restricted(X.laplacian, n, 2)[0], dense_restricted(X.adjacency, n, 2)[-1]
+        assert spectra.restricted_extreme(X.laplacian, n, 2) == pytest.approx(floor, abs=1e-12)
+        assert -spectra.restricted_extreme(-X.adjacency, n, 2) == pytest.approx(top, rel=1e-12)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_degenerate_spectra_above_the_cap(self, k):
@@ -254,16 +253,16 @@ class TestRestrictedExtreme:
             floor = np.linalg.eigvalsh(X.laplacian.toarray())[trivial]
             assert count.zero_flag == (floor < count.zero_threshold)
             assert count.floor == (0.0 if count.zero_flag else pytest.approx(floor, abs=1e-12))
-            top = spectra.restricted_extreme(X.adjacency, n, 2, "LA")
+            top = -spectra.restricted_extreme(-X.adjacency, n, 2)
             assert top == pytest.approx(gap_top_oracle(X), rel=1e-12)
 
     def test_leaves_the_matrix_as_it_was(self):
         for n, k in ((13, 2), (45, 5)):  # a dense solve and a Lanczos one
             X = steiner_complex(n, 2, k, SeededRng(5).substream(n, 0))
-            for M, which in ((X.laplacian, "SA"), (X.adjacency, "LA")):
+            for M in (X.laplacian, X.adjacency):
                 indices, data, indptr = M.indices.copy(), M.data.copy(), M.indptr.copy()
                 assert M.has_sorted_indices
-                spectra.restricted_extreme(M, X.n, X.d, which)
+                spectra.restricted_extreme(M, X.n, X.d)
                 assert M.has_sorted_indices
                 assert np.array_equal(M.indices, indices) and np.array_equal(M.indptr, indptr)
                 assert np.array_equal(M.data, data)
@@ -273,8 +272,8 @@ class TestRestrictedExtreme:
         lanczos = spectra._lanczos_extreme
         monkeypatch.setattr(spectra, "_lanczos_extreme", lambda *args, steps: lanczos(*args, steps=20))
         L = steiner_complex(502, 1, 3, SeededRng(1)).laplacian
-        with pytest.raises(spectra.NumericalFailure, match=r"^Lanczos \(SA\) did not converge in 20 steps$"):
-            spectra.restricted_extreme(L, 502, 1, "SA")
+        with pytest.raises(spectra.NumericalFailure, match=r"^Lanczos did not converge in 20 steps$"):
+            spectra.restricted_extreme(L, 502, 1)
 
     def test_an_invariant_krylov_subspace_stops_the_recurrence(self, monkeypatch):
         # on the complete complex, d = 1, n = 502 (m = 502, Lanczos), the operator has two
@@ -288,9 +287,9 @@ class TestRestrictedExtreme:
             return lanczos(lambda x: matvecs.append(1) or matvec(x), *args, **kwargs)
 
         monkeypatch.setattr(spectra, "_lanczos_extreme", counted)
-        assert spectra.restricted_extreme(X.laplacian, n, 1, "SA") == pytest.approx(n, rel=1e-14)
+        assert spectra.restricted_extreme(X.laplacian, n, 1) == pytest.approx(n, rel=1e-14)
         assert len(matvecs) == 2
-        assert spectra.restricted_extreme(X.adjacency, n, 1, "LA") == pytest.approx(gap_top_oracle(X), rel=1e-12)
+        assert -spectra.restricted_extreme(-X.adjacency, n, 1) == pytest.approx(gap_top_oracle(X), rel=1e-12)
         assert len(matvecs) == 4
 
     def test_delta_is_built_once_per_n_and_d(self, monkeypatch):
@@ -300,9 +299,9 @@ class TestRestrictedExtreme:
         incidence = complexes._signed_incidence
         monkeypatch.setattr(complexes, "_signed_incidence", lambda *args: built.append(args) or incidence(*args))
         complexes._complete_coboundary.cache_clear()
-        first = spectra.restricted_extreme(L, 45, 2, "SA")
-        assert spectra.restricted_extreme(L, 45, 2, "SA") == first
-        spectra.restricted_extreme(A, 45, 2, "LA")
+        first = spectra.restricted_extreme(L, 45, 2)
+        assert spectra.restricted_extreme(L, 45, 2) == first
+        spectra.restricted_extreme(-A, 45, 2)
         assert len(built) == 1
         delta = spectra.coboundary_matrix(45, 2)
         assert delta is spectra.coboundary_matrix(45, 2) and delta.has_canonical_format
@@ -313,8 +312,8 @@ class TestRestrictedExtreme:
             raise np.linalg.LinAlgError("the algorithm failed to converge")
 
         monkeypatch.setattr(scipy.linalg, "eigvalsh", fail)
-        with pytest.raises(spectra.NumericalFailure, match=r"^dense eigensolve \(LA\) failed: the algorithm"):
-            spectra.restricted_extreme(triangle().adjacency, 3, 1, "LA")
+        with pytest.raises(spectra.NumericalFailure, match=r"^dense eigensolve failed: the algorithm"):
+            spectra.restricted_extreme(-triangle().adjacency, 3, 1)
 
 
 class TestEigenvalues:

@@ -669,7 +669,7 @@ class TestPackedFactor:
         # hole complex: edge (3, 4) lies in no 2-face, so the reduced Laplacian
         # diag(1, 1, 0) fails at its last pivot; a floor reported above the
         # threshold must not let that pass as a count; edge (1, 2) has degree 2, so eps = 1e-8 * 3 * 2
-        monkeypatch.setattr(trees, "restricted_extreme", lambda M, n, d, which: 1.0)
+        monkeypatch.setattr(trees, "restricted_extreme", lambda M, n, d: 1.0)
         with pytest.raises(RuntimeError, match=r"floor 1\.000e\+00.*threshold 6\.000e-08.*pivot 3 of 3"):
             weighted_tree_count(complex_from_dfaces(4, 2, [(1, 2, 3), (1, 2, 4)]))
 
@@ -748,7 +748,7 @@ class TestTwoPhaseCount:
         X = steiner_complex(1000, 1, 8, SeededRng(1))
         X = complex_from_dfaces(1000, 1, [e for e in X.d_faces if 1000 not in e])
         assert max_degree(X) == 8
-        monkeypatch.setattr(trees, "restricted_extreme", lambda M, n, d, which: 1.0)
+        monkeypatch.setattr(trees, "restricted_extreme", lambda M, n, d: 1.0)
         with pytest.raises(RuntimeError, match=r"floor 1\.000e\+00.*threshold 1\.600e-07.*pivot 999 of 999"):
             weighted_tree_count(X)
 

@@ -3,7 +3,8 @@
     python3 tools/floor_scan.py [TREE]
 
 TREE is a checkout of steinerlab, this one by default; the scan imports
-steinerlab from TREE/src, so the same scan can run against a parent tree.
+steinerlab from TREE/src, so the same scan can run against a parent tree
+whose `restricted_extreme` takes (M, n, d).
 It draws the complexes of `converge --d 2 --n 63 --seed 11` at k = 2 and 3,
 trials 0 to 19 (m = C(63, 2) = 1953, above the dense cap, so every solve is
 the Lanczos one).  At k = 2 every reduced Laplacian is singular and A's top
@@ -14,9 +15,9 @@ most steps.  For each row it compares:
   eigenvalue of L above its C(62, 1) trivial zeros (`eigvalsh` of L), read
   against the count's own zero threshold;
 - an unflagged floor with the dense floor, within FLOOR_ATOL;
-- the gap top, `restricted_extreme(A, "LA")`, with the largest eigenvalue of
-  Q^T A Q, Q an orthonormal basis of ker delta^T (`null_space`), within
-  TOP_RTOL.
+- the gap top, minus the smallest eigenvalue of -A on ker delta^T
+  (`-restricted_extreme(-A, n, d)`), with the largest eigenvalue of Q^T A Q,
+  Q an orthonormal basis of ker delta^T (`null_space`), within TOP_RTOL.
 
 It prints one line a row and a summary with each k's zero flags, and exits
 0 when every row agrees and 1 otherwise.  A solve that raises is a
@@ -62,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
                     count = trees.weighted_tree_count(X)
-                top = spectra.restricted_extreme(X.adjacency, N, D, "LA")
+                top = -spectra.restricted_extreme(-X.adjacency, N, D)
             except spectra.NumericalFailure as exc:
                 bad += 1
                 flags[k] += "!"
