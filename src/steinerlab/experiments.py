@@ -36,6 +36,7 @@ from .complexes import PureComplex, write_complex
 from .sampling import SamplerExhausted, SeededRng, is_admissible, steiner_complex
 from .spectra import (
     NumericalFailure,
+    dense_extreme_bytes,
     moments,
     power_width,
     require_memory,
@@ -222,13 +223,15 @@ def run_gap_report(config: ExperimentConfig, epsilon: float) -> GapReport:
     (d k + 1 a row each) and of delta (d a row), and 32 vectors of order m,
     a conservative bound: the Lanczos recurrence holds three, the matvec a
     few temporaries, and T's coefficients at most 20 at the step cap of
-    10 m; up to `spectra.DENSE_EXTREME_MAX` rows the solve is dense instead,
-    a few m x m arrays of at most 2 MB each.  A trial whose sampler gives up
-    or whose solve fails is a failure, not a row.
+    10 m; up to `spectra.DENSE_EXTREME_MAX` rows the dense solve adds six
+    m x m arrays (`spectra.dense_extreme_bytes`), 12 MB at the cap.  A trial
+    whose sampler gives up or whose solve fails is a failure, not a row.
     """
     d, k = config.d, config.k
     for n in config.n_values:
-        require_memory(8 * comb(n, d) * (2 * (k + 3 * (d * k + 1) + d) + 32), f"a gap row at n={n}")
+        m = comb(n, d)
+        need = 8 * m * (2 * (k + 3 * (d * k + 1) + d) + 32) + dense_extreme_bytes(m)
+        require_memory(need, f"a gap row at n={n}")
     if k <= regularity_threshold(d):
         warnings.warn(f"k={k} is at or below the proven regime threshold {regularity_threshold(d)} "
                       f"for d={d}; the gap statistic is exploratory here", RuntimeWarning, stacklevel=2)

@@ -20,7 +20,7 @@ those of one `Generator.integers` call per draw.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb
@@ -199,53 +199,55 @@ def _hill_climb_triples(n: int, gen: np.random.Generator, max_iterations: int) -
 
     Its bounded integers come from `_bounded_draws`, so the run and the
     generator it leaves equal those of one `gen.integers(0, b)` per draw.
-    live[x] is the sorted list of x's uncovered partners, and pair_block
-    maps each covered pair a < b, keyed a (n + 1) + b, to its block.
+    live[x] is the sorted list of x's uncovered partners, and block_of maps
+    each covered pair a < b, at a (n + 1) + b, to its block (None if live).
+
+    A step covers the live pairs xy and xz with the block {x, y, z}.  If yz
+    is covered, by {y, z, w}, that block is evicted: w != x because xy is
+    live, so yz stays covered and only yw and zw go live.  y and z leave
+    live[x] by the indices they were drawn at, the larger first: the
+    eviction touches only the lists of y, z and w, so those indices still
+    hold.
     """
-    pair_block: dict[int, Face] = {}
-    live = [[y for y in range(1, n + 1) if y != x] for x in range(n + 1)]
-    target = comb(n, 2)
     key = n + 1
+    block_of: list[Face | None] = [None] * (key * key)
+    live = [[y for y in range(1, n + 1) if y != x] for x in range(n + 1)]
+    covered, target = 0, comb(n, 2)
 
     with _bounded_draws(gen) as below:
         for _ in range(max_iterations):
-            if len(pair_block) == target:
-                return list(set(pair_block.values()))
+            if covered == target:
+                return list(set(filter(None, block_of)))
             # pick a point with uncovered pairs, then two distinct live partners
             while True:
                 x = below(n) + 1
-                if live[x]:
+                partners = live[x]
+                if partners:
                     break
-            partners = live[x]
             i = below(len(partners))
             j = below(len(partners) - 1)
             if j >= i:
-                j += 1
-            y, z = partners[i], partners[j]
-            if y > z:
-                y, z = z, y
+                i, j = j + 1, i
+            y, z = partners[j], partners[i]  # j < i, so y < z
+            del partners[i], partners[j]
 
-            # every evicted pair is covered and every placed pair live, so no
-            # insort adds a partner twice and no remove misses one
-            old = pair_block.get(y * key + z)
-            if old is not None:
-                # evict the block covering {y, z}; its three pairs go live again
-                a, b, c = old
-                del pair_block[a * key + b], pair_block[a * key + c], pair_block[b * key + c]
-                insort(live[a], b)
-                insort(live[a], c)
-                insort(live[b], a)
-                insort(live[b], c)
-                insort(live[c], a)
-                insort(live[c], b)
+            old = block_of[y * key + z]
+            if old is None:
+                covered += 3
+                del live[y][bisect_left(live[y], z)]
+                del live[z][bisect_left(live[z], y)]
+            else:
+                w = sum(old) - y - z
+                block_of[y * key + w if y < w else w * key + y] = None
+                block_of[z * key + w if z < w else w * key + z] = None
+                insort(live[y], w)
+                insort(live[z], w)
+                insort(live[w], y)
+                insort(live[w], z)
             a, b, c = block = (x, y, z) if x < y else (y, x, z) if x < z else (y, z, x)
-            pair_block[a * key + b] = pair_block[a * key + c] = pair_block[b * key + c] = block
-            live[a].remove(b)
-            live[a].remove(c)
-            live[b].remove(a)
-            live[b].remove(c)
-            live[c].remove(a)
-            live[c].remove(b)
+            block_of[a * key + b] = block_of[a * key + c] = block_of[b * key + c] = block
+            del live[y][bisect_left(live[y], x)]
+            del live[z][bisect_left(live[z], x)]
 
     return None
 

@@ -91,6 +91,20 @@ LANCZOS_SEED = 20090601
 # vector has no such guarantee; ARPACK's Lanczos settled on a wrong eigenvalue at
 # d = 2, k = 2, m = 105 (a nonzero floor of a singular reduced Laplacian).
 DENSE_EXTREME_MAX = 500
+
+
+def dense_extreme_bytes(m: int) -> int:
+    """Bytes of the m x m float64 arrays `restricted_extreme` holds at once for m rows: 0 above the cap.
+
+    Up to DENSE_EXTREME_MAX rows its matvec of the identity holds six: the
+    identity, delta delta^T x, M's product and the sums and multiples that
+    build P M P + c delta delta^T (five when M delta = 0, as for L).
+    tracemalloc read a peak of 6.02 such arrays for -A and 5.02 for L at
+    d = 2, k = 5, m = 105.
+    """
+    return 6 * 8 * m * m if m <= DENSE_EXTREME_MAX else 0
+
+
 # the Lanczos recurrence reads its Ritz estimate every LANCZOS_CHECK steps and
 # gives up after LANCZOS_STEPS times the operator's order: the hardest rows seen,
 # d = 2, k = 3, seed 11, took up to 1,070 steps at m = 990 and 2,150 at m = 1953

@@ -53,6 +53,7 @@ from scipy.linalg.lapack import dpftrf
 from .complexes import PureComplex
 from .spectra import (
     NumericalFailure,
+    dense_extreme_bytes,
     power_width,
     require_memory,
     restricted_extreme,
@@ -203,14 +204,18 @@ def _reduced_log_det(R: sp.csr_matrix) -> tuple[float, int]:
 def require_tree_count_fits(n: int, d: int) -> None:
     """Refuse, with ValueError, a tree count of a d-complex on [n] that cannot run here.
 
-    The memory guard counts the packed factor of the whole reduced
-    Laplacian, N(N+1)/2 doubles with N = C(n-1, d) (`spectra.require_memory`):
-    phase 1 of the count may eliminate no row at all.  The
+    The memory guard (`spectra.require_memory`) counts the larger of the
+    floor's dense solve (`spectra.dense_extreme_bytes`, up to
+    DENSE_EXTREME_MAX rows), which is freed before the factor is built, and
+    the packed factor of the whole reduced Laplacian, N(N+1)/2 doubles with
+    N = C(n-1, d): phase 1 of the count may eliminate no row at all.  The
     packed order is capped at MAX_PACKED_ORDER because scipy's `dpftrf`
     wrapper checks the packed length as N(N+1)/2 in a C int.
     """
     N = comb(n - 1, d)
-    require_memory(8 * (N * (N + 1) // 2), f"the packed Cholesky factor of the order-{N} reduced Laplacian")
+    packed, dense = 8 * (N * (N + 1) // 2), dense_extreme_bytes(comb(n, d))
+    require_memory(max(packed, dense), f"a tree count at n={n} (its dense floor solve or the packed "
+                   f"Cholesky factor of the order-{N} reduced Laplacian)")
     if N > MAX_PACKED_ORDER:
         raise ValueError(
             f"the reduced Laplacian of order {N} is above {MAX_PACKED_ORDER}, the largest "

@@ -295,9 +295,10 @@ class TestSst:
         assert "physical memory" in err and "Traceback" not in err
 
     def test_guards_size_each_route(self, monkeypatch, capsys):
-        # d = 2, k = 5, n = 15 (m = 105): the order-91 packed factor takes 33,488 B; a gap row
-        # 94,080 B (16 B for each of k + 3(dk + 1) + d = 40 sparse entries a row of B, L, A,
-        # -A and delta, and 32 vectors of order m); a dense m x m matrix 88,200 B
+        # d = 2, k = 5, n = 15 (m = 105): a dense m x m matrix takes 88,200 B, and the floor's
+        # dense solve six of them, 529,200 B, more than the order-91 packed factor's 33,488 B;
+        # a gap row 94,080 B (16 B for each of k + 3(dk + 1) + d = 40 sparse entries a row of
+        # B, L, A, -A and delta, and 32 vectors of order m) and the dense solve, 623,280 B
         import steinerlab.experiments as experiments
         from steinerlab import spectra
 
@@ -310,10 +311,10 @@ class TestSst:
         with pytest.warns(RuntimeWarning, match="proven regime threshold"):
             assert main(gap) == 0
         want_gap = capsys.readouterr().out
-        monkeypatch.setattr(spectra, "usable_memory", lambda: 50_000)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 529_200)
         assert main(sst) == 0
         assert capsys.readouterr().out == want
-        monkeypatch.setattr(spectra, "usable_memory", lambda: 94_080)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 623_280)
         with pytest.warns(RuntimeWarning, match="proven regime threshold"):
             assert main(gap) == 0
         assert capsys.readouterr().out == want_gap
@@ -325,12 +326,29 @@ class TestSst:
         monkeypatch.setattr(spectra, "usable_memory", lambda: 88_199)
         assert main(["spectrum", "--d", "2", "--k", "5", "--n", "15"]) == 2
         assert "dense 105 x 105" in capsys.readouterr().err
-        monkeypatch.setattr(spectra, "usable_memory", lambda: 94_079)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 623_279)
         assert main(gap) == 2
         assert "a gap row at n=15" in capsys.readouterr().err
-        monkeypatch.setattr(spectra, "usable_memory", lambda: 30_000)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 529_199)
         assert main(sst) == 2
-        assert "packed Cholesky factor" in capsys.readouterr().err
+        assert "dense floor solve or the packed Cholesky factor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,what", [("converge", "a tree count at n=15"), ("gap", "a gap row at n=15")])
+    def test_guards_count_the_dense_solve(self, command, what, monkeypatch, capsys):
+        # 100,000 B holds a d = 2, k = 5, n = 15 gap row's sparse operators and vectors
+        # (94,080 B) and its packed factor (33,488 B), but not the six 105 x 105 arrays
+        # of the dense restricted solve
+        import steinerlab.experiments as experiments
+        from steinerlab import spectra
+
+        def never(*args, **kwargs):
+            raise AssertionError("sampled a complex the guard should refuse")
+
+        monkeypatch.setattr(experiments, "steiner_complex", never)
+        monkeypatch.setattr(spectra, "resident_memory", lambda: 0)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 100_000)
+        assert main([command, "--d", "2", "--k", "5", "--n", "15", "--deterministic"]) == 2
+        assert what in capsys.readouterr().err
 
 
 class TestLimit:

@@ -63,6 +63,7 @@ GRID = [
     ("gap-d2-n45", "gap --d 2 --k 5 --n 45 --trials 2 --seed 4 --deterministic"),  # m = 990: Lanczos
     ("local", "local --d 2 --k 5 --n 31 --trials 2 --r 1 --r 2 --seed 3"),
     ("sample", "sample --d 2 --k 5 --n 15 --trials 3 --seed 2 --out cx"),
+    ("sample-k21", "sample --d 2 --k 21 --n 111 --trials 1 --seed 1 --out cx"),  # the paper's regime: 21 STS(111) climbs
     ("spectrum-laplacian", "spectrum --d 2 --k 5 --n 31 --seed 1 --out spectrum.csv"),
     ("spectrum-adjacency", "spectrum --d 2 --k 5 --n 31 --seed 1 --op adjacency --out adjacency.csv"),
     ("sst-d2-n111", "sst --d 2 --k 5 --n 111 --seed 1"),
