@@ -15,7 +15,7 @@ import json
 import sys
 import warnings
 from collections.abc import Callable, Iterable
-from math import comb, exp
+from math import comb, exp, log
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ import numpy as np
 from .arboreal import arboreal_fractions
 from .complexes import PureComplex, read_complex
 from .experiments import (
+    ConvergenceResult,
     ExperimentConfig,
     RowFailure,
     converge_csv,
@@ -167,6 +168,28 @@ def _cmd_local(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _report_distance(result: ConvergenceResult, config: ExperimentConfig) -> None:
+    """One stderr line per n: the mean growth_rate of its unflagged rows and, for k >= d+2, the
+    mean log(growth_rate / xi), also net of the exact term -C(n-2, d-1) log(n) / C(n, d) that the
+    count's n^C(n-2, d-1) normalization puts in log(growth_rate).
+
+    A flagged row's count is 0, so its growth_rate is 0.0: it is left out and counted.
+    """
+    d, k = config.d, config.k
+    log_xi = log(growth_constant_closed(d, k)) if k >= d + 2 else None
+    for n in config.n_values:
+        rows = [row for row in result.rows if row.n == n]
+        rates = [row.growth_rate for row in rows if row.growth_rate > 0.0]
+        line = f"n={n}: {len(rates)} unflagged rows, {len(rows) - len(rates)} flagged left out"
+        if rates:
+            line += f"; mean growth_rate {sum(rates) / len(rates):.6f}"
+            if log_xi is not None:
+                error = sum(map(log, rates)) / len(rates) - log_xi
+                net = error + comb(n - 2, d - 1) * log(n) / comb(n, d)
+                line += f", log(rate/xi) {error:+.6f}, net of the exact term {net:+.6f}"
+        print(line, file=sys.stderr)
+
+
 def _cmd_converge(args: argparse.Namespace) -> int:
     config = _config_from_args(args, deterministic=args.deterministic, radii=tuple(args.r or (1,)),
                                lmax=args.lmax, complex_dir=args.keep_complexes)
@@ -174,6 +197,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     text = converge_json(result, config) if args.format == "json" else converge_csv(result, config)
     _write_text(args.out, text)
     _report_skipped(result.failures)
+    _report_distance(result, config)
     return EXIT_OK
 
 

@@ -116,15 +116,19 @@ class PureComplex:
     `laplacian` L = B B^T, `adjacency` A = diag(L) - L and the tuple index
     `cofacets` and `degree` read are each built once, on first use.  B, L
     and A are canonical CSR (sorted indices, no duplicates) and read-only.
+    `_signed_traces` is the memo of `spectra.signed_trace`: the exact
+    tr(A^l) it has computed, as Python ints keyed by l.
     Instances are immutable and safe to share across threads; two threads may
-    both build an operator, and either identical copy is kept.
+    both build an operator, and either identical copy is kept; two threads
+    that miss the same trace both compute it, and store the same int.
     """
 
-    __slots__ = ("n", "d", "faces", "_index", "_boundary", "_laplacian", "_adjacency")
+    __slots__ = ("n", "d", "faces", "_index", "_boundary", "_laplacian", "_adjacency", "_signed_traces")
 
     def __init__(self, n: int, d: int, faces: np.ndarray):
         self.n, self.d, self.faces = n, d, faces
         self._index = self._boundary = self._laplacian = self._adjacency = None
+        self._signed_traces: dict[int, int] = {}
         faces.flags.writeable = False
 
     @property

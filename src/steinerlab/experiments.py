@@ -223,8 +223,8 @@ def run_gap_report(config: ExperimentConfig, epsilon: float) -> GapReport:
     (d k + 1 a row each) and of delta (d a row), and 32 vectors of order m,
     a conservative bound: the Lanczos recurrence holds three, the matvec a
     few temporaries, and T's coefficients at most 20 at the step cap of
-    10 m; up to `spectra.DENSE_EXTREME_MAX` rows the dense solve adds six
-    m x m arrays (`spectra.dense_extreme_bytes`), 12 MB at the cap.  A trial
+    10 m; up to `spectra.DENSE_EXTREME_MAX` rows the dense solve adds five
+    m x m arrays (`spectra.dense_extreme_bytes`), 10 MB at the cap.  A trial
     whose sampler gives up or whose solve fails is a failure, not a row.
     """
     d, k = config.d, config.k

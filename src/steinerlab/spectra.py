@@ -10,9 +10,10 @@ sparse integer matrices that the complex owns (`PureComplex`).
 Reversing a face's orientation is -1 on forms, so the signed count of
 closed l-walks at a face on the oriented line-graph, phi_l(s+, s+) -
 phi_l(s+, s-), is the diagonal entry (A^l)_ss, and their sum over faces is
-the exact trace of an integer power of A (`signed_trace`).  On the
-arboreal complex the walk counts have a closed recursion instead
-(`arboreal.signed_walk_count`).
+the exact trace of an integer power of A (`signed_trace`: the complex
+keeps each trace, and one walk of the powers answers both lengths that end
+on the same power).  On the arboreal complex the walk counts have a closed
+recursion instead (`arboreal.signed_walk_count`).
 
 The trivial kernel of L is the image of the coboundary delta from the
 (d-2)-forms of the complete skeleton; its dimension is C(n-1, d-1).  On the
@@ -96,13 +97,16 @@ DENSE_EXTREME_MAX = 500
 def dense_extreme_bytes(m: int) -> int:
     """Bytes of the m x m float64 arrays `restricted_extreme` holds at once for m rows: 0 above the cap.
 
-    Up to DENSE_EXTREME_MAX rows its matvec of the identity holds six: the
-    identity, delta delta^T x, M's product and the sums and multiples that
-    build P M P + c delta delta^T (five when M delta = 0, as for L).
-    tracemalloc read a peak of 6.02 such arrays for -A and 5.02 for L at
-    d = 2, k = 5, m = 105.
+    Up to DENSE_EXTREME_MAX rows its matvec of the identity updates one
+    result array in place and holds at most four such arrays: the identity,
+    n (I - P) x and, when M delta != 0 (as for -A), (I - P) x and M's
+    product of it, or that product and delta delta^T of it; three when
+    M delta = 0, as for L.  A delta^T product, C(n, d-1) x m, comes on top,
+    at most one more array when C(n, d-1) <= C(n, d), that is 2d <= n + 1.
+    tracemalloc read a peak of 4.17 such arrays for -A and 3.02 for L at
+    d = 2, k = 5, m = 105, and 4.07 and 3.00 at m = 465.
     """
-    return 6 * 8 * m * m if m <= DENSE_EXTREME_MAX else 0
+    return 5 * 8 * m * m if m <= DENSE_EXTREME_MAX else 0
 
 
 # the Lanczos recurrence reads its Ritz estimate every LANCZOS_CHECK steps and
@@ -174,12 +178,23 @@ def restricted_extreme(M: sp.csr_matrix, n: int, d: int) -> float:
     delta_t = delta.T
     projected = bool((M @ delta).count_nonzero())
 
+    # the matvec updates the arrays it makes in place, so the dense path holds at most four
+    # m x m arrays (`dense_extreme_bytes`); each step is the same operation, in the same
+    # order, as in (M x) + c trivial and (y - (delta delta^T y) / n) + c trivial
     def matvec(x):
         trivial = delta @ (delta_t @ x)  # n (I - P) x
-        if not projected:
-            return M @ x + c * trivial
-        y = M @ (x - trivial / n)
-        return y - delta @ (delta_t @ y) / n + c * trivial
+        if projected:
+            y = trivial / n
+            np.subtract(x, y, out=y)
+            y = M @ y
+            z = delta @ (delta_t @ y)
+            z /= n
+            y -= z
+        else:
+            y = M @ x
+        trivial *= c
+        y += trivial
+        return y
 
     if m <= DENSE_EXTREME_MAX:
         try:
@@ -467,8 +482,24 @@ def signed_trace(X: PureComplex, length: int) -> int:
     needs, so unlike `moments` this does not check it.  `_traces` runs the
     powers at `power_width(R, l)`, R the largest absolute row sum of A (at
     most d times the largest degree), and raises ValueError before any
-    product whose entries could leave int64.
+    product whose entries could leave int64.  The complex keeps each trace
+    it computes (`PureComplex`), and a miss computes the length with its
+    partner, whose last power M^ceil(l/2) is the same: l - 1 for an even l,
+    and l + 1 for an odd l when `power_width(R, l + 1)` is l's own width,
+    so a partner never widens the powers or refuses a length.  So lengths
+    1..2j take j walks, not 2j.
     """
     if length < 0:
         raise ValueError("walk length must be >= 0")
-    return _traces(X.adjacency, [length])[0]
+    memo = X._signed_traces
+    if length not in memo:
+        lengths = [length]
+        if length % 2:
+            R = int(abs(X.adjacency).sum(axis=1).max())
+            width = power_width(R, length)
+            if width != object and power_width(R, length + 1) == width:
+                lengths.append(length + 1)
+        elif length:
+            lengths.append(length - 1)
+        memo.update(zip(lengths, _traces(X.adjacency, lengths)))
+    return memo[length]

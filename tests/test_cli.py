@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import warnings
+from math import log
 from pathlib import Path
 
 import numpy as np
@@ -296,9 +297,9 @@ class TestSst:
 
     def test_guards_size_each_route(self, monkeypatch, capsys):
         # d = 2, k = 5, n = 15 (m = 105): a dense m x m matrix takes 88,200 B, and the floor's
-        # dense solve six of them, 529,200 B, more than the order-91 packed factor's 33,488 B;
+        # dense solve five of them, 441,000 B, more than the order-91 packed factor's 33,488 B;
         # a gap row 94,080 B (16 B for each of k + 3(dk + 1) + d = 40 sparse entries a row of
-        # B, L, A, -A and delta, and 32 vectors of order m) and the dense solve, 623,280 B
+        # B, L, A, -A and delta, and 32 vectors of order m) and the dense solve, 535,080 B
         import steinerlab.experiments as experiments
         from steinerlab import spectra
 
@@ -311,10 +312,10 @@ class TestSst:
         with pytest.warns(RuntimeWarning, match="proven regime threshold"):
             assert main(gap) == 0
         want_gap = capsys.readouterr().out
-        monkeypatch.setattr(spectra, "usable_memory", lambda: 529_200)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 441_000)
         assert main(sst) == 0
         assert capsys.readouterr().out == want
-        monkeypatch.setattr(spectra, "usable_memory", lambda: 623_280)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 535_080)
         with pytest.warns(RuntimeWarning, match="proven regime threshold"):
             assert main(gap) == 0
         assert capsys.readouterr().out == want_gap
@@ -326,17 +327,17 @@ class TestSst:
         monkeypatch.setattr(spectra, "usable_memory", lambda: 88_199)
         assert main(["spectrum", "--d", "2", "--k", "5", "--n", "15"]) == 2
         assert "dense 105 x 105" in capsys.readouterr().err
-        monkeypatch.setattr(spectra, "usable_memory", lambda: 623_279)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 535_079)
         assert main(gap) == 2
         assert "a gap row at n=15" in capsys.readouterr().err
-        monkeypatch.setattr(spectra, "usable_memory", lambda: 529_199)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 440_999)
         assert main(sst) == 2
         assert "dense floor solve or the packed Cholesky factor" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,what", [("converge", "a tree count at n=15"), ("gap", "a gap row at n=15")])
     def test_guards_count_the_dense_solve(self, command, what, monkeypatch, capsys):
         # 100,000 B holds a d = 2, k = 5, n = 15 gap row's sparse operators and vectors
-        # (94,080 B) and its packed factor (33,488 B), but not the six 105 x 105 arrays
+        # (94,080 B) and its packed factor (33,488 B), but not the five 105 x 105 arrays
         # of the dense restricted solve
         import steinerlab.experiments as experiments
         from steinerlab import spectra
@@ -426,6 +427,32 @@ class TestConverge:
         monkeypatch.setattr(spectra, "usable_memory", lambda: 2**28)
         assert main(["gap", "--d", "2", "--k", "5", "--n", "997"]) == 2
         assert "a gap row at n=997" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [3, 2])
+    def test_stderr_reports_the_distance_to_xi(self, tmp_path, capsys, k):
+        # seed 2, d = 1, n = 6 and 8: some rows are flagged (a disconnected graph, count 0); after
+        # the rows, one line per n: the mean growth_rate of the unflagged rows and, for k >= d+2,
+        # its mean log distance to xi, also net of the exact term -C(n-2, d-1) log(n) / C(n, d)
+        out = tmp_path / "rows.json"
+        assert main(["converge", "--d", "1", "--k", str(k), "--n", "6", "--n", "8", "--trials", "6", "--seed", "2",
+                     "--lmax", "0", "--deterministic", "--format", "json", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        flagged = 0
+        for n, line in zip((6, 8), lines):
+            rates = [row["growth_rate"] for row in rows if row["n"] == n and row["spectral_floor"] > 0.0]
+            left_out = sum(1 for row in rows if row["n"] == n) - len(rates)
+            flagged += left_out
+            head, _, tail = line.partition("; mean growth_rate ")
+            assert head == f"n={n}: {len(rates)} unflagged rows, {left_out} flagged left out"
+            values = [float(part.split()[-1]) for part in tail.split(", ")]
+            expected = [sum(rates) / len(rates)]
+            if k == 3:
+                error = sum(log(rate) for rate in rates) / len(rates) - log(limitlaw.growth_constant_closed(1, k))
+                expected += [error, error + log(n) / n]  # C(n-2, 0) log(n) / C(n, 1)
+            assert values == pytest.approx(expected, abs=5e-7)
+        assert flagged > 0
 
     def test_flagged_floors_are_zero(self, tmp_path):
         # every row here is flagged; the Lanczos round-off of a true zero used to vary between runs
@@ -524,7 +551,9 @@ class TestNumericalFailure:
                      "--out", str(out)]) == 0
         rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
         assert [row["trial"] for row in rows] == ["0", "2"]
-        assert capsys.readouterr().err.splitlines() == [f"skipped n=15 trial=1: dense eigensolve failed: {FAILED}"]
+        skipped, distance = capsys.readouterr().err.splitlines()
+        assert skipped == f"skipped n=15 trial=1: dense eigensolve failed: {FAILED}"
+        assert distance.startswith("n=15: 2 unflagged rows, 0 flagged left out; ")  # a skipped row is not flagged
 
     def test_sst_dense_failure_exits_4(self, monkeypatch, capsys):
         fail_dense(monkeypatch, {0})

@@ -1,4 +1,5 @@
 import io
+import threading
 import time
 import tracemalloc
 from math import comb
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinerlab import (
     SeededRng,
@@ -43,6 +46,14 @@ def spy_products(monkeypatch) -> list[tuple[bool, int, np.dtype]]:
 
     monkeypatch.setattr(sp.csr_matrix, "__matmul__", spy)
     return products
+
+
+def spy_traces(monkeypatch) -> list[list[int]]:
+    """From now on, record the lengths of each `_traces` call, one walk of the powers each."""
+    walks = []
+    traces = spectra._traces
+    monkeypatch.setattr(spectra, "_traces", lambda M, lengths: walks.append(list(lengths)) or traces(M, lengths))
+    return walks
 
 
 def row_blocks(m: int, width: int) -> list[int]:
@@ -307,6 +318,21 @@ class TestRestrictedExtreme:
         assert delta is spectra.coboundary_matrix(45, 2) and delta.has_canonical_format
         assert not any(array.flags.writeable for array in (delta.data, delta.indices, delta.indptr))
 
+    @pytest.mark.parametrize("n", [15, 31])
+    def test_dense_solve_stays_within_its_guard(self, n):
+        # d = 2, k = 5 (m = 105 and 465): the memory guards count dense_extreme_bytes(m) for
+        # the dense solve, of L (M delta = 0, no projection) and of -A (projected)
+        X = steiner_complex(n, 2, 5, SeededRng(1))
+        for M in (X.laplacian, -X.adjacency):
+            spectra.restricted_extreme(M, n, 2)  # delta is built and cached before the trace
+            tracemalloc.start()
+            try:
+                spectra.restricted_extreme(M, n, 2)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= spectra.dense_extreme_bytes(comb(n, 2))
+
     def test_dense_failure_is_a_numerical_failure(self, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("the algorithm failed to converge")
@@ -555,6 +581,65 @@ class TestSignedTrace:
         assert signed_trace(X, 10**9) == signed_trace(X, 2) == X.n
         assert signed_trace(X, 10**9 + 1) == 0
         assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        extra=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.permutations(range(10)),
+    )
+    def test_any_order_of_lengths_is_exact(self, d, extra, seed, order):
+        # whatever a complex's memo holds, each length reads as its own fresh walk
+        X = random_complex(d + 2 + extra, d, np.random.default_rng(seed))
+        for ell in order:
+            assert signed_trace(X, ell) == spectra._traces(X.adjacency, [ell])[0]
+
+    def test_lengths_one_to_six_take_three_walks(self, monkeypatch):
+        # R = 10: 10^(2j - 1) and 10^(2j) share a width, so each odd length takes its partner
+        X = steiner_complex(31, 2, 5, SeededRng(1))
+        walks = spy_traces(monkeypatch)
+        traces = [signed_trace(X, ell) for ell in range(1, 7)]
+        assert walks == [[1, 2], [3, 4], [5, 6]]
+        assert traces == trace_oracle(X.adjacency, 6)[1:]
+        assert [signed_trace(X, ell) for ell in range(6, 0, -1)] == traces[::-1]
+        assert len(walks) == 3  # a stored length forms no product
+        assert all(type(value) is int for value in X._signed_traces.values())
+
+    def test_a_partner_never_widens_the_powers(self, monkeypatch):
+        # R = 10: 10^9 < 2^31 <= 10^10, so length 9 walks alone in int32 rather than with 10 in int64
+        X = steiner_complex(31, 2, 5, SeededRng(1))
+        walks = spy_traces(monkeypatch)
+        assert signed_trace(X, 9) == trace_oracle(X.adjacency, 9)[9]
+        assert walks == [[9]]
+
+    def test_a_partner_never_refuses_a_length(self, monkeypatch):
+        # R = 80: 80^9 < 2^63 <= 80^10, so length 9 gets its closed form and 10 is still refused
+        n, d = 42, 2
+        X = complete_complex(n, d)
+        walks = spy_traces(monkeypatch)
+        assert signed_trace(X, 9) == comb(n - 1, d - 1) * (n - d) ** 9 + comb(n - 1, d) * (-d) ** 9
+        with pytest.raises(ValueError, match="int64"):
+            signed_trace(X, 10)
+        assert walks == [[9], [10, 9]]
+
+    def test_threads_asking_one_complex_get_exact_traces(self):
+        # a race on the memo only recomputes: both threads read the oracle's traces
+        X = steiner_complex(31, 2, 5, SeededRng(1))
+        expected = trace_oracle(X.adjacency, 6)
+        start, results = threading.Barrier(2), {}
+
+        def ask(lengths):
+            start.wait()
+            for ell in lengths:
+                results[ell] = signed_trace(X, ell)
+
+        threads = [threading.Thread(target=ask, args=(lengths,)) for lengths in ((1, 3, 5, 6), (6, 4, 2, 1))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == {ell: expected[ell] for ell in range(1, 7)}
 
 
 class TestPowerWidth:
