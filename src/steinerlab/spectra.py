@@ -26,9 +26,7 @@ a plain Lanczos recurrence applies it, stopped at the operator's rounding
 level, and up to the cap the dense path solves the operator the Lanczos
 path applies, by one LAPACK call.  The tree count's spectral floor is its
 smallest of L, where L delta = 0 makes P L P = L (see `trees`), and the gap
-statistic minus its smallest of -A (see `experiments`).  The floor's zero
-threshold needs no solve: it is scaled to ||L||_inf = (d+1) max degree
-(`zero_threshold`), the same row-sum bound as the shift.  `spectral_summary`
+statistic minus its smallest of -A (see `experiments`).  `spectral_summary`
 is the one full spectrum.
 """
 
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 import os
 import resource
-import warnings
 from array import array
 from dataclasses import dataclass
 from math import comb, frexp
@@ -58,10 +55,6 @@ __all__ = [
     "spectral_summary",
     "signed_trace",
 ]
-
-ZERO_RTOL = 1e-8
-AMBIGUOUS_FACTOR = 1e3
-
 
 def coboundary_matrix(n: int, d: int) -> sp.csr_matrix:
     """Coboundary delta from (d-2)-forms of the complete skeleton, C(n, d) x C(n, d-1).
@@ -242,11 +235,6 @@ def resident_memory() -> int:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
-def fits_memory(need: int) -> bool:
-    """Whether `need` more bytes and the resident set fit in `usable_memory`."""
-    return need + resident_memory() <= usable_memory()
-
-
 def require_memory(need: int, what: str) -> None:
     """Refuse, with ValueError, `what` when its `need` bytes and the resident set exceed `usable_memory`."""
     have = usable_memory()
@@ -396,7 +384,7 @@ def _traces(M: sp.spmatrix, lengths: list[int]) -> list[int]:
                 break
             power = ints if j == 1 else ints @ prev
         filled = 2 <= j < last and sp.issparse(power) and power.nnz >= DENSE_POWER_FILL * m * m
-        if filled and fits_memory(2 * width.itemsize * m * m):
+        if filled and 2 * width.itemsize * m * m + resident_memory() <= usable_memory():
             power = power.toarray()
         for ell in wanted:
             traces[ell] = _row_dots(power, prev if ell % 2 else power)
@@ -454,25 +442,6 @@ def spectral_summary(
     M = builders[operator](X)
     eigs = scipy.linalg.eigvalsh(M.T, overwrite_a=True, check_finite=False, driver="evd")
     return _summary_from_eigs(eigs, bins, lmax, trivial_zero_count(X))
-
-
-def zero_threshold(top: float) -> float:
-    """Threshold ZERO_RTOL max(1, top) for numerical zeros, top the top eigenvalue or a bound on it.
-
-    The tree count passes ||L||_inf = (d+1) max degree (see `trees`).
-    """
-    return ZERO_RTOL * max(1.0, top)
-
-
-def warn_ambiguous_zeros(value: float, eps: float) -> None:
-    """Warn when an eigenvalue lands in the gray zone (eps, AMBIGUOUS_FACTOR * eps)."""
-    if eps < value < AMBIGUOUS_FACTOR * eps:
-        warnings.warn(
-            f"eigenvalue {value:.3e} is in the ambiguous zone ({eps:.3e}, {AMBIGUOUS_FACTOR * eps:.3e}); "
-            "zero classification may be unreliable",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 def signed_trace(X: PureComplex, length: int) -> int:

@@ -14,35 +14,40 @@ eigenvalues of L divided by n^C(n-2, d-1).
 The count, `weighted_tree_count`, needs no spectrum and reads X.laplacian.
 The smallest eigenvalue of L on ker delta^T (`spectra.restricted_extreme`:
 one dense LAPACK call up to DENSE_EXTREME_MAX rows, above a plain Lanczos
-recurrence stopped at the operator's rounding level) is the spectral floor that decides an extra kernel (count 0), against the
-zero threshold 1e-8 max(1, (d+1) max degree).  Two distinct (d-1)-faces lie
-in at most one common d-face, so row sigma of L holds deg(sigma) on the
-diagonal and d deg(sigma) off-diagonal entries of +-1: (d+1) max degree is
+recurrence stopped at the operator's rounding level) is the spectral floor
+that decides an extra kernel (count 0) by this module's zero rule: a zero
+below `zero_threshold`, ZERO_RTOL max(1, (d+1) max degree), a warning
+below AMBIGUOUS_FACTOR times that.  Two distinct (d-1)-faces lie in at
+most one common d-face, so row sigma of L holds deg(sigma) on the diagonal
+and d deg(sigma) off-diagonal entries of +-1: (d+1) max degree is
 ||L||_inf, a closed-form bound on the top eigenvalue, and the count runs
 one eigensolve.  Otherwise the reduced Laplacian is positive definite and
 its log-determinant comes from a Cholesky factorization in two phases
 (George and Liu, "The evolution of the minimum degree ordering algorithm",
-SIAM Review 1989).  Phase 1 eliminates low-degree rows sparsely, an
-independent set per round, each round one sparse Schur-complement update;
-the pivots add their logs.
-Phase 2 scatters the lower triangle of the denser remainder into LAPACK
-rectangular full packed storage, half a dense matrix, and factors it in
-place (`dpftrf`), adding 2 sum log diag of the factor.  At d = 2, k = 5,
-n = 111 phase 1 cuts the dense order from 5995 to about 3930, which leaves
-under a third of the dense flops.  The enumeration oracle instead sums the
-squared torsion over candidate trees.  It walks the prefix tree of candidate
-face subsets depth-first: a node holds its fraction-free (Bareiss)
-eliminated trailing block, each child is one batched Bareiss step on a
-later face's column, and a dependent prefix drops its subtree, so every
-prefix is eliminated once.  Pieces of about ORACLE_CHUNK_BYTES of node
-states bound its memory, which the guard counts before any work.  At a leaf
-a unit maximal minor gives torsion 1, and any other tree gets its torsion
-as the determinant of an integer triangular form of its columns.  Spectral
-arithmetic stays in the log domain because counts grow like exp(Theta(n^d)).
+SIAM Review 1989).  In each round of phase 1 the rows that rank below
+every neighbour by (row nnz, index), an independent set, are the pivots of
+one sparse Schur-complement update and add their logs.  It stops when a
+round would take too few rows, as on a d = 1 path, whose only such rows
+are its two ends, or the remainder is too dense.  Phase 2 scatters
+the lower triangle of the denser remainder into LAPACK rectangular full
+packed storage, half a dense matrix, and factors it in place (`dpftrf`),
+adding 2 sum log diag of the factor.  At d = 2, k = 5, n = 111 phase 1 cuts
+the dense order from 5995 to about 3960, which leaves under a third of the
+dense flops.  The enumeration oracle instead sums the squared torsion over
+candidate trees.  It walks the prefix tree of candidate face subsets
+depth-first: a node holds its fraction-free (Bareiss) eliminated trailing
+block, each child is one batched Bareiss step on a later face's column, and
+a dependent prefix drops its subtree, so every prefix is eliminated once.
+Pieces of about ORACLE_CHUNK_BYTES of node states bound its memory, which
+the guard counts before any work.  At a leaf a unit maximal minor gives
+torsion 1, and any other tree gets its torsion as the determinant of an
+integer triangular form of its columns.  Spectral arithmetic stays in the
+log domain because counts grow like exp(Theta(n^d)).
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from math import comb, log
 
@@ -58,8 +63,6 @@ from .spectra import (
     require_memory,
     restricted_extreme,
     trivial_zero_count,
-    warn_ambiguous_zeros,
-    zero_threshold,
 )
 
 __all__ = [
@@ -68,6 +71,8 @@ __all__ = [
     "tree_count_exact",
 ]
 
+ZERO_RTOL = 1e-8
+AMBIGUOUS_FACTOR = 1e3
 ORACLE_MAX_SUBSETS = 10**6
 # the oracle walks its prefix tree in pieces of about this many bytes of node states
 ORACLE_CHUNK_BYTES = 2**20
@@ -116,14 +121,15 @@ class TreeCount:
     means the complex has a non-trivial Laplacian kernel and the count is
     exactly 0; log_count is then -inf.  floor is the smallest non-trivial
     Laplacian eigenvalue; the flag is set exactly when it is below
-    zero_threshold, 1e-8 max(1, (d+1) max degree), so the two give the
-    margin; (d+1) max degree is ||L||_inf, at least the top eigenvalue.  A
-    flagged floor is recorded as 0.0: it is a floating-point estimate of a
-    true zero (`spectra.restricted_extreme`, dense or by Lanczos), and its
-    digits are round-off that may differ between identical runs.  An
-    unflagged floor above the dense cap is a Ritz value whose estimated
-    residual is at the operator's rounding level, eps c n (`spectra`).
-    exact_count is filled only when the enumeration oracle was run.
+    zero_threshold, ZERO_RTOL max(1, (d+1) max degree) (`zero_threshold`),
+    so the two give the margin; (d+1) max degree is ||L||_inf, at least the
+    top eigenvalue.  A flagged floor is recorded as 0.0: it is a
+    floating-point estimate of a true zero (`spectra.restricted_extreme`,
+    dense or by Lanczos), and its digits are round-off that may differ
+    between identical runs.  An unflagged floor above the dense cap is a
+    Ritz value whose estimated residual is at the operator's rounding level,
+    eps c n (`spectra`).  exact_count is filled only when the enumeration
+    oracle was run.
     """
 
     log_count: float
@@ -132,6 +138,18 @@ class TreeCount:
     floor: float
     zero_threshold: float
     exact_count: int | None = None
+
+
+def zero_threshold(top: float) -> float:
+    """Threshold ZERO_RTOL max(1, top) for numerical zeros; the count's top is ||L||_inf = (d+1) max degree."""
+    return ZERO_RTOL * max(1.0, top)
+
+
+def warn_ambiguous_zeros(value: float, eps: float) -> None:
+    """Warn when an eigenvalue lands in the gray zone (eps, AMBIGUOUS_FACTOR * eps)."""
+    if eps < value < AMBIGUOUS_FACTOR * eps:
+        warnings.warn(f"eigenvalue {value:.3e} is in the ambiguous zone ({eps:.3e}, {AMBIGUOUS_FACTOR * eps:.3e}); "
+                      "zero classification may be unreliable", RuntimeWarning, stacklevel=3)
 
 
 def _rfp_offsets(i: np.ndarray, j: np.ndarray, N: int) -> np.ndarray:
@@ -155,15 +173,17 @@ def _rfp_offsets(i: np.ndarray, j: np.ndarray, N: int) -> np.ndarray:
 def _reduced_log_det(R: sp.csr_matrix) -> tuple[float, int]:
     """(log det R, order of the dense phase) of a symmetric positive definite sparse R, by Cholesky.
 
-    Phase 1 works in rounds on the Schur complement S, starting at R.  The
-    candidates are the rows with at most the mean row nnz; ranked by (row
-    nnz, index), a candidate is a pivot when it ranks below every neighbour,
-    so the pivots I are independent, S[I, I] is its diagonal D and the round
-    is one sparse update S <- S[K, K] - C^T diag(1/D) C with C = S[I, K] and
-    K the other rows.  It stops when S is denser than SPARSE_FILL_LIMIT or a
-    round would take fewer than SPARSE_ROUND_MIN of its rows.  Phase 2
-    factors the remainder in packed storage.  A pivot <= 0, in either phase,
-    raises np.linalg.LinAlgError with the 1-based row of R it belongs to.
+    Phase 1 works in rounds on the Schur complement S, starting at R.  Ranked
+    by (row nnz, index), a row is a pivot when it ranks below every
+    neighbour.  Local minima of a strict order are never adjacent, so the
+    pivots I are independent, S[I, I] is its diagonal D and the round is one
+    sparse update S <- S[K, K] - C^T diag(1/D) C with C = S[I, K] and K the
+    other rows.  It stops when S is denser than SPARSE_FILL_LIMIT or a round
+    would take fewer than SPARSE_ROUND_MIN of its rows: a d = 1 path has only
+    its two end rows as pivots, so each round would be a whole sparse update
+    for two rows.  Phase 2 factors the remainder in packed storage.  A pivot
+    <= 0, in either phase, raises np.linalg.LinAlgError with the 1-based row
+    of R it belongs to.
     """
     S = R.tocsr()
     rows = np.arange(S.shape[0])
@@ -176,7 +196,7 @@ def _reduced_log_det(R: sp.csr_matrix) -> tuple[float, int]:
         at = np.repeat(np.arange(N), nnz)
         lowest = np.full(N, unranked)
         np.minimum.at(lowest, at, np.where(S.indices == at, unranked, rank[S.indices]))
-        pivots = np.flatnonzero((nnz * N <= S.nnz) & (rank < lowest))
+        pivots = np.flatnonzero(rank < lowest)
         if len(pivots) < SPARSE_ROUND_MIN * N:
             break
         D = S.diagonal()[pivots]
@@ -232,9 +252,11 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
     (`_reduced_log_det`).  With oracle=True the enumeration result is
     attached and cross-checked.  The oracle's guard, then the count's
     (`require_tree_count_fits`), refuse with ValueError before any operator
-    is built.  A pivot <= 0 after the floor cleared the zero threshold
-    raises `spectra.NumericalFailure`, a RuntimeError, naming its row of the
-    reduced Laplacian; so does an oracle disagreement.
+    is built.  The floor is a zero below `zero_threshold`((d+1) max degree)
+    and warns below AMBIGUOUS_FACTOR times that (`warn_ambiguous_zeros`).
+    A pivot <= 0 after the floor cleared the zero threshold raises
+    `spectra.NumericalFailure`, a RuntimeError, naming its row of the reduced
+    Laplacian; so does an oracle disagreement.
     """
     if oracle:
         require_oracle_fits(X)

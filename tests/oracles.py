@@ -39,9 +39,8 @@ from steinerlab.spectra import (
     adjacency_matrix,
     coboundary_matrix,
     power_width,
-    warn_ambiguous_zeros,
-    zero_threshold,
 )
+from steinerlab.trees import warn_ambiguous_zeros, zero_threshold
 
 
 # -- complexes -----------------------------------------------------------------

@@ -119,6 +119,10 @@ class TestIsArborealBall:
         assert is_arboreal_ball(X, (3,), 2, 5)
         assert not is_arboreal_ball(X, (3,), 2, 6)
 
+    def test_refuses_a_centre_of_the_wrong_dimension(self):
+        with pytest.raises(ValueError, match=r"\(1, 2, 3\) is not a \(d-1\)-face"):
+            is_arboreal_ball(complete_complex(4, 2), (1, 2, 3), 2, 1)
+
     def test_radius_zero_always_true(self):
         X = complex_from_dfaces(5, 2, [(1, 2, 3)])
         assert is_arboreal_ball(X, (4, 5), 2, 0)

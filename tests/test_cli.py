@@ -371,6 +371,12 @@ class TestLimit:
     def test_k_too_small_exits_2(self, capsys):
         assert main(["limit", "--d", "2", "--k", "3"]) == 2
 
+    def test_table_with_two_fields_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["limit", "--d", "2", "--k", "5", "--table", "0:5"])
+        assert exc.value.code == 2
+        assert "expected lo:hi:steps" in capsys.readouterr().err
+
     @pytest.mark.parametrize("steps", ["0", "-1"])
     def test_table_without_steps_exits_2(self, steps, tmp_path, capsys):
         out = tmp_path / "table.csv"

@@ -210,6 +210,13 @@ class TestBall:
         assert b.vertex_layers == (frozenset({1, 2}),)
         assert total_dfaces(b) == 0
 
+    def test_refuses_a_centre_of_the_wrong_dimension_and_a_negative_radius(self):
+        X = complete_complex(4, 2)
+        with pytest.raises(ValueError, match=r"center \(1,\) is not a \(d-1\)-face of a 2-complex"):
+            ball(X, (1,), 1)
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            ball(X, (1, 2), -1)
+
     def test_isolated_center_never_grows(self):
         X = complex_from_dfaces(6, 2, [(1, 2, 3)])
         b0 = ball(X, (5, 6), 0)

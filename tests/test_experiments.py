@@ -46,6 +46,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(trials=-1)
 
+    def test_negative_lmax_and_radius_rejected(self):
+        with pytest.raises(ValueError, match="lmax must be >= 0"):
+            small_config(lmax=-1)
+        with pytest.raises(ValueError, match="radii must be >= 0"):
+            small_config(radii=(-1,))
+
     def test_k_below_two_rejected_with_a_radius(self):
         with pytest.raises(ValueError, match="k >= 2"):
             small_config(k=1, radii=(0, 1))

@@ -51,6 +51,10 @@ class TestLimitLawParams:
         with pytest.raises(ValueError):
             LimitLaw(2, 2)
 
+    def test_d_below_one_rejected(self):
+        with pytest.raises(ValueError, match="need d >= 1"):
+            LimitLaw(0, 3)
+
 
 class TestDensities:
     def test_normalization(self):
@@ -94,6 +98,8 @@ class TestMoments:
     def test_order_guard(self):
         with pytest.raises(ValueError):
             laplacian_moment(LimitLaw(1, 3), 13)
+        with pytest.raises(ValueError, match=r"moment order must be in \[0, 12\]"):
+            LimitLaw(1, 3).adjacency_moment(13)
 
 
 class TestMidpointRule:

@@ -152,6 +152,7 @@ class TestAdmissibility:
             (8, 3, True),
             (63, 2, True),
             (31, 2, True),
+            (2, 2, False),  # fewer than d + 1 vertices
         ],
     )
     def test_table(self, n, d, expected):

@@ -25,7 +25,7 @@ from steinerlab import (
     trivial_zero_count,
     weighted_tree_count,
 )
-from steinerlab import complexes, experiments, spectra
+from steinerlab import complexes, experiments, spectra, trees
 from conftest import random_complex
 from oracles import complete_complex, esd, exact_rank, gap_top_oracle, min_degree, trace_oracle
 
@@ -388,7 +388,7 @@ class TestTrivialZeros:
         for _ in range(5):
             X = random_complex(6, 2, gen)
             eigs = np.linalg.eigvalsh(laplacian_matrix(X))
-            eps = spectra.zero_threshold(float(eigs[-1]))
+            eps = trees.zero_threshold(float(eigs[-1]))
             assert int(np.sum(eigs < eps)) >= trivial_zero_count(X)
 
 
@@ -532,6 +532,10 @@ class TestSignedTrace:
 
     def test_triangle_two_walks(self):
         assert signed_trace(triangle(), 2) == 6
+
+    def test_negative_length_refused(self):
+        with pytest.raises(ValueError, match="walk length must be >= 0"):
+            signed_trace(triangle(), -1)
 
     def test_length_past_ten_matches_dense_trace(self):
         # no fixed length cap: only the int64 guard refuses a length

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steinerlab import (
+    NumericalFailure,
     SeededRng,
     complexes,
     complex_from_dfaces,
@@ -90,6 +91,16 @@ class TestWeightedTreeCount:
     def test_oracle_cross_check_attached(self):
         r = weighted_tree_count(complete_complex(4, 2), oracle=True)
         assert r.exact_count == 4
+
+    def test_oracle_disagreeing_on_zero_raises(self, monkeypatch):
+        monkeypatch.setattr(trees, "tree_count_exact", lambda X: 0)
+        with pytest.raises(NumericalFailure, match="zero_flag=False but exact count 0"):
+            weighted_tree_count(complete_complex(4, 2), oracle=True)
+
+    def test_oracle_disagreeing_on_the_count_raises(self, monkeypatch):
+        monkeypatch.setattr(trees, "tree_count_exact", lambda X: 5)  # the count is 4
+        with pytest.raises(NumericalFailure, match=r"log exact 1\.609437912434 vs spectral 1\.386294361120"):
+            weighted_tree_count(complete_complex(4, 2), oracle=True)
 
 
 class TestGrowthRate:
@@ -604,10 +615,8 @@ class TestMatrixTreeRoute:
         assert r.floor == pytest.approx(2 - 2 * np.cos(2 * np.pi / n), rel=1e-10)
 
     def test_ambiguous_floor_warns(self, monkeypatch):
-        from steinerlab import spectra
-
         # triangle: floor 3, max degree 2, so eps = 0.1 * 2 * 2 = 0.4 puts the floor inside (eps, 1e3 eps)
-        monkeypatch.setattr(spectra, "ZERO_RTOL", 0.1)
+        monkeypatch.setattr(trees, "ZERO_RTOL", 0.1)
         with pytest.warns(RuntimeWarning, match="ambiguous"):
             r = weighted_tree_count(triangle())
         assert not r.zero_flag and r.zero_threshold == pytest.approx(0.4)
@@ -683,7 +692,7 @@ class TestPackedFactor:
         finally:
             tracemalloc.stop()
         assert not r.zero_flag
-        # phase 1 leaves an order-1402 remainder of the C(62, 2)-row reduced Laplacian;
+        # phase 1 leaves an order-1401 remainder of the C(62, 2)-row reduced Laplacian;
         # its packed factor is 0.26 of 8 m^2 and the whole count peaks near 0.36
         assert peak < 0.4 * 8 * m * m
 
@@ -732,6 +741,22 @@ class TestTwoPhaseCount:
         assert trees._reduced_log_det(R) == (log_det, dense_order)  # bit-equal on a second call
         r = weighted_tree_count(X)
         assert r.log_count == log_det
+        assert log_det == pytest.approx(dense_reduced_log_det(X), rel=1e-12)
+
+    def test_path_stops_phase_one_at_round_zero(self):
+        # a path's only rows below every neighbour are its two ends: 2 of 999 rows is under SPARSE_ROUND_MIN
+        R = path_graph(1000).laplacian[1:, 1:]
+        log_det, dense_order = trees._reduced_log_det(R)
+        assert dense_order == 999
+        assert log_det == pytest.approx(0.0, abs=1e-9)  # one spanning tree
+
+    def test_near_regular_rows_do_not_stall_phase_one(self):
+        # trial 0 of `converge --d 1 --k 3 --n 1000 --seed 1`: 996 of its 999 rows hold 4
+        # entries, just above the mean row nnz, so only a pivot rule by rank alone finds them
+        X = steiner_complex(1000, 1, 3, SeededRng(1).substream(1000, 0))
+        R = X.laplacian[1:, 1:]
+        log_det, dense_order = trees._reduced_log_det(R)
+        assert dense_order < 999
         assert log_det == pytest.approx(dense_reduced_log_det(X), rel=1e-12)
 
     def test_small_and_dense_orders_skip_phase_one(self):

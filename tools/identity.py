@@ -52,6 +52,8 @@ GRID = [
     ("converge-d2-n45", "converge --d 2 --k 5 --n 45 --trials 2 --seed 4 --deterministic"),  # m = 990, above the dense cap
     ("converge-d2-n111", "converge --d 2 --k 5 --n 111 --seed 1 --deterministic"),
     ("converge-d1-n2000", "converge --d 1 --k 8 --n 2000 --r 1 --r 2 --seed 1 --deterministic"),
+    # near-regular rows, where phase 1's pivot rule decides the dense order
+    ("converge-d1-k3", "converge --d 1 --k 3 --n 1000 --trials 2 --seed 1 --deterministic"),
     ("converge-d3-n8", "converge --d 3 --k 2 --n 8 --trials 4 --seed 1 --deterministic"),
     ("converge-json", "converge --d 2 --k 5 --n 15 --n 31 --trials 2 --lmax 6 --format json --out rows.json "
                       "--keep-complexes kept --deterministic"),
