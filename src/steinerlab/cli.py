@@ -40,7 +40,7 @@ from .limitlaw import (
     growth_constant_quadrature,
 )
 from .sampling import SamplerExhausted
-from .spectra import NumericalFailure, require_dense_fits, spectral_summary
+from .spectra import SPECTRUM_VECTORS, NumericalFailure, require_dense_fits, spectral_summary
 from .trees import require_tree_count_fits, tree_count_exact, weighted_tree_count
 
 EXIT_OK = 0
@@ -108,7 +108,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.out is not None and args.out.suffix == ".json":
         raise ValueError(f"--out {args.out} would be overwritten by its own JSON sidecar; use another suffix")
-    X = _resolve_complex(args, lambda n, d: require_dense_fits(comb(n, d)))
+    X = _resolve_complex(args, lambda n, d: require_dense_fits(comb(n, d), SPECTRUM_VECTORS))
     summary = spectral_summary(X, operator=args.op, bins=args.bins, lmax=args.lmax)
     edges = [repr(float(edge)) for edge in summary.hist_edges]
     rows = zip(edges, edges[1:], (repr(float(mass)) for mass in summary.hist_masses))

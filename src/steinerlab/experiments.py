@@ -8,9 +8,10 @@ arboreal-neighborhood fractions, minimum degree and spectral floor.  A row
 takes no full spectrum: the count and floor come from the Cholesky
 factor and the restricted eigensolve in `trees`, the moments from exact
 sparse traces of L, and the gap statistic is minus the smallest eigenvalue
-of -A on ker delta^T (`spectra.restricted_extreme`, dense up to its cap,
-Lanczos above).  Every stage reads the L and A the complex owns
-(`PureComplex.laplacian`, `PureComplex.adjacency`), built once per trial.
+of -A on ker delta^T (`spectra.restricted_extreme`), whose bytes the gap
+guard takes from `spectra.restricted_extreme_bytes`.  Every stage reads the
+L and A the complex owns (`PureComplex.laplacian`, `PureComplex.adjacency`),
+built once per trial.
 `ExperimentConfig.run` is the one loop over (n, trial): a trial whose
 sampler gives up (`SamplerExhausted`) or whose solve fails
 (`spectra.NumericalFailure`) is recorded as a `RowFailure` and the run goes
@@ -27,7 +28,7 @@ import warnings
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from math import comb, exp, sqrt
+from math import comb, exp, isfinite, sqrt
 from pathlib import Path
 from typing import TypeVar
 
@@ -36,11 +37,11 @@ from .complexes import PureComplex, write_complex
 from .sampling import SamplerExhausted, SeededRng, is_admissible, steiner_complex
 from .spectra import (
     NumericalFailure,
-    dense_extreme_bytes,
     moments,
     power_width,
     require_memory,
     restricted_extreme,
+    restricted_extreme_bytes,
 )
 from .trees import require_tree_count_fits, weighted_tree_count
 
@@ -112,6 +113,8 @@ class ExperimentConfig:
                 raise ValueError(f"n={n} is not {self.d}-admissible")
 
     def stream(self, n: int, trial: int) -> SeededRng:
+        if trial < 0:
+            raise ValueError(f"trial must be >= 0, got {trial}")
         return SeededRng(self.seed).substream(n, trial)
 
     def draw(self, n: int, trial: int) -> PureComplex:
@@ -220,17 +223,15 @@ def run_gap_report(config: ExperimentConfig, epsilon: float) -> GapReport:
     not asserted.  Before anything is sampled each n is checked against
     usable memory for what a row holds, m = C(n, d): 16 bytes (value and
     index) an entry of B (at most k a row), of L, A and the solve's -A
-    (d k + 1 a row each) and of delta (d a row), and 32 vectors of order m,
-    a conservative bound: the Lanczos recurrence holds three, the matvec a
-    few temporaries, and T's coefficients at most 20 at the step cap of
-    10 m; up to `spectra.DENSE_EXTREME_MAX` rows the dense solve adds five
-    m x m arrays (`spectra.dense_extreme_bytes`), 10 MB at the cap.  A trial
-    whose sampler gives up or whose solve fails is a failure, not a row.
+    (d k + 1 a row each) and of delta (d a row), and what the solve holds
+    besides them (`spectra.restricted_extreme_bytes`).  A trial whose
+    sampler gives up or whose solve fails is a failure, not a row.
     """
+    if not isfinite(epsilon):
+        raise ValueError(f"eps must be finite, got {epsilon}")
     d, k = config.d, config.k
     for n in config.n_values:
-        m = comb(n, d)
-        need = 8 * m * (2 * (k + 3 * (d * k + 1) + d) + 32) + dense_extreme_bytes(m)
+        need = 16 * comb(n, d) * (k + 3 * (d * k + 1) + d) + restricted_extreme_bytes(n, d, d * k + 1)
         require_memory(need, f"a gap row at n={n}")
     if k <= regularity_threshold(d):
         warnings.warn(f"k={k} is at or below the proven regime threshold {regularity_threshold(d)} "

@@ -308,9 +308,7 @@ def sample_greedy(n: int, d: int, rng: SeededRng | np.random.Generator) -> np.nd
 
 
 def sample_system(n: int, d: int, rng: SeededRng | np.random.Generator) -> np.ndarray:
-    """Dispatch to the strongest sampler available for the dimension."""
-    if d == 1:
-        return sample_matching(n, rng)
+    """Dispatch to the strongest sampler for the dimension: STS hill climbing at d = 2, else `sample_greedy`."""
     if d == 2:
         return sample_sts(n, rng)
     return sample_greedy(n, d, rng)

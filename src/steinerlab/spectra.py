@@ -21,13 +21,11 @@ complete skeleton delta delta^T / n projects onto that image, so for a
 symmetric M and P = I - delta delta^T / n, P M P + c delta delta^T has the
 spectrum of M on ker delta^T and c n, C(n-1, d-1) times.  With c n above
 the spectrum, `restricted_extreme` is the one such solve, of the smallest
-eigenvalue, and it defines that operator once: above DENSE_EXTREME_MAX rows
-a plain Lanczos recurrence applies it, stopped at the operator's rounding
-level, and up to the cap the dense path solves the operator the Lanczos
-path applies, by one LAPACK call.  The tree count's spectral floor is its
-smallest of L, where L delta = 0 makes P L P = L (see `trees`), and the gap
-statistic minus its smallest of -A (see `experiments`).  `spectral_summary`
-is the one full spectrum.
+eigenvalue (dense up to DENSE_EXTREME_MAX rows, by Lanczos above), and
+`restricted_extreme_bytes` the one statement of what it holds.  The tree
+count's spectral floor is its smallest of L, where L delta = 0 makes
+P L P = L (see `trees`), and the gap statistic minus its smallest of -A
+(see `experiments`).  `spectral_summary` is the one full spectrum.
 """
 
 from __future__ import annotations
@@ -87,27 +85,19 @@ LANCZOS_SEED = 20090601
 DENSE_EXTREME_MAX = 500
 
 
-def dense_extreme_bytes(m: int) -> int:
-    """Bytes of the m x m float64 arrays `restricted_extreme` holds at once for m rows: 0 above the cap.
-
-    Up to DENSE_EXTREME_MAX rows its matvec of the identity updates one
-    result array in place and holds at most four such arrays: the identity,
-    n (I - P) x and, when M delta != 0 (as for -A), (I - P) x and M's
-    product of it, or that product and delta delta^T of it; three when
-    M delta = 0, as for L.  A delta^T product, C(n, d-1) x m, comes on top,
-    at most one more array when C(n, d-1) <= C(n, d), that is 2d <= n + 1.
-    tracemalloc read a peak of 4.17 such arrays for -A and 3.02 for L at
-    d = 2, k = 5, m = 105, and 4.07 and 3.00 at m = 465.
-    """
-    return 5 * 8 * m * m if m <= DENSE_EXTREME_MAX else 0
-
-
 # the Lanczos recurrence reads its Ritz estimate every LANCZOS_CHECK steps and
 # gives up after LANCZOS_STEPS times the operator's order: the hardest rows seen,
 # d = 2, k = 3, seed 11, took up to 1,070 steps at m = 990 and 2,150 at m = 1953
 # (k = 5 rows at m = 6105 take 430-560)
 LANCZOS_CHECK = 10
 LANCZOS_STEPS = 10
+# the Lanczos path holds LANCZOS_VECTORS vectors of order m (the start vector, the
+# recurrence's three, the matvec's temporaries) and LANCZOS_STEP_BYTES a step: alpha
+# and beta, 17 with `array`'s over-allocation, beta's copy and the last Ritz vector,
+# 16, and in a Ritz check LAPACK `dstebz`'s and `dstein`'s workspace, 68 under
+# tracemalloc.  Forced to 10 m steps at d = 2, m = 1953, a solve read 128.5-129.5 vectors.
+LANCZOS_VECTORS = 8
+LANCZOS_STEP_BYTES = 112
 
 
 class NumericalFailure(RuntimeError):
@@ -171,9 +161,8 @@ def restricted_extreme(M: sp.csr_matrix, n: int, d: int) -> float:
     delta_t = delta.T
     projected = bool((M @ delta).count_nonzero())
 
-    # the matvec updates the arrays it makes in place, so the dense path holds at most four
-    # m x m arrays (`dense_extreme_bytes`); each step is the same operation, in the same
-    # order, as in (M x) + c trivial and (y - (delta delta^T y) / n) + c trivial
+    # the matvec updates its arrays in place (`restricted_extreme_bytes`); each step is the same
+    # operation, in the same order, as in (M x) + c trivial and (y - (delta delta^T y) / n) + c trivial
     def matvec(x):
         trivial = delta @ (delta_t @ x)  # n (I - P) x
         if projected:
@@ -202,6 +191,25 @@ def restricted_extreme(M: sp.csr_matrix, n: int, d: int) -> float:
     tol = np.finfo(float).eps * c * n
     width = max(int(np.diff(M.indptr).max()), n)
     return _lanczos_extreme(matvec, v0, tol, width * tol, steps=LANCZOS_STEPS * m)
+
+
+def restricted_extreme_bytes(n: int, d: int, row_entries: int) -> int:
+    """Bytes `restricted_extreme(M, n, d)` holds at once besides M and delta, for M with at most `row_entries` entries a row.
+
+    First abs(M), which bounds the spectrum, then M delta, which tests
+    M delta = 0: 12 bytes a stored entry (value and int32 index), at most
+    `row_entries` and min(d row_entries, C(n, d-1)) a row, and six vectors
+    of order m = C(n, d).  Then up to DENSE_EXTREME_MAX rows at most five
+    m x m arrays (the identity, n (I - P) x, two more when M delta != 0, and
+    a delta^T product when 2d <= n + 1; tracemalloc read 3.02 for L and 4.17
+    for -A at d = 2, k = 5, m = 105), and above the cap the Lanczos path at
+    its step cap.  Rows stop far short of that cap, and abs(M) is their
+    peak: 59-64 vectors at d = 2, k = 21.
+    """
+    m = comb(n, d)
+    copies = 12 * m * max(row_entries, min(d * row_entries, comb(n, d - 1))) + 8 * 6 * m
+    lanczos = m * (8 * LANCZOS_VECTORS + LANCZOS_STEPS * LANCZOS_STEP_BYTES)
+    return max(copies, 5 * 8 * m * m if m <= DENSE_EXTREME_MAX else lanczos)
 
 
 # memory limits of this process's cgroup (v2, then v1); "max" or a missing
@@ -247,9 +255,15 @@ def require_memory(need: int, what: str) -> None:
         )
 
 
-def require_dense_fits(m: int) -> None:
-    """Refuse, with ValueError, an m x m float64 array that does not fit beside the process in `usable_memory`."""
-    require_memory(8 * m * m, f"a dense {m} x {m} matrix")
+# vectors of order m `spectral_summary` holds beside its dense operator: `dsyevd`'s
+# workspace, about 34 on OpenBLAS, and the summary's few; tracemalloc read 35.2-35.7
+# at d = 2, m = 465 and 1953, and up to 45.5 at m = 105
+SPECTRUM_VECTORS = 64
+
+
+def require_dense_fits(m: int, vectors: int = 0) -> None:
+    """Refuse, with ValueError, an m x m float64 array and `vectors` of order m that do not fit beside the process."""
+    require_memory(8 * m * (m + vectors), f"a dense {m} x {m} matrix")
 
 
 def laplacian_matrix(X: PureComplex) -> np.ndarray:
@@ -439,6 +453,7 @@ def spectral_summary(
         raise ValueError(f"need bins >= 1, got {bins}")
     if lmax < 0:
         raise ValueError(f"need lmax >= 0, got {lmax}")
+    require_dense_fits(comb(X.n, X.d), SPECTRUM_VECTORS)
     M = builders[operator](X)
     eigs = scipy.linalg.eigvalsh(M.T, overwrite_a=True, check_finite=False, driver="evd")
     return _summary_from_eigs(eigs, bins, lmax, trivial_zero_count(X))

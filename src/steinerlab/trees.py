@@ -12,12 +12,11 @@ the first rows of L.  The same total is the product of the non-trivial
 eigenvalues of L divided by n^C(n-2, d-1).
 
 The count, `weighted_tree_count`, needs no spectrum and reads X.laplacian.
-The smallest eigenvalue of L on ker delta^T (`spectra.restricted_extreme`:
-one dense LAPACK call up to DENSE_EXTREME_MAX rows, above a plain Lanczos
-recurrence stopped at the operator's rounding level) is the spectral floor
-that decides an extra kernel (count 0) by this module's zero rule: a zero
-below `zero_threshold`, ZERO_RTOL max(1, (d+1) max degree), a warning
-below AMBIGUOUS_FACTOR times that.  Two distinct (d-1)-faces lie in at
+The smallest eigenvalue of L on ker delta^T (`spectra.restricted_extreme`,
+whose bytes the count's guard takes from `restricted_extreme_bytes`) is the
+spectral floor that decides an extra kernel (count 0) by this module's zero
+rule: a zero below `zero_threshold`, ZERO_RTOL max(1, (d+1) max degree), a
+warning below AMBIGUOUS_FACTOR times that.  Two distinct (d-1)-faces lie in at
 most one common d-face, so row sigma of L holds deg(sigma) on the diagonal
 and d deg(sigma) off-diagonal entries of +-1: (d+1) max degree is
 ||L||_inf, a closed-form bound on the top eigenvalue, and the count runs
@@ -33,22 +32,16 @@ the lower triangle of the denser remainder into LAPACK rectangular full
 packed storage, half a dense matrix, and factors it in place (`dpftrf`),
 adding 2 sum log diag of the factor.  At d = 2, k = 5, n = 111 phase 1 cuts
 the dense order from 5995 to about 3960, which leaves under a third of the
-dense flops.  The enumeration oracle instead sums the squared torsion over
-candidate trees.  It walks the prefix tree of candidate face subsets
-depth-first: a node holds its fraction-free (Bareiss) eliminated trailing
-block, each child is one batched Bareiss step on a later face's column, and
-a dependent prefix drops its subtree, so every prefix is eliminated once.
-Pieces of about ORACLE_CHUNK_BYTES of node states bound its memory, which
-the guard counts before any work.  At a leaf a unit maximal minor gives
-torsion 1, and any other tree gets its torsion as the determinant of an
-integer triangular form of its columns.  Spectral arithmetic stays in the
-log domain because counts grow like exp(Theta(n^d)).
+dense flops.  The enumeration oracle, `tree_count_exact`, instead sums the
+squared torsion over candidate trees, by a depth-first walk of their prefix
+tree whose memory its guard counts before any work.  Spectral arithmetic
+stays in the log domain because counts grow like exp(Theta(n^d)).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb, log
 
 import numpy as np
@@ -58,10 +51,10 @@ from scipy.linalg.lapack import dpftrf
 from .complexes import PureComplex
 from .spectra import (
     NumericalFailure,
-    dense_extreme_bytes,
     power_width,
     require_memory,
     restricted_extreme,
+    restricted_extreme_bytes,
     trivial_zero_count,
 )
 
@@ -225,16 +218,17 @@ def require_tree_count_fits(n: int, d: int) -> None:
     """Refuse, with ValueError, a tree count of a d-complex on [n] that cannot run here.
 
     The memory guard (`spectra.require_memory`) counts the larger of the
-    floor's dense solve (`spectra.dense_extreme_bytes`, up to
-    DENSE_EXTREME_MAX rows), which is freed before the factor is built, and
-    the packed factor of the whole reduced Laplacian, N(N+1)/2 doubles with
-    N = C(n-1, d): phase 1 of the count may eliminate no row at all.  The
-    packed order is capped at MAX_PACKED_ORDER because scipy's `dpftrf`
-    wrapper checks the packed length as N(N+1)/2 in a C int.
+    floor's solve (`spectra.restricted_extreme_bytes`, for L of order
+    C(n, d) with at most the complete skeleton's 1 + d (n - d) entries a
+    row), which is freed before the factor is built, and the packed factor
+    of the whole reduced Laplacian, N(N+1)/2 doubles with N = C(n-1, d):
+    phase 1 of the count may eliminate no row at all.  The packed order is
+    capped at MAX_PACKED_ORDER because scipy's `dpftrf` wrapper checks the
+    packed length as N(N+1)/2 in a C int.
     """
     N = comb(n - 1, d)
-    packed, dense = 8 * (N * (N + 1) // 2), dense_extreme_bytes(comb(n, d))
-    require_memory(max(packed, dense), f"a tree count at n={n} (its dense floor solve or the packed "
+    packed, floor = 8 * (N * (N + 1) // 2), restricted_extreme_bytes(n, d, 1 + d * (n - d))
+    require_memory(max(packed, floor), f"a tree count at n={n} (its floor solve or the packed "
                    f"Cholesky factor of the order-{N} reduced Laplacian)")
     if N > MAX_PACKED_ORDER:
         raise ValueError(
@@ -250,17 +244,18 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
     t = C(n-1, d-1), of L = `X.laplacian`: sparse elimination of its
     low-degree rows, then a packed Cholesky factor of the rest
     (`_reduced_log_det`).  With oracle=True the enumeration result is
-    attached and cross-checked.  The oracle's guard, then the count's
-    (`require_tree_count_fits`), refuse with ValueError before any operator
-    is built.  The floor is a zero below `zero_threshold`((d+1) max degree)
-    and warns below AMBIGUOUS_FACTOR times that (`warn_ambiguous_zeros`).
+    attached and cross-checked.  The count's guard
+    (`require_tree_count_fits`), then the oracle's, which `tree_count_exact`
+    runs before it builds B, refuse with ValueError before any operator is
+    built; the oracle runs before the spectral work.  The floor is a zero
+    below `zero_threshold`((d+1) max degree) and warns below
+    AMBIGUOUS_FACTOR times that (`warn_ambiguous_zeros`).
     A pivot <= 0 after the floor cleared the zero threshold raises
     `spectra.NumericalFailure`, a RuntimeError, naming its row of the reduced
     Laplacian; so does an oracle disagreement.
     """
-    if oracle:
-        require_oracle_fits(X)
     require_tree_count_fits(X.n, X.d)
+    exact = tree_count_exact(X) if oracle else None
     L = X.laplacian
     trivial = trivial_zero_count(X)
     floor = restricted_extreme(L, X.n, X.d)
@@ -280,23 +275,20 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
                 f"Cholesky factor of the reduced Laplacian fails at pivot {exc.args[0]} of "
                 f"{L.shape[0] - trivial}"
             ) from None
-    result = TreeCount(
+    if oracle and flag != (exact == 0):
+        raise NumericalFailure(f"oracle disagreement: zero_flag={flag} but exact count {exact}")
+    if oracle and not flag and abs(log(exact) - log_count) > ORACLE_LOG_RTOL * max(1.0, abs(log_count)):
+        raise NumericalFailure(
+            f"oracle disagreement: log exact {log(exact):.12f} vs spectral {log_count:.12f}"
+        )
+    return TreeCount(
         log_count=log_count,
         trivial_zeros=trivial,
         zero_flag=flag,
         floor=floor,
         zero_threshold=eps,
+        exact_count=exact,
     )
-    if not oracle:
-        return result
-    exact = tree_count_exact(X)
-    if flag != (exact == 0):
-        raise NumericalFailure(f"oracle disagreement: zero_flag={flag} but exact count {exact}")
-    if not flag and abs(log(exact) - log_count) > ORACLE_LOG_RTOL * max(1.0, abs(log_count)):
-        raise NumericalFailure(
-            f"oracle disagreement: log exact {log(exact):.12f} vs spectral {log_count:.12f}"
-        )
-    return replace(result, exact_count=exact)
 
 
 def _node_bytes(R: int, F: int, r: int, j: int, width: int) -> int:
@@ -343,13 +335,9 @@ def require_oracle_fits(X: PureComplex) -> np.dtype:
 
     The oracle holds the dense C(n, d) x #d-faces boundary block, the root
     of its walk, and at most the walk's pieces that `_walk_bytes` counts
-    from the shape: the piece being expanded, three times its next piece of
-    children, and every lower piece with children still to walk, a piece
-    being about ORACLE_CHUNK_BYTES of node states or one node.  Each block
-    entry takes the bytes of the walk's width, `power_width` of the bound
-    2 (d + 1)^r that `tree_count_exact` proves, 2 at d = 1: 1 byte at
-    d = 1; at d = 2, 2 up to r = 8 and 4 up to r = 18; 8, a pointer, on the
-    Python-int path.
+    from the shape.  Each block entry takes the bytes of the walk's width,
+    `power_width` of the bound 2 (d + 1)^r that `tree_count_exact` proves
+    (2 at d = 1), and 8, a pointer, on the Python-int path.
     """
     r = comb(X.n - 1, X.d)
     subsets = comb(X.num_dfaces, r)

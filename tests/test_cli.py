@@ -284,6 +284,15 @@ class TestSst:
         assert main([command, "--d", "2", "--k", "5", "--n", "997"]) == 2
         assert "physical memory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["spectrum", "sst"])
+    def test_negative_trial_exits_2_before_sampling(self, command, monkeypatch, capsys):
+        # a negative trial would be masked to a stream id that no ensemble command can name
+        import steinerlab.experiments as experiments
+
+        monkeypatch.setattr(experiments, "steiner_complex", never)
+        assert main([command, "--d", "2", "--k", "5", "--n", "15", "--trial", "-1"]) == 2
+        assert capsys.readouterr().err == "error: trial must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("command", [["spectrum"], ["spectrum", "--op", "adjacency"], ["sst"]])
     def test_oversized_file_exits_2_before_any_operator(
         self, command, one_triangle_on_many_vertices, monkeypatch, capsys
@@ -296,10 +305,11 @@ class TestSst:
         assert "physical memory" in err and "Traceback" not in err
 
     def test_guards_size_each_route(self, monkeypatch, capsys):
-        # d = 2, k = 5, n = 15 (m = 105): a dense m x m matrix takes 88,200 B, and the floor's
-        # dense solve five of them, 441,000 B, more than the order-91 packed factor's 33,488 B;
-        # a gap row 94,080 B (16 B for each of k + 3(dk + 1) + d = 40 sparse entries a row of
-        # B, L, A, -A and delta, and 32 vectors of order m) and the dense solve, 535,080 B
+        # d = 2, k = 5, n = 15 (m = 105): a dense m x m matrix and the 64 vectors of its
+        # eigensolve take 141,960 B, and the floor's dense solve five m x m arrays, 441,000 B,
+        # more than the order-91 packed factor's 33,488 B; a gap row 67,200 B (16 B for each of
+        # k + 3(dk + 1) + d = 40 sparse entries a row of B, L, A, -A and delta) and the dense
+        # solve, 508,200 B
         import steinerlab.experiments as experiments
         from steinerlab import spectra
 
@@ -315,7 +325,7 @@ class TestSst:
         monkeypatch.setattr(spectra, "usable_memory", lambda: 441_000)
         assert main(sst) == 0
         assert capsys.readouterr().out == want
-        monkeypatch.setattr(spectra, "usable_memory", lambda: 535_080)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 508_200)
         with pytest.warns(RuntimeWarning, match="proven regime threshold"):
             assert main(gap) == 0
         assert capsys.readouterr().out == want_gap
@@ -324,21 +334,21 @@ class TestSst:
             raise AssertionError("sampled a complex the guard should refuse")
 
         monkeypatch.setattr(experiments, "steiner_complex", never)
-        monkeypatch.setattr(spectra, "usable_memory", lambda: 88_199)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 141_959)
         assert main(["spectrum", "--d", "2", "--k", "5", "--n", "15"]) == 2
         assert "dense 105 x 105" in capsys.readouterr().err
-        monkeypatch.setattr(spectra, "usable_memory", lambda: 535_079)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 508_199)
         assert main(gap) == 2
         assert "a gap row at n=15" in capsys.readouterr().err
         monkeypatch.setattr(spectra, "usable_memory", lambda: 440_999)
         assert main(sst) == 2
-        assert "dense floor solve or the packed Cholesky factor" in capsys.readouterr().err
+        assert "floor solve or the packed Cholesky factor" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,what", [("converge", "a tree count at n=15"), ("gap", "a gap row at n=15")])
     def test_guards_count_the_dense_solve(self, command, what, monkeypatch, capsys):
-        # 100,000 B holds a d = 2, k = 5, n = 15 gap row's sparse operators and vectors
-        # (94,080 B) and its packed factor (33,488 B), but not the five 105 x 105 arrays
-        # of the dense restricted solve
+        # 100,000 B holds a d = 2, k = 5, n = 15 gap row's sparse operators (67,200 B) and
+        # its packed factor (33,488 B), but not the five 105 x 105 arrays of the dense
+        # restricted solve
         import steinerlab.experiments as experiments
         from steinerlab import spectra
 
@@ -610,6 +620,14 @@ class TestGapOracle:
         err = capsys.readouterr().err
         assert err == "error: need k >= 1 systems\n"
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+    def test_gap_non_finite_eps_exits_2_before_sampling(self, eps, monkeypatch, capsys):
+        import steinerlab.experiments as experiments
+
+        monkeypatch.setattr(experiments, "steiner_complex", never)
+        assert main(["gap", "--d", "2", "--k", "5", "--n", "15", f"--eps={eps}"]) == 2
+        assert capsys.readouterr().err == f"error: eps must be finite, got {float(eps)}\n"
+
     def test_gap_takes_no_radius(self, capsys):
         # k = 1 is refused only where an arboreal radius is asked for
         with pytest.warns(RuntimeWarning, match="threshold"):
@@ -653,14 +671,16 @@ class TestGapOracle:
 
     @pytest.mark.parametrize("command", [["oracle"], ["sst", "--oracle"]])
     def test_oracle_dense_block_refused_before_work(self, command, long_path, monkeypatch, capsys):
-        # one candidate subset passes the subset guard; its 100000 x 99999 block does not fit
+        # one candidate subset passes the subset guard; its 100000 x 99999 block does not fit,
+        # and neither does sst's count, whose guard runs first: the order-99999 packed factor
         from steinerlab import complexes, spectra
 
         monkeypatch.setattr(spectra, "usable_memory", lambda: 2**33)
         monkeypatch.setattr(complexes, "_signed_incidence", never)
         assert main([*command, "--in", str(long_path)]) == 2
         err = capsys.readouterr().err
-        assert "dense 100000 x 99999 boundary block" in err and "Traceback" not in err
+        refused = "dense 100000 x 99999 boundary block" if command == ["oracle"] else "a tree count at n=100000"
+        assert refused in err and "Traceback" not in err
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["oracle", "--in", "/nonexistent/cx.txt"]) == 2

@@ -1,10 +1,12 @@
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from steinerlab import complex_from_dfaces, experiments, read_complex, spectra, steiner_complex
+from steinerlab import SeededRng, complex_from_dfaces, complexes, experiments, read_complex, spectra, steiner_complex
 from steinerlab.experiments import (
     ExperimentConfig,
     converge_csv,
@@ -206,11 +208,38 @@ def test_converge_csv_matches_golden(key):
 
 
 class TestGapReport:
-    def test_all_pass_with_infinite_epsilon(self):
+    def test_all_pass_with_the_largest_epsilon(self):
         cfg = small_config(k=3)
         with pytest.warns(RuntimeWarning):
-            report = run_gap_report(cfg, epsilon=math.inf)
+            report = run_gap_report(cfg, epsilon=sys.float_info.max)
         assert report.pass_fraction == 1.0
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_refused_before_sampling(self, epsilon, monkeypatch):
+        monkeypatch.setattr(experiments, "steiner_complex", never)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            run_gap_report(small_config(k=3), epsilon=epsilon)
+
+    @pytest.mark.parametrize("k", [5, 21])
+    @pytest.mark.parametrize("n", [15, 31, 63, 111])
+    def test_row_stays_within_its_guard(self, n, k, monkeypatch):
+        # d = 2: a row builds B, L, A, -A and delta and solves -A, dense at m = 105 and 465 and
+        # by Lanczos at m = 1953 and 6105; the complex is drawn before the trace, since the
+        # guard counts the row's operators and solve, not the sampler
+        X = steiner_complex(n, 2, k, SeededRng(1))
+        needs = []
+        monkeypatch.setattr(experiments, "steiner_complex", lambda *args: X)
+        monkeypatch.setattr(experiments, "require_memory", lambda need, what: needs.append(need))
+        complexes._complete_coboundary.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # k = 5 is at or below the proven regime
+            tracemalloc.start()
+            try:
+                run_gap_report(ExperimentConfig(d=2, k=k, n_values=(n,), trials=1), epsilon=0.5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= needs[0]
 
     def test_warns_below_regularity_threshold(self):
         cfg = small_config(k=3)

@@ -320,7 +320,7 @@ class TestRestrictedExtreme:
 
     @pytest.mark.parametrize("n", [15, 31])
     def test_dense_solve_stays_within_its_guard(self, n):
-        # d = 2, k = 5 (m = 105 and 465): the memory guards count dense_extreme_bytes(m) for
+        # d = 2, k = 5 (m = 105 and 465): the memory guards count restricted_extreme_bytes for
         # the dense solve, of L (M delta = 0, no projection) and of -A (projected)
         X = steiner_complex(n, 2, 5, SeededRng(1))
         for M in (X.laplacian, -X.adjacency):
@@ -331,7 +331,44 @@ class TestRestrictedExtreme:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= spectra.dense_extreme_bytes(comb(n, 2))
+            assert peak <= spectra.restricted_extreme_bytes(n, 2, 2 * 5 + 1)
+
+    @pytest.mark.parametrize("k", [5, 21])
+    @pytest.mark.parametrize("n", [15, 31, 63, 111])
+    def test_solve_stays_within_its_bytes(self, n, k):
+        # d = 2: dense at m = 105 and 465, Lanczos at m = 1953 and 6105, where the abs(M) copy
+        # is the peak; the guards bound M's rows by d k + 1 entries (gap) or more (count)
+        X = steiner_complex(n, 2, k, SeededRng(1))
+        for M in (X.laplacian, -X.adjacency):
+            spectra.restricted_extreme(M, n, 2)  # delta is built and cached before the trace
+            tracemalloc.start()
+            try:
+                spectra.restricted_extreme(M, n, 2)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= spectra.restricted_extreme_bytes(n, 2, 2 * k + 1)
+
+    def test_lanczos_at_its_step_cap_stays_within_its_bytes(self, monkeypatch):
+        # a run that never converges holds T and its Ritz check's workspace for every step up
+        # to the cap, here 4 m = 3960 steps at d = 2, k = 5, n = 45, which outgrow the copies
+        X = steiner_complex(45, 2, 5, SeededRng(1))
+        M = -X.adjacency
+        spectra.coboundary_matrix(45, 2)
+        lanczos = spectra._lanczos_extreme
+        monkeypatch.setattr(spectra, "LANCZOS_STEPS", 4)
+        monkeypatch.setattr(spectra, "_lanczos_extreme", lambda matvec, v, tol, noise, steps:
+                            lanczos(matvec, v, -1.0, -1.0, steps))
+        tracemalloc.start()
+        try:
+            with pytest.raises(spectra.NumericalFailure, match="did not converge in 3960 steps"):
+                spectra.restricted_extreme(M, 45, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = comb(45, 2)
+        copies = 12 * m * 2 * (2 * 5 + 1) + 8 * 6 * m  # abs(M) and M delta, as the function counts them
+        assert copies < peak <= spectra.restricted_extreme_bytes(45, 2, 2 * 5 + 1)
 
     def test_dense_failure_is_a_numerical_failure(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -706,6 +743,24 @@ class TestDenseGuard:
         # the packed factor of the order-C(7, 2) reduced Laplacian takes 8 * 231 = 1848 B
         with pytest.raises(ValueError, match="physical memory"):
             weighted_tree_count(complete_complex(8, 2))
+
+    @pytest.mark.parametrize("k", [5, 21])
+    @pytest.mark.parametrize("n", [15, 31, 63])
+    def test_spectrum_stays_within_its_guard(self, n, k, monkeypatch):
+        # d = 2, m = 105, 465 and 1953, the operator built before the trace: the guard counts
+        # the dense copy of it and SPECTRUM_VECTORS more, eigvalsh's workspace and the summary's
+        X = steiner_complex(n, 2, k, SeededRng(1))
+        needs = []
+        monkeypatch.setattr(spectra, "require_memory", lambda need, what: needs.append(need))
+        for operator in ("laplacian", "adjacency"):
+            getattr(X, operator)
+            tracemalloc.start()
+            try:
+                spectral_summary(X, operator)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= max(needs) == 8 * comb(n, 2) * (comb(n, 2) + spectra.SPECTRUM_VECTORS)
 
     def test_cgroup_limit_caps_physical_memory(self, tmp_path, monkeypatch, no_resident):
         v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"

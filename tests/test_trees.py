@@ -369,6 +369,15 @@ class TestExactOracle:
         with pytest.raises(ValueError, match="guard"):
             weighted_tree_count(complete_complex(9, 1), oracle=True)
 
+    def test_one_oracle_guard_per_oracle_count(self, monkeypatch):
+        # the count's guard runs first; then tree_count_exact guards itself, once
+        calls = []
+        guard = trees.require_oracle_fits
+        monkeypatch.setattr(trees, "require_oracle_fits", lambda X: calls.append(X) or guard(X))
+        X = complete_complex(5, 2)
+        assert weighted_tree_count(X, oracle=True).exact_count == 5**3
+        assert calls == [X]
+
     @settings(max_examples=80, deadline=None)
     @given(
         d=st.sampled_from([1, 2, 3]),
