@@ -126,7 +126,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_sst(args: argparse.Namespace) -> int:
-    X = _resolve_complex(args, require_tree_count_fits)
+    X = _resolve_complex(args, lambda n, d: require_tree_count_fits(n, d, args.k))
     result = weighted_tree_count(X, oracle=args.oracle)
     payload = {
         "log_kappa": None if result.zero_flag else result.log_count,

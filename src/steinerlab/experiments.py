@@ -174,14 +174,14 @@ def _converge_row(config: ExperimentConfig, X: PureComplex, n: int, trial: int) 
         min_degree=int(X.laplacian.diagonal().min()),  # the diagonal of L is the degree
         spectral_floor=count.floor,
         fractions=dict(zip(config.radii, arboreal_fractions(X, config.k, config.radii))),
-        moments=tuple(moments(X.laplacian, config.lmax)),
+        moments=tuple(moments(X, config.lmax)),
     )
 
 
 def run_converge(config: ExperimentConfig) -> ConvergenceResult:
     """Sample and summarize trials for every (n, trial) pair, in order, once every n's count fits."""
     for n in config.n_values:
-        require_tree_count_fits(n, config.d)
+        require_tree_count_fits(n, config.d, config.k)
     return ConvergenceResult(*config.run(lambda X, n, trial: _converge_row(config, X, n, trial)))
 
 

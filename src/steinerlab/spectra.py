@@ -249,8 +249,8 @@ def require_memory(need: int, what: str) -> None:
     held = resident_memory()
     if need + held > have:
         raise ValueError(
-            f"{what} needs {need / 2**30:.1f} GiB; with the {held / 2**30:.1f} GiB this process holds "
-            f"that is more than the {have / 2**30:.1f} GiB it may use "
+            f"{what} needs {need:,} bytes; with the {held:,} bytes this process holds "
+            f"that is more than the {have:,} bytes it may use "
             "(physical memory, cgroup and address-space limits)"
         )
 
@@ -308,11 +308,9 @@ def power_width(base: int, exp: int, scale: int = 1) -> np.dtype:
     """
     if base >= 2 and exp >= 63:
         return np.dtype(object)
-    bound = scale * base**exp
-    for dtype in (np.int8, np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
-    return np.dtype(object)
+    # numpy gives the narrowest signed dtype holding the negative Python int -(bound + 1),
+    # so bound fits its max, and object for one below int64's min
+    return np.min_scalar_type(-scale * base**exp - 1)
 
 
 # the fill from which `_traces` makes a power dense, inside the measured cross-over
@@ -339,8 +337,13 @@ def _row_dots(P, Q) -> int:
     return sum(np.asarray(rows).ravel().tolist())
 
 
-def _traces(M: sp.spmatrix, lengths: list[int]) -> list[int]:
-    """Exact tr(M^l) as Python ints for each l in `lengths`, of a symmetric integer matrix.
+def _traces(M: sp.csr_matrix, lengths: list[int]) -> list[int]:
+    """Exact tr(M^l) as Python ints for each l in `lengths`, of a complex's L or A.
+
+    Such an operator is canonical, read-only, symmetric and integer-valued
+    by construction (`PureComplex`), so it is read as it is: no copy, no
+    duplicate to sum, and the traces may pair M^a with M^b in place of its
+    transpose.
 
     Walks j = 0, 1, 2, ... up to last = ceil(top/2), top the longest
     length, holding only M^(j-1) and M^j: tr(M^2j) is the sum of the
@@ -350,37 +353,32 @@ def _traces(M: sp.spmatrix, lengths: list[int]) -> list[int]:
     absolute value, so the powers run at `power_width(R, top)`: int32 for
     the signed adjacency at d = 2, k = 5 up to length 9.  With R at most 1,
     M has at most one +-1 a row, so M^3 = M and a length l >= 3 is taken as
-    2 - l mod 2.  Refuses (ValueError) a matrix that is not integer, or,
-    before any product, one whose powers could leave int64.  Duplicate
-    entries are summed in a copy of M.  Each row of a product sums at the
-    width, the rows as Python ints.
+    2 - l mod 2.  Refuses (ValueError), before any product, an M whose
+    powers could leave int64.  Each row of a product sums at the width, the
+    rows as Python ints.
 
     M^j with 2 <= j < last is made a dense array before M^(j+1) is formed
     once it fills DENSE_POWER_FILL of its m^2 entries and two dense powers
-    at the width fit beside the process in `usable_memory`.  Timed as
-    `moments(M, 2j + 2)` with M^j the first dense power, against all-sparse
-    powers, on 31 sampled operators of order 465 to 6105, the switch was no
-    faster at any fill of M^j up to 10% (0.4 to 1.0 times the speed), 0.9 to
-    1.24 times as fast from 11.4% to 12.5%, and faster from 13% at every
-    order (1.02 to 2.5 times); at m = 465 (d = 2, k = 5) M^2 fills 12.5% to
-    13.4%.  The order sets only the memory: a dense int64 power at m = 6105
-    takes 298 MB.  When M^(last-1) is dense, M^last is never formed whole:
-    it is formed TRACE_BLOCK_BYTES of rows at a time, and each block is
-    reduced to its row dots with itself and with M^(last-1) at once.
+    at the width fit beside the process in `usable_memory`.  Timed as the
+    traces of lengths 0..2j + 2 with M^j the first dense power, against
+    all-sparse powers, on 31 sampled operators of order 465 to 6105, the
+    switch was no faster at any fill of M^j up to 10% (0.4 to 1.0 times
+    the speed), 0.9 to 1.24 times as fast from 11.4% to 12.5%, and faster
+    from 13% at every order (1.02 to 2.5 times); at m = 465 (d = 2, k = 5)
+    M^2 fills 12.5% to 13.4%.  The order sets only the memory: a dense
+    int64 power at m = 6105 takes 298 MB.  When M^(last-1) is dense, M^last
+    is never formed whole: it is formed TRACE_BLOCK_BYTES of rows at a
+    time, and each block is reduced to its row dots with itself and with
+    M^(last-1) at once.
     """
-    M = sp.csr_matrix(M, copy=True)
-    M.sum_duplicates()
-    ints = M.astype(np.int64)
-    if (ints.data != M.data).any():
-        raise ValueError("exact traces need an integer matrix")
-    R = int(abs(ints).sum(axis=1).max())
+    R = int(abs(M).sum(axis=1).max())
     if R <= 1:
         lengths = [ell if ell < 3 else 2 - ell % 2 for ell in lengths]
     top = max(lengths, default=0)
     width = power_width(R, top)
     if width == object:
         raise ValueError(f"power {top} of a matrix with absolute row sum {R} can leave int64 ({R}^{top} >= 2^63)")
-    ints = ints.astype(width)
+    ints = M.astype(width)
     m = M.shape[0]
     last = (top + 1) // 2
     traces = dict.fromkeys(lengths, 0)
@@ -405,20 +403,17 @@ def _traces(M: sp.spmatrix, lengths: list[int]) -> list[int]:
     return [traces[ell] for ell in lengths]
 
 
-def moments(M: np.ndarray | sp.spmatrix, lmax: int) -> list[float]:
-    """Spectral moments (1/m) tr(M^l) for l = 0..lmax of a symmetric integer matrix, from exact traces.
+def moments(X: PureComplex, lmax: int) -> list[float]:
+    """Spectral moments (1/m) tr(L^l) for l = 0..lmax of the complex's upper Laplacian, from exact traces.
 
-    The traces come from one walk over the powers (`_traces`), which holds
-    at most two of them, at the narrowest integer width that R^lmax allows
-    (R the largest absolute row sum of M), so memory does not grow with
-    lmax.  Refuses (ValueError) a matrix that is not symmetric: the traces
-    pair M^a with M^b, which is M^a with the transpose of M^b only when M is,
-    or one whose powers up to lmax could leave int64.
+    The traces of L = `X.laplacian` come from one walk over its powers
+    (`_traces`), which holds at most two of them, at the narrowest integer
+    width that R^lmax allows (R the largest absolute row sum of L), so
+    memory does not grow with lmax.  Refuses (ValueError) an lmax whose
+    powers could leave int64.
     """
-    M = sp.csr_matrix(M)
-    if (M != M.T).nnz:
-        raise ValueError("moments need a symmetric matrix")
-    return [t / M.shape[0] for t in _traces(M, list(range(lmax + 1)))]
+    L = X.laplacian
+    return [t / L.shape[0] for t in _traces(L, list(range(lmax + 1)))]
 
 
 def _summary_from_eigs(
@@ -462,16 +457,14 @@ def spectral_summary(
 def signed_trace(X: PureComplex, length: int) -> int:
     """Exact integer tr(A^l) of the signed adjacency A: signed closed l-walks summed over faces.
 
-    A = diag(L) - L of the complex's L = B B^T is symmetric, as `_traces`
-    needs, so unlike `moments` this does not check it.  `_traces` runs the
-    powers at `power_width(R, l)`, R the largest absolute row sum of A (at
-    most d times the largest degree), and raises ValueError before any
-    product whose entries could leave int64.  The complex keeps each trace
-    it computes (`PureComplex`), and a miss computes the length with its
-    partner, whose last power M^ceil(l/2) is the same: l - 1 for an even l,
-    and l + 1 for an odd l when `power_width(R, l + 1)` is l's own width,
-    so a partner never widens the powers or refuses a length.  So lengths
-    1..2j take j walks, not 2j.
+    `_traces` runs the powers at `power_width(R, l)`, R the largest
+    absolute row sum of A (at most d times the largest degree), and raises
+    ValueError before any product whose entries could leave int64.  The
+    complex keeps each trace it computes (`PureComplex`), and a miss
+    computes the length with its partner, whose last power M^ceil(l/2) is
+    the same: l - 1 for an even l, and l + 1 for an odd l when
+    `power_width(R, l + 1)` is l's own width, so a partner never widens the
+    powers or refuses a length.  So lengths 1..2j take j walks, not 2j.
     """
     if length < 0:
         raise ValueError("walk length must be >= 0")

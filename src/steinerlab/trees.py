@@ -48,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpftrf
 
-from .complexes import PureComplex
+from .complexes import PureComplex, facet_ranks
 from .spectra import (
     NumericalFailure,
     power_width,
@@ -214,20 +214,21 @@ def _reduced_log_det(R: sp.csr_matrix) -> tuple[float, int]:
     return log_det + 2.0 * float(np.log(packed[_rfp_offsets(diag, diag, N)]).sum()), N
 
 
-def require_tree_count_fits(n: int, d: int) -> None:
+def require_tree_count_fits(n: int, d: int, degree: int) -> None:
     """Refuse, with ValueError, a tree count of a d-complex on [n] that cannot run here.
 
-    The memory guard (`spectra.require_memory`) counts the larger of the
-    floor's solve (`spectra.restricted_extreme_bytes`, for L of order
-    C(n, d) with at most the complete skeleton's 1 + d (n - d) entries a
-    row), which is freed before the factor is built, and the packed factor
-    of the whole reduced Laplacian, N(N+1)/2 doubles with N = C(n-1, d):
-    phase 1 of the count may eliminate no row at all.  The packed order is
-    capped at MAX_PACKED_ORDER because scipy's `dpftrf` wrapper checks the
-    packed length as N(N+1)/2 in a C int.
+    `degree` bounds the degree of every (d-1)-face: k for a union of k
+    Steiner systems, whose merged blocks only lower it.  The memory guard
+    (`spectra.require_memory`) counts the larger of the floor's solve
+    (`spectra.restricted_extreme_bytes`, for L of order C(n, d) with at most
+    1 + d degree entries a row), which is freed before the factor is built,
+    and the packed factor of the whole reduced Laplacian, N(N+1)/2 doubles
+    with N = C(n-1, d): phase 1 of the count may eliminate no row at all.
+    The packed order is capped at MAX_PACKED_ORDER because scipy's `dpftrf`
+    wrapper checks the packed length as N(N+1)/2 in a C int.
     """
     N = comb(n - 1, d)
-    packed, floor = 8 * (N * (N + 1) // 2), restricted_extreme_bytes(n, d, 1 + d * (n - d))
+    packed, floor = 8 * (N * (N + 1) // 2), restricted_extreme_bytes(n, d, 1 + d * degree)
     require_memory(max(packed, floor), f"a tree count at n={n} (its floor solve or the packed "
                    f"Cholesky factor of the order-{N} reduced Laplacian)")
     if N > MAX_PACKED_ORDER:
@@ -247,19 +248,22 @@ def weighted_tree_count(X: PureComplex, oracle: bool = False) -> TreeCount:
     attached and cross-checked.  The count's guard
     (`require_tree_count_fits`), then the oracle's, which `tree_count_exact`
     runs before it builds B, refuse with ValueError before any operator is
-    built; the oracle runs before the spectral work.  The floor is a zero
-    below `zero_threshold`((d+1) max degree) and warns below
+    built, the count's at the largest degree of a (d-1)-face, counted from
+    `X.faces`; the oracle runs before the spectral work.  The floor is a
+    zero below `zero_threshold`((d+1) max degree) and warns below
     AMBIGUOUS_FACTOR times that (`warn_ambiguous_zeros`).
     A pivot <= 0 after the floor cleared the zero threshold raises
     `spectra.NumericalFailure`, a RuntimeError, naming its row of the reduced
     Laplacian; so does an oracle disagreement.
     """
-    require_tree_count_fits(X.n, X.d)
+    # counted over the facets present, so no array of length C(n, d) is made before the guard
+    degree = int(np.unique(facet_ranks(X.faces, X.n), return_counts=True)[1].max(initial=0))
+    require_tree_count_fits(X.n, X.d, degree)
     exact = tree_count_exact(X) if oracle else None
     L = X.laplacian
     trivial = trivial_zero_count(X)
     floor = restricted_extreme(L, X.n, X.d)
-    eps = zero_threshold((X.d + 1) * float(L.diagonal().max()))
+    eps = zero_threshold((X.d + 1) * float(degree))
     warn_ambiguous_zeros(floor, eps)
     flag = floor < eps
     log_count = float("-inf")

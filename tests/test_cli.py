@@ -304,6 +304,19 @@ class TestSst:
         err = capsys.readouterr().err
         assert "physical memory" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["spectrum"], ["spectrum", "--op", "adjacency"], ["sst"]])
+    def test_oversized_file_with_high_ranks_exits_2(self, command, tmp_path, monkeypatch, capsys):
+        # the face's facets rank near C(100000, 2) = 5e9: nothing indexed by rank may be built
+        # before the guard, or an array of 37 GiB would be asked for first
+        from steinerlab import complexes
+
+        path = tmp_path / "high.txt"
+        path.write_text("100000 2\n99998 99999 100000\n")
+        monkeypatch.setattr(complexes, "_signed_incidence", never)
+        assert main([*command, "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "physical memory" in err and "Traceback" not in err
+
     def test_guards_size_each_route(self, monkeypatch, capsys):
         # d = 2, k = 5, n = 15 (m = 105): a dense m x m matrix and the 64 vectors of its
         # eigensolve take 141,960 B, and the floor's dense solve five m x m arrays, 441,000 B,
@@ -360,6 +373,30 @@ class TestSst:
         monkeypatch.setattr(spectra, "usable_memory", lambda: 100_000)
         assert main([command, "--d", "2", "--k", "5", "--n", "15", "--deterministic"]) == 2
         assert what in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["converge", "sst", "sst --in"])
+    def test_count_guard_reads_the_degree(self, source, tmp_path, monkeypatch, capsys):
+        # d = 1, k = 8, n = 2000: the order-1999 packed factor takes 15,992,000 B, more than
+        # the floor's solve of L with 1 + 8 entries a row (2,368,000 B); with the complete
+        # skeleton's 1 + 1999 entries a row the floor alone would count 48,096,000 B
+        from steinerlab import spectra
+
+        if source == "sst --in":
+            assert main(["sample", "--d", "1", "--k", "8", "--n", "2000", "--seed", "1", "--out", str(tmp_path)]) == 0
+            args = ["sst", "--in", str(next(tmp_path.glob("*.txt")))]
+        else:
+            args = [source, "--d", "1", "--k", "8", "--n", "2000", "--seed", "1"]
+            args += ["--r", "1", "--deterministic"] if source == "converge" else []
+        capsys.readouterr()
+        monkeypatch.setattr(spectra, "resident_memory", lambda: 0)
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 16_000_000)
+        assert main(args) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(spectra, "usable_memory", lambda: 15_991_999)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "floor solve or the packed Cholesky factor" in err
+        assert "needs 15,992,000 bytes; with the 0 bytes" in err and "the 15,991,999 bytes it may use" in err
 
 
 class TestLimit:

@@ -389,7 +389,7 @@ class TestOwnOperators:
     def test_consumers_leave_the_operators_unchanged(self, monkeypatch):
         from steinerlab import SeededRng, experiments, steiner_complex
         from steinerlab.arboreal import arboreal_fractions
-        from steinerlab.spectra import moments, signed_trace, spectral_summary
+        from steinerlab.spectra import _traces, moments, signed_trace, spectral_summary
         from steinerlab.trees import weighted_tree_count
 
         X = steiner_complex(7, 2, 3, SeededRng(1))  # 17 d-faces: 136 candidate trees, count 103
@@ -401,7 +401,7 @@ class TestOwnOperators:
         assert weighted_tree_count(X).log_count == pytest.approx(np.log(103))
         assert weighted_tree_count(X, oracle=True).exact_count == 103
         arboreal_fractions(X, 3, (1, 2))
-        moments(L, 4)
+        moments(X, 4)
         monkeypatch.setattr(experiments, "steiner_complex", lambda *args: X)
         config = experiments.ExperimentConfig(d=2, k=3, n_values=(7,), trials=1)
         with pytest.warns(RuntimeWarning, match="proven regime threshold"):
@@ -409,7 +409,7 @@ class TestOwnOperators:
         for operator in ("laplacian", "adjacency"):
             spectral_summary(X, operator=operator)
         signed_trace(X, 5)
-        moments(A, 4)
+        _traces(A, list(range(5)))
         assert X.boundary is B and X.laplacian is L and X.adjacency is A
         for M in (B, L, A):  # scipy's in-place sorts find a canonical operator with nothing to do
             abs(M)

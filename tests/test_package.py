@@ -273,3 +273,32 @@ def test_one_operator_contract():
     assert helpers == {"complexes._canonical_read_only"}, helpers
     assert {path.name for path in src.glob("*.py") if "_canonical_read_only" in path.read_text()} == {"complexes.py"}
     assert not copies, copies
+
+
+def test_no_consumer_recanonicalizes_an_operator():
+    # only `complexes._canonical_read_only` sums duplicates, sorts indices or copies a CSR
+    # matrix, and `moments` takes the complex, so what reaches `spectra._traces` is already
+    # canonical, symmetric and integer-valued
+    src = Path(importlib.import_module("steinerlab").__file__).parent
+    owners = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = {}  # node -> innermost function holding it
+        for top in ast.walk(tree):
+            if isinstance(top, ast.FunctionDef):
+                for node in ast.walk(top):
+                    scopes[node] = top.name
+        for node, scope in scopes.items():
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            copies = called == "csr_matrix" and any(
+                kw.arg == "copy" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+                for kw in node.keywords)
+            if called in {"sum_duplicates", "sort_indices"} or copies:
+                owners.add(f"{path.stem}.{scope}")
+    assert owners == {"complexes._canonical_read_only"}, owners
+    spectra = ast.parse((src / "spectra.py").read_text())
+    moments = next(node for node in spectra.body if isinstance(node, ast.FunctionDef) and node.name == "moments")
+    assert [arg.arg for arg in moments.args.args] == ["X", "lmax"]

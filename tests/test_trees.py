@@ -705,11 +705,27 @@ class TestPackedFactor:
         # its packed factor is 0.26 of 8 m^2 and the whole count peaks near 0.36
         assert peak < 0.4 * 8 * m * m
 
+    @pytest.mark.parametrize("k,n", [(3, 1000), (8, 2000)])
+    def test_count_stays_under_its_degree_guard(self, k, n, monkeypatch):
+        # d = 1: the guard counts the floor's solve at 1 + k entries a row, so the packed factor
+        # of the order-(n - 1) reduced Laplacian, not the floor, sets it; L is built in the span
+        X = steiner_complex(n, 1, k, SeededRng(1))
+        needs, require = [], trees.require_memory
+        monkeypatch.setattr(trees, "require_memory", lambda need, what: (needs.append(need), require(need, what)))
+        tracemalloc.start()
+        try:
+            weighted_tree_count(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert needs == [8 * (n - 1) * n // 2]
+        assert peak <= needs[0]
+
     def test_packed_order_cap_refused_before_work(self, monkeypatch):
         # admit the 17 GB dense guard at n = 306 so only the dpftrf order cap can refuse;
         # nothing of that size is allocated
         monkeypatch.setattr(spectra, "usable_memory", lambda: 2**40)
-        trees.require_tree_count_fits(305, 2)  # order C(304, 2) = 46056
+        trees.require_tree_count_fits(305, 2, 0)  # order C(304, 2) = 46056, no d-face
         with pytest.raises(ValueError, match="order 46360 is above 46340"):
             weighted_tree_count(complex_from_dfaces(306, 2, []))
 
